@@ -48,11 +48,15 @@ __all__ = [
     "affine_coefficients",
     "is_dcp",
     "make_problem",
-    "problem_variable",
-    "next_free_ids",
-    "fresh_variable",
+    "VariablePool",
     "walk_expressions",
     "substitute_variables",
+    "nodes",
+    "fold",
+    "nonconstant",
+    "rebuild",
+    "ROOT_SIGNS",
+    "child_sign",
 ]
 
 
@@ -336,7 +340,7 @@ class ExpressionNode:
     """
 
     __slots__ = ("kind", "dim", "curvature", "sign", "payload", "var_id",
-                 "var_name", "atom", "children", "param", "_key", "_hash")
+                 "var_name", "atom", "children", "param", "_hash")
 
     def __init__(self, kind, dim, curvature, sign, payload=None, var_id=None,
                  var_name=None, atom=None, children=(), param=None):
@@ -350,49 +354,55 @@ class ExpressionNode:
         object.__setattr__(self, "atom", atom)
         object.__setattr__(self, "children", tuple(children))
         object.__setattr__(self, "param", param)
-        object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExpressionNode is immutable")
 
-    def structural_key(self):
-        """A hashable tuple identifying this tree up to structural equality."""
-        key = object.__getattribute__(self, "_key")
-        if key is None:
-            if self.kind == "const":
-                key = ("const", self.dim, self.payload.tobytes())
-            elif self.kind == "var":
-                key = ("var", self.var_id, self.dim)
-            else:
-                key = ("atom", self.atom, self.param,
-                       tuple(c.structural_key() for c in self.children))
-            object.__setattr__(self, "_key", key)
-        return key
+    def _own_key(self):
+        """The fields structural equality compares at this node alone."""
+        if self.kind == "const":
+            return ("const", self.dim, self.payload.tobytes())
+        if self.kind == "var":
+            return ("var", self.var_id, self.dim)
+        return ("atom", self.atom, self.param, len(self.children))
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, ExpressionNode):
             return NotImplemented
-        return self.structural_key() == other.structural_key()
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if hash(a) != hash(b) or a._own_key() != b._own_key():
+                return False
+            pairs.extend(zip(a.children, b.children))
+        return True
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash(self.structural_key())
-            object.__setattr__(self, "_hash", h)
-        return h
+        if self._hash is None:
+            # Hash from the node's own fields and its children's hashes,
+            # computed bottom-up for the subtrees not hashed yet.
+            def leave(node, _, __):
+                if node._hash is None:
+                    object.__setattr__(node, "_hash", hash(
+                        (node._own_key(), tuple([c._hash for c in node.children]))))
+
+            fold(self, leave, lambda node, _: node._hash is None)
+        return self._hash
 
     def __repr__(self):
-        if self.kind == "const":
-            return f"Const({np.array2string(self.payload, separator=', ')})"
-        if self.kind == "var":
-            return f"Var({self.var_name}#{self.var_id}:{self.dim})"
-        inner = ", ".join(repr(c) for c in self.children)
-        if self.atom == "index":
-            return f"index({inner}, {self.param})"
-        return f"{self.atom}({inner})"
+        def leave(node, inner, _):
+            if node.kind == "const":
+                return f"Const({np.array2string(node.payload, separator=', ')})"
+            if node.kind == "var":
+                return f"Var({node.var_name}#{node.var_id}:{node.dim})"
+            if node.atom == "index":
+                return f"index({inner[0]}, {node.param})"
+            return f"{node.atom}({', '.join(inner)})"
+
+        return fold(self, leave)
 
 
 def constant(value) -> ExpressionNode:
@@ -404,7 +414,7 @@ def constant(value) -> ExpressionNode:
         raise ExpressionError("constants must have dim >= 1")
     if not np.all(np.isfinite(arr)):
         raise ExpressionError("constants must be finite")
-    arr = arr + 0.0  # normalizes -0.0 so structural keys are print-stable
+    arr = arr + 0.0  # normalizes -0.0 so structural equality is print-stable
     arr.setflags(write=False)
     nonneg = bool(np.all(arr >= 0.0))
     nonpos = bool(np.all(arr <= 0.0))
@@ -474,7 +484,7 @@ def mul(a: ExpressionNode, b: ExpressionNode) -> ExpressionNode:
     if not (a.curvature.is_constant or b.curvature.is_constant):
         raise ExpressionError("non-constant * non-constant product is not allowed")
     const_side = a if a.curvature.is_constant else b
-    if np.all(_constant_value(const_side) == 0.0):
+    if np.all(evaluate(const_side, {}) == 0.0):
         dim = _broadcast_dim((a, b), "mul_const")
         return constant(np.zeros(dim))
     return _apply_atom("mul_const", (a, b))
@@ -508,111 +518,143 @@ def norm2(a: ExpressionNode) -> ExpressionNode:
     return _apply_atom("norm2", (a,))
 
 
-def _constant_value(expr: ExpressionNode) -> np.ndarray:
-    """Value of a constant-curvature subtree (no variables consulted)."""
-    return evaluate(expr, {})
+# --- traversal ---------------------------------------------------------------
+#
+# Every walk over a tree goes through ``nodes`` or ``fold``.  Both keep their
+# own stack, so a tree of any depth is walked without Python recursion.
+
+
+def nodes(expr: ExpressionNode):
+    """Every node of ``expr`` in pre-order: parents first, children left to right."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def fold(expr: ExpressionNode, leave, enter=None, down=None, flag=None):
+    """Post-order fold of ``expr``; returns the root's value.
+
+    ``leave(node, values, flag)`` gives a node's value from its children's
+    values, in child order; each child's value is dropped once its parent has
+    combined it.  ``enter(node, flag)``, when given, runs on the way down,
+    before any descendant is visited; a false result skips the node's
+    children, so ``leave`` then sees no values.  ``down(node, i, flag)``
+    gives child ``i`` its flag from its parent's; without it every node sees
+    ``flag``.
+    """
+    values: list = []
+    todo = [(expr, flag, 0)]
+    while todo:
+        node, f, k = todo.pop()
+        if k:
+            values[-k:] = [leave(node, values[-k:], f)]
+            continue
+        kids = node.children
+        if enter is not None and not enter(node, f):
+            kids = ()
+        if kids:
+            todo.append((node, f, len(kids)))
+            for i in range(len(kids) - 1, -1, -1):
+                todo.append((kids[i], f if down is None else down(node, i, f), 0))
+        else:
+            values.append(leave(node, (), f))
+    return values[0]
+
+
+def nonconstant(node: ExpressionNode, flag=None) -> bool:
+    """An ``enter`` for :func:`fold` that skips constant subtrees."""
+    return not node.curvature.is_constant
+
+
+def rebuild(node: ExpressionNode, children: Sequence[ExpressionNode]) -> ExpressionNode:
+    """``node`` over new ``children``; ``node`` itself when no child changed."""
+    if all(new is old for new, old in zip(children, node.children)):
+        return node
+    if node.atom == "mul_const":
+        return mul(children[0], children[1])  # folds a product with zero
+    return _apply_atom(node.atom, children, node.param)
+
+
+# DCP scaling sign at the root of each tree of a problem: the objective's by
+# sense, a constraint's (lhs, rhs) pair by relation.  Children take their
+# sign from ``child_sign``.
+ROOT_SIGNS = {
+    Sense.MINIMIZE: +1,
+    Sense.MAXIMIZE: -1,
+    Relation.LE: (+1, -1),
+    Relation.GE: (-1, +1),
+    Relation.EQ: (0, 0),
+}
+
+
+def child_sign(node: ExpressionNode, i: int, sigma: int) -> int:
+    """Scaling sign of ``node``'s child ``i``: a ``down`` for :func:`fold`."""
+    return sigma * ATOMS[node.atom].monotonicity(node.children, i)
 
 
 def evaluate(expr: ExpressionNode, assignment: Mapping[int, object]) -> np.ndarray:
     """Evaluate a tree under ``{var_id: value}``; returns an array of shape (dim,)."""
-    if expr.kind == "const":
-        return expr.payload
-    if expr.kind == "var":
-        if expr.var_id not in assignment:
-            raise EvaluationError(f"no value assigned to variable '{expr.var_name}' (id {expr.var_id})")
-        val = np.atleast_1d(np.asarray(assignment[expr.var_id], dtype=float))
-        if val.shape != (expr.dim,):
-            raise EvaluationError(
-                f"variable '{expr.var_name}' has dim {expr.dim}, got value of shape {val.shape}")
-        return val
-    args = [evaluate(c, assignment) for c in expr.children]
-    name = expr.atom
-    if name == "add":
-        out = args[0] + args[1]
-    elif name == "sub":
-        out = args[0] - args[1]
-    elif name == "neg":
-        out = -args[0]
-    elif name == "mul_const":
-        out = args[0] * args[1]
-    elif name == "index":
-        out = args[0][expr.param:expr.param + 1]
-    elif name == "sum":
-        out = np.array([np.sum(args[0])])
-    elif name == "max":
-        out = args[0]
-        for a in args[1:]:
-            out = np.maximum(out, a)
-        out = np.broadcast_to(out, (expr.dim,))
-    elif name == "abs":
-        out = np.abs(args[0])
-    elif name == "square":
-        out = args[0] * args[0]
-    elif name == "sum_squares":
-        out = np.array([float(np.dot(args[0], args[0]))])
-    elif name == "norm2":
-        out = np.array([float(np.linalg.norm(args[0]))])
-    else:  # pragma: no cover - the atom table is closed
-        raise EvaluationError(f"unknown atom '{name}'")
-    return np.asarray(np.broadcast_to(out, (expr.dim,)), dtype=float)
+
+    def leave(node, args, _):
+        if node.kind == "const":
+            return node.payload
+        if node.kind == "var":
+            if node.var_id not in assignment:
+                raise EvaluationError(
+                    f"no value assigned to variable '{node.var_name}' (id {node.var_id})")
+            val = np.atleast_1d(np.asarray(assignment[node.var_id], dtype=float))
+            if val.shape != (node.dim,):
+                raise EvaluationError(
+                    f"variable '{node.var_name}' has dim {node.dim}, got value of shape {val.shape}")
+            return val
+        name = node.atom
+        if name == "add":
+            out = args[0] + args[1]
+        elif name == "sub":
+            out = args[0] - args[1]
+        elif name == "neg":
+            out = -args[0]
+        elif name == "mul_const":
+            out = args[0] * args[1]
+        elif name == "index":
+            out = args[0][node.param:node.param + 1]
+        elif name == "sum":
+            out = np.array([np.sum(args[0])])
+        elif name == "max":
+            out = args[0]
+            for a in args[1:]:
+                out = np.maximum(out, a)
+            out = np.broadcast_to(out, (node.dim,))
+        elif name == "abs":
+            out = np.abs(args[0])
+        elif name == "square":
+            out = args[0] * args[0]
+        elif name == "sum_squares":
+            out = np.array([float(np.dot(args[0], args[0]))])
+        elif name == "norm2":
+            out = np.array([float(np.linalg.norm(args[0]))])
+        else:  # pragma: no cover - the atom table is closed
+            raise EvaluationError(f"unknown atom '{name}'")
+        return np.asarray(np.broadcast_to(out, (node.dim,)), dtype=float)
+
+    return fold(expr, leave)
 
 
-def _affine_pieces(expr: ExpressionNode) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    if expr.curvature.is_constant:
-        return {}, _constant_value(expr)
-    if expr.kind == "var":
-        return {expr.var_id: np.eye(expr.dim)}, np.zeros(expr.dim)
-    if expr.kind != "atom":  # pragma: no cover
-        raise NotAffineError(expr)
-
-    def broadcast(piece, dim):
-        coeffs, const = piece
-        rows = const.shape[0]
-        if rows == dim:
-            return coeffs, const
-        # rows == 1, broadcast up by tiling
-        return ({v: np.repeat(m, dim, axis=0) for v, m in coeffs.items()},
-                np.repeat(const, dim, axis=0))
-
-    def combine(dim, pieces, scales):
-        coeffs: dict[int, np.ndarray] = {}
-        const = np.zeros(dim)
-        for piece, scale in zip(pieces, scales):
-            pc, pk = broadcast(piece, dim)
-            const = const + scale * pk
-            for v, m in pc.items():
-                cur = coeffs.get(v)
-                contrib = scale * m
-                coeffs[v] = contrib if cur is None else cur + contrib
-        return coeffs, const
-
-    name = expr.atom
-    if name == "add":
-        return combine(expr.dim, [_affine_pieces(c) for c in expr.children], [1.0, 1.0])
-    if name == "sub":
-        return combine(expr.dim, [_affine_pieces(c) for c in expr.children], [1.0, -1.0])
-    if name == "neg":
-        return combine(expr.dim, [_affine_pieces(expr.children[0])], [-1.0])
-    if name == "mul_const":
-        const_side = _mul_constant_side(expr.children)
-        other = expr.children[1] if const_side is expr.children[0] else expr.children[0]
-        cval = _constant_value(const_side)
-        coeffs, const = _affine_pieces(other)
-        if cval.shape[0] == 1:
-            return ({v: cval[0] * m for v, m in coeffs.items()}, cval[0] * const)
-        if const.shape[0] == 1:
-            # vector constant times scalar affine expression
-            return ({v: cval[:, None] @ m for v, m in coeffs.items()}, cval * const[0])
-        return ({v: cval[:, None] * m for v, m in coeffs.items()}, cval * const)
-    if name == "index":
-        coeffs, const = _affine_pieces(expr.children[0])
-        k = expr.param
-        return ({v: m[k:k + 1, :] for v, m in coeffs.items()}, const[k:k + 1])
-    if name == "sum":
-        coeffs, const = _affine_pieces(expr.children[0])
-        return ({v: np.sum(m, axis=0, keepdims=True) for v, m in coeffs.items()},
-                np.array([np.sum(const)]))
-    raise NotAffineError(expr)
+def _combine_pieces(dim, pieces, scales):
+    coeffs: dict[int, np.ndarray] = {}
+    const = np.zeros(dim)
+    for (pc, pk), scale in zip(pieces, scales):
+        if pk.shape[0] != dim:  # one row, broadcast up by tiling
+            pc = {v: np.repeat(m, dim, axis=0) for v, m in pc.items()}
+            pk = np.repeat(pk, dim, axis=0)
+        const = const + scale * pk
+        for v, m in pc.items():
+            cur = coeffs.get(v)
+            contrib = scale * m
+            coeffs[v] = contrib if cur is None else cur + contrib
+    return coeffs, const
 
 
 def affine_coefficients(expr: ExpressionNode) -> tuple[dict[int, np.ndarray], np.ndarray]:
@@ -620,21 +662,43 @@ def affine_coefficients(expr: ExpressionNode) -> tuple[dict[int, np.ndarray], np
 
     Returns ``({var_id: M}, k)`` with ``M`` of shape (dim, var_dim) and ``k``
     of shape (dim,) such that the expression equals ``sum_i M_i x_i + k``.
-    Raises :class:`NotAffineError` naming the first nonlinear atom otherwise.
+    Raises :class:`NotAffineError` naming the first nonlinear atom otherwise:
+    the post-order walk reaches it before any of its ancestors.
     """
-    if not expr.curvature.is_affine:
-        node = next(n for n in _iter_nodes(expr)
-                    if n.kind == "atom" and not n.curvature.is_affine
-                    and all(c.curvature.is_affine for c in n.children))
+
+    def leave(node, pieces, _):
+        if node.curvature.is_constant:
+            return {}, evaluate(node, {})
+        if node.kind == "var":
+            return {node.var_id: np.eye(node.dim)}, np.zeros(node.dim)
+        name = node.atom
+        if name == "add":
+            return _combine_pieces(node.dim, pieces, (1.0, 1.0))
+        if name == "sub":
+            return _combine_pieces(node.dim, pieces, (1.0, -1.0))
+        if name == "neg":
+            return _combine_pieces(node.dim, pieces, (-1.0,))
+        if name == "mul_const":
+            const_first = node.children[0].curvature.is_constant
+            cval = pieces[0 if const_first else 1][1]
+            coeffs, const = pieces[1 if const_first else 0]
+            if cval.shape[0] == 1:
+                return ({v: cval[0] * m for v, m in coeffs.items()}, cval[0] * const)
+            if const.shape[0] == 1:
+                # vector constant times scalar affine expression
+                return ({v: cval[:, None] @ m for v, m in coeffs.items()}, cval * const[0])
+            return ({v: cval[:, None] * m for v, m in coeffs.items()}, cval * const)
+        if name == "index":
+            coeffs, const = pieces[0]
+            k = node.param
+            return ({v: m[k:k + 1, :] for v, m in coeffs.items()}, const[k:k + 1])
+        if name == "sum":
+            coeffs, const = pieces[0]
+            return ({v: np.sum(m, axis=0, keepdims=True) for v, m in coeffs.items()},
+                    np.array([np.sum(const)]))
         raise NotAffineError(node)
-    coeffs, const = _affine_pieces(expr)
-    return coeffs, const
 
-
-def _iter_nodes(expr: ExpressionNode):
-    yield expr
-    for c in expr.children:
-        yield from _iter_nodes(c)
+    return fold(expr, leave, nonconstant)
 
 
 @dataclass(frozen=True)
@@ -665,9 +729,6 @@ class ProblemForm:
     constraints: tuple[ConstraintDecl, ...]
     variables: tuple[VariableDecl, ...]
 
-    def variable_map(self) -> dict[int, VariableDecl]:
-        return {v.id: v for v in self.variables}
-
 
 def make_problem(sense: Sense, objective: ExpressionNode,
                  constraints: Sequence[tuple[ExpressionNode, Relation, ExpressionNode] | ConstraintDecl],
@@ -694,7 +755,7 @@ def make_problem(sense: Sense, objective: ExpressionNode,
             lhs, rel, rhs = c
             cons.append(ConstraintDecl(pos, rel, lhs, rhs))
     for expr in [objective] + [e for c in cons for e in (c.lhs, c.rhs)]:
-        for node in _iter_nodes(expr):
+        for node in nodes(expr):
             if node.kind == "var":
                 if node.var_id not in decl_dims:
                     raise ProblemError(f"undeclared variable '{node.var_name}' (id {node.var_id})")
@@ -704,73 +765,56 @@ def make_problem(sense: Sense, objective: ExpressionNode,
     return ProblemForm(sense, objective, tuple(cons), tuple(variables))
 
 
-def problem_variable(problem: ProblemForm, var_id: int) -> VariableDecl:
-    for v in problem.variables:
-        if v.id == var_id:
-            return v
-    raise ProblemError(f"no variable with id {var_id}")
+class VariablePool:
+    """A problem's variables plus the fresh ones a reduction adds to them.
 
+    Fresh ids continue after the largest id in use.  A fresh name is the stem
+    and the id, prefixed with underscores until it collides with no name.
+    """
 
-def next_free_ids(problem: ProblemForm) -> int:
-    """The smallest variable id not used by ``problem``."""
-    return max((v.id for v in problem.variables), default=-1) + 1
+    def __init__(self, variables: Sequence[VariableDecl]):
+        self.variables = list(variables)
+        self.names = {v.name for v in self.variables}
+        self.next_id = max((v.id for v in self.variables), default=-1) + 1
 
-
-def fresh_variable(problem_names: set[str], next_id: int, stem: str, dim: int = 1) -> VariableDecl:
-    """Allocate a fresh variable whose name cannot collide with existing ones."""
-    name = f"{stem}{next_id}"
-    while name in problem_names:
-        name = "_" + name
-    return VariableDecl(next_id, name, dim)
+    def fresh(self, stem: str, dim: int = 1) -> VariableDecl:
+        name = f"{stem}{self.next_id}"
+        while name in self.names:
+            name = "_" + name
+        decl = VariableDecl(self.next_id, name, dim)
+        self.next_id += 1
+        self.names.add(name)
+        self.variables.append(decl)
+        return decl
 
 
 def walk_expressions(problem: ProblemForm):
-    """Yield (location, expression) pairs for every tree in the problem."""
-    yield "objective", problem.objective
+    """Yield (location, expression, root scaling sign) for every tree in the problem."""
+    yield "objective", problem.objective, ROOT_SIGNS[problem.sense]
     for i, c in enumerate(problem.constraints):
-        yield f"constraint {i}: lhs", c.lhs
-        yield f"constraint {i}: rhs", c.rhs
+        fl, fr = ROOT_SIGNS[c.relation]
+        yield f"constraint {i}: lhs", c.lhs, fl
+        yield f"constraint {i}: rhs", c.rhs, fr
 
 
 def is_dcp(problem: ProblemForm) -> tuple[bool, list[str]]:
-    """Check the discipline: returns (ok, list of violation locations)."""
-    violations: list[str] = []
-    obj = problem.objective.curvature
-    if problem.sense is Sense.MINIMIZE:
-        if not obj.is_convex:
-            violations.append("objective")
-    else:
-        if not obj.is_concave:
-            violations.append("objective")
-    for i, c in enumerate(problem.constraints):
-        if c.relation is Relation.LE:
-            if not c.lhs.curvature.is_convex:
-                violations.append(f"constraint {i}: lhs")
-            if not c.rhs.curvature.is_concave:
-                violations.append(f"constraint {i}: rhs")
-        elif c.relation is Relation.GE:
-            if not c.lhs.curvature.is_concave:
-                violations.append(f"constraint {i}: lhs")
-            if not c.rhs.curvature.is_convex:
-                violations.append(f"constraint {i}: rhs")
-        else:
-            if not c.lhs.curvature.is_affine:
-                violations.append(f"constraint {i}: lhs")
-            if not c.rhs.curvature.is_affine:
-                violations.append(f"constraint {i}: rhs")
+    """Check the discipline: returns (ok, list of violation locations).
+
+    A tree at scaling sign +1 must be convex, at -1 concave, at 0 affine.
+    """
+    violations = [where for where, e, sigma in walk_expressions(problem)
+                  if not (e.curvature.is_convex if sigma > 0 else
+                          e.curvature.is_concave if sigma < 0 else e.curvature.is_affine)]
     return (not violations), violations
 
 
 def substitute_variables(expr: ExpressionNode,
                          mapping: Mapping[int, ExpressionNode]) -> ExpressionNode:
     """Rebuild a tree with every referenced variable in ``mapping`` replaced."""
-    if expr.kind == "var":
-        return mapping.get(expr.var_id, expr)
-    if expr.kind == "const":
-        return expr
-    children = tuple(substitute_variables(c, mapping) for c in expr.children)
-    if children == expr.children:
-        return expr
-    if expr.atom == "mul_const":
-        return mul(children[0], children[1])
-    return _apply_atom(expr.atom, children, expr.param)
+
+    def leave(node, children, _):
+        if node.kind == "var":
+            return mapping.get(node.var_id, node)
+        return rebuild(node, children)
+
+    return fold(expr, leave)

@@ -26,6 +26,8 @@ Precedence: unary minus binds tighter than ``*``, which binds tighter than
 ``+``/``-``; relations bind loosest and cannot be chained.  Indexing is
 0-based.  A unary minus applied directly to a numeric or vector literal folds
 into a negative constant, so printed problems parse back to identical trees.
+Parentheses, atom calls and unary minus nest at most 100 levels deep; sums
+and products of any length are fine.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ class ParseError(ValueError):
 
 
 _KEYWORDS = ("var", "minimize", "maximize", "subject", "to")
+# Parentheses, atom calls and unary minus nest at most this deep.  Each level
+# costs several parser frames, so the bound keeps deep input a parse error
+# instead of a RecursionError.
+_MAX_NESTING = 100
 _ATOM_NAMES = ("abs", "max", "sum", "square", "sum_squares", "norm2")
 RESERVED_WORDS = frozenset(_KEYWORDS) | frozenset(_ATOM_NAMES)
 
@@ -112,6 +118,7 @@ class _Parser:
         self.pos = 0
         self.variables: list[ex.VariableDecl] = []
         self.by_name: dict[str, ex.VariableDecl] = {}
+        self.depth = 0
 
     # --- token plumbing -------------------------------------------------
 
@@ -138,6 +145,15 @@ class _Parser:
 
     def prev(self) -> _Token:
         return self.tokens[max(0, self.pos - 1)]
+
+    def nest(self, tok: _Token, parse):
+        """Run ``parse()`` one nesting level below ``tok``."""
+        if self.depth >= _MAX_NESTING:
+            raise ParseError("expression nested too deeply", tok.span)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     # --- grammar --------------------------------------------------------
 
@@ -252,7 +268,7 @@ class _Parser:
                 return ex.constant(-float(nxt.text))
             if nxt.kind == "PUNCT" and nxt.text == "[":
                 return ex.constant(-self.parse_vector_literal())
-            operand = self.parse_factor()
+            operand = self.nest(tok, self.parse_factor)
             return self._build(ex.neg, (operand,), tok)
         return self.parse_primary()
 
@@ -274,7 +290,7 @@ class _Parser:
             return ex.constant(self.parse_vector_literal())
         if tok.kind == "PUNCT" and tok.text == "(":
             self.advance()
-            node = self.parse_expr()
+            node = self.nest(tok, self.parse_expr)
             self.expect("PUNCT", ")")
             return node
         if tok.kind == "IDENT":
@@ -285,11 +301,7 @@ class _Parser:
                 if name not in _ATOM_NAMES:
                     raise ParseError(f"unknown atom '{name}'", tok.span)
                 self.advance()
-                args = [self.parse_expr()]
-                while self.peek().kind == "PUNCT" and self.peek().text == ",":
-                    self.advance()
-                    args.append(self.parse_expr())
-                self.expect("PUNCT", ")")
+                args = self.nest(tok, self.parse_arguments)
                 builder = {"abs": ex.abs_, "max": ex.max_, "sum": ex.sum_,
                            "square": ex.square, "sum_squares": ex.sum_squares,
                            "norm2": ex.norm2}[name]
@@ -311,6 +323,14 @@ class _Parser:
             return node
         got = repr(tok.text) if tok.kind != "EOF" else "end of input"
         raise ParseError(f"expected an expression, found {got}", tok.span)
+
+    def parse_arguments(self) -> list[ex.ExpressionNode]:
+        args = [self.parse_expr()]
+        while self.peek().kind == "PUNCT" and self.peek().text == ",":
+            self.advance()
+            args.append(self.parse_expr())
+        self.expect("PUNCT", ")")
+        return args
 
     def parse_signed_number(self) -> float:
         sign = 1.0
@@ -336,45 +356,56 @@ def format_number(v: float) -> str:
 # Precedence levels used by the printer; a child is parenthesized when its
 # level is below what its context requires.
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_FACTOR = 1, 2, 3, 4
+# Operator atoms: their level, the text before their operands, the text
+# between them, and the level each operand needs.
+_OPERATORS = {"add": (_LEVEL_ADD, "", " + ", (_LEVEL_ADD, _LEVEL_MUL)),
+              "sub": (_LEVEL_ADD, "", " - ", (_LEVEL_ADD, _LEVEL_MUL)),
+              "mul_const": (_LEVEL_MUL, "", " * ", (_LEVEL_MUL, _LEVEL_UNARY)),
+              "neg": (_LEVEL_UNARY, "-", "", (_LEVEL_UNARY,))}
 
 
-def _print_expr(expr: ex.ExpressionNode) -> tuple[str, int]:
-    if expr.kind == "const":
-        if expr.dim == 1:
-            v = float(expr.payload[0])
-            return format_number(v), (_LEVEL_UNARY if v < 0 else _LEVEL_FACTOR)
-        body = ", ".join(format_number(float(v)) for v in expr.payload)
-        return f"[{body}]", _LEVEL_FACTOR
-    if expr.kind == "var":
-        return expr.var_name, _LEVEL_FACTOR
+def _print_expr(expr: ex.ExpressionNode) -> str:
+    """Surface text of a tree, emitted into one list and joined once.
 
-    def child(e, need):
-        text, level = _print_expr(e)
-        return f"({text})" if level < need else text
+    Each node's flag is what its parent asks of it: the level it needs to
+    go unparenthesized and the text that precedes it.
+    """
+    out: list[str] = []
+    closers: list[str] = []
 
-    name = expr.atom
-    if name == "add":
-        return (f"{child(expr.children[0], _LEVEL_ADD)} + {child(expr.children[1], _LEVEL_MUL)}",
-                _LEVEL_ADD)
-    if name == "sub":
-        return (f"{child(expr.children[0], _LEVEL_ADD)} - {child(expr.children[1], _LEVEL_MUL)}",
-                _LEVEL_ADD)
-    if name == "mul_const":
-        return (f"{child(expr.children[0], _LEVEL_MUL)} * {child(expr.children[1], _LEVEL_UNARY)}",
-                _LEVEL_MUL)
-    if name == "neg":
-        operand = expr.children[0]
-        if operand.kind == "const":
-            text, _ = _print_expr(operand)
-            return f"-({text})", _LEVEL_UNARY
-        return f"-{child(operand, _LEVEL_UNARY)}", _LEVEL_UNARY
-    if name == "index":
-        base = expr.children[0]
-        if base.kind != "var":
-            raise ValueError("index of a non-variable expression has no textual form")
-        return f"{base.var_name}[{expr.param}]", _LEVEL_FACTOR
-    args = ", ".join(_print_expr(c)[0] for c in expr.children)
-    return f"{name}({args})", _LEVEL_FACTOR
+    def down(node, i, _):
+        if node.atom == "neg" and node.children[0].kind == "const":
+            return _LEVEL_FACTOR + 1, ""  # always parenthesized: -(3)
+        if node.atom in _OPERATORS:
+            _, _, sep, needs = _OPERATORS[node.atom]
+            return needs[i], (sep if i else "")
+        return 0, (", " if i else "")
+
+    def enter(node, context):
+        need, sep = context
+        tail = ""
+        if node.kind == "const":
+            values = [format_number(float(v)) for v in node.payload]
+            head = values[0] if node.dim == 1 else "[" + ", ".join(values) + "]"
+            level = _LEVEL_UNARY if head.startswith("-") else _LEVEL_FACTOR
+        elif node.kind == "var":
+            head, level = node.var_name, _LEVEL_FACTOR
+        elif node.atom in _OPERATORS:
+            level, head, _, _ = _OPERATORS[node.atom]
+        elif node.atom == "index":
+            base = node.children[0]
+            if base.kind != "var":
+                raise ValueError("index of a non-variable expression has no textual form")
+            head, level = f"{base.var_name}[{node.param}]", _LEVEL_FACTOR
+        else:
+            head, tail, level = node.atom + "(", ")", _LEVEL_FACTOR
+        paren = level < need
+        out.append(sep + "(" * paren + head)
+        closers.append(tail + ")" * paren)
+        return node.atom != "index"
+
+    ex.fold(expr, lambda node, _, __: out.append(closers.pop()), enter, down, (0, ""))
+    return "".join(out)
 
 
 def print_problem(problem: ex.ProblemForm) -> str:
@@ -383,9 +414,9 @@ def print_problem(problem: ex.ProblemForm) -> str:
     for v in problem.variables:
         lines.append(f"var {v.name};" if v.dim == 1 else f"var {v.name}[{v.dim}];")
     sense = "minimize" if problem.sense is ex.Sense.MINIMIZE else "maximize"
-    lines.append(f"{sense} {_print_expr(problem.objective)[0]};")
+    lines.append(f"{sense} {_print_expr(problem.objective)};")
     if problem.constraints:
         lines.append("subject to")
         for c in problem.constraints:
-            lines.append(f"  {_print_expr(c.lhs)[0]} {c.relation.value} {_print_expr(c.rhs)[0]};")
+            lines.append(f"  {_print_expr(c.lhs)} {c.relation.value} {_print_expr(c.rhs)};")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,8 @@ import numpy as np
 
 from .. import expressions as ex
 from .framework import Reduction, ReductionError, Solution
-from .standard import CanonConstraint, CanonStage, smart_sub
+from .standard import (CanonConstraint, CanonStage, scalar_components,
+                       smart_sub)
 
 __all__ = [
     "SmithProblem", "SmithTransform", "RelaxSmith", "GraphExpand",
@@ -37,13 +38,6 @@ class SmithProblem:
     aux_sigma: dict[int, int] = field(default_factory=dict)
 
 
-_ROOT_FLAGS = {
-    ex.Relation.LE: (+1, -1),
-    ex.Relation.GE: (-1, +1),
-    ex.Relation.EQ: (0, 0),
-}
-
-
 class SmithTransform(Reduction):
     """Pull every nonlinear atom application into a ``t == atom(args)`` row.
 
@@ -61,50 +55,47 @@ class SmithTransform(Reduction):
 
     def apply(self, problem):
         self._check(problem)
-        names = {v.name for v in problem.variables}
-        variables = list(problem.variables)
-        state = {"next_id": ex.next_free_ids(problem)}
+        pool = ex.VariablePool(problem.variables)
         aux_atoms: dict[int, ex.ExpressionNode] = {}
         aux_sigma: dict[int, int] = {}
-
-        def replace(expr, sigma, defs):
-            if expr.kind != "atom" or expr.curvature.is_affine:
-                return expr
-            desc = ex.ATOMS[expr.atom]
-            nonlinear = desc.curvature_class is not ex.Curvature.AFFINE
-            aux = None
-            if nonlinear:
-                aux = ex.fresh_variable(names, state["next_id"], "_t", expr.dim)
-                state["next_id"] += 1
-                names.add(aux.name)
-                variables.append(aux)
-            children = tuple(
-                replace(child, sigma * desc.monotonicity(expr.children, i),
-                        defs)
-                for i, child in enumerate(expr.children))
-            if not nonlinear:
-                if children == expr.children:
-                    return expr
-                if expr.atom == "mul_const":
-                    return ex.mul(children[0], children[1])
-                return ex._apply_atom(expr.atom, children, expr.param)
-            body = ex._apply_atom(expr.atom, children, expr.param)
-            defs.append((ex.var_ref(aux), ex.Relation.EQ, body))
-            aux_atoms[aux.id] = body
-            aux_sigma[aux.id] = sigma
-            return ex.var_ref(aux)
-
-        root = +1 if problem.sense is ex.Sense.MINIMIZE else -1
         cons: list = []
-        objective = replace(problem.objective, root, cons)
+
+        def nonlinear(node):
+            return ex.ATOMS[node.atom].curvature_class is not ex.Curvature.AFFINE
+
+        def replace(expr, sigma):
+            # A nonlinear atom takes its aux id on the way down and appends
+            # its defining row on the way up, after its arguments' rows.
+            pending = []  # aux of each nonlinear atom entered, not yet left
+
+            def enter(node, _):
+                if node.kind != "atom" or node.curvature.is_affine:
+                    return False
+                if nonlinear(node):
+                    pending.append(pool.fresh("_t", node.dim))
+                return True
+
+            def leave(node, children, s):
+                if node.kind != "atom" or node.curvature.is_affine:
+                    return node
+                body = ex.rebuild(node, children)
+                if not nonlinear(node):
+                    return body
+                aux = pending.pop()
+                cons.append((ex.var_ref(aux), ex.Relation.EQ, body))
+                aux_atoms[aux.id] = body
+                aux_sigma[aux.id] = s
+                return ex.var_ref(aux)
+
+            return ex.fold(expr, leave, enter, ex.child_sign, sigma)
+
+        objective = replace(problem.objective, ex.ROOT_SIGNS[problem.sense])
         for c in problem.constraints:
-            fl, fr = _ROOT_FLAGS[c.relation]
-            local: list = []
-            lhs = replace(c.lhs, fl, local)
-            rhs = replace(c.rhs, fr, local)
-            cons.extend(local)
+            fl, fr = ex.ROOT_SIGNS[c.relation]
+            lhs = replace(c.lhs, fl)
+            rhs = replace(c.rhs, fr)
             cons.append((lhs, c.relation, rhs))
-        out = ex.make_problem(problem.sense, objective, cons, variables)
+        out = ex.make_problem(problem.sense, objective, cons, pool.variables)
         smith = SmithProblem(out, problem, aux_atoms, aux_sigma)
         return smith, self._record(aux=sorted(aux_atoms))
 
@@ -151,12 +142,6 @@ class RelaxSmith(Reduction):
 
     def retrieve(self, solution, record):
         return solution
-
-
-def _components(e: ex.ExpressionNode) -> list[ex.ExpressionNode]:
-    if e.dim == 1:
-        return [e]
-    return [ex.index(e, i) for i in range(e.dim)]
 
 
 class GraphExpand(Reduction):
@@ -219,7 +204,7 @@ class GraphExpand(Reduction):
                 emit("soc", ex.add(one, t), (ex.mul(two, y), smart_sub(one, t)))
             elif f.atom == "square":
                 (y,) = f.children
-                for yi, ti in zip(_components(y), _components(t)):
+                for yi, ti in zip(scalar_components(y), scalar_components(t)):
                     emit("soc", ex.add(one, ti),
                          (ex.mul(two, yi), smart_sub(one, ti)))
             else:  # pragma: no cover - the atom set is closed

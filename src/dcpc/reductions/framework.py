@@ -99,21 +99,23 @@ class ReductionChain(Reduction):
         self.name = "chain[" + ", ".join(m.name for m in self.members) + "]"
 
     def accepts(self, problem) -> bool:
-        current = problem
-        for member in self.members:
-            if not member.accepts(current):
-                return False
-            current, _ = member.apply(current)
+        try:
+            self.apply(problem)
+        except ReductionError:
+            return False
         return True
 
     def apply(self, problem):
         current = problem
         records = []
         for position, member in enumerate(self.members):
-            if not member.accepts(current):
+            # Each member's apply checks its own input.
+            try:
+                current, record = member.apply(current)
+            except ReductionError as err:
                 raise ReductionError(
-                    f"chain member {position} ('{member.name}') rejected its input")
-            current, record = member.apply(current)
+                    f"chain member {position} ('{member.name}') rejected its input: "
+                    f"{err}") from err
             records.append(record)
         return current, self._record(records=records)
 

@@ -1,8 +1,9 @@
 """QP-reducibility analysis and quadratic/linear program stuffing.
 
 A problem reduces to a QP when its objective's root-to-leaf label paths land
-in the accepting states of a small finite-state machine and its constraints
-are piecewise-linear inequalities plus affine equalities.  Accepted problems
+in the accepting states of a small finite-state machine, run down the tree
+one state set per node, and its constraints are piecewise-linear
+inequalities plus affine equalities.  Accepted problems
 are lowered by eliminating the piecewise-linear atoms, moving constraints to
 the left-hand side, and extracting the quadratic form of the objective.
 """
@@ -19,7 +20,7 @@ from .framework import Reduction, ReductionChain, ReductionError
 from .standard import EliminatePwlAtoms, MoveToLhs, is_zero_constant
 
 __all__ = [
-    "PathNfa", "objective_label_paths", "qp_applicable", "uses_quadratic_atom",
+    "PathNfa", "qp_applicable", "uses_quadratic_atom",
     "quadratic_form", "QpProgramData", "LpProgramData", "StuffQp", "StuffLp",
     "qp_chain", "canonicalize_qp",
 ]
@@ -34,7 +35,6 @@ class PathNfa:
     the subset construction instead of enumerating labelings.
     """
 
-    STATES = ("q0", "q1", "q2", "q3")
     START = "q0"
     ACCEPTING = frozenset({"q1", "q2", "q3"})
     EDGES = {
@@ -47,17 +47,20 @@ class PathNfa:
         ("q3", "P"): "q3",
     }
 
+    def step(self, states: frozenset[str], labelset) -> frozenset[str]:
+        """The states reachable from ``states`` over one atom's label set."""
+        return frozenset(self.EDGES[s, lab] for s in states for lab in labelset
+                         if (s, lab) in self.EDGES)
+
     def simulate(self, labels) -> frozenset[str]:
-        states = {self.START}
+        states = frozenset({self.START})
         for labelset in labels:
             if isinstance(labelset, str):
                 labelset = (labelset,)
-            states = {self.EDGES[s, lab]
-                      for s in states for lab in labelset
-                      if (s, lab) in self.EDGES}
+            states = self.step(states, labelset)
             if not states:
                 break
-        return frozenset(states)
+        return states
 
     def accepts(self, labels) -> bool:
         """True iff some labeling of the path reaches an accepting state.
@@ -68,34 +71,10 @@ class PathNfa:
         return bool(self.simulate(labels) & self.ACCEPTING)
 
 
-def objective_label_paths(expr: ex.ExpressionNode) -> list[list[frozenset[str]]]:
-    """Label sets along each root-to-variable-leaf path, constants skipped.
-
-    Constant-curvature subtrees contribute no paths: they impose no curvature,
-    so the machine never sees them.
-    """
-    paths: list[list[frozenset[str]]] = []
-
-    def walk(node, prefix):
-        if node.curvature.is_constant:
-            return
-        if node.kind == "var":
-            paths.append(prefix)
-            return
-        labels = ex.ATOM_LABELS[node.atom]
-        for child in node.children:
-            walk(child, prefix + [labels])
-
-    walk(expr, [])
-    return paths
-
-
-def _labels_within(expr: ex.ExpressionNode, allowed: frozenset[str]) -> bool:
-    if expr.curvature.is_constant or expr.kind != "atom":
-        return True
-    if not ex.ATOM_LABELS[expr.atom] <= allowed:
-        return False
-    return all(_labels_within(c, allowed) for c in expr.children)
+def _live_atoms(expr: ex.ExpressionNode):
+    """The atoms of ``expr`` outside constant subtrees, i.e. the nonconstant ones."""
+    return (n for n in ex.nodes(expr)
+            if n.kind == "atom" and not n.curvature.is_constant)
 
 
 _PWL_LABELS = frozenset({"A", "P"})
@@ -103,19 +82,18 @@ _PWL_LABELS = frozenset({"A", "P"})
 
 def uses_quadratic_atom(problem: ex.ProblemForm) -> bool:
     """True when a Q-labeled atom appears outside constant subtrees."""
-
-    def scan(expr):
-        if expr.curvature.is_constant or expr.kind != "atom":
-            return False
-        if "Q" in ex.ATOM_LABELS[expr.atom]:
-            return True
-        return any(scan(c) for c in expr.children)
-
-    return any(scan(e) for _, e in ex.walk_expressions(problem))
+    return any("Q" in ex.ATOM_LABELS[n.atom]
+               for _, e, _ in ex.walk_expressions(problem) for n in _live_atoms(e))
 
 
 def qp_applicable(problem: ex.ProblemForm) -> bool:
-    """QP-reducibility: DCP + PWL constraints + NFA-accepted objective paths."""
+    """QP-reducibility: DCP + PWL constraints + NFA-accepted objective paths.
+
+    The machine runs down the objective, carrying its state set from each
+    node to its children, so shared path prefixes are simulated once.
+    Constant subtrees hold no variable, hence no path; a bare variable is the
+    empty path, affine and accepted.
+    """
     ok, _ = ex.is_dcp(problem)
     if not ok:
         return False
@@ -123,20 +101,23 @@ def qp_applicable(problem: ex.ProblemForm) -> bool:
         if c.relation is ex.Relation.EQ:
             if not (c.lhs.curvature.is_affine and c.rhs.curvature.is_affine):
                 return False
-        else:
-            if not (_labels_within(c.lhs, _PWL_LABELS)
-                    and _labels_within(c.rhs, _PWL_LABELS)):
-                return False
+        elif not all(ex.ATOM_LABELS[n.atom] <= _PWL_LABELS
+                     for e in (c.lhs, c.rhs) for n in _live_atoms(e)):
+            return False
+    if problem.objective.kind == "var":
+        return True
     nfa = PathNfa()
-    # A path with zero atoms is a bare variable objective: affine, accepted.
-    return all(not path or nfa.accepts(path)
-               for path in objective_label_paths(problem.objective))
 
+    def down(node, i, states):
+        return nfa.step(states, ex.ATOM_LABELS[node.atom])
 
-def _as_rows(parts, width):
-    T, Q, k = parts
-    return (np.asarray(T, dtype=float), np.asarray(Q, dtype=float),
-            np.asarray(k, dtype=float))
+    def leave(node, accepted, states):
+        if node.kind == "var":
+            return bool(states & nfa.ACCEPTING)
+        return all(accepted)
+
+    return ex.fold(problem.objective, leave, ex.nonconstant, down,
+                   frozenset({nfa.START}))
 
 
 def _broadcast_rows(parts, dim):
@@ -148,66 +129,82 @@ def _broadcast_rows(parts, dim):
             np.broadcast_to(k, (dim,)))
 
 
+_QUADRATIC_ATOMS = ("square", "sum_squares")
+
+
 def _quad_pieces(expr, var_offsets, width):
-    """Per-row quadratic data (T, Q, k): row i equals ½xᵀT_i x + Q_i x + k_i."""
-    d = expr.dim
-    zero = lambda: (np.zeros((d, width, width)), np.zeros((d, width)),
-                    np.zeros(d))
-    if expr.kind == "const":
-        T, Q, k = zero()
-        k[:] = expr.payload
-        return T, Q, k
-    if expr.kind == "var":
-        T, Q, k = zero()
-        start, length = var_offsets[expr.var_id]
-        Q[np.arange(d), start + np.arange(d)] = 1.0
-        return T, Q, k
-    if expr.curvature.is_constant:
-        T, Q, k = zero()
-        k[:] = ex.evaluate(expr, {})
-        return T, Q, k
-    atom = expr.atom
-    if atom in ("square", "sum_squares"):
-        y = expr.children[0]
-        try:
-            M, c = affine_row_data(y, var_offsets, width)
-        except ex.NotAffineError as err:
-            raise ReductionError(
-                f"atom '{err.node.atom}' below a quadratic node has no "
-                f"constant-Hessian form") from err
-        if atom == "square":
-            T = 2.0 * np.einsum("ij,ik->ijk", M, M)
-            Q = 2.0 * c[:, None] * M
-            return T, Q, c ** 2
-        P = 2.0 * M.T @ M
-        q = 2.0 * M.T @ c
-        return P[None, :, :], q[None, :], np.array([float(c @ c)])
-    if atom in ("add", "sub"):
-        a = _broadcast_rows(_quad_pieces(expr.children[0], var_offsets, width), d)
-        b = _broadcast_rows(_quad_pieces(expr.children[1], var_offsets, width), d)
-        sign = 1.0 if atom == "add" else -1.0
-        return (a[0] + sign * b[0], a[1] + sign * b[1], a[2] + sign * b[2])
-    if atom == "neg":
-        T, Q, k = _quad_pieces(expr.children[0], var_offsets, width)
-        return -T, -Q, -k
-    if atom == "sum":
-        T, Q, k = _quad_pieces(expr.children[0], var_offsets, width)
-        return (T.sum(axis=0, keepdims=True), Q.sum(axis=0, keepdims=True),
-                k.sum(keepdims=True))
-    if atom == "index":
-        i = expr.param
-        T, Q, k = _quad_pieces(expr.children[0], var_offsets, width)
-        return T[i:i + 1], Q[i:i + 1], k[i:i + 1]
-    if atom == "mul_const":
-        const_first = expr.children[0].curvature.is_constant
-        cside = expr.children[0] if const_first else expr.children[1]
-        other = expr.children[1] if const_first else expr.children[0]
-        cval = ex.evaluate(cside, {})
-        parts = _broadcast_rows(_quad_pieces(other, var_offsets, width), d)
-        scale = np.broadcast_to(cval, (d,))
-        return (scale[:, None, None] * parts[0], scale[:, None] * parts[1],
-                scale * parts[2])
-    raise ReductionError(f"atom '{atom}' has no quadratic form")
+    """Per-row quadratic data (T, Q, k): row i equals ½xᵀT_i x + Q_i x + k_i.
+
+    The fold's flag marks the constant operand of a product, whose value is
+    all its parent needs.
+    """
+
+    def enter(node, _):
+        return not node.curvature.is_constant and node.atom not in _QUADRATIC_ATOMS
+
+    def down(node, i, _):
+        return node.atom == "mul_const" and node.children[i].curvature.is_constant
+
+    def leave(node, parts, value_only):
+        if value_only:
+            return ex.evaluate(node, {})
+        d = node.dim
+        zero = lambda: (np.zeros((d, width, width)), np.zeros((d, width)),
+                        np.zeros(d))
+        if node.kind == "const":
+            T, Q, k = zero()
+            k[:] = node.payload
+            return T, Q, k
+        if node.kind == "var":
+            T, Q, k = zero()
+            start, length = var_offsets[node.var_id]
+            Q[np.arange(d), start + np.arange(d)] = 1.0
+            return T, Q, k
+        if node.curvature.is_constant:
+            T, Q, k = zero()
+            k[:] = ex.evaluate(node, {})
+            return T, Q, k
+        atom = node.atom
+        if atom in _QUADRATIC_ATOMS:
+            try:
+                M, c = affine_row_data(node.children[0], var_offsets, width)
+            except ex.NotAffineError as err:
+                raise ReductionError(
+                    f"atom '{err.node.atom}' below a quadratic node has no "
+                    f"constant-Hessian form") from err
+            if atom == "square":
+                T = 2.0 * np.einsum("ij,ik->ijk", M, M)
+                Q = 2.0 * c[:, None] * M
+                return T, Q, c ** 2
+            P = 2.0 * M.T @ M
+            q = 2.0 * M.T @ c
+            return P[None, :, :], q[None, :], np.array([float(c @ c)])
+        if atom in ("add", "sub"):
+            a = _broadcast_rows(parts[0], d)
+            b = _broadcast_rows(parts[1], d)
+            sign = 1.0 if atom == "add" else -1.0
+            return (a[0] + sign * b[0], a[1] + sign * b[1], a[2] + sign * b[2])
+        if atom == "neg":
+            T, Q, k = parts[0]
+            return -T, -Q, -k
+        if atom == "sum":
+            T, Q, k = parts[0]
+            return (T.sum(axis=0, keepdims=True), Q.sum(axis=0, keepdims=True),
+                    k.sum(keepdims=True))
+        if atom == "index":
+            i = node.param
+            T, Q, k = parts[0]
+            return T[i:i + 1], Q[i:i + 1], k[i:i + 1]
+        if atom == "mul_const":
+            const_first = node.children[0].curvature.is_constant
+            cval = parts[0 if const_first else 1]
+            other = _broadcast_rows(parts[1 if const_first else 0], d)
+            scale = np.broadcast_to(cval, (d,))
+            return (scale[:, None, None] * other[0], scale[:, None] * other[1],
+                    scale * other[2])
+        raise ReductionError(f"atom '{atom}' has no quadratic form")
+
+    return ex.fold(expr, leave, enter, down, False)
 
 
 def quadratic_form(expr: ex.ExpressionNode,
@@ -291,14 +288,13 @@ def _is_moved_form(problem) -> bool:
 
 def _quadratic_tree(expr) -> bool:
     """True when the tree is affine combinations of squares of affine terms."""
-    if expr.kind != "atom" or expr.curvature.is_constant:
-        return True
-    desc = ex.ATOMS[expr.atom]
-    if expr.atom in ("square", "sum_squares"):
-        return expr.children[0].curvature.is_affine
-    if desc.curvature_class is ex.Curvature.AFFINE:
-        return all(_quadratic_tree(c) for c in expr.children)
-    return False
+    for n in _live_atoms(expr):
+        if n.atom in _QUADRATIC_ATOMS:
+            if not n.children[0].curvature.is_affine:
+                return False
+        elif ex.ATOMS[n.atom].curvature_class is not ex.Curvature.AFFINE:
+            return False
+    return True
 
 
 class StuffQp(Reduction):

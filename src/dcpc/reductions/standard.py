@@ -23,6 +23,7 @@ __all__ = [
     "DropRedundantConstraints", "ScaleConstraints", "PresolveFixedPoint",
     "EliminatePwlAtoms", "DecomposeSoc", "CanonConstraint", "CanonStage",
     "trivially_infeasible_problem", "is_zero_constant", "smart_sub",
+    "scalar_components",
 ]
 
 _ZERO = ex.constant(0.0)
@@ -50,10 +51,6 @@ def trivially_infeasible_problem() -> ex.ProblemForm:
     overrides whatever the downstream pipeline reports with Infeasible.
     """
     return ex.make_problem(ex.Sense.MINIMIZE, ex.constant(0.0), [], [])
-
-
-def _names(problem: ex.ProblemForm) -> set[str]:
-    return {v.name for v in problem.variables}
 
 
 class FlipObjective(Reduction):
@@ -112,28 +109,20 @@ class EliminateLinearInequalities(Reduction):
 
     def apply(self, problem):
         self._check(problem)
-        variables = list(problem.variables)
-        names = _names(problem)
-        next_id = ex.next_free_ids(problem)
+        pool = ex.VariablePool(problem.variables)
         cons = []
-        slack_ids = []
         for c in problem.constraints:
             if c.relation is ex.Relation.EQ:
                 cons.append((c.lhs, c.relation, c.rhs))
                 continue
-            dim = c.dim
-            slack = ex.fresh_variable(names, next_id, "_s", dim)
-            next_id += 1
-            names.add(slack.name)
-            variables.append(slack)
-            slack_ids.append(slack.id)
-            s = ex.var_ref(slack)
+            s = ex.var_ref(pool.fresh("_s", c.dim))
             if c.relation is ex.Relation.LE:
                 cons.append((ex.add(c.lhs, s), ex.Relation.EQ, c.rhs))
             else:  # f >= g  <=>  (g - f) + s == 0
                 cons.append((ex.add(smart_sub(c.rhs, c.lhs), s), ex.Relation.EQ, _ZERO))
             cons.append((s, ex.Relation.GE, _ZERO))
-        out = ex.make_problem(problem.sense, problem.objective, cons, variables)
+        out = ex.make_problem(problem.sense, problem.objective, cons, pool.variables)
+        slack_ids = [v.id for v in pool.variables[len(problem.variables):]]
         return out, self._record(slacks=slack_ids)
 
     def retrieve(self, solution, record):
@@ -185,7 +174,6 @@ class EliminateFixedVariables(Reduction):
             defining.add(c.id)
         if not fixed:
             return problem, self._record(infeasible=False, fixed={})
-        lookup = problem.variable_map()
         mapping = {vid: ex.constant(val) for vid, val in fixed.items()}
         objective = ex.substitute_variables(problem.objective, mapping)
         cons = []
@@ -236,25 +224,18 @@ class SplitFreeVariables(Reduction):
         free = [v for v in problem.variables if v.id not in marked]
         if not free:
             return problem, self._record(splits={})
-        names = _names(problem)
-        next_id = ex.next_free_ids(problem)
-        variables = list(problem.variables)
+        pool = ex.VariablePool(problem.variables)
         mapping = {}
         splits = {}
         new_cons = []
         for v in free:
-            pos = ex.fresh_variable(names, next_id, "_p", v.dim)
-            next_id += 1
-            names.add(pos.name)
-            neg_part = ex.fresh_variable(names, next_id, "_n", v.dim)
-            next_id += 1
-            names.add(neg_part.name)
-            variables.extend([pos, neg_part])
+            pos = pool.fresh("_p", v.dim)
+            neg_part = pool.fresh("_n", v.dim)
             mapping[v.id] = ex.sub(ex.var_ref(pos), ex.var_ref(neg_part))
             splits[v.id] = (pos.id, neg_part.id)
             new_cons.append((ex.var_ref(pos), ex.Relation.GE, _ZERO))
             new_cons.append((ex.var_ref(neg_part), ex.Relation.GE, _ZERO))
-        variables = [v for v in variables if v.id not in mapping]
+        variables = [v for v in pool.variables if v.id not in mapping]
         objective = ex.substitute_variables(problem.objective, mapping)
         cons = [(ex.substitute_variables(c.lhs, mapping), c.relation,
                  ex.substitute_variables(c.rhs, mapping))
@@ -329,7 +310,7 @@ class DropRedundantConstraints(Reduction):
         seen = set()
         kept = []
         for c in problem.constraints:
-            key = (c.relation, c.lhs.structural_key(), c.rhs.structural_key())
+            key = (c.relation, c.lhs, c.rhs)
             if key in seen:
                 continue
             if c.lhs.curvature.is_constant and c.rhs.curvature.is_constant:
@@ -438,25 +419,15 @@ class PresolveFixedPoint(Reduction):
 
 _PWL_ATOMS = ("abs", "max")
 
-_ROOT_FLAGS = {
-    ex.Relation.LE: (+1, -1),
-    ex.Relation.GE: (-1, +1),
-    ex.Relation.EQ: (0, 0),
-}
-
 
 def _pwl_positions_ok(expr: ex.ExpressionNode, sigma: int) -> bool:
-    """Check every nonconstant abs/max occurrence sits at scaling flag +1."""
-    if expr.kind != "atom" or expr.curvature.is_constant:
-        return True
-    if expr.atom in _PWL_ATOMS and sigma != +1:
-        return False
-    desc = ex.ATOMS[expr.atom]
-    for i, child in enumerate(expr.children):
-        direction = desc.monotonicity(expr.children, i)
-        if not _pwl_positions_ok(child, sigma * direction):
-            return False
-    return True
+    """Check every nonconstant abs/max occurrence sits at scaling sign +1."""
+
+    def leave(node, ok, s):
+        return all(ok) and (node.atom not in _PWL_ATOMS
+                            or node.curvature.is_constant or s == +1)
+
+    return ex.fold(expr, leave, ex.nonconstant, ex.child_sign, sigma)
 
 
 class EliminatePwlAtoms(Reduction):
@@ -473,75 +444,50 @@ class EliminatePwlAtoms(Reduction):
     def accepts(self, problem) -> bool:
         if not isinstance(problem, ex.ProblemForm):
             return False
-        ok, _ = ex.is_dcp(problem)
-        if not ok:
-            return False
-        root = +1 if problem.sense is ex.Sense.MINIMIZE else -1
-        if not _pwl_positions_ok(problem.objective, root):
-            return False
-        for c in problem.constraints:
-            fl, fr = _ROOT_FLAGS[c.relation]
-            if not (_pwl_positions_ok(c.lhs, fl) and _pwl_positions_ok(c.rhs, fr)):
-                return False
-        return True
+        return ex.is_dcp(problem)[0] and all(
+            _pwl_positions_ok(e, sigma) for _, e, sigma in ex.walk_expressions(problem))
 
     def apply(self, problem):
         self._check(problem)
-        names = _names(problem)
-        state = {"next_id": ex.next_free_ids(problem)}
-        variables = list(problem.variables)
-        aux_ids = []
-
-        def rewrite(expr, out_cons):
-            if expr.kind != "atom":
-                return expr
-            if expr.curvature.is_constant:
-                if any(n.atom in _PWL_ATOMS for n in _subnodes(expr)):
-                    return ex.constant(ex.evaluate(expr, {}))
-                return expr
-            children = tuple(rewrite(c, out_cons) for c in expr.children)
-            if expr.atom not in _PWL_ATOMS:
-                if children == expr.children:
-                    return expr
-                if expr.atom == "mul_const":
-                    return ex.mul(children[0], children[1])
-                return ex._apply_atom(expr.atom, children, expr.param)
-            aux = ex.fresh_variable(names, state["next_id"], "_t", expr.dim)
-            state["next_id"] += 1
-            names.add(aux.name)
-            variables.append(aux)
-            aux_ids.append(aux.id)
-            t = ex.var_ref(aux)
-            if expr.atom == "max":
-                for arg in children:
-                    out_cons.append((arg, ex.Relation.LE, t))
-            else:  # abs
-                arg = children[0]
-                out_cons.append((arg, ex.Relation.LE, t))
-                out_cons.append((ex.neg(arg), ex.Relation.LE, t))
-            return t
-
+        pool = ex.VariablePool(problem.variables)
         cons: list = []
-        objective = rewrite(problem.objective, cons)
+
+        def rewrite(expr):
+            # Aux variables are created in post-order: inner atoms first.
+            def leave(node, children, _):
+                if node.kind != "atom":
+                    return node
+                if node.curvature.is_constant:
+                    if any(n.atom in _PWL_ATOMS for n in ex.nodes(node)):
+                        return ex.constant(ex.evaluate(node, {}))
+                    return node
+                if node.atom not in _PWL_ATOMS:
+                    return ex.rebuild(node, children)
+                t = ex.var_ref(pool.fresh("_t", node.dim))
+                if node.atom == "max":
+                    for arg in children:
+                        cons.append((arg, ex.Relation.LE, t))
+                else:  # abs
+                    arg = children[0]
+                    cons.append((arg, ex.Relation.LE, t))
+                    cons.append((ex.neg(arg), ex.Relation.LE, t))
+                return t
+
+            return ex.fold(expr, leave, ex.nonconstant)
+
+        objective = rewrite(problem.objective)
         for c in problem.constraints:
-            local: list = []
-            lhs = rewrite(c.lhs, local)
-            rhs = rewrite(c.rhs, local)
-            cons.extend(local)
+            lhs = rewrite(c.lhs)
+            rhs = rewrite(c.rhs)
             cons.append((lhs, c.relation, rhs))
-        out = ex.make_problem(problem.sense, objective, cons, variables)
+        out = ex.make_problem(problem.sense, objective, cons, pool.variables)
+        aux_ids = [v.id for v in pool.variables[len(problem.variables):]]
         return out, self._record(aux=aux_ids)
 
     def retrieve(self, solution, record):
         drop = set(record.payload["aux"])
         primal = {k: v for k, v in solution.primal.items() if k not in drop}
         return Solution(solution.status, solution.value, primal, solution.message)
-
-
-def _subnodes(expr):
-    yield expr
-    for c in expr.children:
-        yield from _subnodes(c)
 
 
 # --- canonical cone-stage constraints ---------------------------------------
@@ -593,22 +539,19 @@ class CanonStage:
     variables: tuple[ex.VariableDecl, ...]
 
 
-def _soc_components(cone: CanonConstraint) -> list[ex.ExpressionNode]:
-    comps = []
-    for e in cone.x:
-        if e.dim == 1:
-            comps.append(e)
-        else:
-            comps.extend(ex.index(e, i) for i in range(e.dim))
-    return comps
+def scalar_components(e: ex.ExpressionNode) -> list[ex.ExpressionNode]:
+    """``e`` split into its scalar entries (``e`` itself when scalar)."""
+    if e.dim == 1:
+        return [e]
+    return [ex.index(e, i) for i in range(e.dim)]
 
 
 class DecomposeSoc(Reduction):
     """Split each (n+1)-dimensional SOC into n-1 three-dimensional ones.
 
     ||(x1..xn)|| <= t holds iff there is a u with ||(x2..xn)|| <= u and
-    ||(x1, u)|| <= t; recursing on the first part peels one coordinate per
-    fresh scalar.  Cones that are already at most three-dimensional pass
+    ||(x1, u)|| <= t; repeating this on the first part peels one coordinate
+    per fresh scalar.  Cones that are already at most three-dimensional pass
     through.
     """
 
@@ -619,32 +562,25 @@ class DecomposeSoc(Reduction):
 
     def apply(self, stage: CanonStage):
         self._check(stage)
-        names = {v.name for v in stage.variables}
-        next_id = max((v.id for v in stage.variables), default=-1) + 1
-        variables = list(stage.variables)
-        aux_ids = []
+        pool = ex.VariablePool(stage.variables)
         out: list[CanonConstraint] = []
-
-        def peel(t_expr, comps):
-            nonlocal next_id
-            if len(comps) <= 2:
-                out.append(CanonConstraint.soc(len(out), t_expr, comps))
-                return
-            u = ex.fresh_variable(names, next_id, "_u", 1)
-            next_id += 1
-            names.add(u.name)
-            variables.append(u)
-            aux_ids.append(u.id)
-            peel(ex.var_ref(u), comps[1:])
-            out.append(CanonConstraint.soc(len(out), t_expr, (comps[0], ex.var_ref(u))))
-
         for cone in stage.constraints:
             if cone.kind != "soc" or cone.soc_x_dim <= 2:
                 out.append(CanonConstraint(len(out), cone.kind, cone.expr,
                                            cone.t, cone.x))
                 continue
-            peel(cone.t, _soc_components(cone))
-        return (CanonStage(stage.objective, tuple(out), tuple(variables)),
+            comps = [c for e in cone.x for c in scalar_components(e)]
+            # bounds[j] bounds ||comps[j:]||: the cone's t, then one fresh u
+            # per peeled coordinate, allocated outermost first.
+            bounds = [cone.t] + [ex.var_ref(pool.fresh("_u"))
+                                 for _ in range(len(comps) - 2)]
+            # The innermost cone comes first, the one bounded by t last.
+            out.append(CanonConstraint.soc(len(out), bounds[-1], comps[-2:]))
+            for j in range(len(comps) - 3, -1, -1):
+                out.append(CanonConstraint.soc(len(out), bounds[j],
+                                               (comps[j], bounds[j + 1])))
+        aux_ids = [v.id for v in pool.variables[len(stage.variables):]]
+        return (CanonStage(stage.objective, tuple(out), tuple(pool.variables)),
                 self._record(aux=aux_ids))
 
     def retrieve(self, solution, record):

@@ -168,17 +168,11 @@ def problems_structurally_equal(p, q):
     for vp, vq in zip(p.variables, q.variables):
         if (vp.name, vp.dim) != (vq.name, vq.dim):
             return False
-    remap = {vq.id: vp.id for vp, vq in zip(p.variables, q.variables)}
-    lookup = {v.id: v for v in p.variables}
+    renamed = {vq.id: ex.var_ref(vp) for vp, vq in zip(p.variables, q.variables)
+               if vq.id != vp.id}
 
     def renumber(expr):
-        if expr.kind == "var":
-            return ex.var_ref(lookup[remap[expr.var_id]])
-        if expr.kind == "const":
-            return expr
-        kids = tuple(renumber(c) for c in expr.children)
-        return ex.ExpressionNode(expr.kind, expr.dim, expr.curvature, expr.sign,
-                                 atom=expr.atom, children=kids, param=expr.param)
+        return ex.substitute_variables(expr, renamed)
 
     if renumber(q.objective) != p.objective:
         return False

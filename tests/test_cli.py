@@ -101,6 +101,15 @@ class TestAnalyze:
         assert code == 1
         assert "parse error" in err
 
+    @pytest.mark.parametrize("objective", [
+        "-" * 1200 + "x", "(" * 400 + "x" + ")" * 400, "abs(" * 300 + "x" + ")" * 300,
+    ], ids=["unary-minus", "parentheses", "atom-calls"])
+    def test_deep_nesting_is_a_parse_error(self, write, objective):
+        code, _, err = run_cli("analyze", write(f"var x;\nminimize {objective};\n"))
+        assert code == 1
+        assert err.startswith("parse error:") and "nested too deeply" in err
+        assert "Traceback" not in err
+
     def test_missing_file_is_io_error(self):
         code, _, err = run_cli("analyze", "/nonexistent/問題.cvx")
         assert code == 7

@@ -14,7 +14,7 @@ from helpers import ALL_ATOMS, random_expression, toy_problem
 
 def smith_invariant_holds(problem):
     """No atom node may have a child that is a nonlinear atom application."""
-    for _, expr in ex.walk_expressions(problem):
+    for _, expr, _ in ex.walk_expressions(problem):
         stack = [expr]
         while stack:
             node = stack.pop()

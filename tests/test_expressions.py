@@ -150,6 +150,11 @@ class TestConstruction:
         e2 = ex.add(ex.square(x2), ex.constant(1.0))
         assert e1 == e2 and hash(e1) == hash(e2)
         assert e1 != ex.add(ex.square(x1), ex.constant(2.0))
+        # 3000-deep chains: d2 differs from d1 only at the bottom, d3 nowhere.
+        d1, d2, d3 = ex.constant(1.0), ex.constant(2.0), ex.constant(1.0)
+        for _ in range(3000):
+            d1, d2, d3 = ex.add(d1, x1), ex.add(d2, x2), ex.add(d3, x2)
+        assert d1 != d2 and d1 == d3
 
     def test_nodes_are_immutable(self):
         x = ex.var_ref(scalar_var())

@@ -83,7 +83,7 @@ class TestParse:
             minimize abs(x) + max(x, 0, 1) + sum(y) + square(x)
                      + sum_squares(y) + norm2(y);
         """)
-        names = {n.atom for loc, e in ex.walk_expressions(p)
+        names = {n.atom for loc, e, _ in ex.walk_expressions(p)
                  for n in _nodes(e) if n.kind == "atom"}
         assert {"abs", "max", "sum", "square", "sum_squares", "norm2"} <= names
 
@@ -120,6 +120,14 @@ class TestParseErrors:
         assert 1 <= span.line <= len(lines)
         assert 1 <= span.column <= len(lines[span.line - 1]) + 2
         assert span.length >= 1
+
+    def test_nesting_limit_is_one_hundred(self):
+        parse_problem("var x; minimize " + "(" * 100 + "x" + ")" * 100 + ";")
+        text = "var x; minimize -(abs(" + "(" * 97 + "x" + ")" * 99 + ";"
+        parse_problem(text)
+        with pytest.raises(ParseError, match="nested too deeply") as info:
+            parse_problem("var x; minimize " + "(" * 101 + "x" + ")" * 101 + ";")
+        assert info.value.span.column == len("var x; minimize ") + 101
 
     def test_fuzzed_corruption_spans_stay_in_bounds(self):
         rng = np.random.default_rng(99)

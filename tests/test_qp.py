@@ -6,8 +6,7 @@ import pytest
 from dcpc import expressions as ex
 from dcpc.reductions.framework import ReductionError, Solution, Status
 from dcpc.reductions.qp import (LpProgramData, PathNfa, StuffLp, StuffQp,
-                                canonicalize_qp, objective_label_paths,
-                                qp_applicable, qp_chain, quadratic_form,
+                                canonicalize_qp, qp_applicable, qp_chain, quadratic_form,
                                 uses_quadratic_atom)
 from dcpc.reductions.framework import ReductionChain
 from dcpc.reductions.standard import EliminatePwlAtoms, MoveToLhs
@@ -72,44 +71,25 @@ class TestPathNfa:
         assert not nfa.accepts("AQQ")
 
 
-class TestObjectiveLabelPaths:
-    def test_bare_variable_gives_one_empty_path(self):
-        _, x = scalar_var()
-        assert objective_label_paths(x) == [[]]
-
-    def test_constant_objective_gives_no_paths(self):
-        assert objective_label_paths(ex.constant(3.0)) == []
-
-    def test_constant_subtrees_are_skipped(self):
-        _, x = scalar_var()
-        expr = ex.add(x, ex.square(ex.constant(2.0)))
-        paths = objective_label_paths(expr)
-        assert len(paths) == 1
-        assert paths[0] == [ex.ATOM_LABELS["add"]]
-
-    def test_quadratic_plus_linear_paths(self):
-        _, x = scalar_var()
-        expr = ex.add(ex.square(ex.add(x, ex.constant(1.0))),
-                      ex.mul(ex.constant(3.0), x))
-        paths = sorted(objective_label_paths(expr), key=len)
-        assert [len(p) for p in paths] == [2, 3]
-        assert paths[1] == [ex.ATOM_LABELS["add"], ex.ATOM_LABELS["square"],
-                            ex.ATOM_LABELS["add"]]
-
-    def test_hinge_paths_all_accepted(self):
-        problem = hinge_square_problem()
-        paths = objective_label_paths(problem.objective)
-        assert len(paths) == 2
-        nfa = PathNfa()
-        assert all(nfa.accepts(p) for p in paths)
-
-
 class TestQpApplicable:
     def test_hinge_square_is_applicable(self):
         assert qp_applicable(hinge_square_problem())
 
     def test_toy_problem_is_applicable(self):
         assert qp_applicable(toy_problem())
+
+    @pytest.mark.parametrize("build", [
+        lambda x: ex.add(x, ex.square(ex.constant(2.0))),
+        lambda x: ex.add(x, ex.norm2(ex.constant([3.0, 4.0]))),
+        lambda x: ex.add(ex.square(ex.add(x, ex.constant(1.0))),
+                         ex.mul(ex.constant(3.0), x)),
+    ], ids=["constant-square", "constant-norm", "quadratic-plus-linear"])
+    def test_objective_paths_accepted(self, build):
+        # Constant subtrees carry no variable, so they add no path: a
+        # constant norm is no reason to reject.
+        decl, x = scalar_var()
+        p = ex.make_problem(ex.Sense.MINIMIZE, build(x), [], [decl])
+        assert qp_applicable(p)
 
     def test_norm_objective_is_not(self):
         d = ex.VariableDecl(0, "v", 3)

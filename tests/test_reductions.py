@@ -24,7 +24,7 @@ def var_ids(problem):
 
 def atoms_in(problem, names):
     hits = []
-    for where, expr in ex.walk_expressions(problem):
+    for where, expr, _ in ex.walk_expressions(problem):
         stack = [expr]
         while stack:
             node = stack.pop()
@@ -538,11 +538,12 @@ class TestDecomposeSoc:
         assert outer.t.var_name == "t"
         assert outer.x[0].param == 0 and outer.x[1] == ex.var_ref(u)
 
-    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("n", [*range(2, 11), 1200])
     def test_count_is_n_minus_one(self, n):
         out, _ = DecomposeSoc().apply(soc_stage(n))
         assert len(out.constraints) == n - 1
         assert all(c.soc_x_dim == 2 for c in out.constraints)
+        assert sum(v.name.startswith("_u") for v in out.variables) == max(n - 2, 0)
 
     def test_non_soc_constraints_pass_through(self):
         decls = [ex.VariableDecl(0, "t", 1), ex.VariableDecl(1, "x", 3)]

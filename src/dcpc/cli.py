@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 parse error, 2 no target class accepts (analysis
 failure), 3 a forced target rejected the problem, 4 infeasible, 5 unbounded,
-6 iteration limit, 7 solver or configuration error.
+6 iteration limit, 7 solver, configuration or internal error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .analyzer import (AnalyzerError, RewriterConfig, TargetClass,
                        select_target, solve_problem)
 from .parsing import ParseError, parse_problem
 from .reductions.cone import ConeProgramData
-from .reductions.framework import Status
+from .reductions.framework import ReductionError, Status
 from .reductions.qp import LpProgramData, QpProgramData
 from .solvers import SolverSettings
 
@@ -286,6 +286,9 @@ def main(argv=None, out=None, err=None) -> int:
         return EXIT_ERROR
     except (AnalyzerError, ValueError) as exc:
         err.write(f"error: {exc}\n")
+        return EXIT_ERROR
+    except (ReductionError, RecursionError, MemoryError) as exc:
+        err.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_ERROR
 
 

@@ -18,7 +18,8 @@ from .standard import (CanonConstraint, CanonStage, scalar_components,
 
 __all__ = [
     "SmithProblem", "SmithTransform", "RelaxSmith", "GraphExpand",
-    "ConeDims", "ConeProgramData", "StuffCone", "affine_row_data",
+    "ConeDims", "ConeProgramData", "StuffCone", "stack_variables",
+    "affine_row_data",
 ]
 
 
@@ -252,6 +253,12 @@ class ConeProgramData:
         return self.A.shape[0]
 
 
+def stack_variables(variables) -> tuple[dict[int, tuple[int, int]], int]:
+    """``({id: (start, dim)}, width)`` for the variables stacked in order."""
+    starts = np.cumsum([0] + [v.dim for v in variables])
+    return {v.id: (int(s), v.dim) for v, s in zip(variables, starts)}, int(starts[-1])
+
+
 def affine_row_data(expr: ex.ExpressionNode,
                     var_offsets: dict[int, tuple[int, int]],
                     width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,12 +296,7 @@ class StuffCone(Reduction):
 
     def apply(self, stage):
         self._check(stage)
-        var_offsets: dict[int, tuple[int, int]] = {}
-        cursor = 0
-        for v in stage.variables:
-            var_offsets[v.id] = (cursor, v.dim)
-            cursor += v.dim
-        width = cursor
+        var_offsets, width = stack_variables(stage.variables)
 
         def rows_of(exprs, sign):
             for e in exprs:

@@ -3,9 +3,11 @@
 A problem reduces to a QP when its objective's root-to-leaf label paths land
 in the accepting states of a small finite-state machine, run down the tree
 one state set per node, and its constraints are piecewise-linear
-inequalities plus affine equalities.  Accepted problems
-are lowered by eliminating the piecewise-linear atoms, moving constraints to
-the left-hand side, and extracting the quadratic form of the objective.
+inequalities plus affine equalities.  Accepted problems are lowered by
+eliminating the piecewise-linear atoms, moving constraints to the left-hand
+side, and extracting the quadratic form of the objective.  That extraction
+keeps only the nonzeros of each node's row Hessians, so stuffing costs about
+the size of the data it emits, not rows times width squared.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import expressions as ex
-from .cone import affine_row_data
+from .cone import affine_row_data, stack_variables
 from .framework import Reduction, ReductionChain, ReductionError
 from .standard import EliminatePwlAtoms, MoveToLhs, is_zero_constant
 
@@ -120,24 +122,46 @@ def qp_applicable(problem: ex.ProblemForm) -> bool:
                    frozenset({nfa.START}))
 
 
-def _broadcast_rows(parts, dim):
-    T, Q, k = parts
-    if T.shape[0] == dim:
+def _broadcast_rows(parts, dim, cells):
+    (keys, vals), Q, k = parts
+    if k.shape[0] == dim:
         return parts
-    return (np.broadcast_to(T, (dim,) + T.shape[1:]),
-            np.broadcast_to(Q, (dim,) + Q.shape[1:]),
-            np.broadcast_to(k, (dim,)))
+    return (((np.arange(dim)[:, None] * cells + keys).ravel(), np.tile(vals, dim)),
+            np.broadcast_to(Q, (dim,) + Q.shape[1:]), np.broadcast_to(k, (dim,)))
+
+
+def _add_rows(a, b, sign):
+    """``a + sign*b`` over sparse rows, entry by entry as the dense sum."""
+    keys = np.union1d(a[0], b[0])
+    vals = np.zeros(keys.size)
+    vals[np.searchsorted(keys, a[0])] = a[1]
+    vals[np.searchsorted(keys, b[0])] += sign * b[1]
+    return keys, vals
+
+
+def _square_rows(M, width):
+    """Sparse rows ``2.0*(M_ij*M_il)`` of the Hessians of square(M x + c)."""
+    keys, vals = [], []
+    for i, row in enumerate(M):
+        J = np.flatnonzero(row)
+        keys.append(((i * width + J[:, None]) * width + J).ravel())
+        vals.append((2.0 * np.multiply.outer(row[J], row[J])).ravel())
+    return np.concatenate(keys), np.concatenate(vals)
 
 
 _QUADRATIC_ATOMS = ("square", "sum_squares")
 
 
 def _quad_pieces(expr, var_offsets, width):
-    """Per-row quadratic data (T, Q, k): row i equals ½xᵀT_i x + Q_i x + k_i.
+    """Per-row quadratic data (H, Q, k): row i equals ½xᵀH_i x + Q_i x + k_i.
 
-    The fold's flag marks the constant operand of a product, whose value is
-    all its parent needs.
+    Q and k are dense; H keeps only the nonzeros of the row Hessians, as
+    sorted ``keys`` (i·width² + j·width + l) and their ``vals``.  Entries are
+    combined with the dense (d, width, width) arithmetic, in its order, so P
+    is bit-for-bit the dense one.  The fold's flag marks the constant operand
+    of a product, whose value is all its parent needs.
     """
+    cells = width * width
 
     def enter(node, _):
         return not node.curvature.is_constant and node.atom not in _QUADRATIC_ATOMS
@@ -149,21 +173,14 @@ def _quad_pieces(expr, var_offsets, width):
         if value_only:
             return ex.evaluate(node, {})
         d = node.dim
-        zero = lambda: (np.zeros((d, width, width)), np.zeros((d, width)),
-                        np.zeros(d))
-        if node.kind == "const":
-            T, Q, k = zero()
-            k[:] = node.payload
-            return T, Q, k
-        if node.kind == "var":
-            T, Q, k = zero()
-            start, length = var_offsets[node.var_id]
-            Q[np.arange(d), start + np.arange(d)] = 1.0
-            return T, Q, k
-        if node.curvature.is_constant:
-            T, Q, k = zero()
-            k[:] = ex.evaluate(node, {})
-            return T, Q, k
+        if node.kind == "var" or node.curvature.is_constant:
+            Q, k = np.zeros((d, width)), np.zeros(d)
+            if node.kind == "var":
+                start, _ = var_offsets[node.var_id]
+                Q[np.arange(d), start + np.arange(d)] = 1.0
+            else:
+                k[:] = ex.evaluate(node, {})
+            return (np.zeros(0, dtype=np.int64), np.zeros(0)), Q, k
         atom = node.atom
         if atom in _QUADRATIC_ATOMS:
             try:
@@ -173,35 +190,36 @@ def _quad_pieces(expr, var_offsets, width):
                     f"atom '{err.node.atom}' below a quadratic node has no "
                     f"constant-Hessian form") from err
             if atom == "square":
-                T = 2.0 * np.einsum("ij,ik->ijk", M, M)
-                Q = 2.0 * c[:, None] * M
-                return T, Q, c ** 2
+                return _square_rows(M, width), 2.0 * c[:, None] * M, c ** 2
             P = 2.0 * M.T @ M
             q = 2.0 * M.T @ c
-            return P[None, :, :], q[None, :], np.array([float(c @ c)])
+            keys = np.flatnonzero(P)
+            return (keys, P.ravel()[keys]), q[None, :], np.array([float(c @ c)])
         if atom in ("add", "sub"):
-            a = _broadcast_rows(parts[0], d)
-            b = _broadcast_rows(parts[1], d)
+            a = _broadcast_rows(parts[0], d, cells)
+            b = _broadcast_rows(parts[1], d, cells)
             sign = 1.0 if atom == "add" else -1.0
-            return (a[0] + sign * b[0], a[1] + sign * b[1], a[2] + sign * b[2])
-        if atom == "neg":
-            T, Q, k = parts[0]
-            return -T, -Q, -k
-        if atom == "sum":
-            T, Q, k = parts[0]
-            return (T.sum(axis=0, keepdims=True), Q.sum(axis=0, keepdims=True),
-                    k.sum(keepdims=True))
-        if atom == "index":
-            i = node.param
-            T, Q, k = parts[0]
-            return T[i:i + 1], Q[i:i + 1], k[i:i + 1]
+            return (_add_rows(a[0], b[0], sign), a[1] + sign * b[1],
+                    a[2] + sign * b[2])
         if atom == "mul_const":
             const_first = node.children[0].curvature.is_constant
             cval = parts[0 if const_first else 1]
-            other = _broadcast_rows(parts[1 if const_first else 0], d)
+            (keys, vals), Q, k = _broadcast_rows(parts[1 if const_first else 0],
+                                                 d, cells)
             scale = np.broadcast_to(cval, (d,))
-            return (scale[:, None, None] * other[0], scale[:, None] * other[1],
-                    scale * other[2])
+            return ((keys, scale[keys // cells] * vals), scale[:, None] * Q,
+                    scale * k)
+        (keys, vals), Q, k = parts[0]
+        if atom == "neg":
+            return (keys, -vals), -Q, -k
+        if atom == "sum":  # bincount adds each entry's rows first to last
+            keys, at = np.unique(keys % cells, return_inverse=True)
+            return ((keys, np.bincount(at, vals, keys.size)),
+                    Q.sum(axis=0, keepdims=True), k.sum(keepdims=True))
+        if atom == "index":
+            i = node.param
+            lo, hi = np.searchsorted(keys, (i * cells, (i + 1) * cells))
+            return (keys[lo:hi] - i * cells, vals[lo:hi]), Q[i:i + 1], k[i:i + 1]
         raise ReductionError(f"atom '{atom}' has no quadratic form")
 
     return ex.fold(expr, leave, enter, down, False)
@@ -213,8 +231,8 @@ def quadratic_form(expr: ex.ExpressionNode,
     """(P, q, r) with ``expr == ½xᵀPx + qᵀx + r`` for a scalar expression."""
     if expr.dim != 1:
         raise ReductionError("quadratic extraction needs a scalar expression")
-    T, Q, k = _quad_pieces(expr, var_offsets, width)
-    P = T[0]
+    (keys, vals), Q, k = _quad_pieces(expr, var_offsets, width)
+    P = np.bincount(keys, vals, width * width).reshape(width, width)
     return 0.5 * (P + P.T), Q[0], float(k[0])
 
 
@@ -257,12 +275,7 @@ class LpProgramData:
 
 def _stack_moved_constraints(problem):
     """(G, h, A, b, var_offsets, width) from a moved-to-LHS problem."""
-    var_offsets: dict[int, tuple[int, int]] = {}
-    cursor = 0
-    for v in problem.variables:
-        var_offsets[v.id] = (cursor, v.dim)
-        cursor += v.dim
-    width = cursor
+    var_offsets, width = stack_variables(problem.variables)
     ineq_rows, eq_rows = [], []
     for c in problem.constraints:
         M, k = affine_row_data(c.lhs, var_offsets, width)

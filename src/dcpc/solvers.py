@@ -206,14 +206,14 @@ def solve_qp_admm(data: QpProgramData,
 
     rho = np.full(m, settings.rho)
     rho[:mA] *= _EQ_RHO_SCALE
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = P + _SIGMA * np.eye(n)
-    if m:
-        kkt[:n, n:] = M.T
-        kkt[n:, :n] = M
-        kkt[n:, n:] = -np.diag(1.0 / rho)
+    kkt = np.zeros((n + m, n + m), order="F")  # factored in place below
+    diag = np.arange(n + m)
+    kkt[diag, diag] = np.concatenate([np.full(n, _SIGMA), -1.0 / rho])
+    kkt[:n, :n] += P
+    kkt[:n, n:] = M.T
+    kkt[n:, :n] = M
     try:
-        factor = scipy.linalg.lu_factor(kkt)
+        factor = scipy.linalg.lu_factor(kkt, overwrite_a=True)
     except (scipy.linalg.LinAlgError, ValueError) as err:
         return RawSolution(Status.ERROR, np.zeros(n), math.nan, 0,
                            f"KKT factorization failed: {err}")
@@ -234,11 +234,11 @@ def solve_qp_admm(data: QpProgramData,
         if k % 25 == 0 or k == settings.max_iterations:
             Mx = M @ x
             r_prim = np.max(np.abs(Mx - z)) if m else 0.0
-            dual_vec = P @ x + q + (M.T @ y if m else 0.0)
-            r_dual = np.max(np.abs(dual_vec))
+            Px = P @ x
+            MTy = M.T @ y if m else 0.0
+            r_dual = np.max(np.abs(Px + q + MTy))
             scale_p = max(_inf_norm(Mx), _inf_norm(z))
-            scale_d = max(_inf_norm(P @ x), _inf_norm(q),
-                          _inf_norm(M.T @ y) if m else 0.0)
+            scale_d = max(_inf_norm(Px), _inf_norm(q), _inf_norm(MTy))
             if r_prim <= settings.eps_abs + settings.eps_rel * scale_p \
                     and r_dual <= settings.eps_abs + settings.eps_rel * scale_d:
                 value = float(0.5 * x @ P @ x + q @ x)
@@ -318,10 +318,11 @@ def solve_cone_admm(data: ConeProgramData,
         s = project_cone(b - v - y / rho, data.cones)
         y = y + rho * (v + s - b)
         if k % 25 == 0 or k == settings.max_iterations:
+            ATy = A.T @ y
             r_prim = _inf_norm(Ax + s - b)
-            r_dual = _inf_norm(c + A.T @ y)
+            r_dual = _inf_norm(c + ATy)
             scale_p = max(_inf_norm(Ax), _inf_norm(s), _inf_norm(b))
-            scale_d = max(_inf_norm(c), _inf_norm(A.T @ y))
+            scale_d = max(_inf_norm(c), _inf_norm(ATy))
             if r_prim <= settings.eps_abs + settings.eps_rel * scale_p \
                     and r_dual <= settings.eps_abs + settings.eps_rel * scale_d:
                 return RawSolution(Status.OPTIMAL, x, float(c @ x), k)

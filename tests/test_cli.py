@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from dcpc import cli
 from dcpc.cli import main, render_json
+from dcpc.reductions.framework import ReductionError
 
 TOY = """\
 var alice;
@@ -248,6 +250,22 @@ class TestSolve:
                                "--eps-abs", "1e-9", "--eps-rel", "1e-9")
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-6)
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("error", [
+        ReductionError("stuff_qp: atom 'abs' has no quadratic form"),
+        RecursionError("maximum recursion depth exceeded"),
+        MemoryError("cannot allocate"),
+    ], ids=lambda e: type(e).__name__)
+    def test_escaped_error_exits_7(self, write, monkeypatch, error):
+        def fail(args, out, err):
+            raise error
+        monkeypatch.setattr(cli, "_cmd_canonicalize", fail)
+        code, out, err = run_cli("canonicalize", write(TOY))
+        assert code == 7
+        assert out == ""
+        assert err == f"internal error: {type(error).__name__}: {error}\n"
 
 
 class TestRenderJson:

@@ -1,9 +1,17 @@
 """QP applicability machine, quadratic extraction, and QP/LP stuffing."""
 
+import io
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dcpc import expressions as ex
+from dcpc import randgen
+from dcpc.cli import main as cli_main
+from dcpc.parsing import parse_problem, print_problem
+from dcpc.reductions.cone import affine_row_data, stack_variables
 from dcpc.reductions.framework import ReductionError, Solution, Status
 from dcpc.reductions.qp import (LpProgramData, PathNfa, StuffLp, StuffQp,
                                 canonicalize_qp, qp_applicable, qp_chain, quadratic_form,
@@ -17,14 +25,6 @@ from helpers import batch_eval, hinge_square_problem, toy_problem
 def scalar_var(vid=0, name="x"):
     decl = ex.VariableDecl(vid, name)
     return decl, ex.var_ref(decl)
-
-
-def offsets_for(variables):
-    out, cursor = {}, 0
-    for v in variables:
-        out[v.id] = (cursor, v.dim)
-        cursor += v.dim
-    return out, cursor
 
 
 class TestPathNfa:
@@ -178,9 +178,60 @@ class TestUsesQuadraticAtom:
         assert uses_quadratic_atom(p)
 
 
+def dense_quadratic_form(expr, var_offsets, width):
+    """Reference: the same extraction over dense (rows, width, width) tensors."""
+
+    def enter(node, _):
+        return not node.curvature.is_constant and node.atom not in ("square", "sum_squares")
+
+    def down(node, i, _):
+        return node.atom == "mul_const" and node.children[i].curvature.is_constant
+
+    def rows(parts, d):
+        return [np.broadcast_to(a, (d,) + a.shape[1:]) for a in parts]
+
+    def leave(node, parts, value_only):
+        if value_only:
+            return ex.evaluate(node, {})
+        d = node.dim
+        if node.kind == "var" or node.curvature.is_constant:
+            T, Q, k = np.zeros((d, width, width)), np.zeros((d, width)), np.zeros(d)
+            if node.kind == "var":
+                Q[np.arange(d), var_offsets[node.var_id][0] + np.arange(d)] = 1.0
+            else:
+                k[:] = ex.evaluate(node, {})
+            return T, Q, k
+        if node.atom in ("square", "sum_squares"):
+            M, c = affine_row_data(node.children[0], var_offsets, width)
+            if node.atom == "square":
+                return 2.0 * np.einsum("ij,ik->ijk", M, M), 2.0 * c[:, None] * M, c ** 2
+            return ((2.0 * M.T @ M)[None], (2.0 * M.T @ c)[None],
+                    np.array([float(c @ c)]))
+        if node.atom in ("add", "sub"):
+            sign = 1.0 if node.atom == "add" else -1.0
+            a, b = rows(parts[0], d), rows(parts[1], d)
+            return tuple(u + sign * v for u, v in zip(a, b))
+        if node.atom == "mul_const":
+            const_first = node.children[0].curvature.is_constant
+            scale = np.broadcast_to(parts[0 if const_first else 1], (d,))
+            T, Q, k = rows(parts[1 if const_first else 0], d)
+            return scale[:, None, None] * T, scale[:, None] * Q, scale * k
+        T, Q, k = parts[0]
+        if node.atom == "neg":
+            return -T, -Q, -k
+        if node.atom == "sum":
+            return (T.sum(axis=0, keepdims=True), Q.sum(axis=0, keepdims=True),
+                    k.sum(keepdims=True))
+        i = node.param
+        return T[i:i + 1], Q[i:i + 1], k[i:i + 1]
+
+    T, Q, k = ex.fold(expr, leave, enter, down, False)
+    return 0.5 * (T[0] + T[0].T), Q[0], float(k[0])
+
+
 class TestQuadraticForm:
     def form(self, expr, variables):
-        offsets, width = offsets_for(variables)
+        offsets, width = stack_variables(variables)
         return quadratic_form(expr, offsets, width)
 
     def test_square_of_variable(self):
@@ -284,7 +335,7 @@ class TestQuadraticForm:
                 ex.add(x, ex.constant(1.0)))), ex.square(ex.neg(y))),
             ex.neg(ex.neg(ex.square(y))),
         ]
-        offsets, width = offsets_for([dx, dy])
+        offsets, width = stack_variables([dx, dy])
         for expr in exprs:
             P, q, r = quadratic_form(expr, offsets, width)
             np.testing.assert_allclose(P, P.T, atol=1e-12)
@@ -294,11 +345,38 @@ class TestQuadraticForm:
                 + q @ samples + r
             np.testing.assert_allclose(model, vals, atol=1e-9)
 
+    def test_bit_identical_to_dense_reference(self):
+        rng = np.random.default_rng(11)
+        dx = ex.VariableDecl(0, "x", 6)
+        dy = ex.VariableDecl(1, "y")
+        x, y = ex.var_ref(dx), ex.var_ref(dy)
+        a = ex.constant(np.round(rng.normal(size=6), 3))
+        b = ex.constant(np.round(rng.normal(size=6), 3))
+        affine = ex.add(ex.mul(a, y), ex.sub(ex.mul(b, x), ex.constant(0.3)))
+        cases = [([dx, dy], e) for e in (
+            ex.sum_(ex.square(affine)),
+            ex.sub(ex.mul(ex.constant(1.7), ex.index(ex.square(affine), 1)),
+                   ex.sum_(ex.mul(a, ex.neg(ex.square(ex.sub(x, y)))))),
+            ex.sum_(ex.add(ex.mul(b, ex.square(x)), ex.square(ex.mul(a, y)))),
+            ex.add(ex.sum_squares(affine), ex.sum_(ex.sub(x, ex.square(y)))),
+        )]
+        for seed in range(40):
+            problem = randgen.random_qp_problem(np.random.default_rng(seed), 4)
+            for member in (EliminatePwlAtoms(), MoveToLhs()):
+                problem, _ = member.apply(problem)
+            cases.append((problem.variables, problem.objective))
+        for variables, expr in cases:
+            offsets, width = stack_variables(variables)
+            got = quadratic_form(expr, offsets, width)
+            want = dense_quadratic_form(expr, offsets, width)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
     def test_psd_for_convex_quadratics(self):
         rng = np.random.default_rng(21)
         d = ex.VariableDecl(0, "v", 3)
         v = ex.var_ref(d)
-        offsets, width = offsets_for([d])
+        offsets, width = stack_variables([d])
         for _ in range(20):
             a = ex.constant(np.round(rng.normal(size=3), 3))
             b = ex.constant(float(rng.normal()))
@@ -310,25 +388,25 @@ class TestQuadraticForm:
 
     def test_norm_atom_errors(self):
         d = ex.VariableDecl(0, "v", 2)
-        offsets, width = offsets_for([d])
+        offsets, width = stack_variables([d])
         with pytest.raises(ReductionError, match="norm2"):
             quadratic_form(ex.norm2(ex.var_ref(d)), offsets, width)
 
     def test_pwl_atom_errors(self):
         decl, x = scalar_var()
-        offsets, width = offsets_for([decl])
+        offsets, width = stack_variables([decl])
         with pytest.raises(ReductionError, match="abs"):
             quadratic_form(ex.abs_(x), offsets, width)
 
     def test_nested_square_errors(self):
         decl, x = scalar_var()
-        offsets, width = offsets_for([decl])
+        offsets, width = stack_variables([decl])
         with pytest.raises(ReductionError, match="square"):
             quadratic_form(ex.square(ex.square(x)), offsets, width)
 
     def test_vector_expression_errors(self):
         d = ex.VariableDecl(0, "v", 2)
-        offsets, width = offsets_for([d])
+        offsets, width = stack_variables([d])
         with pytest.raises(ReductionError, match="scalar"):
             quadratic_form(ex.square(ex.var_ref(d)), offsets, width)
 
@@ -445,3 +523,70 @@ class TestStuffLp:
         cons = [(x, ex.Relation.GE, ex.constant(0.0))]
         p = ex.make_problem(ex.Sense.MINIMIZE, ex.square(x), cons, [decl])
         assert not StuffQp().accepts(p)
+
+
+class TestStuffQpMemory:
+    def test_vector_epigraph_stays_small(self):
+        # sum(abs(x)) leaves sum(t) over a 400-vector epigraph variable; its
+        # row Hessians are all zero, so stuffing must not cost n * width^2.
+        n = 400
+        center = ", ".join(f"{v:.2f}" for v in np.linspace(-3.0, 3.0, n))
+        problem = parse_problem(
+            f"var x[{n}];\nminimize sum_squares(x - [{center}]) + sum(abs(x));\n"
+            "subject to\n  x <= 10;\n  x >= -10;\n")
+        for member in (EliminatePwlAtoms(), MoveToLhs()):
+            problem, _ = member.apply(problem)
+        tracemalloc.start()
+        try:
+            data, _ = StuffQp().apply(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"StuffQp peaked at {peak / 2**20:.0f} MB"
+        np.testing.assert_array_equal(data.P[:n, :n], 2.0 * np.eye(n))
+        assert np.count_nonzero(data.P) == n
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Entries of P that add several inexact products: the order in which a sum
+# combines its rows and an add its operands decides their last bits.
+SUMS = """\
+var x;
+var y;
+minimize 0.37 * square(1.13 * x + 0.71 * y)
+  + sum(square([1.13, 0.29, 0.61, 0.37] * x + [0.71, -2.3, 0.47, 1.9] * y
+               + [0.1, 0.2, 0.3, 0.4]));
+subject to
+  x + y <= 1;
+"""
+
+
+def _random_qp_text(seed):
+    return print_problem(randgen.random_qp_problem(np.random.default_rng(seed), 4))
+
+
+SOURCES = {
+    "qp_hinge": lambda: print_problem(hinge_square_problem()),
+    "qp_random_85": lambda: _random_qp_text(85),
+    "qp_random_165": lambda: _random_qp_text(165),
+    "qp_sums": lambda: SUMS,
+}
+
+
+class TestQpDocumentBytes:
+    """`dcpc canonicalize --target qp` output, pinned byte for byte.
+
+    The random seeds weight a square of four inexact terms, so most entries
+    of P are products of several inexact factors; computing them in another
+    association order changes their last bits.
+    """
+
+    @pytest.mark.parametrize("name", SOURCES)
+    def test_document_bytes(self, tmp_path, name):
+        path = tmp_path / f"{name}.cvx"
+        path.write_text(SOURCES[name]())
+        out = io.StringIO()
+        assert cli_main(["canonicalize", str(path), "--target", "qp"],
+                        out, io.StringIO()) == 0
+        assert out.getvalue() == (GOLDEN / f"{name}.json").read_text()

@@ -2,17 +2,20 @@
 
 The simplex solver gives vertex-exact LP answers (so canonicalization tests
 can assert tight tolerances); the two ADMM solvers cover quadratic and cone
-programs where a tableau method does not apply.  Everything is dense and
-deterministic: no randomized pivoting, scaling, or restarts.
+programs where a tableau method does not apply.  The data is dense; the ADMM
+solvers factor sparse (SuperLU) and project second-order cones in batches by
+size.  Everything is deterministic: no randomized pivoting, scaling, restarts.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .reductions.cone import ConeDims, ConeProgramData
 from .reductions.framework import Status
@@ -57,6 +60,19 @@ class RawSolution:
     value: float
     iterations: int = 0
     message: str = ""
+    factor_s: float = 0.0  # wall seconds in the ADMM solvers' one factorization
+    factor_nnz: int = 0  # nonzeros of its L plus U
+
+
+def _factor(matrix: sp.spmatrix):
+    """SuperLU factor of ``matrix`` and the RawSolution fields it fills."""
+    matrix = matrix.tocsc()
+    if not np.isfinite(matrix.data).all():  # SuperLU takes NaN as a number
+        raise RuntimeError("non-finite matrix entries")
+    start = time.perf_counter()
+    factor = splu(matrix)
+    return factor, {"factor_s": time.perf_counter() - start,
+                    "factor_nnz": factor.L.nnz + factor.U.nnz}
 
 
 def _lp_view(data) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -185,14 +201,15 @@ def solve_qp_admm(data: QpProgramData,
                   settings: SolverSettings = SolverSettings()) -> RawSolution:
     """Operator splitting for ``min ½xᵀPx + qᵀx  s.t.  Ax = b, Gx <= h``.
 
-    Each iteration solves one prefactorized quasi-definite KKT system and one
-    interval projection, with over-relaxation ``alpha``.  Equality rows carry
-    a stiffer penalty than inequality rows, which speeds their convergence
-    without changing the fixed points.
+    The quasi-definite KKT matrix is assembled sparse and factored once; each
+    iteration is one solve with that factor and one interval projection, with
+    over-relaxation ``alpha``.  Equality rows carry a stiffer penalty than
+    inequality rows, which speeds their convergence without changing the fixed
+    points.
     """
     P, q = data.P, data.q
     n = q.shape[0]
-    M = np.vstack([data.A, data.G]) if n else np.zeros((0, 0))
+    M = sp.vstack([sp.csr_matrix(data.A), sp.csr_matrix(data.G)], format="csr")
     mA = data.A.shape[0]
     m = M.shape[0]
     lower = np.concatenate([data.b, np.full(data.h.shape, -math.inf)])
@@ -206,15 +223,11 @@ def solve_qp_admm(data: QpProgramData,
 
     rho = np.full(m, settings.rho)
     rho[:mA] *= _EQ_RHO_SCALE
-    kkt = np.zeros((n + m, n + m), order="F")  # factored in place below
-    diag = np.arange(n + m)
-    kkt[diag, diag] = np.concatenate([np.full(n, _SIGMA), -1.0 / rho])
-    kkt[:n, :n] += P
-    kkt[:n, n:] = M.T
-    kkt[n:, :n] = M
     try:
-        factor = scipy.linalg.lu_factor(kkt, overwrite_a=True)
-    except (scipy.linalg.LinAlgError, ValueError) as err:
+        factor, stats = _factor(sp.bmat(
+            [[sp.csr_matrix(P) + _SIGMA * sp.eye(n), M.T],
+             [M, sp.diags(-1.0 / rho)]]))
+    except RuntimeError as err:
         return RawSolution(Status.ERROR, np.zeros(n), math.nan, 0,
                            f"KKT factorization failed: {err}")
 
@@ -222,9 +235,9 @@ def solve_qp_admm(data: QpProgramData,
     x = np.zeros(n)
     z = np.zeros(m)
     y = np.zeros(m)
+    status, message = Status.ITERATION_LIMIT, "splitting did not converge"
     for k in range(1, settings.max_iterations + 1):
-        rhs = np.concatenate([_SIGMA * x - q, z - y / rho])
-        sol = scipy.linalg.lu_solve(factor, rhs)
+        sol = factor.solve(np.concatenate([_SIGMA * x - q, z - y / rho]))
         x_hat, nu = sol[:n], sol[n:]
         z_hat = z + (nu - y) / rho if m else z
         x = alpha * x_hat + (1.0 - alpha) * x
@@ -241,11 +254,10 @@ def solve_qp_admm(data: QpProgramData,
             scale_d = max(_inf_norm(Px), _inf_norm(q), _inf_norm(MTy))
             if r_prim <= settings.eps_abs + settings.eps_rel * scale_p \
                     and r_dual <= settings.eps_abs + settings.eps_rel * scale_d:
-                value = float(0.5 * x @ P @ x + q @ x)
-                return RawSolution(Status.OPTIMAL, x, value, k)
+                status, message = Status.OPTIMAL, ""
+                break
     value = float(0.5 * x @ P @ x + q @ x)
-    return RawSolution(Status.ITERATION_LIMIT, x, value,
-                       settings.max_iterations, "splitting did not converge")
+    return RawSolution(status, x, value, k, message, **stats)
 
 
 def _inf_norm(v) -> float:
@@ -253,28 +265,35 @@ def _inf_norm(v) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-def project_cone(v: np.ndarray, cones: ConeDims) -> np.ndarray:
-    """Euclidean projection onto Zero x NonNeg x SOC(...) blocks of ``v``."""
+def _soc_plan(cones: ConeDims) -> list[np.ndarray]:
+    """Row indices of the SOC blocks, one ``(count, size)`` array per size."""
+    sizes = np.asarray(cones.soc, dtype=np.intp)
+    starts = cones.zero + cones.nonneg + np.cumsum(sizes) - sizes
+    return [starts[sizes == size, None] + np.arange(size)
+            for size in np.unique(sizes)]
+
+
+def project_cone(v: np.ndarray, cones: ConeDims, plan=None) -> np.ndarray:
+    """Euclidean projection onto Zero x NonNeg x SOC(...) blocks of ``v``.
+
+    SOC blocks go one size group of ``plan = _soc_plan(cones)`` at a time;
+    each ``|x|`` is a BLAS dot, as in ``np.linalg.norm``.
+    """
     v = np.asarray(v, dtype=float)
     out = np.empty_like(v)
-    cursor = cones.zero
-    out[:cursor] = 0.0
-    out[cursor:cursor + cones.nonneg] = np.maximum(
-        v[cursor:cursor + cones.nonneg], 0.0)
-    cursor += cones.nonneg
-    for size in cones.soc:
-        t = v[cursor]
-        x = v[cursor + 1:cursor + size]
-        nx = float(np.linalg.norm(x))
-        if nx <= t:
-            out[cursor:cursor + size] = v[cursor:cursor + size]
-        elif nx <= -t:
-            out[cursor:cursor + size] = 0.0
-        else:
-            scale = 0.5 * (1.0 + t / nx)
-            out[cursor] = scale * nx
-            out[cursor + 1:cursor + size] = scale * x
-        cursor += size
+    head = cones.zero + cones.nonneg
+    out[:cones.zero] = 0.0
+    np.maximum(v[cones.zero:head], 0.0, out=out[cones.zero:head])
+    for rows in _soc_plan(cones) if plan is None else plan:
+        block = v[rows]
+        t, x = block[:, 0], block[:, 1:]
+        nx = np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
+        inside, shell = nx <= t, nx > np.abs(t)
+        scale = inside.astype(float)
+        scale[shell] = 0.5 * (1.0 + t[shell] / nx[shell])
+        x *= scale[:, None]
+        block[:, 0] = np.where(inside, t, scale * nx)
+        out[rows] = block
     return out
 
 
@@ -282,9 +301,9 @@ def solve_cone_admm(data: ConeProgramData,
                     settings: SolverSettings = SolverSettings()) -> RawSolution:
     """Operator splitting for ``min cᵀx  s.t.  b - Ax ∈ K``.
 
-    With slack ``s = b - Ax`` the iteration alternates a prefactorized
-    regularized normal-equations solve for x, a cone projection for s, and a
-    dual ascent step; complementarity ``sᵀy = 0`` holds exactly at every
+    With slack ``s = b - Ax`` the iteration alternates a solve with the
+    normal equations ``σI + ρAᵀA`` (sparse, factored once) for x, a batched
+    cone projection for s, and a dual ascent step; ``sᵀy = 0`` holds at every
     iterate by the projection's optimality, so convergence is monitored on
     the primal and dual residuals alone.  Unchecked growth of the slack or
     dual iterates signals an infeasible or unbounded problem, reported as an
@@ -300,22 +319,22 @@ def solve_cone_admm(data: ConeProgramData,
                            "constant rows violate the cone")
 
     rho, alpha = settings.rho, settings.alpha
+    As = sp.csr_matrix(A)  # for AᵀA: in the loop, dense matvecs cost less
     try:
-        chol = scipy.linalg.cho_factor(
-            _SIGMA * np.eye(n) + rho * (A.T @ A), lower=True)
-    except (scipy.linalg.LinAlgError, ValueError) as err:
+        factor, stats = _factor(_SIGMA * sp.eye(n) + rho * (As.T @ As))
+    except RuntimeError as err:
         return RawSolution(Status.ERROR, np.zeros(n), math.nan, 0,
                            f"normal-equations factorization failed: {err}")
 
+    plan = _soc_plan(data.cones)
     x = np.zeros(n)
-    s = project_cone(b.copy(), data.cones)
+    s = project_cone(b, data.cones, plan)
     y = np.zeros(m)
     for k in range(1, settings.max_iterations + 1):
-        rhs = _SIGMA * x - c + rho * (A.T @ (b - s - y / rho))
-        x = scipy.linalg.cho_solve(chol, rhs)
+        x = factor.solve(_SIGMA * x - c + rho * (A.T @ (b - s - y / rho)))
         Ax = A @ x
         v = alpha * Ax + (1.0 - alpha) * (b - s)
-        s = project_cone(b - v - y / rho, data.cones)
+        s = project_cone(b - v - y / rho, data.cones, plan)
         y = y + rho * (v + s - b)
         if k % 25 == 0 or k == settings.max_iterations:
             ATy = A.T @ y
@@ -325,10 +344,11 @@ def solve_cone_admm(data: ConeProgramData,
             scale_d = max(_inf_norm(c), _inf_norm(ATy))
             if r_prim <= settings.eps_abs + settings.eps_rel * scale_p \
                     and r_dual <= settings.eps_abs + settings.eps_rel * scale_d:
-                return RawSolution(Status.OPTIMAL, x, float(c @ x), k)
+                return RawSolution(Status.OPTIMAL, x, float(c @ x), k, **stats)
             if max(_inf_norm(s), _inf_norm(y)) > _DIVERGENCE_LIMIT:
                 return RawSolution(
                     Status.ERROR, x, math.nan, k,
-                    "iterates diverged; problem may be infeasible or unbounded")
-    return RawSolution(Status.ITERATION_LIMIT, x, float(c @ x),
-                       settings.max_iterations, "splitting did not converge")
+                    "iterates diverged; problem may be infeasible or unbounded",
+                    **stats)
+    return RawSolution(Status.ITERATION_LIMIT, x, float(c @ x), k,
+                       "splitting did not converge", **stats)

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dcpc import expressions as ex
 from dcpc.analyzer import RewriterConfig, TargetClass, solve_problem
+from dcpc.parsing import parse_problem
 from dcpc.reductions.cone import ConeDims, ConeProgramData
 from dcpc.reductions.framework import Status
 from dcpc.reductions.qp import LpProgramData, QpProgramData, canonicalize_qp
@@ -44,6 +46,15 @@ def qp_data(P, q, r=0.0, G=None, h=None, A=None, b=None):
     return QpProgramData(P, q, r, G, h, A, b, offsets, decls)
 
 
+def wide_qp_data(n):
+    """``sum_squares(x - c) + sum(abs(x))`` with box rows, stuffed for the QP solver."""
+    center = ", ".join(f"{v:.2f}" for v in np.linspace(-3.0, 3.0, n))
+    problem = parse_problem(
+        f"var x[{n}];\nminimize sum_squares(x - [{center}]) + sum(abs(x));\n"
+        "subject to\n  x <= 10;\n  x >= -10;\n")
+    return canonicalize_qp(problem)[0]
+
+
 TOY_LP = lp_data(c=[0.0, 0.0, 1.0],
                  G=[[1, 1, -1], [-1, -1, -1], [1, 0, 0]],
                  h=[-2.0, 0.0, 0.0],
@@ -69,6 +80,7 @@ class TestSimplex:
     def test_toy_standard_form(self):
         raw = solve_lp_simplex(TOY_LP)
         assert raw.status is Status.OPTIMAL
+        assert (raw.factor_s, raw.factor_nnz) == (0.0, 0)  # no factorization
         np.testing.assert_allclose(raw.x, [-0.5, -0.5, 1.0], atol=1e-9)
         assert raw.value == pytest.approx(1.0, abs=1e-9)
 
@@ -192,6 +204,46 @@ class TestQpAdmm:
         assert raw.status is Status.ITERATION_LIMIT
         assert raw.message
 
+    @pytest.mark.parametrize("P, G, reason", [
+        ([[1.0, 0.0], [0.0, math.nan]], [[1.0, 1.0]], "non-finite"),
+        (np.eye(2), [[math.inf, 1.0]], "non-finite"),
+        ([[-1e-6, 0.0], [0.0, 1.0]], None, "singular"),  # P + sigma*I has a zero pivot
+    ])
+    def test_bad_kkt_reports_error(self, P, G, reason):
+        h = None if G is None else [1.0]
+        raw = solve_qp_admm(qp_data(P, [0.0, 0.0], G=G, h=h))
+        assert raw.status is Status.ERROR
+        assert "KKT factorization failed" in raw.message and reason in raw.message
+        assert raw.iterations == 0 and math.isnan(raw.value)
+
+    def test_factor_fill_is_linear_on_box_rows(self):
+        nnz = {}
+        for n in (100, 200, 400):
+            raw = solve_qp_admm(wide_qp_data(n))
+            assert raw.status is Status.OPTIMAL and raw.factor_s > 0.0
+            nnz[n] = raw.factor_nnz
+        # P is diagonal and every row of G has one or two nonzeros, so the
+        # fill per variable is a constant; a dense factor would grow as n^2.
+        assert nnz[200] == pytest.approx(2 * nnz[100], rel=0.02)
+        assert nnz[400] == pytest.approx(2 * nnz[200], rel=0.02)
+
+    def test_solve_memory_stays_small(self):
+        """``tracemalloc`` peak of one solve at n = 400 (width 800, 1600 rows).
+
+        A dense (n+m)^2 KKT matrix alone would be 44 MB here.  SuperLU's own
+        C allocations for its factors are outside ``tracemalloc``; the fill
+        test above bounds them through ``factor_nnz``.
+        """
+        data = wide_qp_data(400)
+        tracemalloc.start()
+        try:
+            raw = solve_qp_admm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert raw.status is Status.OPTIMAL
+        assert peak < 16 * 2**20, f"solve_qp_admm peaked at {peak / 2**20:.1f} MB"
+
 
 class TestConeAdmm:
     def cone_solve(self, problem, **cfg):
@@ -251,6 +303,23 @@ class TestConeAdmm:
         assert raw.status is Status.ERROR
         assert "diverged" in raw.message
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_matrix_reports_error(self, bad):
+        data = ConeProgramData(np.array([1.0, 0.0]), np.array([[1.0, bad]]),
+                               np.array([1.0]), ConeDims(0, 1, ()), 0.0,
+                               {0: (0, 2)}, ())
+        raw = solve_cone_admm(data)
+        assert raw.status is Status.ERROR
+        assert "normal-equations factorization failed: non-finite" in raw.message
+
+    def test_factor_stats_reported(self):
+        data = ConeProgramData(np.array([1.0]), np.array([[-1.0]]),
+                               np.array([-2.0]), ConeDims(0, 1, ()), 0.0,
+                               {0: (0, 1)}, ())
+        raw = solve_cone_admm(data)
+        assert raw.status is Status.OPTIMAL and raw.x[0] == pytest.approx(2.0, abs=1e-4)
+        assert raw.factor_s > 0.0 and raw.factor_nnz >= 1
+
     def test_iteration_limit_on_infeasible_rows(self):
         data = ConeProgramData(np.array([1.0]), np.array([[0.0]]),
                                np.array([1.0]), ConeDims(1, 0, ()), 0.0,
@@ -259,7 +328,59 @@ class TestConeAdmm:
         assert raw.status is Status.ITERATION_LIMIT
 
 
+def project_cone_loop(v, cones):
+    """The per-cone reference projection: one Python step per SOC block."""
+    v = np.asarray(v, dtype=float)
+    out = np.empty_like(v)
+    cursor = cones.zero
+    out[:cursor] = 0.0
+    out[cursor:cursor + cones.nonneg] = np.maximum(
+        v[cursor:cursor + cones.nonneg], 0.0)
+    cursor += cones.nonneg
+    for size in cones.soc:
+        t = v[cursor]
+        x = v[cursor + 1:cursor + size]
+        nx = float(np.linalg.norm(x))
+        if nx <= t:
+            out[cursor:cursor + size] = v[cursor:cursor + size]
+        elif nx <= -t:
+            out[cursor:cursor + size] = 0.0
+        else:
+            scale = 0.5 * (1.0 + t / nx)
+            out[cursor] = scale * nx
+            out[cursor + 1:cursor + size] = scale * x
+        cursor += size
+    return out
+
+
 class TestProjectCone:
+    MIXED = ConeDims(2, 3, (3, 2, 5, 3, 251, 2))
+
+    def test_matches_per_cone_loop(self):
+        # Each SOC block is random, on |x| == t, on |x| == -t, or x = 0 with
+        # t < 0; the cases interleave across the mixed sizes.
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            v = rng.normal(scale=3.0, size=self.MIXED.total)
+            cursor = self.MIXED.zero + self.MIXED.nonneg
+            for size in self.MIXED.soc:
+                block = v[cursor:cursor + size]
+                case = rng.integers(4)
+                if case < 2:  # |x| == +-t: a 3-4-5 triangle, or |x1| == |t|
+                    block[:] = 0.0
+                    if size == 2:
+                        block[:] = [3.0, rng.choice([-3.0, 3.0])]
+                    else:
+                        block[[0, 1, size - 1]] = [5.0, 3.0, -4.0]
+                    block[0] *= (1.0, -1.0)[case]
+                elif case == 2:
+                    block[:] = 0.0
+                    block[0] = -1.0 - rng.random()
+                cursor += size
+            np.testing.assert_allclose(project_cone(v, self.MIXED),
+                                       project_cone_loop(v, self.MIXED),
+                                       rtol=0.0, atol=1e-15)
+
     def test_nonneg_block(self):
         out = project_cone(np.array([-1.0, 2.0]), ConeDims(0, 2, ()))
         np.testing.assert_array_equal(out, [0.0, 2.0])

@@ -159,16 +159,18 @@ def _report_json(report) -> dict:
     }
 
 
-def _solution_json(solution) -> dict:
+def _solution_json(outcome, names: dict[int, str]) -> dict:
+    solution = outcome.solution
     value = solution.value
     if value is None or not math.isfinite(value):
         value = None
-    variables = {}
     return {
         "status": solution.status.value,
         "value": value,
-        "variables": variables,
+        "variables": {names[var_id]: list(np.asarray(vec, dtype=float))
+                      for var_id, vec in sorted(solution.primal.items())},
         "message": solution.message or None,
+        "iterations": outcome.raw.iterations,
     }
 
 
@@ -261,13 +263,9 @@ def _cmd_solve(args, out, err) -> int:
     if outcome.solution is None:
         err.write(outcome.report.failure + "\n")
         return _no_target_exit(config)
-    solution = outcome.solution
-    doc = _solution_json(solution)
     names = {decl.id: decl.name for decl in problem.variables}
-    for var_id, vec in sorted(solution.primal.items()):
-        doc["variables"][names[var_id]] = list(np.asarray(vec, dtype=float))
-    out.write(render_json(doc) + "\n")
-    return _STATUS_EXIT[solution.status]
+    out.write(render_json(_solution_json(outcome, names)) + "\n")
+    return _STATUS_EXIT[outcome.solution.status]
 
 
 def main(argv=None, out=None, err=None) -> int:

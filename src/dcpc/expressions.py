@@ -689,8 +689,11 @@ def affine_coefficients(expr: ExpressionNode) -> tuple[dict[int, np.ndarray], np
                 return ({v: cval[:, None] @ m for v, m in coeffs.items()}, cval * const[0])
             return ({v: cval[:, None] * m for v, m in coeffs.items()}, cval * const)
         if name == "index":
-            coeffs, const = pieces[0]
             k = node.param
+            if not pieces:  # an indexed variable: one row of its identity
+                leaf = node.children[0]
+                return {leaf.var_id: np.eye(1, leaf.dim, k)}, np.zeros(1)
+            coeffs, const = pieces[0]
             return ({v: m[k:k + 1, :] for v, m in coeffs.items()}, const[k:k + 1])
         if name == "sum":
             coeffs, const = pieces[0]
@@ -698,7 +701,10 @@ def affine_coefficients(expr: ExpressionNode) -> tuple[dict[int, np.ndarray], np
                     np.array([np.sum(const)]))
         raise NotAffineError(node)
 
-    return fold(expr, leave, nonconstant)
+    def enter(node, _):  # skips constants and an indexed variable's leaf
+        return nonconstant(node) and (node.atom != "index" or node.children[0].kind != "var")
+
+    return fold(expr, leave, enter)
 
 
 @dataclass(frozen=True)

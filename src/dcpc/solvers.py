@@ -1,7 +1,8 @@
 """Embedded desk-scale solvers: dense simplex, QP and cone operator splitting.
 
-The simplex solver gives vertex-exact LP answers (so canonicalization tests
-can assert tight tolerances); the two ADMM solvers cover quadratic and cone
+The tableau simplex (slack start, Dantzig pricing with a Bland fallback, BLAS
+rank-1 pivots) gives vertex-exact LP answers, so canonicalization tests can
+assert tight tolerances; the two ADMM solvers cover quadratic and cone
 programs where a tableau method does not apply.  The data is dense; the ADMM
 solvers factor sparse (SuperLU) and project second-order cones in batches by
 size.  Everything is deterministic: no randomized pivoting, scaling, restarts.
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dger
 from scipy.sparse.linalg import splu
 
 from .reductions.cone import ConeDims, ConeProgramData
@@ -25,6 +27,7 @@ __all__ = ["SolverSettings", "RawSolution", "solve_lp_simplex",
            "solve_qp_admm", "solve_cone_admm", "project_cone"]
 
 _PIVOT_TOL = 1e-9
+_DEGENERATE_RUN = 50  # degenerate Dantzig pivots before Bland's rule
 _SIGMA = 1e-6  # proximal regularization for the splitting solvers
 _EQ_RHO_SCALE = 1e3  # stiffer penalty on equality rows, as splitting solvers do
 _DIVERGENCE_LIMIT = 1e8
@@ -85,105 +88,99 @@ def _lp_view(data) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.n
     raise TypeError(f"not an LP payload: {type(data).__name__}")
 
 
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Pivot the C-ordered tableau ``T`` on ``(row, col)`` in place: one BLAS
+    rank-1 update (``dger`` on ``Tᵀ``) of every row but the pivot row, the
+    objective in the last row included."""
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    dger(-1.0, T[row].copy(), factors, a=T.T, overwrite_a=True)
+    basis[row] = col
+
+
+def _run_phase(T: np.ndarray, basis: np.ndarray, allowed: int,
+               budget: int) -> tuple[str, int]:
+    """Pivot on ``T`` until optimal, unbounded or ``budget`` pivots.
+
+    Of the first ``allowed`` columns, the most negative reduced cost enters
+    (Dantzig), or after ``_DEGENERATE_RUN`` degenerate pivots in a row the
+    lowest eligible one (Bland) until a pivot makes progress.  Ratio ties go
+    to the lowest basic index, so no run of degenerate pivots is endless.
+    """
+    obj, rhs = T[-1, :allowed], T[:-1, -1]
+    degenerate = 0
+    for used in range(budget):
+        col = int(np.argmin(obj) if degenerate < _DEGENERATE_RUN
+                  else np.argmax(obj < -_PIVOT_TOL))
+        if obj[col] >= -_PIVOT_TOL:
+            return "optimal", used
+        coef = T[:-1, col]
+        ratio = np.divide(rhs, coef, out=np.full(coef.shape, math.inf),
+                          where=coef > _PIVOT_TOL)
+        best = ratio.min(initial=math.inf)
+        if best == math.inf:
+            return "unbounded", used
+        ties = np.flatnonzero(ratio <= best + _PIVOT_TOL)
+        row = int(ties[np.argmin(basis[ties])])
+        degenerate = degenerate + 1 if best <= _PIVOT_TOL else 0
+        _pivot(T, basis, row, col)
+    return "limit", budget
+
+
 def solve_lp_simplex(data, settings: SolverSettings = SolverSettings()) -> RawSolution:
-    """Two-phase dense simplex with Bland's anti-cycling rule.
+    """Two-phase dense tableau simplex with Dantzig pricing and a Bland fallback.
 
     Free variables are split into nonnegative pairs and inequality rows get
     slacks, giving the equality standard form that the tableau iterates on.
-    Phase one minimizes artificial variables; an optimum above 1e-9 certifies
-    infeasibility.  Bland's rule (lowest eligible index enters, lowest basic
-    index breaks ratio ties) guarantees termination without cycling.
+    Phase one starts from the slack basis on rows with ``h >= 0``; only rows
+    with ``h < 0`` and equality rows get artificial variables, and an
+    optimum of their sum above 1e-9 certifies infeasibility.  Both phases
+    price as ``_run_phase`` says, so the method terminates.
     """
     c, G, h, A, b = _lp_view(data)
     n = c.shape[0]
     mG, mA = G.shape[0], A.shape[0]
     m = mG + mA
-
-    # Columns: [u (n), v (n), slack (mG)], x = u - v, all columns >= 0.
-    N = 2 * n + mG
-    body = np.zeros((m, N))
+    N = 2 * n + mG  # columns [u (n), v (n), slack (mG)], x = u - v
     rhs = np.concatenate([h, b]).astype(float)
-    if mG:
-        body[:mG, :n] = G
-        body[:mG, n:2 * n] = -G
-        body[:mG, 2 * n:] = np.eye(mG)
-    if mA:
-        body[mG:, :n] = A
-        body[mG:, n:2 * n] = -A
-    flip = rhs < 0
-    body[flip] *= -1.0
-    rhs[flip] *= -1.0
+    art = np.flatnonzero(np.concatenate([h < 0, np.ones(mA, dtype=bool)]))
 
-    # Phase 1 tableau with one artificial per row.
-    T = np.zeros((m, N + m + 1))
-    T[:, :N] = body
-    T[:, N:N + m] = np.eye(m)
-    T[:, -1] = rhs
-    basis = list(range(N, N + m))
-    obj = np.zeros(N + m + 1)
-    obj[:N] = -T[:, :N].sum(axis=0)
-    obj[-1] = -rhs.sum()
+    # Tableau rows: the m constraints, then the objective's reduced costs.
+    T = np.zeros((m + 1, N + art.size + 1))
+    T[:mG, :n], T[mG:m, :n] = G, A
+    T[:m, n:2 * n] = -T[:m, :n]
+    T[np.arange(mG), 2 * n + np.arange(mG)] = 1.0
+    T[:m, -1] = rhs
+    T[np.flatnonzero(rhs < 0)] *= -1.0
+    T[art, N + np.arange(art.size)] = 1.0
+    basis = 2 * n + np.arange(m)  # the slacks, then the artificials
+    basis[art] = N + np.arange(art.size)
+    T[-1] = -T[art].sum(axis=0)  # phase one: minimize the artificials' sum
+    T[-1, N:-1] = 0.0
 
-    def pivot(T, obj, basis, row, col):
-        T[row] /= T[row, col]
-        for i in range(T.shape[0]):
-            if i != row and abs(T[i, col]) > 0:
-                T[i] -= T[i, col] * T[row]
-        obj -= obj[col] * T[row]
-        basis[row] = col
-
-    def run_phase(T, obj, basis, allowed, budget):
-        used = 0
-        while used < budget:
-            entering = -1
-            for j in range(allowed):
-                if obj[j] < -_PIVOT_TOL:
-                    entering = j
-                    break
-            if entering < 0:
-                return "optimal", used
-            leaving, best = -1, math.inf
-            for i in range(T.shape[0]):
-                coef = T[i, entering]
-                if coef > _PIVOT_TOL:
-                    ratio = T[i, -1] / coef
-                    if ratio < best - _PIVOT_TOL or \
-                            (abs(ratio - best) <= _PIVOT_TOL
-                             and (leaving < 0 or basis[i] < basis[leaving])):
-                        leaving, best = i, ratio
-            if leaving < 0:
-                return "unbounded", used
-            pivot(T, obj, basis, leaving, entering)
-            used += 1
-        return "limit", used
-
-    outcome, used = run_phase(T, obj, basis, N, settings.max_iterations)
+    outcome, used = _run_phase(T, basis, N, settings.max_iterations)
     if outcome == "limit":
         return RawSolution(Status.ITERATION_LIMIT, np.zeros(n), math.nan, used,
                            "phase-1 iteration limit")
-    if -obj[-1] > 1e-9:
+    if -T[-1, -1] > 1e-9:
         return RawSolution(Status.INFEASIBLE, np.zeros(n), math.inf, used,
                            "artificial variables remain positive")
 
-    # Drive leftover (zero-valued) artificials out of the basis.
-    keep = []
-    for i in range(m):
-        if basis[i] >= N:
-            col = next((j for j in range(N) if abs(T[i, j]) > _PIVOT_TOL), -1)
-            if col < 0:
-                continue  # redundant row
-            pivot(T, obj, basis, i, col)
-        keep.append(i)
-    T = T[keep][:, list(range(N)) + [N + m]]
-    basis = [basis[i] for i in keep]
+    # Drive leftover (zero-valued) artificials out of the basis; a row where
+    # none can be is redundant and is dropped.
+    for i in np.flatnonzero(basis >= N):
+        cols = np.flatnonzero(np.abs(T[i, :N]) > _PIVOT_TOL)
+        if cols.size:
+            _pivot(T, basis, i, int(cols[0]))
+    keep = np.append(basis < N, True)
+    T = np.ascontiguousarray(T[keep][:, np.r_[:N, -1]])  # C order for dger
+    basis = basis[keep[:-1]]
 
-    cost = np.concatenate([c, -c, np.zeros(mG)])
-    obj = np.zeros(N + 1)
-    obj[:N] = cost
-    for i, var in enumerate(basis):
-        obj -= obj[var] * T[i]
+    cost = np.concatenate([c, -c, np.zeros(mG + 1)])
+    T[-1] = cost - cost[basis] @ T[:-1]
 
-    outcome, used2 = run_phase(T, obj, basis, N, settings.max_iterations - used)
+    outcome, used2 = _run_phase(T, basis, N, settings.max_iterations - used)
     if outcome == "limit":
         return RawSolution(Status.ITERATION_LIMIT, np.zeros(n), math.nan,
                            used + used2, "phase-2 iteration limit")
@@ -191,8 +188,7 @@ def solve_lp_simplex(data, settings: SolverSettings = SolverSettings()) -> RawSo
         return RawSolution(Status.UNBOUNDED, np.zeros(n), -math.inf, used + used2,
                            "entering column admits no ratio bound")
     z = np.zeros(N)
-    for i, var in enumerate(basis):
-        z[var] = T[i, -1]
+    z[basis] = T[:-1, -1]
     x = z[:n] - z[n:2 * n]
     return RawSolution(Status.OPTIMAL, x, float(c @ x), used + used2)
 

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from dcpc import cli
+from dcpc.analyzer import RewriterConfig, solve_problem
 from dcpc.cli import main, render_json
+from dcpc.parsing import parse_problem
 from dcpc.reductions.framework import ReductionError
 
 TOY = """\
@@ -210,6 +212,14 @@ class TestSolve:
         assert code == 0
         doc = json.loads(out)
         assert doc["value"] == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("solver", ["simplex", "admm"])
+    def test_iterations_reported(self, write, solver):
+        code, out, _ = run_cli("solve", write(TOY), "--solver", solver)
+        assert code == 0
+        raw = solve_problem(parse_problem(TOY), RewriterConfig(solver=solver)).raw
+        assert raw.iterations > 0
+        assert json.loads(out)["iterations"] == raw.iterations
 
     def test_hinge_value(self, write):
         code, out, _ = run_cli("solve", write(HINGE))

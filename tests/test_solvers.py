@@ -6,8 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from dcpc import expressions as ex
+from dcpc import expressions as ex, solvers
 from dcpc.analyzer import RewriterConfig, TargetClass, solve_problem
 from dcpc.parsing import parse_problem
 from dcpc.reductions.cone import ConeDims, ConeProgramData
@@ -99,6 +100,17 @@ class TestSimplex:
         assert raw.status is Status.UNBOUNDED
         assert raw.value == -math.inf
 
+    def test_slack_start_needs_no_phase_one_pivots(self):
+        # Every h >= 0, so the slack basis is feasible: one pivot reaches x = 1.
+        raw = solve_lp_simplex(lp_data([-1.0], [[1], [-1]], [1.0, 0.0]))
+        assert raw.status is Status.OPTIMAL and raw.iterations == 1
+        assert raw.x[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_infeasible_equality_row(self):
+        raw = solve_lp_simplex(lp_data([1.0, 1.0], -np.eye(2), [0.0, 0.0],
+                                       A=[[1, 1]], b=[-1.0]))
+        assert raw.status is Status.INFEASIBLE
+
     def test_equality_only(self):
         raw = solve_lp_simplex(lp_data([1.0, 1.0], np.zeros((0, 2)), [],
                                        A=[[1, 1]], b=[2.0]))
@@ -152,6 +164,96 @@ class TestSimplex:
                 if np.all(G @ vertex <= h + 1e-9):
                     best = min(best, float(c @ vertex))
             assert raw.value == pytest.approx(best, abs=1e-9)
+
+    # Beale (1955): Dantzig's rule with lowest-index ratio ties cycles here.
+    BEALE = lp_data(c=[-0.75, 20.0, -0.5, 6.0],
+                    G=[[0.25, -8, -1, 9], [0.5, -12, -0.5, 3], [0, 0, 1, 0],
+                       [-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+                    h=[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+
+    def test_beale_cycling_lp(self):
+        raw = solve_lp_simplex(self.BEALE)
+        assert raw.status is Status.OPTIMAL
+        assert raw.value == pytest.approx(-1.25, abs=1e-9)
+        np.testing.assert_allclose(raw.x, [1.0, 0.0, 1.0, 0.0], atol=1e-9)
+
+    def test_beale_cycles_without_the_fallback(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_DEGENERATE_RUN", 10**9)
+        raw = solve_lp_simplex(self.BEALE, SolverSettings(max_iterations=500))
+        assert raw.status is Status.ITERATION_LIMIT
+
+    def test_long_degenerate_run_switches_to_bland_and_back(self, monkeypatch):
+        # The origin is a vertex on all 60 cone rows; the objective descends
+        # along d, which every row admits, so the pivots stall there first.
+        rng = np.random.default_rng(5)
+        n, m = 10, 60
+        d = rng.integers(1, 4, size=n).astype(float)
+        rows = rng.integers(-5, 6, size=(m, n)).astype(float)
+        rows[rows @ d > 0] *= -1.0
+        G = np.vstack([rows, -np.eye(n), np.ones((1, n))])
+        h = np.concatenate([np.zeros(m + n), [1.0]])
+        c = -d + rng.integers(-1, 2, size=n)
+        pivots = []  # (degenerate, Dantzig's choice) per pivot
+
+        def spy(T, basis, row, col):
+            pivots.append((T[row, -1] <= solvers._PIVOT_TOL,
+                           col == int(np.argmin(T[-1, :-1]))))
+            pivot(T, basis, row, col)
+
+        pivot = solvers._pivot
+        monkeypatch.setattr(solvers, "_pivot", spy)
+        raw = solve_lp_simplex(lp_data(c, G, h))
+        ref = linprog(c, A_ub=G, b_ub=h, bounds=(None, None), method="highs")
+        assert raw.status is Status.OPTIMAL
+        assert raw.value == pytest.approx(ref.fun, rel=1e-9)
+        degenerate = [deg for deg, _ in pivots]
+        start = next(i for i in range(len(pivots))
+                     if all(degenerate[i:i + solvers._DEGENERATE_RUN]))
+        bland = start + solvers._DEGENERATE_RUN
+        assert not all(dantzig for _, dantzig in pivots[bland:])
+        resume = bland + degenerate[bland:].index(False) + 1
+        assert all(dantzig for _, dantzig in pivots[resume:resume + 3])
+
+    def test_matches_highs_on_benchmark_shaped_lps(self):
+        # Dense LPs as the benchmark writes them (integer rows in [-5, 5],
+        # sum of abs objective, box rows), with right-hand sides that can be
+        # negative and, on odd seeds, two equality rows: phase one then needs
+        # artificial columns.  Every third draw gets row 0 negated with its
+        # bound pushed past -b, which no point satisfies.
+        statuses = {0: Status.OPTIMAL, 2: Status.INFEASIBLE}
+        seen = set()
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n = 10 + 2 * seed
+            rows = rng.integers(-5, 6, size=(n, n))
+            rhs = rng.integers(-12, 21, size=n)
+            center = rng.integers(-300, 301, size=n) / 100
+            objective = " + ".join(f"abs({rng.integers(1, 6)}*x[{i}] - {center[i]})"
+                                   for i in range(n))
+            lines = [f"var x[{n}];", f"minimize {objective};", "subject to"]
+            for k, (row, b) in enumerate(zip(rows, rhs)):
+                rel = "==" if seed % 2 and k < 2 else "<="
+                terms = " + ".join(f"{a}*x[{i}]" for i, a in enumerate(row))
+                lines.append(f"  {terms} {rel} {b};")
+            if seed % 3 == 2:
+                terms = " + ".join(f"{-a}*x[{i}]" for i, a in enumerate(rows[0]))
+                lines.append(f"  {terms} <= {-rhs[0] - 1};")
+            lines += ["  x <= 10;", "  x >= -10;"]
+            problem = parse_problem("\n".join(lines) + "\n")
+            outcome = solve_problem(problem)
+            assert outcome.report.target is TargetClass.LP
+            data, raw = outcome.data, outcome.raw
+            ref = linprog(data.c, A_ub=data.G, b_ub=data.h,
+                          A_eq=data.A if data.A.size else None,
+                          b_eq=data.b if data.b.size else None,
+                          bounds=(None, None), method="highs")
+            assert raw.status is statuses[ref.status], seed
+            seen.add(raw.status)
+            if ref.status == 0:
+                assert raw.value == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+                assert np.all(data.G @ raw.x <= data.h + 1e-9)
+                np.testing.assert_allclose(data.A @ raw.x, data.b, atol=1e-9)
+        assert seen == {Status.OPTIMAL, Status.INFEASIBLE}
 
 
 class TestQpAdmm:

@@ -64,7 +64,14 @@ def render_json(obj, indent=0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, np.ndarray):
-        return render_json(obj.tolist(), indent)
+        if obj.dtype.kind != "f" or obj.ndim not in (1, 2) or not obj.size:
+            return render_json(obj.tolist(), indent)
+        # A row at a time; + 0.0 normalizes -0.0 as _format_float does.
+        rows = [", ".join(["%.17g" % v for v in row])
+                for row in (obj.reshape(-1, obj.shape[-1]) + 0.0).tolist()]
+        if obj.ndim == 1:
+            return "[" + rows[0] + "]"
+        return "[\n" + ",\n".join(f"{inner}[{row}]" for row in rows) + "\n" + pad + "]"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"

@@ -9,6 +9,7 @@ three constraint relations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Sequence
@@ -81,28 +82,19 @@ class ProblemError(ValueError):
 
 
 class Curvature(Enum):
+    # The tests are plain member attributes (every tree walk reads them) and
+    # follow the refinement order: constants are affine, affine is both.
     CONSTANT = "constant"
     AFFINE = "affine"
     CONVEX = "convex"
     CONCAVE = "concave"
     UNKNOWN = "unknown"
 
-    @property
-    def is_constant(self) -> bool:
-        return self is Curvature.CONSTANT
-
-    @property
-    def is_affine(self) -> bool:
-        # Constant functions are affine under the refinement partial order.
-        return self in (Curvature.CONSTANT, Curvature.AFFINE)
-
-    @property
-    def is_convex(self) -> bool:
-        return self in (Curvature.CONSTANT, Curvature.AFFINE, Curvature.CONVEX)
-
-    @property
-    def is_concave(self) -> bool:
-        return self in (Curvature.CONSTANT, Curvature.AFFINE, Curvature.CONCAVE)
+    def __init__(self, value: str):
+        self.is_constant = value == "constant"
+        self.is_affine = value in ("constant", "affine")
+        self.is_convex = value in ("constant", "affine", "convex")
+        self.is_concave = value in ("constant", "affine", "concave")
 
 
 class Sign(Enum):
@@ -111,13 +103,9 @@ class Sign(Enum):
     NONPOSITIVE = "nonpositive"
     UNKNOWN = "unknown"
 
-    @property
-    def is_nonnegative(self) -> bool:
-        return self in (Sign.ZERO, Sign.NONNEGATIVE)
-
-    @property
-    def is_nonpositive(self) -> bool:
-        return self in (Sign.ZERO, Sign.NONPOSITIVE)
+    def __init__(self, value: str):
+        self.is_nonnegative = value in ("zero", "nonnegative")
+        self.is_nonpositive = value in ("zero", "nonpositive")
 
 
 def _sign_of_interval(nonneg: bool, nonpos: bool) -> Sign:
@@ -344,17 +332,18 @@ class ExpressionNode:
 
     def __init__(self, kind, dim, curvature, sign, payload=None, var_id=None,
                  var_name=None, atom=None, children=(), param=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "curvature", curvature)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "var_id", var_id)
-        object.__setattr__(self, "var_name", var_name)
-        object.__setattr__(self, "atom", atom)
-        object.__setattr__(self, "children", tuple(children))
-        object.__setattr__(self, "param", param)
-        object.__setattr__(self, "_hash", None)
+        put = _SLOT_SETTERS  # the slots' own setters; __setattr__ refuses writes
+        put["kind"](self, kind)
+        put["dim"](self, dim)
+        put["curvature"](self, curvature)
+        put["sign"](self, sign)
+        put["payload"](self, payload)
+        put["var_id"](self, var_id)
+        put["var_name"](self, var_name)
+        put["atom"](self, atom)
+        put["children"](self, tuple(children))
+        put["param"](self, param)
+        put["_hash"](self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExpressionNode is immutable")
@@ -386,7 +375,7 @@ class ExpressionNode:
             # computed bottom-up for the subtrees not hashed yet.
             def leave(node, _, __):
                 if node._hash is None:
-                    object.__setattr__(node, "_hash", hash(
+                    _SLOT_SETTERS["_hash"](node, hash(
                         (node._own_key(), tuple([c._hash for c in node.children]))))
 
             fold(self, leave, lambda node, _: node._hash is None)
@@ -405,21 +394,29 @@ class ExpressionNode:
         return fold(self, leave)
 
 
+_SLOT_SETTERS = {name: getattr(ExpressionNode, name).__set__
+                 for name in ExpressionNode.__slots__}
+
+
 def constant(value) -> ExpressionNode:
     """Build a constant node from a scalar or a 1-D sequence of reals."""
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.ndim != 1:
-        raise ExpressionError(f"constants must be scalars or vectors, got shape {arr.shape}")
-    if arr.size < 1:
-        raise ExpressionError("constants must have dim >= 1")
-    if not np.all(np.isfinite(arr)):
-        raise ExpressionError("constants must be finite")
-    arr = arr + 0.0  # normalizes -0.0 so structural equality is print-stable
+    if isinstance(value, float):  # the parser's literals: no array reductions
+        if not math.isfinite(value):
+            raise ExpressionError("constants must be finite")
+        arr = np.array([value + 0.0])  # + 0.0 normalizes -0.0, as below
+        sign = _sign_of_interval(value >= 0.0, value <= 0.0)
+    else:
+        arr = np.atleast_1d(np.asarray(value, dtype=float))
+        if arr.ndim != 1:
+            raise ExpressionError(f"constants must be scalars or vectors, got shape {arr.shape}")
+        if arr.size < 1:
+            raise ExpressionError("constants must have dim >= 1")
+        if not np.all(np.isfinite(arr)):
+            raise ExpressionError("constants must be finite")
+        arr = arr + 0.0  # normalizes -0.0 so structural equality is print-stable
+        sign = _sign_of_interval(bool(np.all(arr >= 0.0)), bool(np.all(arr <= 0.0)))
     arr.setflags(write=False)
-    nonneg = bool(np.all(arr >= 0.0))
-    nonpos = bool(np.all(arr <= 0.0))
-    return ExpressionNode("const", arr.size, Curvature.CONSTANT,
-                          _sign_of_interval(nonneg, nonpos), payload=arr)
+    return ExpressionNode("const", arr.size, Curvature.CONSTANT, sign, payload=arr)
 
 
 def var_ref(decl: VariableDecl) -> ExpressionNode:
@@ -429,8 +426,14 @@ def var_ref(decl: VariableDecl) -> ExpressionNode:
 
 
 def _compose_curvature(desc: AtomDescriptor, children: Sequence[ExpressionNode]) -> Curvature:
-    if all(c.curvature.is_constant for c in children):
+    constant = affine = True
+    for child in children:
+        constant = constant and child.curvature.is_constant
+        affine = affine and child.curvature.is_affine
+    if constant:
         return Curvature.CONSTANT
+    if affine:
+        return desc.curvature_class  # no child constrains the composition
     can_convex = desc.curvature_class in (Curvature.AFFINE, Curvature.CONVEX)
     can_concave = desc.curvature_class is Curvature.AFFINE
     for i, child in enumerate(children):
@@ -484,7 +487,8 @@ def mul(a: ExpressionNode, b: ExpressionNode) -> ExpressionNode:
     if not (a.curvature.is_constant or b.curvature.is_constant):
         raise ExpressionError("non-constant * non-constant product is not allowed")
     const_side = a if a.curvature.is_constant else b
-    if np.all(evaluate(const_side, {}) == 0.0):
+    if (const_side.sign is Sign.ZERO if const_side.kind == "const"
+            else np.all(evaluate(const_side, {}) == 0.0)):
         dim = _broadcast_dim((a, b), "mul_const")
         return constant(np.zeros(dim))
     return _apply_atom("mul_const", (a, b))
@@ -668,7 +672,7 @@ def affine_coefficients(expr: ExpressionNode) -> tuple[dict[int, np.ndarray], np
 
     def leave(node, pieces, _):
         if node.curvature.is_constant:
-            return {}, evaluate(node, {})
+            return {}, node.payload if node.kind == "const" else evaluate(node, {})
         if node.kind == "var":
             return {node.var_id: np.eye(node.dim)}, np.zeros(node.dim)
         name = node.atom

@@ -27,11 +27,14 @@ Precedence: unary minus binds tighter than ``*``, which binds tighter than
 0-based.  A unary minus applied directly to a numeric or vector literal folds
 into a negative constant, so printed problems parse back to identical trees.
 Parentheses, atom calls and unary minus nest at most 100 levels deep; sums
-and products of any length are fine.
+and products of any length are fine.  A literal that overflows a float is
+an error at the literal.  Tokens carry only their character offset: spans
+are computed from token offsets only when an error is raised.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -68,46 +71,38 @@ _MAX_NESTING = 100
 _ATOM_NAMES = ("abs", "max", "sum", "square", "sum_squares", "norm2")
 RESERVED_WORDS = frozenset(_KEYWORDS) | frozenset(_ATOM_NAMES)
 
+# Whitespace and comments match no named group; any other character is a
+# BAD token, so the pattern matches every position of the text.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
-  | (?P<number>(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<rel><=|>=|==)
-  | (?P<punct>[;,()\[\]+\-*])
+    [ \t\r\n]+ | \#[^\n]*
+  | (?P<NUMBER>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<REL><=|>=|==)
+  | (?P<PUNCT>[;,()\[\]+\-*])
+  | (?P<BAD>.)
 """, re.VERBOSE)
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUMBER, IDENT, REL, PUNCT, EOF
-    text: str
-    span: SourceSpan
-    offset: int
+# A token is a plain ``(kind, text, offset)`` tuple; kind is NUMBER, IDENT,
+# REL, PUNCT or EOF (a BAD token stops _tokenize).
+_Tok = tuple[str, str, int]
+_KIND, _TEXT, _OFFSET = 0, 1, 2
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            span = SourceSpan(line, pos - line_start + 1, 1)
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
-        kind = m.lastgroup
-        tok_text = m.group()
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind not in ("ws", "comment"):
-            span = SourceSpan(line, pos - line_start + 1, len(tok_text))
-            name = {"number": "NUMBER", "ident": "IDENT",
-                    "rel": "REL", "punct": "PUNCT"}[kind]
-            tokens.append(_Token(name, tok_text, span, pos))
-        pos = m.end()
-    tokens.append(_Token("EOF", "", SourceSpan(line, len(text) - line_start + 1, 1),
-                         len(text)))
+def _span(text: str, start: _Tok, end: _Tok) -> SourceSpan:
+    """The span from token ``start`` through ``end``, found only for an error."""
+    offset = start[_OFFSET]
+    line_start = text.rfind("\n", 0, offset) + 1
+    length = max(1, end[_OFFSET] + len(end[_TEXT]) - offset)
+    return SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1, length)
+
+
+def _tokenize(text: str) -> list[_Tok]:
+    tokens = [(m.lastgroup, m.group(), m.start())
+              for m in _TOKEN_RE.finditer(text) if m.lastgroup]
+    for tok in tokens:
+        if tok[_KIND] == "BAD":
+            raise ParseError(f"unexpected character {tok[_TEXT]!r}", _span(text, tok, tok))
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
@@ -117,71 +112,84 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.variables: list[ex.VariableDecl] = []
-        self.by_name: dict[str, ex.VariableDecl] = {}
+        # One reference node per declaration, shared by every occurrence:
+        # nodes are immutable and every walk is a tree fold.
+        self.refs: dict[str, ex.ExpressionNode] = {}
         self.depth = 0
 
     # --- token plumbing -------------------------------------------------
 
-    def peek(self) -> _Token:
+    def peek(self) -> _Tok:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def at(self, text: str) -> bool:
+        # Keywords, punctuation and relations are told apart by text alone.
+        return self.tokens[self.pos][_TEXT] == text
+
+    def advance(self) -> _Tok:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok[_KIND] != "EOF":
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token:
+    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Tok:
         tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        if tok[_KIND] != kind or (text is not None and tok[_TEXT] != text):
             wanted = what or (text if text is not None else kind.lower())
-            got = repr(tok.text) if tok.kind != "EOF" else "end of input"
-            raise ParseError(f"expected {wanted}, found {got}", tok.span)
+            raise ParseError(f"expected {wanted}, found {self.describe(tok)}", self.span(tok))
         return self.advance()
 
-    def span_between(self, start: _Token, end: _Token) -> SourceSpan:
-        length = max(1, end.offset + len(end.text) - start.offset)
-        return SourceSpan(start.span.line, start.span.column, length)
+    def describe(self, tok: _Tok) -> str:
+        return repr(tok[_TEXT]) if tok[_KIND] != "EOF" else "end of input"
 
-    def prev(self) -> _Token:
+    def span(self, start: _Tok, end: _Tok | None = None) -> SourceSpan:
+        return _span(self.text, start, end or start)
+
+    def prev(self) -> _Tok:
         return self.tokens[max(0, self.pos - 1)]
 
-    def nest(self, tok: _Token, parse):
+    def nest(self, tok: _Tok, parse):
         """Run ``parse()`` one nesting level below ``tok``."""
         if self.depth >= _MAX_NESTING:
-            raise ParseError("expression nested too deeply", tok.span)
+            raise ParseError("expression nested too deeply", self.span(tok))
         self.depth += 1
         node = parse()
         self.depth -= 1
         return node
 
+    def number(self, tok: _Tok) -> float:
+        """The value of a NUMBER token; a literal that overflows is an error."""
+        value = float(tok[_TEXT])
+        if math.isinf(value):
+            raise ParseError(f"number {tok[_TEXT]} is not finite", self.span(tok))
+        return value
+
     # --- grammar --------------------------------------------------------
 
     def parse(self) -> ex.ProblemForm:
-        while self.peek().kind == "IDENT" and self.peek().text == "var":
+        while self.at("var"):
             self.parse_vardecl()
         sense_tok = self.peek()
-        if sense_tok.kind == "IDENT" and sense_tok.text in ("minimize", "maximize"):
-            self.advance()
-            sense = ex.Sense.MINIMIZE if sense_tok.text == "minimize" else ex.Sense.MAXIMIZE
-        else:
-            raise ParseError("expected 'minimize' or 'maximize'", sense_tok.span)
+        if sense_tok[_TEXT] not in ("minimize", "maximize"):
+            raise ParseError("expected 'minimize' or 'maximize'", self.span(sense_tok))
+        self.advance()
+        sense = ex.Sense.MINIMIZE if sense_tok[_TEXT] == "minimize" else ex.Sense.MAXIMIZE
         start = self.peek()
         objective = self.parse_expr()
         if objective.dim != 1:
             raise ParseError(f"objective must be scalar, got dimension {objective.dim}",
-                             self.span_between(start, self.prev()))
+                             self.span(start, self.prev()))
         self.expect("PUNCT", ";")
         constraints = []
-        if self.peek().kind == "IDENT" and self.peek().text == "subject":
+        if self.at("subject"):
             self.advance()
             self.expect("IDENT", "to", what="'to'")
             constraints.append(self.parse_constraint())
-            while self.peek().kind != "EOF":
+            while self.peek()[_KIND] != "EOF":
                 constraints.append(self.parse_constraint())
         tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.span)
+        if tok[_KIND] != "EOF":
+            raise ParseError(f"unexpected trailing input {tok[_TEXT]!r}", self.span(tok))
         try:
             return ex.make_problem(sense, objective, constraints, self.variables)
         except (ex.ProblemError, ex.ExpressionError) as err:
@@ -190,59 +198,59 @@ class _Parser:
     def parse_vardecl(self):
         self.expect("IDENT", "var")
         name_tok = self.expect("IDENT", what="variable name")
-        name = name_tok.text
+        name = name_tok[_TEXT]
         if name in RESERVED_WORDS:
-            raise ParseError(f"'{name}' is a reserved word", name_tok.span)
-        if name in self.by_name:
-            raise ParseError(f"variable '{name}' is already declared", name_tok.span)
+            raise ParseError(f"'{name}' is a reserved word", self.span(name_tok))
+        if name in self.refs:
+            raise ParseError(f"variable '{name}' is already declared", self.span(name_tok))
         dim = 1
-        if self.peek().kind == "PUNCT" and self.peek().text == "[":
+        if self.at("["):
             self.advance()
             dim_tok = self.expect("NUMBER", what="dimension")
-            dim_val = float(dim_tok.text)
-            if dim_val != int(dim_val) or int(dim_val) < 1:
-                raise ParseError("dimension must be a positive integer", dim_tok.span)
+            dim_val = self.number(dim_tok)
+            if not dim_val.is_integer() or dim_val < 1:
+                raise ParseError("dimension must be a positive integer", self.span(dim_tok))
             dim = int(dim_val)
             self.expect("PUNCT", "]")
         self.expect("PUNCT", ";")
         decl = ex.VariableDecl(len(self.variables), name, dim)
         self.variables.append(decl)
-        self.by_name[name] = decl
+        self.refs[name] = ex.var_ref(decl)
 
     def parse_constraint(self):
         lhs_start = self.peek()
         lhs = self.parse_expr()
         rel_tok = self.peek()
-        if rel_tok.kind != "REL":
-            raise ParseError("expected a relation ('<=', '>=', or '==')", rel_tok.span)
+        if rel_tok[_KIND] != "REL":
+            raise ParseError("expected a relation ('<=', '>=', or '==')", self.span(rel_tok))
         self.advance()
         rhs = self.parse_expr()
         after = self.peek()
-        if after.kind == "REL":
-            raise ParseError("chained relations are not allowed", after.span)
+        if after[_KIND] == "REL":
+            raise ParseError("chained relations are not allowed", self.span(after))
         self.expect("PUNCT", ";")
         relation = {"<=": ex.Relation.LE, ">=": ex.Relation.GE,
-                    "==": ex.Relation.EQ}[rel_tok.text]
+                    "==": ex.Relation.EQ}[rel_tok[_TEXT]]
         if lhs.dim != rhs.dim and 1 not in (lhs.dim, rhs.dim):
             raise ParseError(
                 f"constraint sides have dimensions {lhs.dim} and {rhs.dim}",
-                self.span_between(lhs_start, self.prev()))
+                self.span(lhs_start, self.prev()))
         return (lhs, relation, rhs)
 
     def parse_expr(self) -> ex.ExpressionNode:
         return self.parse_additive()
 
-    def _build(self, fn, args, start: _Token):
+    def _build(self, fn, args, start: _Tok):
         try:
             return fn(*args)
         except ex.ExpressionError as err:
-            raise ParseError(str(err), self.span_between(start, self.prev())) from err
+            raise ParseError(str(err), self.span(start, self.prev())) from err
 
     def parse_additive(self) -> ex.ExpressionNode:
         start = self.peek()
         node = self.parse_mult()
-        while self.peek().kind == "PUNCT" and self.peek().text in "+-":
-            op = self.advance().text
+        while self.peek()[_TEXT] in ("+", "-"):
+            op = self.advance()[_TEXT]
             rhs = self.parse_mult()
             node = self._build(ex.add if op == "+" else ex.sub, (node, rhs), start)
         return node
@@ -250,7 +258,7 @@ class _Parser:
     def parse_mult(self) -> ex.ExpressionNode:
         start = self.peek()
         node = self.parse_factor()
-        while self.peek().kind == "PUNCT" and self.peek().text == "*":
+        while self.at("*"):
             self.advance()
             rhs = self.parse_factor()
             node = self._build(ex.mul, (node, rhs), start)
@@ -258,15 +266,15 @@ class _Parser:
 
     def parse_factor(self) -> ex.ExpressionNode:
         tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text == "-":
+        if tok[_TEXT] == "-":
             self.advance()
             nxt = self.peek()
             # A minus applied directly to a literal folds into the constant,
             # which keeps printed negative constants re-parseable as written.
-            if nxt.kind == "NUMBER":
+            if nxt[_KIND] == "NUMBER":
                 self.advance()
-                return ex.constant(-float(nxt.text))
-            if nxt.kind == "PUNCT" and nxt.text == "[":
+                return ex.constant(-self.number(nxt))
+            if nxt[_TEXT] == "[":
                 return ex.constant(-self.parse_vector_literal())
             operand = self.nest(tok, self.parse_factor)
             return self._build(ex.neg, (operand,), tok)
@@ -275,7 +283,7 @@ class _Parser:
     def parse_vector_literal(self) -> np.ndarray:
         self.expect("PUNCT", "[")
         values = [self.parse_signed_number()]
-        while self.peek().kind == "PUNCT" and self.peek().text == ",":
+        while self.at(","):
             self.advance()
             values.append(self.parse_signed_number())
         self.expect("PUNCT", "]")
@@ -283,23 +291,22 @@ class _Parser:
 
     def parse_primary(self) -> ex.ExpressionNode:
         tok = self.peek()
-        if tok.kind == "NUMBER":
+        kind, name = tok[_KIND], tok[_TEXT]
+        if kind == "NUMBER":
             self.advance()
-            return ex.constant(float(tok.text))
-        if tok.kind == "PUNCT" and tok.text == "[":
+            return ex.constant(self.number(tok))
+        if name == "[":
             return ex.constant(self.parse_vector_literal())
-        if tok.kind == "PUNCT" and tok.text == "(":
+        if name == "(":
             self.advance()
             node = self.nest(tok, self.parse_expr)
             self.expect("PUNCT", ")")
             return node
-        if tok.kind == "IDENT":
-            name = tok.text
+        if kind == "IDENT":
             self.advance()
-            nxt = self.peek()
-            if nxt.kind == "PUNCT" and nxt.text == "(":
+            if self.at("("):
                 if name not in _ATOM_NAMES:
-                    raise ParseError(f"unknown atom '{name}'", tok.span)
+                    raise ParseError(f"unknown atom '{name}'", self.span(tok))
                 self.advance()
                 args = self.nest(tok, self.parse_arguments)
                 builder = {"abs": ex.abs_, "max": ex.max_, "sum": ex.sum_,
@@ -307,26 +314,24 @@ class _Parser:
                            "norm2": ex.norm2}[name]
                 return self._build(builder, tuple(args), tok)
             if name in RESERVED_WORDS:
-                raise ParseError(f"'{name}' is a reserved word", tok.span)
-            if name not in self.by_name:
-                raise ParseError(f"unknown identifier '{name}'", tok.span)
-            decl = self.by_name[name]
-            node = ex.var_ref(decl)
-            if nxt.kind == "PUNCT" and nxt.text == "[":
+                raise ParseError(f"'{name}' is a reserved word", self.span(tok))
+            if name not in self.refs:
+                raise ParseError(f"unknown identifier '{name}'", self.span(tok))
+            node = self.refs[name]
+            if self.at("["):
                 self.advance()
                 idx_tok = self.expect("NUMBER", what="index")
-                idx_val = float(idx_tok.text)
-                if idx_val != int(idx_val):
-                    raise ParseError("index must be an integer", idx_tok.span)
+                idx_val = self.number(idx_tok)
+                if not idx_val.is_integer():
+                    raise ParseError("index must be an integer", self.span(idx_tok))
                 self.expect("PUNCT", "]")
                 node = self._build(ex.index, (node, int(idx_val)), tok)
             return node
-        got = repr(tok.text) if tok.kind != "EOF" else "end of input"
-        raise ParseError(f"expected an expression, found {got}", tok.span)
+        raise ParseError(f"expected an expression, found {self.describe(tok)}", self.span(tok))
 
     def parse_arguments(self) -> list[ex.ExpressionNode]:
         args = [self.parse_expr()]
-        while self.peek().kind == "PUNCT" and self.peek().text == ",":
+        while self.at(","):
             self.advance()
             args.append(self.parse_expr())
         self.expect("PUNCT", ")")
@@ -334,11 +339,10 @@ class _Parser:
 
     def parse_signed_number(self) -> float:
         sign = 1.0
-        if self.peek().kind == "PUNCT" and self.peek().text == "-":
+        if self.at("-"):
             self.advance()
             sign = -1.0
-        tok = self.expect("NUMBER", what="a number")
-        return sign * float(tok.text)
+        return sign * self.number(self.expect("NUMBER", what="a number"))
 
 
 def parse_problem(text: str) -> ex.ProblemForm:

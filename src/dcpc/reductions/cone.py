@@ -19,7 +19,7 @@ from .standard import (CanonConstraint, CanonStage, scalar_components,
 __all__ = [
     "SmithProblem", "SmithTransform", "RelaxSmith", "GraphExpand",
     "ConeDims", "ConeProgramData", "StuffCone", "stack_variables",
-    "affine_row_data",
+    "affine_row_data", "require_finite",
 ]
 
 
@@ -259,15 +259,25 @@ def stack_variables(variables) -> tuple[dict[int, tuple[int, int]], int]:
     return {v.id: (int(s), v.dim) for v, s in zip(variables, starts)}, int(starts[-1])
 
 
+def require_finite(where: str, *arrays) -> None:
+    """Reject stuffed data that a product of large constants overflowed."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ex.ProblemError(f"{where}: a coefficient overflows to a non-finite value")
+
+
 def affine_row_data(expr: ex.ExpressionNode,
                     var_offsets: dict[int, tuple[int, int]],
-                    width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense rows M and constant k with ``expr == M x + k`` over the stack."""
+                    width: int, where: str = "expression") -> tuple[np.ndarray, np.ndarray]:
+    """Dense rows M and constant k with ``expr == M x + k`` over the stack.
+
+    Every stuffer builds its rows here, so the finiteness check is here too.
+    """
     coeffs, const = ex.affine_coefficients(expr)
     M = np.zeros((expr.dim, width))
     for vid, block in coeffs.items():
         start, length = var_offsets[vid]
         M[:, start:start + length] = block
+    require_finite(where, M, const)
     return M, const
 
 
@@ -298,26 +308,23 @@ class StuffCone(Reduction):
         self._check(stage)
         var_offsets, width = stack_variables(stage.variables)
 
-        def rows_of(exprs, sign):
-            for e in exprs:
-                M, k = affine_row_data(e, var_offsets, width)
-                yield sign * M, -sign * k
+        def rows_of(cones, sign):
+            for cone in cones:
+                for e in ((cone.expr,) if cone.kind != "soc" else (cone.t,) + cone.x):
+                    M, k = affine_row_data(e, var_offsets, width, f"cone constraint {cone.id}")
+                    yield sign * M, -sign * k
 
         zero = [c for c in stage.constraints if c.kind == "zero"]
         nonneg = [c for c in stage.constraints if c.kind == "nonneg"]
         soc = [c for c in stage.constraints if c.kind == "soc"]
-        blocks = []
-        blocks.extend(rows_of((c.expr for c in zero), +1.0))
-        blocks.extend(rows_of((c.expr for c in nonneg), -1.0))
-        for cone in soc:
-            blocks.extend(rows_of((cone.t,) + cone.x, -1.0))
+        blocks = [*rows_of(zero, +1.0), *rows_of(nonneg, -1.0), *rows_of(soc, -1.0)]
         if blocks:
             A = np.vstack([M for M, _ in blocks])
             b = np.concatenate([k for _, k in blocks])
         else:
             A = np.zeros((0, width))
             b = np.zeros(0)
-        c_row, offset = affine_row_data(stage.objective, var_offsets, width)
+        c_row, offset = affine_row_data(stage.objective, var_offsets, width, "objective")
         dims = ConeDims(sum(c.expr.dim for c in zero),
                         sum(c.expr.dim for c in nonneg),
                         tuple(1 + c.soc_x_dim for c in soc))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import expressions as ex
-from .cone import affine_row_data, stack_variables
+from .cone import affine_row_data, require_finite, stack_variables
 from .framework import Reduction, ReductionChain, ReductionError
 from .standard import EliminatePwlAtoms, MoveToLhs, is_zero_constant
 
@@ -184,7 +184,7 @@ def _quad_pieces(expr, var_offsets, width):
         atom = node.atom
         if atom in _QUADRATIC_ATOMS:
             try:
-                M, c = affine_row_data(node.children[0], var_offsets, width)
+                M, c = affine_row_data(node.children[0], var_offsets, width, "objective")
             except ex.NotAffineError as err:
                 raise ReductionError(
                     f"atom '{err.node.atom}' below a quadratic node has no "
@@ -232,6 +232,7 @@ def quadratic_form(expr: ex.ExpressionNode,
     if expr.dim != 1:
         raise ReductionError("quadratic extraction needs a scalar expression")
     (keys, vals), Q, k = _quad_pieces(expr, var_offsets, width)
+    require_finite("objective", vals, Q, k)
     P = np.bincount(keys, vals, width * width).reshape(width, width)
     return 0.5 * (P + P.T), Q[0], float(k[0])
 
@@ -278,7 +279,7 @@ def _stack_moved_constraints(problem):
     var_offsets, width = stack_variables(problem.variables)
     ineq_rows, eq_rows = [], []
     for c in problem.constraints:
-        M, k = affine_row_data(c.lhs, var_offsets, width)
+        M, k = affine_row_data(c.lhs, var_offsets, width, f"constraint {c.id}")
         if c.lhs.dim != c.dim:  # scalar side of a broadcast constraint
             M = np.broadcast_to(M, (c.dim, width))
             k = np.broadcast_to(k, (c.dim,))
@@ -347,7 +348,7 @@ class StuffLp(Reduction):
     def apply(self, problem):
         self._check(problem)
         G, h, A, b, var_offsets, width = _stack_moved_constraints(problem)
-        crow, const = affine_row_data(problem.objective, var_offsets, width)
+        crow, const = affine_row_data(problem.objective, var_offsets, width, "objective")
         data = LpProgramData(crow[0], G, h, A, b, float(const[0]),
                              var_offsets, tuple(problem.variables))
         return data, self._record()

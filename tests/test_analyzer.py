@@ -8,6 +8,7 @@ import pytest
 from dcpc import expressions as ex
 from dcpc.analyzer import (AnalyzerError, RewriterConfig, TargetClass,
                            build_chain, select_target, solve_problem)
+from dcpc.parsing import parse_problem
 from dcpc.reductions.framework import Status
 
 from helpers import hinge_square_problem, random_expression, toy_problem, PWL_ATOMS
@@ -216,3 +217,30 @@ class TestSolveProblem:
             assert out.solution.status is Status.OPTIMAL
             values.append(out.solution.value)
         assert max(values) - min(values) <= 1e-3
+
+
+class TestCoefficientOverflow:
+    """Products of large constants that overflow are errors on every route."""
+
+    @pytest.mark.parametrize("objective,target,where", [
+        ("maximize x", TargetClass.LP, "constraint 0"),
+        ("minimize square(x - 1)", TargetClass.QP, "constraint 0"),
+        ("maximize x", TargetClass.CONE, "cone constraint 0"),
+    ])
+    def test_overflowing_constraint_row(self, objective, target, where):
+        problem = parse_problem(f"var x; {objective}; subject to x*1e200*1e200 <= 1;")
+        config = RewriterConfig(forced_target=target)
+        with np.errstate(over="ignore"), pytest.raises(ex.ProblemError, match=where):
+            solve_problem(problem, config)
+
+    @pytest.mark.parametrize("objective,target", [
+        ("minimize x*1e200*1e200", TargetClass.LP),
+        ("minimize 1e200*1e200*square(x)", TargetClass.QP),
+        ("minimize square(1e200*x)", TargetClass.QP),
+        ("minimize x*1e200*1e200", TargetClass.CONE),
+    ])
+    def test_overflowing_objective(self, objective, target):
+        config = RewriterConfig(forced_target=target)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ex.ProblemError, match="objective: a coefficient overflows"):
+            solve_problem(parse_problem(f"var x; {objective}; subject to x >= -1;"), config)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -262,6 +263,27 @@ class TestSolve:
         assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-6)
 
 
+class TestNumericOverflow:
+    @pytest.mark.parametrize("literal", ["var x[1e400]; minimize 1;",
+                                         "var x; minimize x + 1e400;",
+                                         "var x[2]; minimize sum(x - [1, 1e400]);"])
+    def test_overflowing_literal_exits_1(self, write, literal):
+        code, _, err = run_cli("analyze", write(literal))
+        assert code == 1
+        assert "parse error" in err and "not finite" in err
+
+    @pytest.mark.parametrize("command", ["canonicalize", "solve"])
+    @pytest.mark.parametrize("target,where", [
+        ("auto", "constraint 0"), ("qp", "constraint 0"), ("cone", "cone constraint 0")])
+    def test_overflowing_coefficient_exits_7(self, write, command, target, where):
+        path = write("var x; maximize x; subject to x*1e200*1e200 <= 1;")
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(command, path, "--target", target)
+        assert code == 7
+        assert out == ""
+        assert err == f"error: {where}: a coefficient overflows to a non-finite value\n"
+
+
 class TestInternalErrors:
     @pytest.mark.parametrize("error", [
         ReductionError("stuff_qp: atom 'abs' has no quadratic form"),
@@ -302,6 +324,20 @@ class TestRenderJson:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             render_json(object())
+
+    @pytest.mark.parametrize("shape", [(0,), (3,), (0, 4), (2, 0), (1, 3), (3, 2)])
+    def test_float_arrays_render_like_nested_lists(self, shape):
+        arr = np.arange(float(np.prod(shape))).reshape(shape) * -0.7
+        arr[arr == 0.0] = -0.0
+        for indent in (0, 2):
+            assert render_json(arr, indent) == render_json(arr.tolist(), indent)
+        doc = {"A": arr, "n": np.array([1, 2]), "s": np.float64(-0.0)}
+        text = render_json(doc)
+        assert text == render_json({"A": arr.tolist(), "n": [1, 2], "s": 0.0})
+        assert re.search(r"-0(?![.\d])", text) is None  # no negative zero
+
+    def test_empty_matrix_renders_as_empty_list(self):
+        assert render_json({"A": np.zeros((0, 3))}) == '{\n  "A": []\n}'
 
 
 def test_module_entrypoint_runs(tmp_path):

@@ -132,6 +132,37 @@ class TestConstruction:
         e = ex.mul(ex.constant(0.0), ex.square(x))
         assert e.curvature is Curvature.CONSTANT and e.sign is Sign.ZERO
 
+    @pytest.mark.parametrize("a,b,dim", [
+        ("0", "x", 1), ("[0, 0]", "x", 2), ("(1 - 1)", "x", 1), ("x", "[0, 0]", 2)])
+    def test_zero_products_fold_to_zero_constants(self, a, b, dim):
+        x = ex.var_ref(scalar_var())
+        operand = {"0": ex.constant(0.0), "[0, 0]": ex.constant([0.0, 0.0]),
+                   "(1 - 1)": ex.sub(ex.constant(1.0), ex.constant(1.0)), "x": x}
+        e = ex.mul(operand[a], operand[b])
+        assert e.kind == "const" and e.sign is Sign.ZERO
+        assert e == ex.constant(np.zeros(dim))
+
+    def test_nonzero_products_stay_products(self):
+        x = ex.var_ref(scalar_var())
+        for c in (ex.constant(-0.5), ex.constant([0.0, 2.0]),
+                  ex.sub(ex.constant(2.0), ex.constant(1.0))):
+            assert ex.mul(c, x).atom == "mul_const"
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, 1.5, -1.5, 1e308, 5e-324, -5e-324])
+    def test_scalar_constant_matches_the_array_path(self, v):
+        fast, slow = ex.constant(v), ex.constant(np.array([v]))
+        assert fast.payload.tobytes() == slow.payload.tobytes()
+        assert fast.payload.dtype == slow.payload.dtype == np.float64
+        assert not fast.payload.flags.writeable and not slow.payload.flags.writeable
+        assert (fast.dim, fast.sign, fast.curvature) == (slow.dim, slow.sign, slow.curvature)
+        assert hash(fast) == hash(slow) and fast == slow
+
+    @pytest.mark.parametrize("v", [np.inf, -np.inf, np.nan])
+    def test_non_finite_constants_are_rejected(self, v):
+        for value in (v, np.array([v]), [1.0, v]):
+            with pytest.raises(ex.ExpressionError, match="finite"):
+                ex.constant(value)
+
     def test_dim_mismatch_rejected(self):
         a = ex.var_ref(ex.VariableDecl(0, "a", 2))
         b = ex.var_ref(ex.VariableDecl(1, "b", 3))

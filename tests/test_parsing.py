@@ -155,6 +155,119 @@ class TestParseErrors:
         assert rejected > 100  # most corruptions of a tight grammar fail
 
 
+# Malformed inputs with the exact message and (line, column, length) each
+# gets.  They pin spans after comment lines, CRLF line ends and tabs, at the
+# end of input, inside vector literals and at the nesting limit.
+DEEP = 101
+ERROR_CORPUS = [
+    ('var x; minimize y;',
+     "1:17: unknown identifier 'y'", (1, 17, 1)),
+    ('var x;\nminimize x;\nsubject to\n  x <= 1 <= 2;\n',
+     '4:10: chained relations are not allowed', (4, 10, 2)),
+    ('# comment\n# another one\nvar x;\nminimize foo(x);\n',
+     "4:10: unknown atom 'foo'", (4, 10, 3)),
+    ('var x;\r\nminimize x;\r\nsubject to\r\n  x @ 1;\r\n',
+     "4:5: unexpected character '@'", (4, 5, 1)),
+    ('var x;\n\tminimize\tx +\t;\n',
+     "2:15: expected an expression, found ';'", (2, 15, 1)),
+    ('var x; minimize x',
+     '1:18: expected ;, found end of input', (1, 18, 1)),
+    ('var x;\nminimize x;\nsubject to\n',
+     '4:1: expected an expression, found end of input', (4, 1, 1)),
+    ('var x;\r\nminimize x\r\n',
+     '3:1: expected ;, found end of input', (3, 1, 1)),
+    ('var x[3];\nminimize sum(x - [1, 2, ]);\n',
+     "2:25: expected a number, found ']'", (2, 25, 1)),
+    ('var x[2];\nminimize sum(x - [1 2]);',
+     "2:21: expected ], found '2'", (2, 21, 1)),
+    ('var x[2];\nminimize sum(x - [1, -, 2]);',
+     "2:23: expected a number, found ','", (2, 23, 1)),
+    ('var x[2];\n# vector below\nminimize sum(x - [1, 2, 3]);',
+     "3:14: dimension mismatch in 'broadcast': operand dims [2, 3]", (3, 14, 13)),
+    ("var x;\nminimize " + "(" * DEEP + "x" + ")" * DEEP + ";",
+     '2:110: expression nested too deeply', (2, 110, 1)),
+    ("var x;\n\n  minimize " + "abs(" * DEEP + "x" + ")" * DEEP + ";",
+     '3:412: expression nested too deeply', (3, 412, 3)),
+    ("var x; minimize " + "-" * DEEP + "x;",
+     '1:117: expression nested too deeply', (1, 117, 1)),
+    ('var max; minimize 1;',
+     "1:5: 'max' is a reserved word", (1, 5, 3)),
+    ('var x;\nvar x;\nminimize x;',
+     "2:5: variable 'x' is already declared", (2, 5, 1)),
+    ('var x[0]; minimize 1;',
+     '1:7: dimension must be a positive integer', (1, 7, 1)),
+    ('var x[2.5]; minimize 1;',
+     '1:7: dimension must be a positive integer', (1, 7, 3)),
+    ('var y[2];\nminimize y[1.5];',
+     '2:12: index must be an integer', (2, 12, 3)),
+    ('var y[2];\n\nminimize y[5];',
+     '3:10: index 5 out of range for dimension 2', (3, 10, 4)),
+    ('var y[2];\r\nminimize 2 * y\r\n  + y;',
+     '2:10: objective must be scalar, got dimension 2', (2, 10, 12)),
+    ('var x; var y;\nminimize x * y;',
+     '2:10: non-constant * non-constant product is not allowed', (2, 10, 5)),
+    ('var x;\nminimize max(x);',
+     "2:10: atom 'max' takes 2+ arguments, got 1", (2, 10, 6)),
+    ('var x; minimize x; subject to x <= 1',
+     '1:37: expected ;, found end of input', (1, 37, 1)),
+    ('var x; minimize x; subject to x 1;',
+     "1:33: expected a relation ('<=', '>=', or '==')", (1, 33, 1)),
+    ('var x; maximize x; subject to x <= 1; )',
+     "1:39: expected an expression, found ')'", (1, 39, 1)),
+    ('var x; minimize x; extra',
+     "1:20: unexpected trailing input 'extra'", (1, 20, 5)),
+    ('minimize x;',
+     "1:10: unknown identifier 'x'", (1, 10, 1)),
+    ('var x;',
+     "1:7: expected 'minimize' or 'maximize'", (1, 7, 1)),
+    ('var 3; minimize 1;',
+     "1:5: expected variable name, found '3'", (1, 5, 1)),
+    ('var a[2]; var b[3];\nminimize sum(a);\nsubject to\n  a <= b;',
+     '4:3: constraint sides have dimensions 2 and 3', (4, 3, 7)),
+    ('var x;\nminimize subject;',
+     "2:10: 'subject' is a reserved word", (2, 10, 7)),
+    ('var x; minimize x;$',
+     "1:19: unexpected character '$'", (1, 19, 1)),
+    ('var x; # ok\n\t# still ok\nminimize x; subject to\n\tx <= [1, 2;',
+     "4:12: expected ], found ';'", (4, 12, 1)),
+    ('var x;\nminimize x;\nsubject to\n  x >= 0;\n  x ',
+     "5:5: expected a relation ('<=', '>=', or '==')", (5, 5, 1)),
+    ('var x; minimize x; subject to x <= 1 @ ; y',
+     "1:38: unexpected character '@'", (1, 38, 1)),
+]
+
+
+@pytest.mark.parametrize("text,message,where", ERROR_CORPUS)
+def test_error_corpus_messages_and_spans(text, message, where):
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert str(info.value) == message
+    span = info.value.span
+    assert (span.line, span.column, span.length) == where
+
+
+@pytest.mark.parametrize("text,span", [
+    ("var x[1e400]; minimize 1;", (1, 7, 5)),
+    ("var x[2];\nminimize x[1e400];", (2, 12, 5)),
+    ("var x;\nminimize x + 1e400;", (2, 14, 5)),
+    ("var x;\nminimize x - -1e400;", (2, 15, 5)),
+    ("var x[2];\nminimize sum(x - [1, 1e400]);", (2, 22, 5)),
+    ("var x[2];\nminimize sum(x - -[1, -1e400]);", (2, 24, 5)),
+])
+def test_overflowing_literals_are_parse_errors(text, span):
+    with pytest.raises(ParseError, match="not finite") as info:
+        parse_problem(text)
+    got = info.value.span
+    assert (got.line, got.column, got.length) == span
+
+
+def test_variable_occurrences_share_one_reference_node():
+    p = parse_problem("var x[2]; minimize sum(x) + x[0] + x[1]; subject to x <= 1;")
+    refs = [n for e in (p.objective, p.constraints[0].lhs) for n in ex.nodes(e)
+            if n.kind == "var"]
+    assert len(refs) == 4 and all(r is refs[0] for r in refs)
+
+
 class TestPrint:
     def test_toy_text_fragments(self):
         out = print_problem(parse_problem(TOY_TEXT))

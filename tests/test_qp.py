@@ -566,27 +566,45 @@ def _random_qp_text(seed):
     return print_problem(randgen.random_qp_problem(np.random.default_rng(seed), 4))
 
 
-SOURCES = {
-    "qp_hinge": lambda: print_problem(hinge_square_problem()),
-    "qp_random_85": lambda: _random_qp_text(85),
-    "qp_random_165": lambda: _random_qp_text(165),
-    "qp_sums": lambda: SUMS,
-}
+NORM2 = """\
+var x[4];
+minimize norm2(x - [1, 2, 3, 4]);
+subject to
+  sum(x) <= 5;
+"""
+
+# (name, source, cli arguments after the file).  The toy LP goes out under
+# all three layouts: its cone document has no SOC and the same rows as the LP
+# one, so only the chain, not the data, says which layout to write.
+DOCUMENTS = [
+    ("qp_hinge", lambda: print_problem(hinge_square_problem()), ["--target", "qp"]),
+    ("qp_random_85", lambda: _random_qp_text(85), ["--target", "qp"]),
+    ("qp_random_165", lambda: _random_qp_text(165), ["--target", "qp"]),
+    ("qp_sums", lambda: SUMS, ["--target", "qp"]),
+    ("lp_toy", lambda: print_problem(toy_problem()), ["--target", "lp"]),
+    ("qp_toy", lambda: print_problem(toy_problem()), ["--target", "qp"]),
+    ("cone_toy", lambda: print_problem(toy_problem()), ["--target", "cone"]),
+    ("cone_hinge", lambda: print_problem(hinge_square_problem()),
+     ["--target", "cone"]),
+    ("cone_norm2_decomposed", lambda: NORM2,
+     ["--target", "cone", "--decompose-soc"]),
+]
 
 
 class TestQpDocumentBytes:
-    """`dcpc canonicalize --target qp` output, pinned byte for byte.
+    """`dcpc canonicalize` output in each layout, pinned byte for byte.
 
     The random seeds weight a square of four inexact terms, so most entries
     of P are products of several inexact factors; computing them in another
     association order changes their last bits.
     """
 
-    @pytest.mark.parametrize("name", SOURCES)
-    def test_document_bytes(self, tmp_path, name):
+    @pytest.mark.parametrize("name,source,args", DOCUMENTS,
+                             ids=[name for name, _, _ in DOCUMENTS])
+    def test_document_bytes(self, tmp_path, name, source, args):
         path = tmp_path / f"{name}.cvx"
-        path.write_text(SOURCES[name]())
+        path.write_text(source())
         out = io.StringIO()
-        assert cli_main(["canonicalize", str(path), "--target", "qp"],
+        assert cli_main(["canonicalize", str(path), *args],
                         out, io.StringIO()) == 0
         assert out.getvalue() == (GOLDEN / f"{name}.json").read_text()

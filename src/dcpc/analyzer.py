@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .reductions.cone import (ConeProgramData, GraphExpand, RelaxSmith,
+from .reductions.cone import (GraphExpand, ProgramData, RelaxSmith,
                               SmithTransform, StuffCone)
 from .reductions.framework import (ReductionChain, Solution, Status,
                                    infeasible_solution, unbounded_solution)
-from .reductions.qp import (LpProgramData, QpProgramData, StuffLp, StuffQp,
-                            qp_applicable, uses_quadratic_atom)
+from .reductions.qp import StuffLp, StuffQp, qp_applicable, uses_quadratic_atom
 from .reductions.standard import (DecomposeSoc, EliminatePwlAtoms,
                                   FlipObjective, MoveToLhs, PresolveFixedPoint)
 from .solvers import (RawSolution, SolverSettings, solve_cone_admm,
@@ -161,43 +160,24 @@ class SolveOutcome:
     """Everything a caller needs: the report, the data, and the solution."""
 
     report: AnalysisReport
-    data: object | None = None
+    data: ProgramData | None = None
     raw: RawSolution | None = None
     solution: Solution | None = None
 
 
-def _lp_as_qp(data: LpProgramData) -> QpProgramData:
-    n = data.c.shape[0]
-    return QpProgramData(np.zeros((n, n)), data.c, data.offset, data.G, data.h,
-                         data.A, data.b, data.var_offsets, data.variables)
-
-
-def _dispatch_solver(data, target: TargetClass, config: RewriterConfig) -> RawSolution:
+def _dispatch_solver(data: ProgramData, target: TargetClass,
+                     config: RewriterConfig) -> RawSolution:
     choice = config.solver
-    if target is TargetClass.LP:
-        if choice in ("auto", "simplex"):
-            return solve_lp_simplex(data, config.settings)
-        return solve_qp_admm(_lp_as_qp(data), config.settings)
-    if target is TargetClass.QP:
+    if target is TargetClass.CONE:
         if choice == "simplex":
-            if data.P.any():
-                raise AnalyzerError("simplex cannot solve a nonzero quadratic")
-            return solve_lp_simplex(data, config.settings)
-        return solve_qp_admm(data, config.settings)
-    if choice == "simplex":
-        raise AnalyzerError("simplex cannot solve cone targets")
-    return solve_cone_admm(data, config.settings)
+            raise AnalyzerError("simplex cannot solve cone targets")
+        return solve_cone_admm(data, config.settings)
+    if choice == "simplex" or (choice == "auto" and target is TargetClass.LP):
+        return solve_lp_simplex(data, config.settings)
+    return solve_qp_admm(data, config.settings)
 
 
-def _data_offset(data) -> float:
-    if isinstance(data, QpProgramData):
-        return data.r
-    if isinstance(data, (LpProgramData, ConeProgramData)):
-        return data.offset
-    raise AnalyzerError(f"unknown standard form {type(data).__name__}")
-
-
-def _raw_to_solution(raw: RawSolution, data) -> Solution:
+def _raw_to_solution(raw: RawSolution, data: ProgramData) -> Solution:
     if raw.status is Status.INFEASIBLE:
         return infeasible_solution(raw.message)
     if raw.status is Status.UNBOUNDED:
@@ -208,7 +188,7 @@ def _raw_to_solution(raw: RawSolution, data) -> Solution:
     for decl in data.variables:
         start, length = data.var_offsets[decl.id]
         primal[decl.id] = np.array(raw.x[start:start + length], dtype=float)
-    value = raw.value + _data_offset(data)
+    value = raw.value + data.offset
     return Solution(raw.status, float(value), primal, raw.message)
 
 

@@ -18,9 +18,7 @@ import numpy as np
 from .analyzer import (AnalyzerError, RewriterConfig, TargetClass,
                        select_target, solve_problem)
 from .parsing import ParseError, parse_problem
-from .reductions.cone import ConeProgramData
 from .reductions.framework import ReductionError, Status
-from .reductions.qp import LpProgramData, QpProgramData
 from .solvers import SolverSettings
 
 __all__ = ["EmitDocument", "main", "entrypoint", "render_json"]
@@ -96,25 +94,20 @@ def _named_offsets(data) -> dict[str, list[int]]:
     return out
 
 
-def _data_payload(data) -> tuple[str, dict]:
-    if isinstance(data, LpProgramData):
-        return "lp", {
-            "c": data.c, "G": data.G, "h": data.h, "A": data.A, "b": data.b,
-            "offset": data.offset, "var_offsets": _named_offsets(data),
-        }
-    if isinstance(data, QpProgramData):
-        return "qp", {
-            "P": data.P, "q": data.q, "r": data.r, "G": data.G, "h": data.h,
-            "A": data.A, "b": data.b, "var_offsets": _named_offsets(data),
-        }
-    if isinstance(data, ConeProgramData):
-        return "cone", {
-            "c": data.c, "A": data.A, "b": data.b,
-            "cones": {"zero": data.cones.zero, "nonneg": data.cones.nonneg,
+def _data_payload(data, target: str) -> dict:
+    """The lp and qp layouts split the rows at ``cones.zero`` into A, b, G, h."""
+    zero, offsets = data.cones.zero, _named_offsets(data)
+    A, b, G, h = data.A[:zero], data.b[:zero], data.A[zero:], data.b[zero:]
+    if target == "lp":
+        return {"c": data.q, "G": G, "h": h, "A": A, "b": b,
+                "offset": data.offset, "var_offsets": offsets}
+    if target == "qp":
+        return {"P": data.P, "q": data.q, "r": data.offset, "G": G, "h": h,
+                "A": A, "b": b, "var_offsets": offsets}
+    return {"c": data.q, "A": data.A, "b": data.b,
+            "cones": {"zero": zero, "nonneg": data.cones.nonneg,
                       "soc": list(data.cones.soc)},
-            "offset": data.offset, "var_offsets": _named_offsets(data),
-        }
-    raise TypeError(f"no emission for {type(data).__name__}")
+            "offset": data.offset, "var_offsets": offsets}
 
 
 @dataclass(frozen=True)
@@ -134,8 +127,9 @@ class EmitDocument:
 
 
 def emit_document(data, chain_names) -> EmitDocument:
-    target, payload = _data_payload(data)
-    return EmitDocument(target, tuple(chain_names), payload)
+    """``data`` in the layout of the chain's last step: stuff_lp writes lp."""
+    target = chain_names[-1].removeprefix("stuff_")
+    return EmitDocument(target, tuple(chain_names), _data_payload(data, target))
 
 
 def _report_lines(report) -> list[str]:

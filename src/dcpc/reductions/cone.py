@@ -1,8 +1,9 @@
 """Conic canonicalization: Smith form, relaxation, graph expansion, stuffing.
 
-The pipeline lowers a DCP problem to ``minimize c'x + offset  s.t.  b - Ax in
+The pipeline lowers a DCP problem to ``minimize q'x + offset  s.t.  b - Ax in
 K`` where K stacks a zero cone, a nonnegative orthant, and second-order cones,
-in that fixed block order.
+in that fixed block order.  ``ProgramData`` holds that form, with a quadratic
+term ``P`` added, for every target: LP and QP stuffing write it too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .standard import (CanonConstraint, CanonStage, scalar_components,
 
 __all__ = [
     "SmithProblem", "SmithTransform", "RelaxSmith", "GraphExpand",
-    "ConeDims", "ConeProgramData", "StuffCone", "stack_variables",
+    "ConeDims", "ProgramData", "StuffCone", "stack_variables", "stack_rows",
     "affine_row_data", "require_finite",
 ]
 
@@ -233,30 +234,42 @@ class ConeDims:
 
 
 @dataclass(frozen=True)
-class ConeProgramData:
-    """minimize c'x + offset  subject to  b - Ax in K."""
+class ProgramData:
+    """minimize ½xᵀPx + qᵀx + offset  subject to  b - Ax in K.
 
-    c: np.ndarray
+    K is ``cones``: equality rows, then inequality rows, then SOC blocks.  An
+    LP has no ``P`` (None) and no SOC, a QP no SOC, a cone program no ``P``.
+    """
+
+    P: np.ndarray | None
+    q: np.ndarray
+    offset: float
     A: np.ndarray
     b: np.ndarray
     cones: ConeDims
-    offset: float
     var_offsets: dict[int, tuple[int, int]]
     variables: tuple[ex.VariableDecl, ...]
 
-    @property
-    def num_vars(self) -> int:
-        return self.c.shape[0]
-
-    @property
-    def num_rows(self) -> int:
-        return self.A.shape[0]
+    def __post_init__(self):
+        m, n = self.cones.total, self.q.size
+        if self.A.shape != (m, n) or self.b.shape != (m,):
+            raise ValueError(f"A {self.A.shape} and b {self.b.shape} do not "
+                             f"fit {m} cone rows over {n} variables")
+        if self.P is not None and self.P.shape != (n, n):
+            raise ValueError(f"P {self.P.shape} does not fit {n} variables")
 
 
 def stack_variables(variables) -> tuple[dict[int, tuple[int, int]], int]:
     """``({id: (start, dim)}, width)`` for the variables stacked in order."""
     starts = np.cumsum([0] + [v.dim for v in variables])
     return {v.id: (int(s), v.dim) for v, s in zip(variables, starts)}, int(starts[-1])
+
+
+def stack_rows(blocks, width) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, b)`` from ``(M, k)`` row blocks, stacked in order in one copy."""
+    if not blocks:
+        return np.zeros((0, width)), np.zeros(0)
+    return np.vstack([M for M, _ in blocks]), np.concatenate([k for _, k in blocks])
 
 
 def require_finite(where: str, *arrays) -> None:
@@ -270,9 +283,11 @@ def affine_row_data(expr: ex.ExpressionNode,
                     width: int, where: str = "expression") -> tuple[np.ndarray, np.ndarray]:
     """Dense rows M and constant k with ``expr == M x + k`` over the stack.
 
-    Every stuffer builds its rows here, so the finiteness check is here too.
+    Every stuffer builds its rows here, so the finiteness check is here too;
+    an overflow is reported by that check, not by a numpy warning.
     """
-    coeffs, const = ex.affine_coefficients(expr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs, const = ex.affine_coefficients(expr)
     M = np.zeros((expr.dim, width))
     for vid, block in coeffs.items():
         start, length = var_offsets[vid]
@@ -317,19 +332,14 @@ class StuffCone(Reduction):
         zero = [c for c in stage.constraints if c.kind == "zero"]
         nonneg = [c for c in stage.constraints if c.kind == "nonneg"]
         soc = [c for c in stage.constraints if c.kind == "soc"]
-        blocks = [*rows_of(zero, +1.0), *rows_of(nonneg, -1.0), *rows_of(soc, -1.0)]
-        if blocks:
-            A = np.vstack([M for M, _ in blocks])
-            b = np.concatenate([k for _, k in blocks])
-        else:
-            A = np.zeros((0, width))
-            b = np.zeros(0)
+        A, b = stack_rows([*rows_of(zero, +1.0), *rows_of(nonneg, -1.0),
+                           *rows_of(soc, -1.0)], width)
         c_row, offset = affine_row_data(stage.objective, var_offsets, width, "objective")
         dims = ConeDims(sum(c.expr.dim for c in zero),
                         sum(c.expr.dim for c in nonneg),
                         tuple(1 + c.soc_x_dim for c in soc))
-        data = ConeProgramData(c_row[0], A, b, dims, float(offset[0]),
-                               var_offsets, tuple(stage.variables))
+        data = ProgramData(None, c_row[0], float(offset[0]), A, b, dims,
+                           var_offsets, tuple(stage.variables))
         return data, self._record()
 
     def retrieve(self, solution, record):

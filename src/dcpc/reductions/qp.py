@@ -12,18 +12,17 @@ the size of the data it emits, not rows times width squared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .. import expressions as ex
-from .cone import affine_row_data, require_finite, stack_variables
+from .cone import (ConeDims, ProgramData, affine_row_data, require_finite,
+                   stack_rows, stack_variables)
 from .framework import Reduction, ReductionChain, ReductionError
 from .standard import EliminatePwlAtoms, MoveToLhs, is_zero_constant
 
 __all__ = [
     "PathNfa", "qp_applicable", "uses_quadratic_atom",
-    "quadratic_form", "QpProgramData", "LpProgramData", "StuffQp", "StuffLp",
+    "quadratic_form", "StuffQp", "StuffLp",
     "qp_chain", "canonicalize_qp",
 ]
 
@@ -231,53 +230,21 @@ def quadratic_form(expr: ex.ExpressionNode,
     """(P, q, r) with ``expr == ½xᵀPx + qᵀx + r`` for a scalar expression."""
     if expr.dim != 1:
         raise ReductionError("quadratic extraction needs a scalar expression")
-    (keys, vals), Q, k = _quad_pieces(expr, var_offsets, width)
+    with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
+        (keys, vals), Q, k = _quad_pieces(expr, var_offsets, width)
     require_finite("objective", vals, Q, k)
     P = np.bincount(keys, vals, width * width).reshape(width, width)
     return 0.5 * (P + P.T), Q[0], float(k[0])
 
 
-@dataclass(frozen=True)
-class QpProgramData:
-    """minimize ½xᵀPx + qᵀx + r  subject to  Gx <= h, Ax == b."""
-
-    P: np.ndarray
-    q: np.ndarray
-    r: float
-    G: np.ndarray
-    h: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    var_offsets: dict[int, tuple[int, int]]
-    variables: tuple[ex.VariableDecl, ...]
-
-    @property
-    def num_vars(self) -> int:
-        return self.q.shape[0]
-
-
-@dataclass(frozen=True)
-class LpProgramData:
-    """minimize cᵀx + offset  subject to  Gx <= h, Ax == b."""
-
-    c: np.ndarray
-    G: np.ndarray
-    h: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    offset: float
-    var_offsets: dict[int, tuple[int, int]]
-    variables: tuple[ex.VariableDecl, ...]
-
-    @property
-    def num_vars(self) -> int:
-        return self.c.shape[0]
-
-
 def _stack_moved_constraints(problem):
-    """(G, h, A, b, var_offsets, width) from a moved-to-LHS problem."""
+    """(A, b, cones, var_offsets, width) from a moved-to-LHS problem.
+
+    Rows ``Mx + k == 0`` come first, then rows ``Mx + k <= 0``, each as
+    ``A = M, b = -k``.
+    """
     var_offsets, width = stack_variables(problem.variables)
-    ineq_rows, eq_rows = [], []
+    eq_rows, ineq_rows = [], []
     for c in problem.constraints:
         M, k = affine_row_data(c.lhs, var_offsets, width, f"constraint {c.id}")
         if c.lhs.dim != c.dim:  # scalar side of a broadcast constraint
@@ -285,14 +252,10 @@ def _stack_moved_constraints(problem):
             k = np.broadcast_to(k, (c.dim,))
         target = eq_rows if c.relation is ex.Relation.EQ else ineq_rows
         target.append((M, -k))
-    def stack(rows):
-        if rows:
-            return (np.vstack([M for M, _ in rows]),
-                    np.concatenate([k for _, k in rows]))
-        return np.zeros((0, width)), np.zeros(0)
-    G, h = stack(ineq_rows)
-    A, b = stack(eq_rows)
-    return G, h, A, b, var_offsets, width
+    A, b = stack_rows(eq_rows + ineq_rows, width)
+    cones = ConeDims(sum(k.size for _, k in eq_rows),
+                     sum(k.size for _, k in ineq_rows), ())
+    return A, b, cones, var_offsets, width
 
 
 def _is_moved_form(problem) -> bool:
@@ -324,10 +287,10 @@ class StuffQp(Reduction):
 
     def apply(self, problem):
         self._check(problem)
-        G, h, A, b, var_offsets, width = _stack_moved_constraints(problem)
+        A, b, cones, var_offsets, width = _stack_moved_constraints(problem)
         P, q, r = quadratic_form(problem.objective, var_offsets, width)
-        data = QpProgramData(P, q, r, G, h, A, b, var_offsets,
-                             tuple(problem.variables))
+        data = ProgramData(P, q, r, A, b, cones, var_offsets,
+                           tuple(problem.variables))
         return data, self._record()
 
     def retrieve(self, solution, record):
@@ -347,10 +310,10 @@ class StuffLp(Reduction):
 
     def apply(self, problem):
         self._check(problem)
-        G, h, A, b, var_offsets, width = _stack_moved_constraints(problem)
+        A, b, cones, var_offsets, width = _stack_moved_constraints(problem)
         crow, const = affine_row_data(problem.objective, var_offsets, width, "objective")
-        data = LpProgramData(crow[0], G, h, A, b, float(const[0]),
-                             var_offsets, tuple(problem.variables))
+        data = ProgramData(None, crow[0], float(const[0]), A, b, cones,
+                           var_offsets, tuple(problem.variables))
         return data, self._record()
 
     def retrieve(self, solution, record):
@@ -363,7 +326,7 @@ def qp_chain() -> ReductionChain:
 
 
 def canonicalize_qp(problem: ex.ProblemForm):
-    """Lower a QP-applicable problem to QpProgramData via the standard chain."""
+    """Lower a QP-applicable problem to ProgramData via the standard chain."""
     if not qp_applicable(problem):
         raise ReductionError("problem is not QP-applicable")
     return qp_chain().apply(problem)

@@ -19,9 +19,8 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dger
 from scipy.sparse.linalg import splu
 
-from .reductions.cone import ConeDims, ConeProgramData
+from .reductions.cone import ConeDims, ProgramData
 from .reductions.framework import Status
-from .reductions.qp import LpProgramData, QpProgramData
 
 __all__ = ["SolverSettings", "RawSolution", "solve_lp_simplex",
            "solve_qp_admm", "solve_cone_admm", "project_cone"]
@@ -46,12 +45,13 @@ class SolverSettings:
     def __post_init__(self):
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.eps_abs <= 0 or self.eps_rel <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.eps_abs, self.eps_rel)):
+            raise ValueError("tolerances must be positive and finite")
         if not 0.0 < self.alpha < 2.0:
             raise ValueError("alpha must lie in (0, 2)")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("rho must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,6 @@ def _factor(matrix: sp.spmatrix):
     factor = splu(matrix)
     return factor, {"factor_s": time.perf_counter() - start,
                     "factor_nnz": factor.L.nnz + factor.U.nnz}
-
-
-def _lp_view(data) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(data, QpProgramData):
-        if data.P.any():
-            raise ValueError("simplex requires P == 0")
-        return data.q, data.G, data.h, data.A, data.b
-    if isinstance(data, LpProgramData):
-        return data.c, data.G, data.h, data.A, data.b
-    raise TypeError(f"not an LP payload: {type(data).__name__}")
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -128,20 +118,27 @@ def _run_phase(T: np.ndarray, basis: np.ndarray, allowed: int,
     return "limit", budget
 
 
-def solve_lp_simplex(data, settings: SolverSettings = SolverSettings()) -> RawSolution:
+def solve_lp_simplex(data: ProgramData,
+                     settings: SolverSettings = SolverSettings()) -> RawSolution:
     """Two-phase dense tableau simplex with Dantzig pricing and a Bland fallback.
 
-    Free variables are split into nonnegative pairs and inequality rows get
-    slacks, giving the equality standard form that the tableau iterates on.
+    It takes ``min qᵀx  s.t.  b - Ax ∈ Zero × NonNeg``: no nonzero ``P`` and
+    no SOC rows.  Free variables are split into nonnegative pairs and
+    inequality rows ``Gx <= h`` get slacks, giving the equality standard form
+    that the tableau iterates on.
     Phase one starts from the slack basis on rows with ``h >= 0``; only rows
     with ``h < 0`` and equality rows get artificial variables, and an
     optimum of their sum above 1e-9 certifies infeasibility.  Both phases
     price as ``_run_phase`` says, so the method terminates.
     """
-    c, G, h, A, b = _lp_view(data)
-    n = c.shape[0]
-    mG, mA = G.shape[0], A.shape[0]
-    m = mG + mA
+    if data.P is not None and data.P.any():
+        raise ValueError("simplex cannot solve a nonzero quadratic: it requires P == 0")
+    if data.cones.soc:
+        raise ValueError("simplex cannot solve second-order cone rows")
+    c, mA = data.q, data.cones.zero
+    G, h, A, b = data.A[mA:], data.b[mA:], data.A[:mA], data.b[:mA]
+    m, n = data.A.shape
+    mG = m - mA
     N = 2 * n + mG  # columns [u (n), v (n), slack (mG)], x = u - v
     rhs = np.concatenate([h, b]).astype(float)
     art = np.flatnonzero(np.concatenate([h < 0, np.ones(mA, dtype=bool)]))
@@ -193,23 +190,25 @@ def solve_lp_simplex(data, settings: SolverSettings = SolverSettings()) -> RawSo
     return RawSolution(Status.OPTIMAL, x, float(c @ x), used + used2)
 
 
-def solve_qp_admm(data: QpProgramData,
+def solve_qp_admm(data: ProgramData,
                   settings: SolverSettings = SolverSettings()) -> RawSolution:
-    """Operator splitting for ``min ½xᵀPx + qᵀx  s.t.  Ax = b, Gx <= h``.
+    """Operator splitting for ``min ½xᵀPx + qᵀx  s.t.  b - Ax ∈ Zero × NonNeg``.
 
-    The quasi-definite KKT matrix is assembled sparse and factored once; each
-    iteration is one solve with that factor and one interval projection, with
-    over-relaxation ``alpha``.  Equality rows carry a stiffer penalty than
-    inequality rows, which speeds their convergence without changing the fixed
-    points.
+    With ``z = Ax`` the constraint is the interval ``lower <= z <= b``, where
+    ``lower`` is ``b`` on the zero rows and ``-inf`` on the rest; SOC rows are
+    rejected.  The quasi-definite KKT matrix is assembled sparse and factored
+    once; each iteration is one solve with that factor and one interval
+    projection, with over-relaxation ``alpha``.  Equality rows carry a
+    stiffer penalty than inequality rows, which speeds their convergence
+    without changing the fixed points.
     """
-    P, q = data.P, data.q
-    n = q.shape[0]
-    M = sp.vstack([sp.csr_matrix(data.A), sp.csr_matrix(data.G)], format="csr")
-    mA = data.A.shape[0]
-    m = M.shape[0]
-    lower = np.concatenate([data.b, np.full(data.h.shape, -math.inf)])
-    upper = np.concatenate([data.b, data.h])
+    if data.cones.soc:
+        raise ValueError("QP splitting cannot solve second-order cone rows")
+    q, mA, upper = data.q, data.cones.zero, data.b
+    m, n = data.A.shape
+    P = np.zeros((n, n)) if data.P is None else data.P
+    M = sp.csr_matrix(data.A)
+    lower = np.concatenate([upper[:mA], np.full(m - mA, -math.inf)])
 
     if n == 0:
         feasible = bool(np.all(lower <= 1e-9) and np.all(upper >= -1e-9))
@@ -293,9 +292,9 @@ def project_cone(v: np.ndarray, cones: ConeDims, plan=None) -> np.ndarray:
     return out
 
 
-def solve_cone_admm(data: ConeProgramData,
+def solve_cone_admm(data: ProgramData,
                     settings: SolverSettings = SolverSettings()) -> RawSolution:
-    """Operator splitting for ``min cᵀx  s.t.  b - Ax ∈ K``.
+    """Operator splitting for ``min qᵀx  s.t.  b - Ax ∈ K``, with no ``P``.
 
     With slack ``s = b - Ax`` the iteration alternates a solve with the
     normal equations ``σI + ρAᵀA`` (sparse, factored once) for x, a batched
@@ -305,7 +304,9 @@ def solve_cone_admm(data: ConeProgramData,
     dual iterates signals an infeasible or unbounded problem, reported as an
     error with a diagnostic (these solvers produce no certificates).
     """
-    A, b, c = data.A, data.b, data.c
+    if data.P is not None and data.P.any():
+        raise ValueError("cone splitting cannot solve a nonzero quadratic")
+    A, b, c = data.A, data.b, data.q
     m, n = A.shape
     if n == 0:
         s = project_cone(b, data.cones)

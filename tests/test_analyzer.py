@@ -169,7 +169,7 @@ class TestSolveProblem:
         assert out.solution.value == pytest.approx(1.0, abs=1e-4)
 
     def test_simplex_refuses_true_quadratics(self):
-        with pytest.raises(AnalyzerError, match="quadratic"):
+        with pytest.raises(ValueError, match="quadratic"):
             solve_problem(hinge_square_problem(), RewriterConfig(
                 forced_target=TargetClass.QP, solver="simplex"))
 

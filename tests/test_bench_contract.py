@@ -1,0 +1,107 @@
+"""The benchmark's traced path against the library's own entry points.
+
+``bench/run.py --trace 1`` runs each chain member, the solver and retrieval
+itself and reads the stuffed ``ProgramData`` fields directly, so a change to
+the container can break the benchmark without breaking any library call.
+This runs that path on one tiny problem per target and checks it against
+``emit_document`` and ``solve_problem``.
+"""
+
+import importlib.util
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dcpc.analyzer import select_target, solve_problem
+from dcpc.cli import emit_document
+from dcpc.parsing import parse_problem
+
+RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+
+PROBLEMS = {
+    "lp": """\
+var alice;
+var bob;
+minimize max(alice + bob + 2, -alice - bob);
+subject to
+  alice <= 0;
+  bob == -0.5;
+""",
+    "qp": """\
+var x[2];
+minimize sum_squares(x - [1, 2]) + abs(x[0]);
+subject to
+  x[0] + x[1] == 1;
+  x <= 5;
+""",
+    "cone": """\
+var x[2];
+minimize norm2(x - [1, 2]);
+subject to
+  x[0] + x[1] == 1;
+  x >= -5;
+""",
+}
+
+MATRICES = ("P", "q", "c", "G", "h", "A", "b")
+
+
+@pytest.fixture(scope="module")
+def bench():
+    environ = dict(os.environ)  # run.py pins BLAS threads when imported
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", RUN_PY)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        os.environ.clear()
+        os.environ.update(environ)
+    return module, module.Api()
+
+
+def library_document(text):
+    problem = parse_problem(text)
+    report = select_target(problem)
+    data, _ = report.chain.apply(problem)
+    return emit_document(data, report.chain_names).render()
+
+
+@pytest.mark.parametrize("target", PROBLEMS)
+def test_traced_document_matches_emit_document(bench, target):
+    run, api = bench
+    tracer = run.Tracer()
+    doc = run.traced_canonicalize(api, tracer, PROBLEMS[target])
+    assert doc == library_document(PROBLEMS[target])
+    assert json.loads(doc)["target"] == target
+    assert tracer.counts["cli.emit_bytes"] == len(doc.encode())
+
+
+@pytest.mark.parametrize("target", PROBLEMS)
+def test_stuffed_nonzeros_match_the_document(bench, target):
+    run, api = bench
+    tracer = run.Tracer()
+    doc = json.loads(run.traced_canonicalize(api, tracer, PROBLEMS[target]))
+    emitted = sum(int(np.count_nonzero(np.asarray(doc["data"][key], dtype=float)))
+                  for key in MATRICES if key in doc["data"])
+    assert emitted > 0
+    assert tracer.counts[f"reductions.stuff_{target}.nnz"] == emitted
+
+
+@pytest.mark.parametrize("target", PROBLEMS)
+def test_traced_solve_matches_solve_problem(bench, target):
+    run, api = bench
+    tracer = run.Tracer()
+    problem, traced = run.traced_solve(api, tracer, PROBLEMS[target])
+    outcome = solve_problem(problem)
+    expected = outcome.solution
+    assert outcome.report.target.name.lower() == target
+    assert traced.status is expected.status
+    assert traced.value == expected.value
+    assert traced.primal.keys() == expected.primal.keys()
+    for var_id, vec in expected.primal.items():
+        np.testing.assert_array_equal(traced.primal[var_id], vec)
+    label, _ = api.solvers[outcome.report.target]
+    assert tracer.counts[f"solvers.{label}.iterations"] == outcome.raw.iterations

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,15 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("flag,value", [("--eps-abs", "inf"),
+                                            ("--eps-rel", "nan")])
+    def test_non_finite_tolerance_exits_7(self, write, flag, value):
+        # An infinite tolerance would let any iterate pass as "optimal".
+        code, out, err = run_cli("solve", write(TOY), flag, value)
+        assert code == 7
+        assert out == ""
+        assert err == "error: tolerances must be positive and finite\n"
+
 
 class TestNumericOverflow:
     @pytest.mark.parametrize("literal", ["var x[1e400]; minimize 1;",
@@ -277,7 +287,8 @@ class TestNumericOverflow:
         ("auto", "constraint 0"), ("qp", "constraint 0"), ("cone", "cone constraint 0")])
     def test_overflowing_coefficient_exits_7(self, write, command, target, where):
         path = write("var x; maximize x; subject to x*1e200*1e200 <= 1;")
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may escape
             code, out, err = run_cli(command, path, "--target", target)
         assert code == 7
         assert out == ""

@@ -243,7 +243,8 @@ class TestStuffCone:
                                 StuffCone()])
         data, _ = chain.apply(toy_problem())
         assert [v.name for v in data.variables] == ["alice", "bob", "_t2"]
-        np.testing.assert_array_equal(data.c, [0.0, 0.0, 1.0])
+        assert data.P is None
+        np.testing.assert_array_equal(data.q, [0.0, 0.0, 1.0])
         assert data.cones == ConeDims(zero=1, nonneg=3, soc=())
         # zero block carries the equality row, then the orthant block holds
         # the two epigraph rows and the user inequality
@@ -259,10 +260,10 @@ class TestStuffCone:
         chain = ReductionChain([SmithTransform(), RelaxSmith(), GraphExpand(),
                                 StuffCone()])
         data, _ = chain.apply(parse_problem("var x[2]; minimize norm2(x);"))
-        assert data.num_vars == 3
-        np.testing.assert_array_equal(data.c, [0.0, 0.0, 1.0])
+        assert data.q.size == 3
+        np.testing.assert_array_equal(data.q, [0.0, 0.0, 1.0])
         assert data.cones.soc == (3,)
-        assert data.cones.total == data.num_rows == 3
+        assert data.cones.total == data.A.shape[0] == 3
 
     def test_no_constraints_gives_empty_rows(self):
         chain = ReductionChain([SmithTransform(), RelaxSmith(), GraphExpand(),
@@ -278,7 +279,7 @@ class TestStuffCone:
         data, _ = chain.apply(
             parse_problem("var x; minimize x + 41; subject to x >= 1;"))
         assert data.offset == 41.0
-        np.testing.assert_array_equal(data.c, [1.0])
+        np.testing.assert_array_equal(data.q, [1.0])
 
     def test_stuffing_is_deterministic(self):
         def stuff():
@@ -289,7 +290,7 @@ class TestStuffCone:
         a, b = stuff(), stuff()
         assert a.A.tobytes() == b.A.tobytes()
         assert a.b.tobytes() == b.b.tobytes()
-        assert a.c.tobytes() == b.c.tobytes()
+        assert a.q.tobytes() == b.q.tobytes()
 
     def test_soc_slack_identity(self):
         # b - Ax must reproduce (t, x...) for the norm2 cone

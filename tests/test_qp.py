@@ -13,8 +13,8 @@ from dcpc.cli import main as cli_main
 from dcpc.parsing import parse_problem, print_problem
 from dcpc.reductions.cone import affine_row_data, stack_variables
 from dcpc.reductions.framework import ReductionError, Solution, Status
-from dcpc.reductions.qp import (LpProgramData, PathNfa, StuffLp, StuffQp,
-                                canonicalize_qp, qp_applicable, qp_chain, quadratic_form,
+from dcpc.reductions.cone import ConeDims
+from dcpc.reductions.qp import (PathNfa, StuffLp, StuffQp, canonicalize_qp, qp_applicable, qp_chain, quadratic_form,
                                 uses_quadratic_atom)
 from dcpc.reductions.framework import ReductionChain
 from dcpc.reductions.standard import EliminatePwlAtoms, MoveToLhs
@@ -417,12 +417,13 @@ class TestCanonicalizeQp:
         assert [v.name for v in data.variables] == ["alice", "bob", "_t2"]
         np.testing.assert_array_equal(data.P, np.zeros((3, 3)))
         np.testing.assert_array_equal(data.q, [0.0, 0.0, 1.0])
-        assert data.r == 0.0
+        assert data.offset == 0.0
+        # Ax == b rows first, then Gx <= h.
+        assert data.cones == ConeDims(1, 3, ())
         np.testing.assert_array_equal(
-            data.G, [[1.0, 1.0, -1.0], [-1.0, -1.0, -1.0], [1.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(data.h, [-2.0, 0.0, 0.0])
-        np.testing.assert_array_equal(data.A, [[0.0, 1.0, 0.0]])
-        np.testing.assert_array_equal(data.b, [-0.5])
+            data.A, [[0.0, 1.0, 0.0],
+                     [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0], [1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(data.b, [-0.5, -2.0, 0.0, 0.0])
         assert data.var_offsets == {0: (0, 1), 1: (1, 1), 2: (2, 1)}
 
     def test_hinge_square_data(self):
@@ -431,13 +432,12 @@ class TestCanonicalizeQp:
         np.testing.assert_array_equal(
             data.P, [[0.0, 0.0, 0.0], [0.0, 2.0, 2.0], [0.0, 2.0, 2.0]])
         np.testing.assert_array_equal(data.q, np.zeros(3))
-        assert data.r == 0.0
+        assert data.offset == 0.0
+        assert data.cones == ConeDims(0, 4, ())  # no equality rows
         np.testing.assert_array_equal(
-            data.G, [[1.0, -1.0, 0.0], [0.0, -1.0, 0.0],
+            data.A, [[1.0, -1.0, 0.0], [0.0, -1.0, 0.0],
                      [1.0, 0.0, -1.0], [0.0, 0.0, -1.0]])
-        np.testing.assert_array_equal(data.h, [0.0, 0.0, 1.0, 0.0])
-        assert data.A.shape == (0, 3)
-        assert data.b.shape == (0,)
+        np.testing.assert_array_equal(data.b, [0.0, 0.0, 1.0, 0.0])
 
     def test_rejects_outside_fragment(self):
         d = ex.VariableDecl(0, "v", 2)
@@ -466,10 +466,10 @@ class TestCanonicalizeQp:
         for _ in range(50):
             x = float(rng.uniform(-2.0, 3.0))
             stacked = np.array([x, max(x, 0.0), max(x - 1.0, 0.0)])
-            model = 0.5 * stacked @ data.P @ stacked + data.q @ stacked + data.r
+            model = 0.5 * stacked @ data.P @ stacked + data.q @ stacked + data.offset
             truth = (max(x, 0.0) + max(x - 1.0, 0.0)) ** 2
             assert model == pytest.approx(truth, abs=1e-12)
-            assert (data.G @ stacked <= data.h + 1e-12).all()
+            assert (data.A @ stacked <= data.b + 1e-12).all()
 
 
 class TestHessianProbe:
@@ -491,13 +491,13 @@ class TestStuffLp:
 
     def test_toy_problem_lp_data(self):
         data, _ = self.lp_chain().apply(toy_problem())
-        assert isinstance(data, LpProgramData)
-        np.testing.assert_array_equal(data.c, [0.0, 0.0, 1.0])
+        assert data.P is None
+        np.testing.assert_array_equal(data.q, [0.0, 0.0, 1.0])
+        assert data.cones == ConeDims(1, 3, ())
         np.testing.assert_array_equal(
-            data.G, [[1.0, 1.0, -1.0], [-1.0, -1.0, -1.0], [1.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(data.h, [-2.0, 0.0, 0.0])
-        np.testing.assert_array_equal(data.A, [[0.0, 1.0, 0.0]])
-        np.testing.assert_array_equal(data.b, [-0.5])
+            data.A, [[0.0, 1.0, 0.0],
+                     [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0], [1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(data.b, [-0.5, -2.0, 0.0, 0.0])
         assert data.offset == 0.0
         assert data.var_offsets == {0: (0, 1), 1: (1, 1), 2: (2, 1)}
 
@@ -507,7 +507,7 @@ class TestStuffLp:
         cons = [(x, ex.Relation.LE, ex.constant(1.0))]
         p = ex.make_problem(ex.Sense.MINIMIZE, obj, cons, [decl])
         data, _ = self.lp_chain().apply(p)
-        np.testing.assert_array_equal(data.c, [1.0])
+        np.testing.assert_array_equal(data.q, [1.0])
         assert data.offset == 7.0
 
     def test_rejects_quadratic_objective(self):

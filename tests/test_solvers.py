@@ -11,40 +11,40 @@ from scipy.optimize import linprog
 from dcpc import expressions as ex, solvers
 from dcpc.analyzer import RewriterConfig, TargetClass, solve_problem
 from dcpc.parsing import parse_problem
-from dcpc.reductions.cone import ConeDims, ConeProgramData
+from dcpc.reductions.cone import ConeDims, ProgramData
 from dcpc.reductions.framework import Status
-from dcpc.reductions.qp import LpProgramData, QpProgramData, canonicalize_qp
+from dcpc.reductions.qp import canonicalize_qp
 from dcpc.solvers import (RawSolution, SolverSettings, project_cone,
                           solve_cone_admm, solve_lp_simplex, solve_qp_admm)
 
 from helpers import toy_problem, hinge_square_problem
 
 
-def lp_data(c, G, h, A=None, b=None, offset=0.0):
-    c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2:
-        G = G.reshape(-1, n)
-    h = np.asarray(h, dtype=float)
-    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float).reshape(-1, n)
+def _rows(x, n):
+    x = np.zeros((0, n)) if x is None else np.asarray(x, dtype=float)
+    return x if x.ndim == 2 else x.reshape(-1, n)
+
+
+def program_data(P, q, offset=0.0, G=None, h=None, A=None, b=None):
+    """``min ½xᵀPx + qᵀx + offset  s.t.  Gx <= h, Ax == b`` as ProgramData."""
+    q = np.asarray(q, dtype=float)
+    n = q.shape[0]
+    G, A = _rows(G, n), _rows(A, n)
+    h = np.zeros(0) if h is None else np.asarray(h, dtype=float)
     b = np.zeros(0) if b is None else np.asarray(b, dtype=float)
     offsets = {i: (i, 1) for i in range(n)}
     decls = tuple(ex.VariableDecl(i, f"x{i}") for i in range(n))
-    return LpProgramData(c, G, h, A, b, offset, offsets, decls)
+    return ProgramData(P, q, offset, np.vstack([A, G]), np.concatenate([b, h]),
+                       ConeDims(A.shape[0], G.shape[0], ()), offsets, decls)
+
+
+def lp_data(c, G, h, A=None, b=None, offset=0.0):
+    return program_data(None, c, offset, G, h, A, b)
 
 
 def qp_data(P, q, r=0.0, G=None, h=None, A=None, b=None):
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    P = np.asarray(P, dtype=float).reshape(n, n)
-    G = np.zeros((0, n)) if G is None else np.asarray(G, dtype=float).reshape(-1, n)
-    h = np.zeros(0) if h is None else np.asarray(h, dtype=float)
-    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float).reshape(-1, n)
-    b = np.zeros(0) if b is None else np.asarray(b, dtype=float)
-    offsets = {i: (i, 1) for i in range(n)}
-    decls = tuple(ex.VariableDecl(i, f"x{i}") for i in range(n))
-    return QpProgramData(P, q, r, G, h, A, b, offsets, decls)
+    n = len(q)
+    return program_data(np.asarray(P, dtype=float).reshape(n, n), q, r, G, h, A, b)
 
 
 def wide_qp_data(n):
@@ -56,10 +56,24 @@ def wide_qp_data(n):
     return canonicalize_qp(problem)[0]
 
 
-TOY_LP = lp_data(c=[0.0, 0.0, 1.0],
-                 G=[[1, 1, -1], [-1, -1, -1], [1, 0, 0]],
-                 h=[-2.0, 0.0, 0.0],
-                 A=[[0, 1, 0]], b=[-0.5])
+TOY = dict(G=[[1, 1, -1], [-1, -1, -1], [1, 0, 0]], h=[-2.0, 0.0, 0.0],
+           A=[[0, 1, 0]], b=[-0.5])
+TOY_LP = lp_data([0.0, 0.0, 1.0], **TOY)
+
+
+class TestProgramData:
+    @pytest.mark.parametrize("field,value", [
+        ("A", np.zeros((2, 3))),  # two rows for four cone rows
+        ("b", np.zeros(3)),
+        ("P", np.zeros((2, 2))),
+    ])
+    def test_shape_mismatch_is_rejected(self, field, value):
+        parts = dict(P=np.zeros((3, 3)), q=np.zeros(3), offset=0.0,
+                     A=np.zeros((4, 3)), b=np.zeros(4), cones=ConeDims(1, 3, ()),
+                     var_offsets={}, variables=())
+        ProgramData(**parts)
+        with pytest.raises(ValueError, match="fit"):
+            ProgramData(**{**parts, field: value})
 
 
 class TestSolverSettings:
@@ -71,6 +85,8 @@ class TestSolverSettings:
     @pytest.mark.parametrize("kwargs", [
         {"max_iterations": 0}, {"eps_abs": 0.0}, {"eps_rel": -1e-9},
         {"alpha": 0.0}, {"alpha": 2.0}, {"rho": 0.0},
+        {"eps_abs": math.inf}, {"eps_rel": math.inf}, {"eps_abs": math.nan},
+        {"eps_rel": math.nan}, {"rho": math.inf}, {"rho": math.nan},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -136,8 +152,7 @@ class TestSimplex:
             solve_lp_simplex(qp_data([[1.0]], [0.0]))
 
     def test_accepts_zero_quadratic_view(self):
-        data = qp_data(np.zeros((3, 3)), TOY_LP.c, G=TOY_LP.G, h=TOY_LP.h,
-                       A=TOY_LP.A, b=TOY_LP.b)
+        data = qp_data(np.zeros((3, 3)), [0.0, 0.0, 1.0], **TOY)
         raw = solve_lp_simplex(data)
         assert raw.value == pytest.approx(1.0, abs=1e-9)
 
@@ -243,16 +258,18 @@ class TestSimplex:
             outcome = solve_problem(problem)
             assert outcome.report.target is TargetClass.LP
             data, raw = outcome.data, outcome.raw
-            ref = linprog(data.c, A_ub=data.G, b_ub=data.h,
-                          A_eq=data.A if data.A.size else None,
-                          b_eq=data.b if data.b.size else None,
+            zero = data.cones.zero
+            G, h, A, b = data.A[zero:], data.b[zero:], data.A[:zero], data.b[:zero]
+            ref = linprog(data.q, A_ub=G, b_ub=h,
+                          A_eq=A if A.size else None,
+                          b_eq=b if b.size else None,
                           bounds=(None, None), method="highs")
             assert raw.status is statuses[ref.status], seed
             seen.add(raw.status)
             if ref.status == 0:
                 assert raw.value == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
-                assert np.all(data.G @ raw.x <= data.h + 1e-9)
-                np.testing.assert_allclose(data.A @ raw.x, data.b, atol=1e-9)
+                assert np.all(G @ raw.x <= h + 1e-9)
+                np.testing.assert_allclose(A @ raw.x, b, atol=1e-9)
         assert seen == {Status.OPTIMAL, Status.INFEASIBLE}
 
 
@@ -264,8 +281,7 @@ class TestQpAdmm:
         assert raw.value == pytest.approx(-0.5, abs=1e-4)
 
     def test_toy_lp_through_qp_solver(self):
-        data = qp_data(np.zeros((3, 3)), TOY_LP.c, G=TOY_LP.G, h=TOY_LP.h,
-                       A=TOY_LP.A, b=TOY_LP.b)
+        data = qp_data(np.zeros((3, 3)), [0.0, 0.0, 1.0], **TOY)
         raw = solve_qp_admm(data)
         assert raw.status is Status.OPTIMAL
         assert raw.value == pytest.approx(1.0, abs=1e-4)
@@ -287,17 +303,15 @@ class TestQpAdmm:
         data, _ = canonicalize_qp(hinge_square_problem())
         raw = solve_qp_admm(data)
         assert raw.status is Status.OPTIMAL
-        assert raw.value + data.r == pytest.approx(0.0, abs=1e-5)
-        assert (data.G @ raw.x <= data.h + 1e-5).all()
+        assert raw.value + data.offset == pytest.approx(0.0, abs=1e-5)
+        assert data.cones.zero == 0 and (data.A @ raw.x <= data.b + 1e-5).all()
 
     def test_zero_variable_problems(self):
-        ok = QpProgramData(np.zeros((0, 0)), np.zeros(0), 0.0,
-                           np.zeros((1, 0)), np.array([1.0]),
-                           np.zeros((0, 0)), np.zeros(0), {}, ())
+        ok = ProgramData(np.zeros((0, 0)), np.zeros(0), 0.0, np.zeros((1, 0)),
+                         np.array([1.0]), ConeDims(0, 1, ()), {}, ())
         assert solve_qp_admm(ok).status is Status.OPTIMAL
-        bad = QpProgramData(np.zeros((0, 0)), np.zeros(0), 0.0,
-                            np.zeros((1, 0)), np.array([-1.0]),
-                            np.zeros((0, 0)), np.zeros(0), {}, ())
+        bad = ProgramData(np.zeros((0, 0)), np.zeros(0), 0.0, np.zeros((1, 0)),
+                          np.array([-1.0]), ConeDims(0, 1, ()), {}, ())
         assert solve_qp_admm(bad).status is Status.INFEASIBLE
 
     def test_iteration_limit_status(self):
@@ -390,42 +404,38 @@ class TestConeAdmm:
         assert set(split.solution.primal) == {0}
 
     def test_zero_variable_problems(self):
-        feas = ConeProgramData(np.zeros(0), np.zeros((1, 0)), np.array([2.0]),
-                               ConeDims(0, 1, ()), 0.0, {}, ())
+        feas = ProgramData(None, np.zeros(0), 0.0, np.zeros((1, 0)),
+                           np.array([2.0]), ConeDims(0, 1, ()), {}, ())
         assert solve_cone_admm(feas).status is Status.OPTIMAL
-        infeas = ConeProgramData(np.zeros(0), np.zeros((1, 0)), np.array([-2.0]),
-                                 ConeDims(0, 1, ()), 0.0, {}, ())
+        infeas = ProgramData(None, np.zeros(0), 0.0, np.zeros((1, 0)),
+                             np.array([-2.0]), ConeDims(0, 1, ()), {}, ())
         assert solve_cone_admm(infeas).status is Status.INFEASIBLE
 
     def test_divergence_reports_error(self):
-        data = ConeProgramData(np.array([1.0]), np.array([[0.0]]),
-                               np.array([1.0]), ConeDims(1, 0, ()), 0.0,
-                               {0: (0, 1)}, ())
+        data = ProgramData(None, np.array([1.0]), 0.0, np.array([[0.0]]),
+                           np.array([1.0]), ConeDims(1, 0, ()), {0: (0, 1)}, ())
         raw = solve_cone_admm(data, SolverSettings(rho=1e4))
         assert raw.status is Status.ERROR
         assert "diverged" in raw.message
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_matrix_reports_error(self, bad):
-        data = ConeProgramData(np.array([1.0, 0.0]), np.array([[1.0, bad]]),
-                               np.array([1.0]), ConeDims(0, 1, ()), 0.0,
-                               {0: (0, 2)}, ())
+        data = ProgramData(None, np.array([1.0, 0.0]), 0.0, np.array([[1.0, bad]]),
+                           np.array([1.0]), ConeDims(0, 1, ()), {0: (0, 2)}, ())
         raw = solve_cone_admm(data)
         assert raw.status is Status.ERROR
         assert "normal-equations factorization failed: non-finite" in raw.message
 
     def test_factor_stats_reported(self):
-        data = ConeProgramData(np.array([1.0]), np.array([[-1.0]]),
-                               np.array([-2.0]), ConeDims(0, 1, ()), 0.0,
-                               {0: (0, 1)}, ())
+        data = ProgramData(None, np.array([1.0]), 0.0, np.array([[-1.0]]),
+                           np.array([-2.0]), ConeDims(0, 1, ()), {0: (0, 1)}, ())
         raw = solve_cone_admm(data)
         assert raw.status is Status.OPTIMAL and raw.x[0] == pytest.approx(2.0, abs=1e-4)
         assert raw.factor_s > 0.0 and raw.factor_nnz >= 1
 
     def test_iteration_limit_on_infeasible_rows(self):
-        data = ConeProgramData(np.array([1.0]), np.array([[0.0]]),
-                               np.array([1.0]), ConeDims(1, 0, ()), 0.0,
-                               {0: (0, 1)}, ())
+        data = ProgramData(None, np.array([1.0]), 0.0, np.array([[0.0]]),
+                           np.array([1.0]), ConeDims(1, 0, ()), {0: (0, 1)}, ())
         raw = solve_cone_admm(data, SolverSettings(max_iterations=100))
         assert raw.status is Status.ITERATION_LIMIT
 

@@ -487,8 +487,12 @@ def mul(a: ExpressionNode, b: ExpressionNode) -> ExpressionNode:
     if not (a.curvature.is_constant or b.curvature.is_constant):
         raise ExpressionError("non-constant * non-constant product is not allowed")
     const_side = a if a.curvature.is_constant else b
-    if (const_side.sign is Sign.ZERO if const_side.kind == "const"
-            else np.all(evaluate(const_side, {}) == 0.0)):
+    if const_side.kind == "const":
+        is_zero = const_side.sign is Sign.ZERO
+    else:  # an overflow here is reported later, by the finiteness checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            is_zero = np.all(evaluate(const_side, {}) == 0.0)
+    if is_zero:
         dim = _broadcast_dim((a, b), "mul_const")
         return constant(np.zeros(dim))
     return _apply_atom("mul_const", (a, b))

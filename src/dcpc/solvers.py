@@ -1,11 +1,11 @@
-"""Embedded desk-scale solvers: dense simplex, QP and cone operator splitting.
+"""Embedded desk-scale solvers: a dense simplex and one operator-splitting solver.
 
 The tableau simplex (slack start, Dantzig pricing with a Bland fallback, BLAS
 rank-1 pivots) gives vertex-exact LP answers, so canonicalization tests can
-assert tight tolerances; the two ADMM solvers cover quadratic and cone
-programs where a tableau method does not apply.  The data is dense; the ADMM
-solvers factor sparse (SuperLU) and project second-order cones in batches by
-size.  Everything is deterministic: no randomized pivoting, scaling, restarts.
+assert tight tolerances.  One OSQP-style ADMM covers QP and cone programs: it
+equilibrates the data, factors a sparse quasi-definite KKT matrix (SuperLU),
+projects second-order cones in batches by size, adapts its penalty, and
+certifies infeasibility and unboundedness.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -22,14 +22,16 @@ from scipy.sparse.linalg import splu
 from .reductions.cone import ConeDims, ProgramData
 from .reductions.framework import Status
 
-__all__ = ["SolverSettings", "RawSolution", "solve_lp_simplex",
+__all__ = ["SolverSettings", "RawSolution", "solve_lp_simplex", "solve_admm",
            "solve_qp_admm", "solve_cone_admm", "project_cone"]
 
 _PIVOT_TOL = 1e-9
 _DEGENERATE_RUN = 50  # degenerate Dantzig pivots before Bland's rule
 _SIGMA = 1e-6  # proximal regularization for the splitting solvers
 _EQ_RHO_SCALE = 1e3  # stiffer penalty on equality rows, as splitting solvers do
-_DIVERGENCE_LIMIT = 1e8
+_CERT_EPS = 1e-4  # relative tolerance of the infeasibility certificates
+_RUIZ_PASSES = 10  # equilibration passes, OSQP's default
+_RHO_REFACTOR = 5.0  # refactor the KKT matrix when rho moves this many times
 
 
 @dataclass(frozen=True)
@@ -63,19 +65,20 @@ class RawSolution:
     value: float
     iterations: int = 0
     message: str = ""
-    factor_s: float = 0.0  # wall seconds in the ADMM solvers' one factorization
-    factor_nnz: int = 0  # nonzeros of its L plus U
+    factor_s: float = 0.0  # wall seconds in the ADMM's KKT factorizations
+    factor_nnz: int = 0  # nonzeros of the last one's L plus U
 
 
-def _factor(matrix: sp.spmatrix):
-    """SuperLU factor of ``matrix`` and the RawSolution fields it fills."""
-    matrix = matrix.tocsc()
+def _factor(matrix: sp.csc_matrix, stats: dict):
+    """SuperLU factor of ``matrix``; adds its seconds to ``stats["factor_s"]``
+    and sets ``stats["factor_nnz"]``, the RawSolution fields."""
     if not np.isfinite(matrix.data).all():  # SuperLU takes NaN as a number
         raise RuntimeError("non-finite matrix entries")
     start = time.perf_counter()
     factor = splu(matrix)
-    return factor, {"factor_s": time.perf_counter() - start,
-                    "factor_nnz": factor.L.nnz + factor.U.nnz}
+    stats.update(factor_s=stats.get("factor_s", 0.0) + time.perf_counter() - start,
+                 factor_nnz=factor.L.nnz + factor.U.nnz)
+    return factor
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -190,76 +193,6 @@ def solve_lp_simplex(data: ProgramData,
     return RawSolution(Status.OPTIMAL, x, float(c @ x), used + used2)
 
 
-def solve_qp_admm(data: ProgramData,
-                  settings: SolverSettings = SolverSettings()) -> RawSolution:
-    """Operator splitting for ``min ½xᵀPx + qᵀx  s.t.  b - Ax ∈ Zero × NonNeg``.
-
-    With ``z = Ax`` the constraint is the interval ``lower <= z <= b``, where
-    ``lower`` is ``b`` on the zero rows and ``-inf`` on the rest; SOC rows are
-    rejected.  The quasi-definite KKT matrix is assembled sparse and factored
-    once; each iteration is one solve with that factor and one interval
-    projection, with over-relaxation ``alpha``.  Equality rows carry a
-    stiffer penalty than inequality rows, which speeds their convergence
-    without changing the fixed points.
-    """
-    if data.cones.soc:
-        raise ValueError("QP splitting cannot solve second-order cone rows")
-    q, mA, upper = data.q, data.cones.zero, data.b
-    m, n = data.A.shape
-    P = np.zeros((n, n)) if data.P is None else data.P
-    M = sp.csr_matrix(data.A)
-    lower = np.concatenate([upper[:mA], np.full(m - mA, -math.inf)])
-
-    if n == 0:
-        feasible = bool(np.all(lower <= 1e-9) and np.all(upper >= -1e-9))
-        status = Status.OPTIMAL if feasible else Status.INFEASIBLE
-        return RawSolution(status, np.zeros(0), 0.0 if feasible else math.inf,
-                           0, "" if feasible else "empty problem infeasible")
-
-    rho = np.full(m, settings.rho)
-    rho[:mA] *= _EQ_RHO_SCALE
-    try:
-        factor, stats = _factor(sp.bmat(
-            [[sp.csr_matrix(P) + _SIGMA * sp.eye(n), M.T],
-             [M, sp.diags(-1.0 / rho)]]))
-    except RuntimeError as err:
-        return RawSolution(Status.ERROR, np.zeros(n), math.nan, 0,
-                           f"KKT factorization failed: {err}")
-
-    alpha = settings.alpha
-    x = np.zeros(n)
-    z = np.zeros(m)
-    y = np.zeros(m)
-    status, message = Status.ITERATION_LIMIT, "splitting did not converge"
-    for k in range(1, settings.max_iterations + 1):
-        sol = factor.solve(np.concatenate([_SIGMA * x - q, z - y / rho]))
-        x_hat, nu = sol[:n], sol[n:]
-        z_hat = z + (nu - y) / rho if m else z
-        x = alpha * x_hat + (1.0 - alpha) * x
-        z_relax = alpha * z_hat + (1.0 - alpha) * z
-        z = np.clip(z_relax + y / rho, lower, upper)
-        y = y + rho * (z_relax - z)
-        if k % 25 == 0 or k == settings.max_iterations:
-            Mx = M @ x
-            r_prim = np.max(np.abs(Mx - z)) if m else 0.0
-            Px = P @ x
-            MTy = M.T @ y if m else 0.0
-            r_dual = np.max(np.abs(Px + q + MTy))
-            scale_p = max(_inf_norm(Mx), _inf_norm(z))
-            scale_d = max(_inf_norm(Px), _inf_norm(q), _inf_norm(MTy))
-            if r_prim <= settings.eps_abs + settings.eps_rel * scale_p \
-                    and r_dual <= settings.eps_abs + settings.eps_rel * scale_d:
-                status, message = Status.OPTIMAL, ""
-                break
-    value = float(0.5 * x @ P @ x + q @ x)
-    return RawSolution(status, x, value, k, message, **stats)
-
-
-def _inf_norm(v) -> float:
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
-
-
 def _soc_plan(cones: ConeDims) -> list[np.ndarray]:
     """Row indices of the SOC blocks, one ``(count, size)`` array per size."""
     sizes = np.asarray(cones.soc, dtype=np.intp)
@@ -292,60 +225,124 @@ def project_cone(v: np.ndarray, cones: ConeDims, plan=None) -> np.ndarray:
     return out
 
 
-def solve_cone_admm(data: ProgramData,
-                    settings: SolverSettings = SolverSettings()) -> RawSolution:
-    """Operator splitting for ``min qᵀx  s.t.  b - Ax ∈ K``, with no ``P``.
+def _equilibrate(P: sp.coo_matrix, A: sp.coo_matrix, cones: ConeDims):
+    """Ruiz scalings ``d`` of the columns and ``e`` of the rows of ``A``, and
+    the scaled ``diag(d) P diag(d)`` and ``diag(e) A diag(d)`` as CSR.
 
-    With slack ``s = b - Ax`` the iteration alternates a solve with the
-    normal equations ``σI + ρAᵀA`` (sparse, factored once) for x, a batched
-    cone projection for s, and a dual ascent step; ``sᵀy = 0`` holds at every
-    iterate by the projection's optimality, so convergence is monitored on
-    the primal and dual residuals alone.  Unchecked growth of the slack or
-    dual iterates signals an infeasible or unbounded problem, reported as an
-    error with a diagnostic (these solvers produce no certificates).
+    Each of ``_RUIZ_PASSES`` passes divides every row and column of the KKT
+    matrix ``[[P, Aᵀ], [A, 0]]`` by the square root of its ∞-norm; norms
+    under 1e-4 are left alone and norms over 1e4 are capped, as OSQP does.
+    An SOC block takes the largest norm of its rows, so its rows share one
+    scale and the scaled slack stays in K.  ``fmax`` skips NaN entries,
+    which the factorization then reports.
     """
-    if data.P is not None and data.P.any():
-        raise ValueError("cone splitting cannot solve a nonzero quadratic")
-    A, b, c = data.A, data.b, data.q
     m, n = A.shape
-    if n == 0:
-        s = project_cone(b, data.cones)
-        if np.max(np.abs(s - b), initial=0.0) <= settings.eps_abs:
-            return RawSolution(Status.OPTIMAL, np.zeros(0), 0.0, 0)
-        return RawSolution(Status.INFEASIBLE, np.zeros(0), math.inf, 0,
-                           "constant rows violate the cone")
+    d, e = np.ones(n), np.ones(m)
+    head = cones.zero + cones.nonneg
+    starts = np.cumsum((0,) + cones.soc[:-1], dtype=np.intp)
+    for _ in range(_RUIZ_PASSES):
+        a = np.abs(A.data) * e[A.row] * d[A.col]
+        col, row = np.zeros(n), np.zeros(m)
+        np.fmax.at(col, P.col, np.abs(P.data) * d[P.row] * d[P.col])
+        np.fmax.at(col, A.col, a)
+        np.fmax.at(row, A.row, a)
+        if cones.soc:
+            row[head:] = np.repeat(np.fmax.reduceat(row[head:], starts), cones.soc)
+        d /= np.sqrt(np.where(col < 1e-4, 1.0, np.minimum(col, 1e4)))
+        e /= np.sqrt(np.where(row < 1e-4, 1.0, np.minimum(row, 1e4)))
+    return d, e, *(sp.csr_matrix((M.data * s[M.row] * d[M.col], (M.row, M.col)),
+                                 shape=M.shape) for M, s in ((P, d), (A, e)))
 
-    rho, alpha = settings.rho, settings.alpha
-    As = sp.csr_matrix(A)  # for AᵀA: in the loop, dense matvecs cost less
+
+def _inf_norm(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v), initial=0.0))
+
+
+def _cone_gap(v: np.ndarray, cones: ConeDims, plan) -> float:
+    """∞-norm distance of ``v`` from K."""
+    return _inf_norm(v - project_cone(v, cones, plan))
+
+
+def solve_admm(data: ProgramData,
+               settings: SolverSettings = SolverSettings()) -> RawSolution:
+    """OSQP-style splitting for ``min ½xᵀPx + qᵀx  s.t.  Ax + s = b, s ∈ K``.
+
+    On Ruiz-equilibrated data (``_equilibrate``) each iteration is one solve
+    with the sparse factor of the quasi-definite KKT matrix ``[[P + σI, Aᵀ],
+    [A, -diag(1/ρ)]]``, one projection of ``z = Ax`` onto ``b - K`` and a
+    dual step, with over-relaxation ``alpha``.  Equality rows take a ρ
+    ``_EQ_RHO_SCALE`` times stiffer.  Every 25 iterations it tests, on the
+    unscaled data, the residuals for optimality (the primal one row by row),
+    then the changes ``δy``, ``δx`` since the last test for a certificate
+    (Stellato et al., arXiv 1711.08013, §3.4; dual-cone tests of Banjac et
+    al. 2019): infeasible when ``Aᵀδy ≈ 0``, ``bᵀδy < 0`` and ``δy ∈ K*``,
+    unbounded when ``Pδx ≈ 0``, ``qᵀδx < 0`` and ``-Aδx ∈ K``, each to
+    ``_CERT_EPS`` relative to ``‖δ‖∞``.  At iterations 25·2^j it sets ρ to
+    balance the scaled residuals (OSQP §5.2), refactoring when ρ moves more
+    than ``_RHO_REFACTOR`` times; a ρ that changed at every test kept some
+    degenerate problems from converging.
+    """
+    cones, (m, n) = data.cones, data.A.shape
+    P = sp.coo_matrix((n, n) if data.P is None else data.P)
+    d, e, P, A = _equilibrate(P, sp.coo_matrix(data.A), cones)
+    AT, q, b, plan = A.T.tocsr(), d * data.q, e * data.b, _soc_plan(cones)
+    kkt = sp.bmat([[P + _SIGMA * sp.eye(n), AT], [A, -sp.eye(m)]], format="csc")
+    diagonal = kkt.indptr[n + 1:] - 1  # -1/ρ closes each of the last m columns
+    stats, eq = {}, np.arange(m) < cones.zero
+
+    def refactor(rho_bar):
+        rho = np.where(eq, _EQ_RHO_SCALE, 1.0) * rho_bar
+        kkt.data[diagonal] = -1.0 / rho
+        return rho, _factor(kkt, stats)
+
+    rho_bar = settings.rho
     try:
-        factor, stats = _factor(_SIGMA * sp.eye(n) + rho * (As.T @ As))
+        rho, factor = refactor(rho_bar)
     except RuntimeError as err:
         return RawSolution(Status.ERROR, np.zeros(n), math.nan, 0,
-                           f"normal-equations factorization failed: {err}")
-
-    plan = _soc_plan(data.cones)
-    x = np.zeros(n)
-    s = project_cone(b, data.cones, plan)
-    y = np.zeros(m)
+                           f"KKT factorization failed: {err}")
+    alpha, eps = settings.alpha, _CERT_EPS
+    x, z, y = np.zeros(n), np.zeros(m), np.zeros(m)
+    x_seen, y_seen = x, y
+    status, message = Status.ITERATION_LIMIT, "splitting did not converge"
     for k in range(1, settings.max_iterations + 1):
-        x = factor.solve(_SIGMA * x - c + rho * (A.T @ (b - s - y / rho)))
-        Ax = A @ x
-        v = alpha * Ax + (1.0 - alpha) * (b - s)
-        s = project_cone(b - v - y / rho, data.cones, plan)
-        y = y + rho * (v + s - b)
-        if k % 25 == 0 or k == settings.max_iterations:
-            ATy = A.T @ y
-            r_prim = _inf_norm(Ax + s - b)
-            r_dual = _inf_norm(c + ATy)
-            scale_p = max(_inf_norm(Ax), _inf_norm(s), _inf_norm(b))
-            scale_d = max(_inf_norm(c), _inf_norm(ATy))
-            if r_prim <= settings.eps_abs + settings.eps_rel * scale_p \
-                    and r_dual <= settings.eps_abs + settings.eps_rel * scale_d:
-                return RawSolution(Status.OPTIMAL, x, float(c @ x), k, **stats)
-            if max(_inf_norm(s), _inf_norm(y)) > _DIVERGENCE_LIMIT:
-                return RawSolution(
-                    Status.ERROR, x, math.nan, k,
-                    "iterates diverged; problem may be infeasible or unbounded",
-                    **stats)
-    return RawSolution(Status.ITERATION_LIMIT, x, float(c @ x), k,
-                       "splitting did not converge", **stats)
+        sol = factor.solve(np.concatenate([_SIGMA * x - q, z - y / rho]))
+        z_relax = alpha * (z + (sol[n:] - y) / rho) + (1.0 - alpha) * z
+        x = alpha * sol[:n] + (1.0 - alpha) * x
+        z = b - project_cone(b - z_relax - y / rho, cones, plan)
+        y = y + rho * (z_relax - z)
+        if k % 25 and k < settings.max_iterations:
+            continue
+        Ax, Px, ATy = A @ x, P @ x, AT @ y
+        r_prim, r_dual = Ax - z, Px + q + ATy
+        if (np.all(np.abs(r_prim) <= settings.eps_abs * e + settings.eps_rel
+                   * np.maximum(np.abs(Ax), np.abs(z)))
+                and _inf_norm(r_dual / d) <= settings.eps_abs + settings.eps_rel
+                * max(_inf_norm(Px / d), _inf_norm(data.q), _inf_norm(ATy / d))):
+            status, message = Status.OPTIMAL, ""
+            break
+        dy, dx = y - y_seen, x - x_seen
+        ny, nx = _inf_norm(e * dy), _inf_norm(d * dx)
+        # K is self-dual but for the zero cone, whose dual leaves rows free
+        if (b @ dy < -eps * ny and _inf_norm(AT @ dy / d) <= eps * ny
+                and _cone_gap(np.where(eq, 0.0, e * dy), cones, plan) <= eps * ny):
+            return RawSolution(Status.INFEASIBLE, np.zeros(n), math.inf, k,
+                               "certificate of primal infeasibility", **stats)
+        if (q @ dx < -eps * nx and _inf_norm(P @ dx / d) <= eps * nx
+                and _cone_gap(-(A @ dx) / e, cones, plan) <= eps * nx):
+            return RawSolution(Status.UNBOUNDED, np.zeros(n), -math.inf, k,
+                               "certificate of dual infeasibility", **stats)
+        x_seen, y_seen = x, y
+        if m and (k // 25) & (k // 25 - 1) == 0:  # k = 25·2^j
+            ratio = (_inf_norm(r_prim) / (max(_inf_norm(Ax), _inf_norm(z)) + 1e-20)
+                     / (_inf_norm(r_dual) / (max(_inf_norm(Px), _inf_norm(ATy),
+                                                 _inf_norm(q)) + 1e-20) + 1e-20))
+            rho_new = min(max(rho_bar * math.sqrt(ratio), 1e-6), 1e6)
+            if not rho_bar / _RHO_REFACTOR <= rho_new <= rho_bar * _RHO_REFACTOR:
+                rho_bar = rho_new
+                rho, factor = refactor(rho_bar)
+    value = float(0.5 * x @ (P @ x) + q @ x)
+    return RawSolution(status, d * x, value, k, message, **stats)
+
+
+solve_qp_admm = solve_cone_admm = solve_admm  # the names the routes key on

@@ -7,9 +7,39 @@ share code with the library's scalar ``evaluate``.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from dcpc import expressions as ex
+from dcpc.reductions.framework import Status
+
+# The six status probes of the benchmark's solve-dense workload
+# (bench/workloads.PROBES): one infeasible and one unbounded problem for each
+# target the analyzer picks, name -> (text, the true status).
+PROBES = {
+    "lp-infeasible": ("var x;\nminimize abs(x);\nsubject to\n  x >= 1;\n  x <= 0;\n",
+                      Status.INFEASIBLE),
+    "lp-unbounded": ("var x;\nvar y;\nminimize abs(x) - y;\n", Status.UNBOUNDED),
+    "qp-infeasible": ("var x;\nminimize square(x);\nsubject to\n  x >= 1;\n  x <= 0;\n",
+                      Status.INFEASIBLE),
+    "qp-unbounded": ("var x;\nvar y;\nminimize square(x) - y;\n", Status.UNBOUNDED),
+    "cone-infeasible": ("var x[2];\nminimize norm2(x);\nsubject to\n"
+                        "  x[0] >= 1;\n  x[0] <= 0;\n", Status.INFEASIBLE),
+    "cone-unbounded": ("var x[2];\nvar y;\nminimize norm2(x) - y;\n", Status.UNBOUNDED),
+}
+
+
+def bench_workloads():
+    """``bench/workloads.py``, the benchmark's problem generator (no side effects)."""
+    if "bench_workloads" not in sys.modules:  # dataclasses look their module up
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    return sys.modules["bench_workloads"]
 
 
 def batch_eval(expr, assignment):

@@ -19,6 +19,8 @@ from dcpc.analyzer import select_target, solve_problem
 from dcpc.cli import emit_document
 from dcpc.parsing import parse_problem
 
+from helpers import PROBES
+
 RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 PROBLEMS = {
@@ -105,3 +107,15 @@ def test_traced_solve_matches_solve_problem(bench, target):
         np.testing.assert_array_equal(traced.primal[var_id], vec)
     label, _ = api.solvers[outcome.report.target]
     assert tracer.counts[f"solvers.{label}.iterations"] == outcome.raw.iterations
+
+
+@pytest.mark.parametrize("name", ["qp-infeasible", "qp-unbounded",
+                                  "cone-infeasible", "cone-unbounded"])
+def test_traced_solve_certifies_probes(bench, name):
+    run, api = bench
+    text, expected = PROBES[name]
+    tracer = run.Tracer()
+    _, traced = run.traced_solve(api, tracer, text)
+    assert traced.status is expected
+    label = "qp_admm" if name.startswith("qp") else "cone_admm"
+    assert 0 < tracer.counts[f"solvers.{label}.iterations"] <= 100

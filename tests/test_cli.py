@@ -14,7 +14,9 @@ from dcpc import cli
 from dcpc.analyzer import RewriterConfig, solve_problem
 from dcpc.cli import main, render_json
 from dcpc.parsing import parse_problem
-from dcpc.reductions.framework import ReductionError
+from dcpc.reductions.framework import ReductionError, Status
+
+from helpers import PROBES
 
 TOY = """\
 var alice;
@@ -241,6 +243,15 @@ class TestSolve:
         assert code == 5
         assert json.loads(out)["status"] == "unbounded"
 
+    @pytest.mark.parametrize("route", [(), ("--solver", "admm"), ("--target", "cone")],
+                             ids=["auto", "admm", "cone"])
+    @pytest.mark.parametrize("name", PROBES)
+    def test_probes_exit_4_or_5(self, write, name, route):
+        text, expected = PROBES[name]
+        code, out, _ = run_cli("solve", write(text), *route)
+        assert code == {Status.INFEASIBLE: 4, Status.UNBOUNDED: 5}[expected]
+        assert json.loads(out)["status"] == expected.value
+
     def test_iteration_limit_exits_6(self, write):
         code, out, _ = run_cli("solve", write(TOY), "--target", "cone",
                                "--max-iters", "1")
@@ -293,6 +304,17 @@ class TestNumericOverflow:
         assert code == 7
         assert out == ""
         assert err == f"error: {where}: a coefficient overflows to a non-finite value\n"
+
+    @pytest.mark.parametrize("target", ["auto", "cone"])
+    def test_overflowing_constant_product_exits_7(self, write, target):
+        # The parser folds 1e200*1e200 while testing the product for zero.
+        path = write("var x; minimize 1e200*1e200*square(x);")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may escape
+            code, out, err = run_cli("solve", path, "--target", target)
+        assert code == 7
+        assert out == ""
+        assert err == "error: objective: a coefficient overflows to a non-finite value\n"
 
 
 class TestInternalErrors:

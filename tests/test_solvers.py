@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from dcpc import expressions as ex, solvers
 from dcpc.analyzer import RewriterConfig, TargetClass, solve_problem
@@ -17,7 +17,7 @@ from dcpc.reductions.qp import canonicalize_qp
 from dcpc.solvers import (RawSolution, SolverSettings, project_cone,
                           solve_cone_admm, solve_lp_simplex, solve_qp_admm)
 
-from helpers import toy_problem, hinge_square_problem
+from helpers import PROBES, bench_workloads, hinge_square_problem, toy_problem
 
 
 def _rows(x, n):
@@ -411,12 +411,15 @@ class TestConeAdmm:
                              np.array([-2.0]), ConeDims(0, 1, ()), {}, ())
         assert solve_cone_admm(infeas).status is Status.INFEASIBLE
 
-    def test_divergence_reports_error(self):
-        data = ProgramData(None, np.array([1.0]), 0.0, np.array([[0.0]]),
-                           np.array([1.0]), ConeDims(1, 0, ()), {0: (0, 1)}, ())
-        raw = solve_cone_admm(data, SolverSettings(rho=1e4))
-        assert raw.status is Status.ERROR
-        assert "diverged" in raw.message
+    # The row 0·x = 1 is infeasible: y grows along δy = -1, with Aᵀδy = 0,
+    # bᵀδy < 0 and δy free (the zero cone's dual), at any rho.
+    INFEASIBLE_ROW = ProgramData(None, np.array([1.0]), 0.0, np.array([[0.0]]),
+                                 np.array([1.0]), ConeDims(1, 0, ()), {0: (0, 1)}, ())
+
+    def test_infeasible_row_certified_at_high_rho(self):
+        raw = solve_cone_admm(self.INFEASIBLE_ROW, SolverSettings(rho=1e4))
+        assert raw.status is Status.INFEASIBLE and raw.value == math.inf
+        assert raw.message == "certificate of primal infeasibility"
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_matrix_reports_error(self, bad):
@@ -424,7 +427,7 @@ class TestConeAdmm:
                            np.array([1.0]), ConeDims(0, 1, ()), {0: (0, 2)}, ())
         raw = solve_cone_admm(data)
         assert raw.status is Status.ERROR
-        assert "normal-equations factorization failed: non-finite" in raw.message
+        assert "KKT factorization failed: non-finite" in raw.message
 
     def test_factor_stats_reported(self):
         data = ProgramData(None, np.array([1.0]), 0.0, np.array([[-1.0]]),
@@ -433,11 +436,99 @@ class TestConeAdmm:
         assert raw.status is Status.OPTIMAL and raw.x[0] == pytest.approx(2.0, abs=1e-4)
         assert raw.factor_s > 0.0 and raw.factor_nnz >= 1
 
-    def test_iteration_limit_on_infeasible_rows(self):
-        data = ProgramData(None, np.array([1.0]), 0.0, np.array([[0.0]]),
-                           np.array([1.0]), ConeDims(1, 0, ()), {0: (0, 1)}, ())
-        raw = solve_cone_admm(data, SolverSettings(max_iterations=100))
-        assert raw.status is Status.ITERATION_LIMIT
+    def test_infeasible_row_certified_within_100_iterations(self):
+        raw = solve_cone_admm(self.INFEASIBLE_ROW, SolverSettings(max_iterations=100))
+        assert raw.status is Status.INFEASIBLE and raw.iterations <= 100
+        assert raw.message == "certificate of primal infeasibility"
+
+
+
+ROUTES = {"auto": RewriterConfig(), "admm": RewriterConfig(solver="admm"),
+          "cone": RewriterConfig(forced_target=TargetClass.CONE)}
+
+
+def slsqp_optimum(objective, rows, rhs, n):
+    """SLSQP's optimum of ``objective`` over ``rows @ x <= rhs``, ``-10 <= x <= 10``."""
+    res = minimize(objective, np.zeros(n), method="SLSQP", bounds=[(-10, 10)] * n,
+                   constraints=[{"type": "ineq", "fun": lambda x: rhs - rows @ x,
+                                 "jac": lambda x: -rows}],
+                   options={"maxiter": 1000, "ftol": 1e-12})
+    assert res.success, res.message
+    return res
+
+
+class TestTruthfulStatus:
+    """Certificates on every route, and none on a feasible, bounded problem."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("name", PROBES)
+    def test_probes_certified(self, name, route):
+        text, expected = PROBES[name]
+        outcome = solve_problem(parse_problem(text), ROUTES[route])
+        assert outcome.solution.status is expected
+        if outcome.report.target is not TargetClass.LP or route != "auto":
+            assert outcome.raw.message.startswith("certificate of")
+            assert outcome.raw.iterations <= 100
+
+    @pytest.mark.parametrize("rho", [0.01, 1.0, 100.0])
+    def test_redundant_rows_certify_nothing(self, rho):
+        # min x  s.t.  3x <= 1, 3x <= 2, -5 <= x <= 5.  Moving dual weight
+        # from one parallel row to the other gives Aᵀδy = 0 and bᵀδy < 0, but
+        # that δy has a negative entry, outside the dual cone.
+        data = program_data(None, [1.0], G=[[3.0], [3.0], [1.0], [-1.0]],
+                            h=[1.0, 2.0, 5.0, 5.0])
+        raw = solve_qp_admm(data, SolverSettings(rho=rho))
+        assert raw.status is Status.OPTIMAL
+        assert raw.x[0] == pytest.approx(-5.0, abs=1e-5)
+
+    def test_large_net_coefficients_converge(self):
+        # 300 terms cycling over x[k % 4]: net coefficients of +-75 in the
+        # objective and 75 in the row.  Fixed rho with unscaled data stopped
+        # at the iteration limit here.
+        tail = "".join(f" {'+-'[k % 2]} x[{k % 4}]" for k in range(1, 301))
+        row = " + ".join(f"x[{k % 4}]" for k in range(300))
+        outcome = solve_problem(parse_problem(
+            f"var x[4];\nminimize sum_squares(x - [1, 2, 3, 4]){tail};\n"
+            f"subject to\n  {row} <= 7;\n  x <= 10;\n  x >= -10;\n"))
+        center, linear = np.arange(1.0, 5.0), np.array([75.0, -75.0, 75.0, -75.0])
+        ref = slsqp_optimum(lambda x: np.sum((x - center) ** 2) + linear @ x,
+                            np.full((1, 4), 75.0), np.array([7.0]), 4)
+        assert outcome.solution.status is Status.OPTIMAL
+        assert outcome.solution.value == pytest.approx(ref.fun, rel=1e-4)
+        np.testing.assert_allclose(outcome.solution.primal[0], ref.x, atol=1e-4)
+
+    @pytest.mark.parametrize("family", ["qp", "cone"])
+    def test_benchmark_shaped_draws_match_slsqp(self, family):
+        dense_case = bench_workloads().dense_case
+        for seed in range(10):
+            n = 8 + 2 * seed
+            case = dense_case(np.random.default_rng(seed), family, n, n)
+            outcome = solve_problem(parse_problem(case.text))
+            a, c = case.weights, case.center
+            if family == "qp":
+                objective = lambda x: np.sum((a * x - c) ** 2)
+            else:
+                objective = lambda x: (np.linalg.norm(x - c)
+                                       + np.sum((a * x) ** 2))
+            ref = slsqp_optimum(objective, case.rows, case.rhs, n)
+            solution = outcome.solution
+            assert solution.status is Status.OPTIMAL, (seed, outcome.raw.message)
+            x = solution.primal[0]
+            # each row holds to 1e-6 relative, as the benchmark checks it
+            assert np.all(case.rows @ x - case.rhs <= 1e-6 * (1 + case.rhs)), seed
+            assert np.all(np.abs(x) <= 10 + 1.1e-5), seed
+            assert solution.value == pytest.approx(ref.fun, rel=1e-4, abs=1e-4), seed
+
+    @pytest.mark.parametrize("route", ["admm", "cone"])
+    def test_n40_lp_converges_on_admm_routes(self, route):
+        case = bench_workloads().dense_case(np.random.default_rng(40), "lp", 40, 40)
+        problem = parse_problem(case.text)
+        exact = solve_problem(problem).solution
+        outcome = solve_problem(problem, ROUTES[route])
+        assert exact.status is Status.OPTIMAL
+        assert exact.value == pytest.approx(17.104839, abs=1e-6)
+        assert outcome.solution.status is Status.OPTIMAL
+        assert outcome.solution.value == pytest.approx(exact.value, abs=1e-4)
 
 
 def project_cone_loop(v, cones):

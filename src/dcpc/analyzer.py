@@ -3,8 +3,8 @@
 Classes are tried in order of increasing generality (LP, then QP, then cone)
 and the first whose back end accepts the problem wins; the search can be
 forced to a single class, mirroring a user pinning a solver.  Selection
-failures are reports, never exceptions — a problem outside every enabled
-class yields a report carrying the DCP violations.
+failures are reports, never exceptions — a problem outside every class
+yields a report carrying the DCP violations.
 """
 
 from __future__ import annotations
@@ -16,18 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .reductions.cone import (GraphExpand, ProgramData, RelaxSmith,
+from .reductions.cone import (OVERFLOW, GraphExpand, ProgramData, RelaxSmith,
                               SmithTransform, StuffCone)
 from .reductions.framework import (ReductionChain, Solution, Status,
                                    infeasible_solution, unbounded_solution)
 from .reductions.qp import StuffLp, StuffQp, qp_applicable, uses_quadratic_atom
 from .reductions.standard import (DecomposeSoc, EliminatePwlAtoms,
                                   FlipObjective, MoveToLhs, PresolveFixedPoint)
-from .solvers import (RawSolution, SolverSettings, solve_cone_admm,
-                      solve_lp_simplex, solve_qp_admm)
+from .solvers import RawSolution, SolverSettings, solve_admm, solve_lp_simplex
 
 __all__ = ["TargetClass", "RewriterConfig", "AnalysisReport", "AnalyzerError",
-           "select_target", "build_chain", "solve_problem", "SolveOutcome"]
+           "select_target", "build_chain", "apply_chain", "solve_problem",
+           "SolveOutcome"]
 
 
 class AnalyzerError(RuntimeError):
@@ -47,14 +47,10 @@ class TargetClass(enum.Enum):
         return NotImplemented
 
 
-ALL_CLASSES = frozenset(TargetClass)
-
-
 @dataclass(frozen=True)
 class RewriterConfig:
     """Analyzer and pipeline knobs; defaults reproduce canonical matrices."""
 
-    enabled: frozenset = ALL_CLASSES
     forced_target: TargetClass | None = None
     presolve: bool = False
     decompose_soc: bool = False
@@ -108,8 +104,7 @@ def select_target(problem: ex.ProblemForm,
     if config.forced_target is not None:
         order = [config.forced_target]
     else:
-        order = [t for t in sorted(TargetClass, key=lambda t: t.value)
-                 if t in config.enabled]
+        order = sorted(TargetClass)
     reasons: list[tuple[TargetClass, str]] = []
     winner = None
     for target in order:
@@ -126,7 +121,7 @@ def select_target(problem: ex.ProblemForm,
             failure = (f"forced target {config.forced_target.name} "
                        f"rejects this problem ({why.removeprefix('rejected: ')})")
         else:
-            failure = "no enabled target class accepts this problem"
+            failure = "no target class accepts this problem"
         if not dcp_ok:
             failure += "; DCP violations at: " + ", ".join(violations)
         return AnalysisReport(dcp_ok, tuple(violations), None, None,
@@ -155,6 +150,30 @@ def build_chain(problem: ex.ProblemForm, target: TargetClass,
     return ReductionChain(members)
 
 
+def apply_chain(chain: ReductionChain, problem: ex.ProblemForm):
+    """``chain.apply(problem)``, with a coefficient overflow blamed on the user.
+
+    Stuffing sees only rewritten rows, whose numbering is the chain's.  On an
+    overflow the chain runs again on the objective alone, then on each
+    constraint alone, and the error names the first of them that overflows.
+    """
+    try:
+        return chain.apply(problem)
+    except ex.ProblemError as err:
+        if not str(err).endswith(OVERFLOW):
+            raise
+        trees = [("objective", problem.objective, [])] + [
+            (f"constraint {c.id}", ex.constant(0.0), [(c.lhs, c.relation, c.rhs)])
+            for c in problem.constraints]
+        for where, objective, cons in trees:
+            try:
+                chain.apply(ex.make_problem(problem.sense, objective, cons,
+                                            problem.variables))
+            except ex.ProblemError:
+                raise ex.ProblemError(f"{where}: {OVERFLOW}") from err
+        raise
+
+
 @dataclass(frozen=True)
 class SolveOutcome:
     """Everything a caller needs: the report, the data, and the solution."""
@@ -168,13 +187,11 @@ class SolveOutcome:
 def _dispatch_solver(data: ProgramData, target: TargetClass,
                      config: RewriterConfig) -> RawSolution:
     choice = config.solver
-    if target is TargetClass.CONE:
-        if choice == "simplex":
-            raise AnalyzerError("simplex cannot solve cone targets")
-        return solve_cone_admm(data, config.settings)
+    if target is TargetClass.CONE and choice == "simplex":
+        raise AnalyzerError("simplex cannot solve cone targets")
     if choice == "simplex" or (choice == "auto" and target is TargetClass.LP):
         return solve_lp_simplex(data, config.settings)
-    return solve_qp_admm(data, config.settings)
+    return solve_admm(data, config.settings)
 
 
 def _raw_to_solution(raw: RawSolution, data: ProgramData) -> Solution:
@@ -198,7 +215,7 @@ def solve_problem(problem: ex.ProblemForm,
     report = select_target(problem, config)
     if report.target is None:
         return SolveOutcome(report)
-    data, record = report.chain.apply(problem)
+    data, record = apply_chain(report.chain, problem)
     raw = _dispatch_solver(data, report.target, config)
     solution = report.chain.retrieve(_raw_to_solution(raw, data), record)
     return SolveOutcome(report, data, raw, solution)

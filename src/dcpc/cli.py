@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analyzer import (AnalyzerError, RewriterConfig, TargetClass,
-                       select_target, solve_problem)
+                       apply_chain, select_target, solve_problem)
 from .parsing import ParseError, parse_problem
 from .reductions.framework import ReductionError, Status
 from .solvers import SolverSettings
@@ -247,7 +247,7 @@ def _cmd_canonicalize(args, out, err) -> int:
     if report.target is None:
         err.write(report.failure + "\n")
         return _no_target_exit(config)
-    data, _ = report.chain.apply(problem)
+    data, _ = apply_chain(report.chain, problem)
     text = emit_document(data, report.chain_names).render()
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:

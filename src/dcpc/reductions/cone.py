@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import expressions as ex
-from .framework import Reduction, ReductionError, Solution
+from .framework import Reduction, ReductionError
 from .standard import (CanonConstraint, CanonStage, scalar_components,
                        smart_sub)
 
 __all__ = [
     "SmithProblem", "SmithTransform", "RelaxSmith", "GraphExpand",
     "ConeDims", "ProgramData", "StuffCone", "stack_variables", "stack_rows",
-    "affine_row_data", "require_finite",
+    "affine_row_data", "require_finite", "OVERFLOW",
 ]
 
 
@@ -101,12 +101,6 @@ class SmithTransform(Reduction):
         smith = SmithProblem(out, problem, aux_atoms, aux_sigma)
         return smith, self._record(aux=sorted(aux_atoms))
 
-    def retrieve(self, solution, record):
-        drop = set(record.payload["aux"])
-        primal = {k: v for k, v in solution.primal.items() if k not in drop}
-        return Solution(solution.status, solution.value, primal,
-                        solution.message)
-
 
 class RelaxSmith(Reduction):
     """Relax each defining equality ``t == f(args)`` to ``f(args) <= t``.
@@ -141,9 +135,6 @@ class RelaxSmith(Reduction):
         out = ex.make_problem(inner.sense, inner.objective, cons,
                               inner.variables)
         return out, self._record()
-
-    def retrieve(self, solution, record):
-        return solution
 
 
 class GraphExpand(Reduction):
@@ -216,9 +207,6 @@ class GraphExpand(Reduction):
                            tuple(problem.variables))
         return stage, self._record()
 
-    def retrieve(self, solution, record):
-        return solution
-
 
 @dataclass(frozen=True)
 class ConeDims:
@@ -272,10 +260,13 @@ def stack_rows(blocks, width) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack([M for M, _ in blocks]), np.concatenate([k for _, k in blocks])
 
 
+OVERFLOW = "a coefficient overflows to a non-finite value"
+
+
 def require_finite(where: str, *arrays) -> None:
     """Reject stuffed data that a product of large constants overflowed."""
     if not all(np.isfinite(a).all() for a in arrays):
-        raise ex.ProblemError(f"{where}: a coefficient overflows to a non-finite value")
+        raise ex.ProblemError(f"{where}: {OVERFLOW}")
 
 
 def affine_row_data(expr: ex.ExpressionNode,
@@ -341,6 +332,3 @@ class StuffCone(Reduction):
         data = ProgramData(None, c_row[0], float(offset[0]), A, b, dims,
                            var_offsets, tuple(stage.variables))
         return data, self._record()
-
-    def retrieve(self, solution, record):
-        return solution

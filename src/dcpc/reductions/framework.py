@@ -4,12 +4,18 @@ A reduction rewrites a problem into an equivalent one and can map any
 solution of its output back to a solution of its input.  Chains compose
 reductions left to right for application and right to left for retrieval,
 and are themselves reductions.
+
+Two record keys have a meaning every reduction shares.  ``aux`` lists the
+ids of the variables a reduction introduced; retrieval drops them.
+``infeasible`` is a non-empty message when the reduction proved its input
+infeasible and emitted a placeholder instead; retrieval then reports
+Infeasible with that message, whatever the placeholder's solution says.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any
 
@@ -80,8 +86,20 @@ class Reduction:
         raise NotImplementedError
 
     def retrieve(self, solution: Solution, record: InverseRecord) -> Solution:
-        """Map a solution of the rewritten problem back to the input problem."""
-        raise NotImplementedError
+        """Map a solution of the rewritten problem back to the input problem.
+
+        The default serves every reduction whose inverse is one of the shared
+        conventions: it reports Infeasible when the record carries an
+        ``infeasible`` message, drops the ``aux`` variables, and otherwise
+        returns ``solution`` itself.
+        """
+        if record.payload.get("infeasible"):
+            return infeasible_solution(record.payload["infeasible"])
+        aux = set(record.payload.get("aux", ()))
+        if not aux:
+            return solution
+        primal = {k: v for k, v in solution.primal.items() if k not in aux}
+        return replace(solution, primal=primal)
 
     def _record(self, **payload) -> InverseRecord:
         return InverseRecord(self.name, payload)

@@ -17,13 +17,12 @@ import numpy as np
 from .. import expressions as ex
 from .cone import (ConeDims, ProgramData, affine_row_data, require_finite,
                    stack_rows, stack_variables)
-from .framework import Reduction, ReductionChain, ReductionError
-from .standard import EliminatePwlAtoms, MoveToLhs, is_zero_constant
+from .framework import Reduction, ReductionError
+from .standard import is_zero_constant
 
 __all__ = [
     "PathNfa", "qp_applicable", "uses_quadratic_atom",
     "quadratic_form", "StuffQp", "StuffLp",
-    "qp_chain", "canonicalize_qp",
 ]
 
 
@@ -293,9 +292,6 @@ class StuffQp(Reduction):
                            tuple(problem.variables))
         return data, self._record()
 
-    def retrieve(self, solution, record):
-        return solution
-
 
 class StuffLp(Reduction):
     """Stuff an affine-objective, moved-to-LHS problem into LP matrices."""
@@ -315,18 +311,3 @@ class StuffLp(Reduction):
         data = ProgramData(None, crow[0], float(const[0]), A, b, cones,
                            var_offsets, tuple(problem.variables))
         return data, self._record()
-
-    def retrieve(self, solution, record):
-        return solution
-
-
-def qp_chain() -> ReductionChain:
-    """The QP lowering pipeline: drop PWL atoms, move to LHS, stuff matrices."""
-    return ReductionChain([EliminatePwlAtoms(), MoveToLhs(), StuffQp()])
-
-
-def canonicalize_qp(problem: ex.ProblemForm):
-    """Lower a QP-applicable problem to ProgramData via the standard chain."""
-    if not qp_applicable(problem):
-        raise ReductionError("problem is not QP-applicable")
-    return qp_chain().apply(problem)

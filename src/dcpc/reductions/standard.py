@@ -8,14 +8,12 @@ second-order cone decomposition.  Each is invertible through its
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .. import expressions as ex
-from .framework import (InverseRecord, Reduction, ReductionError, Solution,
-                        Status)
+from .framework import Reduction, Status
 
 __all__ = [
     "FlipObjective", "MoveToLhs", "EliminateLinearInequalities",
@@ -47,8 +45,9 @@ def smart_sub(a: ex.ExpressionNode, b: ex.ExpressionNode) -> ex.ExpressionNode:
 def trivially_infeasible_problem() -> ex.ProblemForm:
     """The placeholder problem emitted when a presolve proves infeasibility.
 
-    It is feasible and trivially solvable; the emitting reduction's retrieve
-    overrides whatever the downstream pipeline reports with Infeasible.
+    It is feasible and trivially solvable; the emitting reduction records an
+    ``infeasible`` message, so retrieval reports Infeasible whatever the
+    downstream pipeline says.
     """
     return ex.make_problem(ex.Sense.MINIMIZE, ex.constant(0.0), [], [])
 
@@ -68,8 +67,7 @@ class FlipObjective(Reduction):
         return flipped, self._record()
 
     def retrieve(self, solution, record):
-        return Solution(solution.status, -solution.value, solution.primal,
-                        solution.message)
+        return replace(solution, value=-solution.value)
 
 
 class MoveToLhs(Reduction):
@@ -90,9 +88,6 @@ class MoveToLhs(Reduction):
                 cons.append((smart_sub(c.lhs, c.rhs), c.relation, _ZERO))
         out = ex.make_problem(problem.sense, problem.objective, cons, problem.variables)
         return out, self._record()
-
-    def retrieve(self, solution, record):
-        return solution
 
 
 class EliminateLinearInequalities(Reduction):
@@ -123,12 +118,7 @@ class EliminateLinearInequalities(Reduction):
             cons.append((s, ex.Relation.GE, _ZERO))
         out = ex.make_problem(problem.sense, problem.objective, cons, pool.variables)
         slack_ids = [v.id for v in pool.variables[len(problem.variables):]]
-        return out, self._record(slacks=slack_ids)
-
-    def retrieve(self, solution, record):
-        drop = set(record.payload["slacks"])
-        primal = {k: v for k, v in solution.primal.items() if k not in drop}
-        return Solution(solution.status, solution.value, primal, solution.message)
+        return out, self._record(aux=slack_ids)
 
 
 def _fixing(c: ex.ConstraintDecl):
@@ -169,11 +159,12 @@ class EliminateFixedVariables(Reduction):
             vid = var_node.var_id
             if vid in fixed and not np.array_equal(fixed[vid], value):
                 return (trivially_infeasible_problem(),
-                        self._record(infeasible=True, fixed={}))
+                        self._record(infeasible="contradictory variable fixings",
+                                     fixed={}))
             fixed.setdefault(vid, value)
             defining.add(c.id)
         if not fixed:
-            return problem, self._record(infeasible=False, fixed={})
+            return problem, self._record(infeasible="", fixed={})
         mapping = {vid: ex.constant(val) for vid, val in fixed.items()}
         objective = ex.substitute_variables(problem.objective, mapping)
         cons = []
@@ -184,19 +175,17 @@ class EliminateFixedVariables(Reduction):
                          ex.substitute_variables(c.rhs, mapping)))
         variables = [v for v in problem.variables if v.id not in fixed]
         out = ex.make_problem(problem.sense, objective, cons, variables)
-        return out, self._record(infeasible=False,
+        return out, self._record(infeasible="",
                                  fixed={vid: val for vid, val in fixed.items()})
 
     def retrieve(self, solution, record):
-        if record.payload["infeasible"]:
-            return Solution(Status.INFEASIBLE, math.inf, {},
-                            "contradictory variable fixings")
+        solution = super().retrieve(solution, record)
         if solution.status not in (Status.OPTIMAL, Status.ITERATION_LIMIT):
             return solution
         primal = dict(solution.primal)
         for vid, val in record.payload["fixed"].items():
             primal[vid] = np.asarray(val, dtype=float)
-        return Solution(solution.status, solution.value, primal, solution.message)
+        return replace(solution, primal=primal)
 
 
 class SplitFreeVariables(Reduction):
@@ -252,7 +241,7 @@ class SplitFreeVariables(Reduction):
         for vid, (pid, nid) in splits.items():
             primal[vid] = primal[pid] - primal[nid]
             del primal[pid], primal[nid]
-        return Solution(solution.status, solution.value, primal, solution.message)
+        return replace(solution, primal=primal)
 
 
 def _scalar_bound(c: ex.ConstraintDecl):
@@ -283,8 +272,8 @@ def _scalar_bound(c: ex.ConstraintDecl):
 class DropRedundantConstraints(Reduction):
     """Remove duplicates, constant-true rows, and dominated scalar bounds.
 
-    A constant-false row makes the output trivially infeasible.  Retrieval is
-    a no-op because removals never change the feasible region.
+    A constant-false row makes the output trivially infeasible.  Otherwise
+    retrieval is a no-op because removals never change the feasible region.
     """
 
     name = "drop_redundant_constraints"
@@ -320,7 +309,7 @@ class DropRedundantConstraints(Reduction):
                       ex.Relation.EQ: bool(np.all(gap == 0.0))}[c.relation]
                 if not ok:
                     return (trivially_infeasible_problem(),
-                            self._record(infeasible=True))
+                            self._record(infeasible="a constant constraint is violated"))
                 continue
             if c.id in bounds:
                 vid, side, _ = bounds[c.id]
@@ -330,13 +319,7 @@ class DropRedundantConstraints(Reduction):
             kept.append((c.lhs, c.relation, c.rhs))
         out = ex.make_problem(problem.sense, problem.objective, kept,
                               problem.variables)
-        return out, self._record(infeasible=False)
-
-    def retrieve(self, solution, record):
-        if record.payload["infeasible"]:
-            return Solution(Status.INFEASIBLE, math.inf, {},
-                            "a constant constraint is violated")
-        return solution
+        return out, self._record(infeasible="")
 
 
 class ScaleConstraints(Reduction):
@@ -379,9 +362,6 @@ class ScaleConstraints(Reduction):
                               problem.variables)
         return out, self._record()
 
-    def retrieve(self, solution, record):
-        return solution
-
 
 class PresolveFixedPoint(Reduction):
     """Cycle the syntactic presolves until a fixed point, capped at 20 rounds."""
@@ -420,32 +400,21 @@ class PresolveFixedPoint(Reduction):
 _PWL_ATOMS = ("abs", "max")
 
 
-def _pwl_positions_ok(expr: ex.ExpressionNode, sigma: int) -> bool:
-    """Check every nonconstant abs/max occurrence sits at scaling sign +1."""
-
-    def leave(node, ok, s):
-        return all(ok) and (node.atom not in _PWL_ATOMS
-                            or node.curvature.is_constant or s == +1)
-
-    return ex.fold(expr, leave, ex.nonconstant, ex.child_sign, sigma)
-
-
 class EliminatePwlAtoms(Reduction):
     """Replace abs/max occurrences with epigraph variables and inequalities.
 
     Constraints produced for the objective come first, then, per user
     constraint, its epigraph rows followed by the rewritten constraint.  Atom
     occurrences over constants fold away, so the output contains no
-    piecewise-linear atoms at all.
+    piecewise-linear atoms at all.  Every DCP problem is accepted: a
+    nonconstant abs or max is convex, so DCP admits it only at scaling sign
+    +1, where its epigraph is exact.
     """
 
     name = "eliminate_pwl_atoms"
 
     def accepts(self, problem) -> bool:
-        if not isinstance(problem, ex.ProblemForm):
-            return False
-        return ex.is_dcp(problem)[0] and all(
-            _pwl_positions_ok(e, sigma) for _, e, sigma in ex.walk_expressions(problem))
+        return isinstance(problem, ex.ProblemForm) and ex.is_dcp(problem)[0]
 
     def apply(self, problem):
         self._check(problem)
@@ -483,11 +452,6 @@ class EliminatePwlAtoms(Reduction):
         out = ex.make_problem(problem.sense, objective, cons, pool.variables)
         aux_ids = [v.id for v in pool.variables[len(problem.variables):]]
         return out, self._record(aux=aux_ids)
-
-    def retrieve(self, solution, record):
-        drop = set(record.payload["aux"])
-        primal = {k: v for k, v in solution.primal.items() if k not in drop}
-        return Solution(solution.status, solution.value, primal, solution.message)
 
 
 # --- canonical cone-stage constraints ---------------------------------------
@@ -582,8 +546,3 @@ class DecomposeSoc(Reduction):
         aux_ids = [v.id for v in pool.variables[len(stage.variables):]]
         return (CanonStage(stage.objective, tuple(out), tuple(pool.variables)),
                 self._record(aux=aux_ids))
-
-    def retrieve(self, solution, record):
-        drop = set(record.payload["aux"])
-        primal = {k: v for k, v in solution.primal.items() if k not in drop}
-        return Solution(solution.status, solution.value, primal, solution.message)

@@ -345,4 +345,4 @@ def solve_admm(data: ProgramData,
     return RawSolution(status, d * x, value, k, message, **stats)
 
 
-solve_qp_admm = solve_cone_admm = solve_admm  # the names the routes key on
+solve_qp_admm = solve_cone_admm = solve_admm  # the names the benchmark keys on

@@ -2,10 +2,12 @@
 
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,7 +297,7 @@ class TestNumericOverflow:
 
     @pytest.mark.parametrize("command", ["canonicalize", "solve"])
     @pytest.mark.parametrize("target,where", [
-        ("auto", "constraint 0"), ("qp", "constraint 0"), ("cone", "cone constraint 0")])
+        ("auto", "constraint 0"), ("qp", "constraint 0"), ("cone", "constraint 0")])
     def test_overflowing_coefficient_exits_7(self, write, command, target, where):
         path = write("var x; maximize x; subject to x*1e200*1e200 <= 1;")
         with warnings.catch_warnings():
@@ -304,6 +306,19 @@ class TestNumericOverflow:
         assert code == 7
         assert out == ""
         assert err == f"error: {where}: a coefficient overflows to a non-finite value\n"
+
+    @pytest.mark.parametrize("command", ["canonicalize", "solve"])
+    @pytest.mark.parametrize("target", ["auto", "lp", "qp", "cone"])
+    def test_overflow_names_the_users_constraint(self, write, command, target):
+        # Epigraph rows for abs come first in the rewritten problem, so the
+        # stuffed row that overflows is not the user's constraint 1.
+        path = write("var x; minimize abs(x); subject to x >= -5; x*1e200*1e200 <= 1;")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(command, path, "--target", target)
+        assert code == 7
+        assert out == ""
+        assert err == "error: constraint 1: a coefficient overflows to a non-finite value\n"
 
     @pytest.mark.parametrize("target", ["auto", "cone"])
     def test_overflowing_constant_product_exits_7(self, write, target):
@@ -376,7 +391,11 @@ class TestRenderJson:
 def test_module_entrypoint_runs(tmp_path):
     path = tmp_path / "toy.cvx"
     path.write_text(TOY)
+    # The child imports the same dcpc as this suite, installed or not.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "dcpc.cli", "analyze",
-                           str(path)], capture_output=True, text=True)
+                           str(path)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "target: LP" in proc.stdout

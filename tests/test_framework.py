@@ -49,12 +49,31 @@ class TestReductionBase:
     def test_default_accepts_everything(self):
         assert Reduction().accepts(object()) is True
 
-    def test_apply_retrieve_unimplemented(self):
+    def test_apply_unimplemented(self):
         with pytest.raises(NotImplementedError):
             Reduction().apply(object())
-        with pytest.raises(NotImplementedError):
-            Reduction().retrieve(Solution(Status.OPTIMAL, 0.0, {}),
-                                 InverseRecord("reduction", {}))
+
+    @pytest.mark.parametrize("payload", [{}, {"infeasible": "", "aux": []}])
+    def test_default_retrieve_returns_solution_for_empty_record(self, payload):
+        sol = Solution(Status.OPTIMAL, 1.0, {0: np.array([2.0])}, "ok")
+        assert Reduction().retrieve(sol, InverseRecord("reduction", payload)) is sol
+
+    def test_default_retrieve_drops_aux_variables(self):
+        sol = Solution(Status.OPTIMAL, 1.0, {0: np.array([2.0]),
+                                             5: np.array([3.0]),
+                                             7: np.array([4.0])}, "ok")
+        back = Reduction().retrieve(sol, InverseRecord("reduction", {"aux": [5, 7]}))
+        assert set(back.primal) == {0}
+        np.testing.assert_array_equal(back.primal[0], [2.0])
+        assert (back.status, back.value, back.message) == (Status.OPTIMAL, 1.0, "ok")
+
+    def test_default_retrieve_reports_recorded_infeasibility(self):
+        sol = Solution(Status.OPTIMAL, 0.0, {0: np.array([1.0])})
+        record = InverseRecord("reduction", {"infeasible": "why", "aux": [0]})
+        back = Reduction().retrieve(sol, record)
+        assert back.status is Status.INFEASIBLE
+        assert back.message == "why"
+        assert back.primal == {}
 
     def test_apply_on_rejected_input_raises(self):
         toy = toy_problem()

@@ -3,9 +3,10 @@
 These complement the example-based suites with shrinkable random inputs:
 JSON emission is compared against the stdlib decoder, the label machine
 against an equivalent regular expression and against brute-force refinement
-of label sets, and cone projection against the defining properties of a
+of label sets, cone projection against the defining properties of a
 Euclidean projection (idempotence, non-expansiveness, Jensen's inequality
-for the convex atoms it supports).
+for the convex atoms it supports), and the DCP rules against the position
+invariant that piecewise-linear atom elimination relies on.
 """
 
 import itertools
@@ -13,14 +14,17 @@ import json
 import re
 
 import numpy as np
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dcpc import expressions as ex
+from dcpc import randgen
 from dcpc.cli import render_json
 from dcpc.reductions.cone import ConeDims
 from dcpc.reductions.qp import PathNfa
 from dcpc.solvers import project_cone
+
+from helpers import ALL_ATOMS, random_expression
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 BOUNDED = st.floats(min_value=-100.0, max_value=100.0,
@@ -123,3 +127,73 @@ def test_convex_atoms_satisfy_jensen(x, y, theta, atom):
     gap = _jensen_gap(builders[atom], x, y, theta)
     scale = 1.0 + max(np.max(np.abs(x)), np.max(np.abs(y))) ** 2
     assert np.max(gap) <= 1e-9 * scale
+
+
+# --- piecewise-linear atoms under DCP --------------------------------------
+
+def _pwl_occurrences(expr, sigma):
+    """(curvature, scaling sign) of each nonconstant abs or max in ``expr``."""
+    found = []
+
+    def leave(node, _, s):
+        if node.atom in ("abs", "max") and not node.curvature.is_constant:
+            found.append((node.curvature, s))
+
+    ex.fold(expr, leave, ex.nonconstant, ex.child_sign, sigma)
+    return found
+
+
+def _random_dcp_problem(rng):
+    """A randgen problem, or one over random nested trees, either sense.
+
+    Tree problems keep only the trees that DCP admits on their own, so the
+    problem as a whole is DCP.
+    """
+    maximize = bool(rng.integers(2))
+    kind = int(rng.integers(4))
+    if kind < 3:
+        gen = (randgen.random_pwl_problem, randgen.random_qp_problem,
+               randgen.random_cone_problem)[kind]
+        return gen(rng, int(rng.integers(1, 4)), maximize)
+    decls = [ex.VariableDecl(0, "x"), ex.VariableDecl(1, "y", 2)]
+    sense = ex.Sense.MAXIMIZE if maximize else ex.Sense.MINIMIZE
+
+    def dcp(objective, cons=()):
+        return ex.is_dcp(ex.make_problem(sense, objective, list(cons), decls))[0]
+
+    objective = ex.constant(0.0)
+    for _ in range(50):
+        tree = random_expression(rng, decls, 4)
+        tree = ex.sum_(tree) if tree.dim != 1 else tree
+        if dcp(tree):
+            objective = tree
+            break
+    cons = []
+    for _ in range(int(rng.integers(1, 6))):
+        lhs = random_expression(rng, decls, 3)
+        rhs = random_expression(rng, decls, 2)
+        if lhs.dim != rhs.dim and 1 not in (lhs.dim, rhs.dim):
+            rhs = ex.constant(0.0)
+        con = (lhs, list(ex.Relation)[int(rng.integers(3))], rhs)
+        if dcp(ex.constant(0.0), [con]):
+            cons.append(con)
+    return ex.make_problem(sense, objective, cons, decls)
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dcp_puts_every_nonconstant_pwl_atom_at_positive_sign(seed):
+    # EliminatePwlAtoms accepts every DCP problem: its epigraph rows are
+    # exact only where the occurrence's scaling sign is +1.
+    problem = _random_dcp_problem(np.random.default_rng(seed))
+    assume(ex.is_dcp(problem)[0])
+    for _, expr, sigma in ex.walk_expressions(problem):
+        for curvature, sign in _pwl_occurrences(expr, sigma):
+            assert curvature is ex.Curvature.CONVEX
+            assert sign == +1
+
+
+def test_pwl_atoms_are_convex_atoms():
+    assert {"abs", "max"} <= set(ALL_ATOMS)
+    for name in ("abs", "max"):
+        assert ex.ATOMS[name].curvature_class is ex.Curvature.CONVEX

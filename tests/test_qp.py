@@ -14,7 +14,8 @@ from dcpc.parsing import parse_problem, print_problem
 from dcpc.reductions.cone import affine_row_data, stack_variables
 from dcpc.reductions.framework import ReductionError, Solution, Status
 from dcpc.reductions.cone import ConeDims
-from dcpc.reductions.qp import (PathNfa, StuffLp, StuffQp, canonicalize_qp, qp_applicable, qp_chain, quadratic_form,
+from dcpc.analyzer import TargetClass, build_chain
+from dcpc.reductions.qp import (PathNfa, StuffLp, StuffQp, qp_applicable, quadratic_form,
                                 uses_quadratic_atom)
 from dcpc.reductions.framework import ReductionChain
 from dcpc.reductions.standard import EliminatePwlAtoms, MoveToLhs
@@ -413,7 +414,8 @@ class TestQuadraticForm:
 
 class TestCanonicalizeQp:
     def test_toy_problem_data_is_bit_exact(self):
-        data, _ = canonicalize_qp(toy_problem())
+        p = toy_problem()
+        data, _ = build_chain(p, TargetClass.QP).apply(p)
         assert [v.name for v in data.variables] == ["alice", "bob", "_t2"]
         np.testing.assert_array_equal(data.P, np.zeros((3, 3)))
         np.testing.assert_array_equal(data.q, [0.0, 0.0, 1.0])
@@ -427,7 +429,8 @@ class TestCanonicalizeQp:
         assert data.var_offsets == {0: (0, 1), 1: (1, 1), 2: (2, 1)}
 
     def test_hinge_square_data(self):
-        data, _ = canonicalize_qp(hinge_square_problem())
+        p = hinge_square_problem()
+        data, _ = build_chain(p, TargetClass.QP).apply(p)
         assert [v.name for v in data.variables] == ["x", "_t1", "_t2"]
         np.testing.assert_array_equal(
             data.P, [[0.0, 0.0, 0.0], [0.0, 2.0, 2.0], [0.0, 2.0, 2.0]])
@@ -442,17 +445,18 @@ class TestCanonicalizeQp:
     def test_rejects_outside_fragment(self):
         d = ex.VariableDecl(0, "v", 2)
         p = ex.make_problem(ex.Sense.MINIMIZE, ex.norm2(ex.var_ref(d)), [], [d])
-        with pytest.raises(ReductionError, match="QP-applicable"):
-            canonicalize_qp(p)
+        with pytest.raises(ReductionError):
+            build_chain(p, TargetClass.QP).apply(p)
 
     def test_retrieval_drops_epigraph_variables(self):
         problem = hinge_square_problem()
-        data, record = canonicalize_qp(problem)
+        chain = build_chain(problem, TargetClass.QP)
+        data, record = chain.apply(problem)
         raw = Solution(status=Status.OPTIMAL,
                        primal={0: np.array([-1.0]), 1: np.array([0.0]),
                                2: np.array([0.0])},
                        value=0.0)
-        restored = qp_chain().retrieve(raw, record)
+        restored = chain.retrieve(raw, record)
         assert set(restored.primal) == {0}
         np.testing.assert_array_equal(restored.primal[0], [-1.0])
         assert restored.value == 0.0
@@ -460,7 +464,7 @@ class TestCanonicalizeQp:
     def test_objective_value_matches_quadratic_model(self):
         rng = np.random.default_rng(3)
         problem = hinge_square_problem()
-        data, _ = canonicalize_qp(problem)
+        data, _ = build_chain(problem, TargetClass.QP).apply(problem)
         # On points where the epigraph variables are tight, the QP objective
         # reproduces the original piecewise objective.
         for _ in range(50):

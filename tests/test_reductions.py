@@ -132,7 +132,7 @@ class TestEliminateLinearInequalities:
         p = parse_problem("var x; minimize x; subject to x == 2;")
         q, rec = EliminateLinearInequalities().apply(p)
         assert q == p
-        assert rec.payload["slacks"] == []
+        assert rec.payload["aux"] == []
 
     def test_nonaffine_inequality_rejected(self):
         p = parse_problem("var x; minimize x; subject to square(x) <= 1;")

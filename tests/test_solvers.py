@@ -9,11 +9,10 @@ import pytest
 from scipy.optimize import linprog, minimize
 
 from dcpc import expressions as ex, solvers
-from dcpc.analyzer import RewriterConfig, TargetClass, solve_problem
+from dcpc.analyzer import RewriterConfig, TargetClass, build_chain, solve_problem
 from dcpc.parsing import parse_problem
 from dcpc.reductions.cone import ConeDims, ProgramData
 from dcpc.reductions.framework import Status
-from dcpc.reductions.qp import canonicalize_qp
 from dcpc.solvers import (RawSolution, SolverSettings, project_cone,
                           solve_cone_admm, solve_lp_simplex, solve_qp_admm)
 
@@ -53,7 +52,7 @@ def wide_qp_data(n):
     problem = parse_problem(
         f"var x[{n}];\nminimize sum_squares(x - [{center}]) + sum(abs(x));\n"
         "subject to\n  x <= 10;\n  x >= -10;\n")
-    return canonicalize_qp(problem)[0]
+    return build_chain(problem, TargetClass.QP).apply(problem)[0]
 
 
 TOY = dict(G=[[1, 1, -1], [-1, -1, -1], [1, 0, 0]], h=[-2.0, 0.0, 0.0],
@@ -300,7 +299,8 @@ class TestQpAdmm:
         assert raw.value + 4.5 == pytest.approx(2.0, abs=1e-4)
 
     def test_hinge_square_program(self):
-        data, _ = canonicalize_qp(hinge_square_problem())
+        p = hinge_square_problem()
+        data, _ = build_chain(p, TargetClass.QP).apply(p)
         raw = solve_qp_admm(data)
         assert raw.status is Status.OPTIMAL
         assert raw.value + data.offset == pytest.approx(0.0, abs=1e-5)

@@ -577,6 +577,17 @@ subject to
   sum(x) <= 5;
 """
 
+# Affine addends, a constant product that is not a leaf and a vector sum.
+AFFINE = """\
+var x[3];
+var y;
+minimize (2 + 1)*sum_squares(x - [1, 2, 3]) + sum(2*x - [1, 1, 1]) - y
+  + square(0.1*y - 1) + 0.3;
+subject to
+  x >= -1;
+  y <= 5;
+"""
+
 # (name, source, cli arguments after the file).  The toy LP goes out under
 # all three layouts: its cone document has no SOC and the same rows as the LP
 # one, so only the chain, not the data, says which layout to write.
@@ -585,6 +596,7 @@ DOCUMENTS = [
     ("qp_random_85", lambda: _random_qp_text(85), ["--target", "qp"]),
     ("qp_random_165", lambda: _random_qp_text(165), ["--target", "qp"]),
     ("qp_sums", lambda: SUMS, ["--target", "qp"]),
+    ("qp_affine", lambda: AFFINE, ["--target", "qp"]),
     ("lp_toy", lambda: print_problem(toy_problem()), ["--target", "lp"]),
     ("qp_toy", lambda: print_problem(toy_problem()), ["--target", "qp"]),
     ("cone_toy", lambda: print_problem(toy_problem()), ["--target", "cone"]),

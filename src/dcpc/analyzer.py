@@ -80,18 +80,16 @@ class AnalysisReport:
         return tuple(m.name for m in self.chain.members)
 
 
-def _class_accepts(problem, target: TargetClass,
+def _class_accepts(problem, target: TargetClass, qp_ok: bool,
                    dcp_ok: bool, violations) -> tuple[bool, str]:
+    if target is not TargetClass.CONE and not qp_ok:
+        return False, "objective or constraints leave the QP fragment"
     if target is TargetClass.LP:
-        if not qp_applicable(problem):
-            return False, "objective or constraints leave the QP fragment"
         if uses_quadratic_atom(problem):
             return False, "quadratic atom present"
         return True, "piecewise-linear objective and constraints"
     if target is TargetClass.QP:
-        if qp_applicable(problem):
-            return True, "objective paths accepted by the QP machine"
-        return False, "objective or constraints leave the QP fragment"
+        return True, "objective paths accepted by the QP machine"
     if not dcp_ok:
         return False, "DCP violations at: " + ", ".join(violations)
     return True, "DCP-verified"
@@ -105,13 +103,15 @@ def select_target(problem: ex.ProblemForm,
         order = [config.forced_target]
     else:
         order = sorted(TargetClass)
+    # LP and QP share one QP-applicability test; a forced cone needs none
+    qp_ok = config.forced_target is not TargetClass.CONE and qp_applicable(problem)
     reasons: list[tuple[TargetClass, str]] = []
     winner = None
     for target in order:
         if winner is not None:
             reasons.append((target, "not tried"))
             continue
-        ok, why = _class_accepts(problem, target, dcp_ok, violations)
+        ok, why = _class_accepts(problem, target, qp_ok, dcp_ok, violations)
         reasons.append((target, ("accepted: " if ok else "rejected: ") + why))
         if ok:
             winner = target
@@ -153,14 +153,15 @@ def build_chain(problem: ex.ProblemForm, target: TargetClass,
 def apply_chain(chain: ReductionChain, problem: ex.ProblemForm):
     """``chain.apply(problem)``, with a coefficient overflow blamed on the user.
 
-    Stuffing sees only rewritten rows, whose numbering is the chain's.  On an
-    overflow the chain runs again on the objective alone, then on each
-    constraint alone, and the error names the first of them that overflows.
+    Stuffing sees only rewritten rows, whose numbering is the chain's, so it
+    raises the bare ``OVERFLOW`` message and this is the only code that names
+    a place.  On an overflow the chain runs again on the objective alone, then
+    on each constraint alone, and the error names the first that overflows.
     """
     try:
         return chain.apply(problem)
     except ex.ProblemError as err:
-        if not str(err).endswith(OVERFLOW):
+        if str(err) != OVERFLOW:
             raise
         trees = [("objective", problem.objective, [])] + [
             (f"constraint {c.id}", ex.constant(0.0), [(c.lhs, c.relation, c.rhs)])

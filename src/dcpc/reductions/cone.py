@@ -30,12 +30,11 @@ class SmithProblem:
 
     ``aux_atoms`` maps each fresh variable id to the atom expression it
     replaced (with already-smithed, affine arguments); ``aux_sigma`` records
-    the scaling sign of the replaced occurrence, used to pick the relaxation
-    direction.  ``source`` keeps the pre-transform problem for DCP gating.
+    the scaling sign of the replaced occurrence, which :class:`RelaxSmith`
+    checks before it relaxes.
     """
 
     problem: ex.ProblemForm
-    source: ex.ProblemForm
     aux_atoms: dict[int, ex.ExpressionNode] = field(default_factory=dict)
     aux_sigma: dict[int, int] = field(default_factory=dict)
 
@@ -98,7 +97,7 @@ class SmithTransform(Reduction):
             rhs = replace(c.rhs, fr)
             cons.append((lhs, c.relation, rhs))
         out = ex.make_problem(problem.sense, objective, cons, pool.variables)
-        smith = SmithProblem(out, problem, aux_atoms, aux_sigma)
+        smith = SmithProblem(out, aux_atoms, aux_sigma)
         return smith, self._record(aux=sorted(aux_atoms))
 
 
@@ -107,20 +106,18 @@ class RelaxSmith(Reduction):
 
     Every nonlinear atom in the set is convex, so the epigraph direction is
     the only one needed; it is valid exactly when the replaced occurrence had
-    positive scaling, which the DCP gate plus the sigma check enforce.  At an
-    optimum the relaxation is tight, so dropping the epigraph variables
-    retrieves a solution of the unrelaxed problem.
+    positive scaling.  That sigma check is the cone chain's DCP gate: with
+    only convex nonlinear atoms, a problem is DCP exactly when every one of
+    them sits at scaling sign +1.  At an optimum the relaxation is tight, so
+    dropping the epigraph variables retrieves a solution of the unrelaxed
+    problem.
     """
 
     name = "relax_smith"
 
     def accepts(self, smith) -> bool:
-        if not isinstance(smith, SmithProblem):
-            return False
-        ok, _ = ex.is_dcp(smith.source)
-        if not ok:
-            return False
-        return all(sigma == +1 for sigma in smith.aux_sigma.values())
+        return isinstance(smith, SmithProblem) and \
+            all(sigma == +1 for sigma in smith.aux_sigma.values())
 
     def apply(self, smith):
         self._check(smith)
@@ -263,15 +260,15 @@ def stack_rows(blocks, width) -> tuple[np.ndarray, np.ndarray]:
 OVERFLOW = "a coefficient overflows to a non-finite value"
 
 
-def require_finite(where: str, *arrays) -> None:
+def require_finite(*arrays) -> None:
     """Reject stuffed data that a product of large constants overflowed."""
     if not all(np.isfinite(a).all() for a in arrays):
-        raise ex.ProblemError(f"{where}: {OVERFLOW}")
+        raise ex.ProblemError(OVERFLOW)
 
 
 def affine_row_data(expr: ex.ExpressionNode,
                     var_offsets: dict[int, tuple[int, int]],
-                    width: int, where: str = "expression") -> tuple[np.ndarray, np.ndarray]:
+                    width: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense rows M and constant k with ``expr == M x + k`` over the stack.
 
     Every stuffer builds its rows here, so the finiteness check is here too;
@@ -283,7 +280,7 @@ def affine_row_data(expr: ex.ExpressionNode,
     for vid, block in coeffs.items():
         start, length = var_offsets[vid]
         M[:, start:start + length] = block
-    require_finite(where, M, const)
+    require_finite(M, const)
     return M, const
 
 
@@ -317,7 +314,7 @@ class StuffCone(Reduction):
         def rows_of(cones, sign):
             for cone in cones:
                 for e in ((cone.expr,) if cone.kind != "soc" else (cone.t,) + cone.x):
-                    M, k = affine_row_data(e, var_offsets, width, f"cone constraint {cone.id}")
+                    M, k = affine_row_data(e, var_offsets, width)
                     yield sign * M, -sign * k
 
         zero = [c for c in stage.constraints if c.kind == "zero"]
@@ -325,7 +322,7 @@ class StuffCone(Reduction):
         soc = [c for c in stage.constraints if c.kind == "soc"]
         A, b = stack_rows([*rows_of(zero, +1.0), *rows_of(nonneg, -1.0),
                            *rows_of(soc, -1.0)], width)
-        c_row, offset = affine_row_data(stage.objective, var_offsets, width, "objective")
+        c_row, offset = affine_row_data(stage.objective, var_offsets, width)
         dims = ConeDims(sum(c.expr.dim for c in zero),
                         sum(c.expr.dim for c in nonneg),
                         tuple(1 + c.soc_x_dim for c in soc))

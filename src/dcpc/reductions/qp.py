@@ -92,18 +92,15 @@ def qp_applicable(problem: ex.ProblemForm) -> bool:
     The machine runs down the objective, carrying its state set from each
     node to its children, so shared path prefixes are simulated once.
     Constant subtrees hold no variable, hence no path; a bare variable is the
-    empty path, affine and accepted.
+    empty path, affine and accepted.  DCP already makes both sides of an
+    equality affine.
     """
     ok, _ = ex.is_dcp(problem)
     if not ok:
         return False
-    for c in problem.constraints:
-        if c.relation is ex.Relation.EQ:
-            if not (c.lhs.curvature.is_affine and c.rhs.curvature.is_affine):
-                return False
-        elif not all(ex.ATOM_LABELS[n.atom] <= _PWL_LABELS
-                     for e in (c.lhs, c.rhs) for n in _live_atoms(e)):
-            return False
+    if not all(ex.ATOM_LABELS[n.atom] <= _PWL_LABELS for c in problem.constraints
+               for e in (c.lhs, c.rhs) for n in _live_atoms(e)):
+        return False
     if problem.objective.kind == "var":
         return True
     nfa = PathNfa()
@@ -156,33 +153,23 @@ def _quad_pieces(expr, var_offsets, width):
     Q and k are dense; H keeps only the nonzeros of the row Hessians, as
     sorted ``keys`` (i·width² + j·width + l) and their ``vals``.  Entries are
     combined with the dense (d, width, width) arithmetic, in its order, so P
-    is bit-for-bit the dense one.  The fold's flag marks the constant operand
-    of a product, whose value is all its parent needs.
+    is bit-for-bit the dense one.  The fold stops at affine subtrees, whose
+    (Q, k) come from ``affine_row_data`` with an empty H; a product's
+    constant operand is one of them, and its ``k`` is the constant's value.
     """
     cells = width * width
+    no_hessian = np.zeros(0, dtype=np.int64), np.zeros(0)
 
     def enter(node, _):
-        return not node.curvature.is_constant and node.atom not in _QUADRATIC_ATOMS
+        return not node.curvature.is_affine and node.atom not in _QUADRATIC_ATOMS
 
-    def down(node, i, _):
-        return node.atom == "mul_const" and node.children[i].curvature.is_constant
-
-    def leave(node, parts, value_only):
-        if value_only:
-            return ex.evaluate(node, {})
-        d = node.dim
-        if node.kind == "var" or node.curvature.is_constant:
-            Q, k = np.zeros((d, width)), np.zeros(d)
-            if node.kind == "var":
-                start, _ = var_offsets[node.var_id]
-                Q[np.arange(d), start + np.arange(d)] = 1.0
-            else:
-                k[:] = ex.evaluate(node, {})
-            return (np.zeros(0, dtype=np.int64), np.zeros(0)), Q, k
-        atom = node.atom
+    def leave(node, parts, _):
+        if node.curvature.is_affine:
+            return (no_hessian, *affine_row_data(node, var_offsets, width))
+        d, atom = node.dim, node.atom
         if atom in _QUADRATIC_ATOMS:
             try:
-                M, c = affine_row_data(node.children[0], var_offsets, width, "objective")
+                M, c = affine_row_data(node.children[0], var_offsets, width)
             except ex.NotAffineError as err:
                 raise ReductionError(
                     f"atom '{err.node.atom}' below a quadratic node has no "
@@ -201,7 +188,7 @@ def _quad_pieces(expr, var_offsets, width):
                     a[2] + sign * b[2])
         if atom == "mul_const":
             const_first = node.children[0].curvature.is_constant
-            cval = parts[0 if const_first else 1]
+            cval = parts[0 if const_first else 1][2]
             (keys, vals), Q, k = _broadcast_rows(parts[1 if const_first else 0],
                                                  d, cells)
             scale = np.broadcast_to(cval, (d,))
@@ -220,7 +207,7 @@ def _quad_pieces(expr, var_offsets, width):
             return (keys[lo:hi] - i * cells, vals[lo:hi]), Q[i:i + 1], k[i:i + 1]
         raise ReductionError(f"atom '{atom}' has no quadratic form")
 
-    return ex.fold(expr, leave, enter, down, False)
+    return ex.fold(expr, leave, enter)
 
 
 def quadratic_form(expr: ex.ExpressionNode,
@@ -231,7 +218,7 @@ def quadratic_form(expr: ex.ExpressionNode,
         raise ReductionError("quadratic extraction needs a scalar expression")
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
         (keys, vals), Q, k = _quad_pieces(expr, var_offsets, width)
-    require_finite("objective", vals, Q, k)
+    require_finite(vals, Q, k)
     P = np.bincount(keys, vals, width * width).reshape(width, width)
     return 0.5 * (P + P.T), Q[0], float(k[0])
 
@@ -245,7 +232,7 @@ def _stack_moved_constraints(problem):
     var_offsets, width = stack_variables(problem.variables)
     eq_rows, ineq_rows = [], []
     for c in problem.constraints:
-        M, k = affine_row_data(c.lhs, var_offsets, width, f"constraint {c.id}")
+        M, k = affine_row_data(c.lhs, var_offsets, width)
         if c.lhs.dim != c.dim:  # scalar side of a broadcast constraint
             M = np.broadcast_to(M, (c.dim, width))
             k = np.broadcast_to(k, (c.dim,))
@@ -307,7 +294,7 @@ class StuffLp(Reduction):
     def apply(self, problem):
         self._check(problem)
         A, b, cones, var_offsets, width = _stack_moved_constraints(problem)
-        crow, const = affine_row_data(problem.objective, var_offsets, width, "objective")
+        crow, const = affine_row_data(problem.objective, var_offsets, width)
         data = ProgramData(None, crow[0], float(const[0]), A, b, cones,
                            var_offsets, tuple(problem.variables))
         return data, self._record()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .. import expressions as ex
-from .framework import Reduction, Status
+from .framework import Reduction, ReductionChain, Status
 
 __all__ = [
     "FlipObjective", "MoveToLhs", "EliminateLinearInequalities",
@@ -370,8 +370,8 @@ class PresolveFixedPoint(Reduction):
     MAX_ROUNDS = 20
 
     def __init__(self):
-        self.members = [EliminateFixedVariables(), DropRedundantConstraints()]
-        self._by_name = {m.name: m for m in self.members}
+        self.round = ReductionChain([EliminateFixedVariables(),
+                                     DropRedundantConstraints()])
 
     def accepts(self, problem) -> bool:
         return isinstance(problem, ex.ProblemForm)
@@ -380,20 +380,17 @@ class PresolveFixedPoint(Reduction):
         self._check(problem)
         records = []
         current = problem
-        rounds = 0
         for _ in range(self.MAX_ROUNDS):
             before = current
-            for member in self.members:
-                current, rec = member.apply(current)
-                records.append(rec)
-            rounds += 1
+            current, rec = self.round.apply(current)
+            records.append(rec)
             if current == before:
                 break
-        return current, self._record(records=records, rounds=rounds)
+        return current, self._record(records=records, rounds=len(records))
 
     def retrieve(self, solution, record):
         for rec in reversed(record.payload["records"]):
-            solution = self._by_name[rec.reduction].retrieve(solution, rec)
+            solution = self.round.retrieve(solution, rec)
         return solution
 
 
@@ -486,12 +483,6 @@ class CanonConstraint:
     @property
     def soc_x_dim(self) -> int:
         return sum(e.dim for e in self.x)
-
-    @property
-    def rows(self) -> int:
-        if self.kind == "soc":
-            return 1 + self.soc_x_dim
-        return self.expr.dim
 
 
 @dataclass(frozen=True)

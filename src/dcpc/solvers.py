@@ -28,6 +28,7 @@ __all__ = ["SolverSettings", "RawSolution", "solve_lp_simplex", "solve_admm",
 _PIVOT_TOL = 1e-9
 _DEGENERATE_RUN = 50  # degenerate Dantzig pivots before Bland's rule
 _SIGMA = 1e-6  # proximal regularization for the splitting solvers
+_ALPHA = 1.6  # over-relaxation of the splitting solvers, OSQP's default
 _EQ_RHO_SCALE = 1e3  # stiffer penalty on equality rows, as splitting solvers do
 _CERT_EPS = 1e-4  # relative tolerance of the infeasibility certificates
 _RUIZ_PASSES = 10  # equilibration passes, OSQP's default
@@ -41,7 +42,6 @@ class SolverSettings:
     max_iterations: int = 20000
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
-    alpha: float = 1.6
     rho: float = 1.0
 
     def __post_init__(self):
@@ -50,8 +50,6 @@ class SolverSettings:
         if not all(math.isfinite(v) and v > 0
                    for v in (self.eps_abs, self.eps_rel)):
             raise ValueError("tolerances must be positive and finite")
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError("alpha must lie in (0, 2)")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ValueError("rho must be positive and finite")
 
@@ -270,7 +268,7 @@ def solve_admm(data: ProgramData,
     On Ruiz-equilibrated data (``_equilibrate``) each iteration is one solve
     with the sparse factor of the quasi-definite KKT matrix ``[[P + σI, Aᵀ],
     [A, -diag(1/ρ)]]``, one projection of ``z = Ax`` onto ``b - K`` and a
-    dual step, with over-relaxation ``alpha``.  Equality rows take a ρ
+    dual step, with over-relaxation ``_ALPHA``.  Equality rows take a ρ
     ``_EQ_RHO_SCALE`` times stiffer.  Every 25 iterations it tests, on the
     unscaled data, the residuals for optimality (the primal one row by row),
     then the changes ``δy``, ``δx`` since the last test for a certificate
@@ -301,7 +299,7 @@ def solve_admm(data: ProgramData,
     except RuntimeError as err:
         return RawSolution(Status.ERROR, np.zeros(n), math.nan, 0,
                            f"KKT factorization failed: {err}")
-    alpha, eps = settings.alpha, _CERT_EPS
+    alpha, eps = _ALPHA, _CERT_EPS
     x, z, y = np.zeros(n), np.zeros(m), np.zeros(m)
     x_seen, y_seen = x, y
     status, message = Status.ITERATION_LIMIT, "splitting did not converge"

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from dcpc import analyzer
 from dcpc import expressions as ex
 from dcpc.analyzer import (AnalyzerError, RewriterConfig, TargetClass,
                            build_chain, select_target, solve_problem)
 from dcpc.parsing import parse_problem
+from dcpc.reductions.cone import OVERFLOW
 from dcpc.reductions.framework import Status
 
 from helpers import hinge_square_problem, random_expression, toy_problem, PWL_ATOMS
@@ -47,6 +49,17 @@ class TestSelectTarget:
     def test_norm_selects_cone(self):
         report = select_target(norm_problem())
         assert report.target is TargetClass.CONE
+
+    @pytest.mark.parametrize("problem,forced,calls", [
+        (hinge_square_problem, None, 1), (norm_problem, None, 1),
+        (hinge_square_problem, TargetClass.CONE, 0)])
+    def test_qp_applicability_tested_once(self, monkeypatch, problem, forced, calls):
+        real, seen = analyzer.qp_applicable, []
+        monkeypatch.setattr(analyzer, "qp_applicable",
+                            lambda p: seen.append(p) or real(p))
+        report = select_target(problem(), RewriterConfig(forced_target=forced))
+        assert report.target is not None
+        assert len(seen) == calls
 
     def test_short_circuit_marks_not_tried(self):
         report = select_target(toy_problem())
@@ -241,3 +254,12 @@ class TestCoefficientOverflow:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ex.ProblemError, match="objective: a coefficient overflows"):
             solve_problem(parse_problem(f"var x; {objective}; subject to x >= -1;"), config)
+
+    def test_stuffing_raises_the_bare_message(self):
+        # Only apply_chain names a place; a chain applied directly does not.
+        problem = parse_problem("var x; minimize abs(x); subject to x*1e200*1e200 <= 1;")
+        for target in TargetClass:
+            report = select_target(problem, RewriterConfig(forced_target=target))
+            with pytest.raises(ex.ProblemError) as err:
+                report.chain.apply(problem)
+            assert str(err.value) == OVERFLOW

@@ -154,11 +154,13 @@ class TestRelaxSmith:
         assert not RelaxSmith().accepts(toy_problem())
 
     def test_rejects_negative_sigma_even_if_flagged_dcp(self):
-        p = parse_problem("var x; minimize x; subject to square(x) >= 1;")
+        p = parse_problem("var x; minimize square(x);")
         sm, _ = SmithTransform().apply(p)
-        # force a wrong DCP verdict: the sigma check must still refuse
-        fake = SmithProblem(sm.problem, toy_problem(), sm.aux_atoms,
-                            sm.aux_sigma)
+        assert RelaxSmith().accepts(sm)
+        # the same DCP problem with its atom's sign flipped: the sigma check
+        # alone must refuse it
+        fake = SmithProblem(sm.problem, sm.aux_atoms,
+                            {aux: -1 for aux in sm.aux_sigma})
         assert not RelaxSmith().accepts(fake)
 
     def test_retrieval_is_identity(self):
@@ -179,7 +181,7 @@ class TestGraphExpand:
         stage = self.expand("var x[3]; minimize norm2(x);")
         (cone,) = stage.constraints
         assert cone.kind == "soc"
-        assert cone.rows == 4
+        assert 1 + cone.soc_x_dim == 4
         assert cone.t.kind == "var"
 
     def test_square_embedding_boundary_point(self):
@@ -196,13 +198,13 @@ class TestGraphExpand:
         stage = self.expand("var v[3]; minimize sum(square(v));")
         socs = [c for c in stage.constraints if c.kind == "soc"]
         assert len(socs) == 3
-        assert all(c.rows == 3 for c in socs)
+        assert all(1 + c.soc_x_dim == 3 for c in socs)
 
     def test_sum_squares_single_cone(self):
         stage = self.expand("var v[3]; minimize sum_squares(v);")
         (cone,) = stage.constraints
         assert cone.kind == "soc"
-        assert cone.rows == 1 + 3 + 1  # t part, 2v block, 1-t scalar
+        assert 1 + cone.soc_x_dim == 1 + 3 + 1  # t part, 2v block, 1-t scalar
         env = {0: np.array([1.0, 2.0, 2.0]), 1: np.array([9.0])}
         t = ex.evaluate(cone.t, env)[0]
         x = np.concatenate([ex.evaluate(e, env) for e in cone.x])

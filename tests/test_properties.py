@@ -6,7 +6,8 @@ against an equivalent regular expression and against brute-force refinement
 of label sets, cone projection against the defining properties of a
 Euclidean projection (idempotence, non-expansiveness, Jensen's inequality
 for the convex atoms it supports), and the DCP rules against the position
-invariant that piecewise-linear atom elimination relies on.
+invariant that piecewise-linear atom elimination relies on and against the
+sigma check that gates the cone chain.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from dcpc import expressions as ex
 from dcpc import randgen
 from dcpc.cli import render_json
-from dcpc.reductions.cone import ConeDims
+from dcpc.reductions.cone import ConeDims, RelaxSmith, SmithTransform
 from dcpc.reductions.qp import PathNfa
 from dcpc.solvers import project_cone
 
@@ -143,11 +144,12 @@ def _pwl_occurrences(expr, sigma):
     return found
 
 
-def _random_dcp_problem(rng):
+def _random_problem(rng, dcp_only=True):
     """A randgen problem, or one over random nested trees, either sense.
 
-    Tree problems keep only the trees that DCP admits on their own, so the
-    problem as a whole is DCP.
+    With ``dcp_only``, tree problems keep only the trees that DCP admits on
+    their own, so the problem as a whole is DCP; without it they keep the
+    first tree drawn for each place.
     """
     maximize = bool(rng.integers(2))
     kind = int(rng.integers(4))
@@ -159,7 +161,8 @@ def _random_dcp_problem(rng):
     sense = ex.Sense.MAXIMIZE if maximize else ex.Sense.MINIMIZE
 
     def dcp(objective, cons=()):
-        return ex.is_dcp(ex.make_problem(sense, objective, list(cons), decls))[0]
+        return not dcp_only or \
+            ex.is_dcp(ex.make_problem(sense, objective, list(cons), decls))[0]
 
     objective = ex.constant(0.0)
     for _ in range(50):
@@ -185,12 +188,22 @@ def _random_dcp_problem(rng):
 def test_dcp_puts_every_nonconstant_pwl_atom_at_positive_sign(seed):
     # EliminatePwlAtoms accepts every DCP problem: its epigraph rows are
     # exact only where the occurrence's scaling sign is +1.
-    problem = _random_dcp_problem(np.random.default_rng(seed))
+    problem = _random_problem(np.random.default_rng(seed))
     assume(ex.is_dcp(problem)[0])
     for _, expr, sigma in ex.walk_expressions(problem):
         for curvature, sign in _pwl_occurrences(expr, sigma):
             assert curvature is ex.Curvature.CONVEX
             assert sign == +1
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_relax_smith_sigma_check_is_the_dcp_test(seed):
+    # RelaxSmith has no DCP test of its own: every nonlinear atom is convex,
+    # so a problem is DCP exactly when each one sits at scaling sign +1.
+    problem = _random_problem(np.random.default_rng(seed), dcp_only=False)
+    smith, _ = SmithTransform().apply(problem)
+    assert RelaxSmith().accepts(smith) == ex.is_dcp(problem)[0]
 
 
 def test_pwl_atoms_are_convex_atoms():

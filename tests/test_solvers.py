@@ -79,11 +79,11 @@ class TestSolverSettings:
     def test_defaults(self):
         s = SolverSettings()
         assert (s.max_iterations, s.eps_abs, s.eps_rel) == (20000, 1e-6, 1e-6)
-        assert (s.alpha, s.rho) == (1.6, 1.0)
+        assert s.rho == 1.0
 
     @pytest.mark.parametrize("kwargs", [
         {"max_iterations": 0}, {"eps_abs": 0.0}, {"eps_rel": -1e-9},
-        {"alpha": 0.0}, {"alpha": 2.0}, {"rho": 0.0},
+        {"rho": 0.0},
         {"eps_abs": math.inf}, {"eps_rel": math.inf}, {"eps_abs": math.nan},
         {"eps_rel": math.nan}, {"rho": math.inf}, {"rho": math.nan},
     ])

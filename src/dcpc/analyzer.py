@@ -168,8 +168,8 @@ def apply_chain(chain: ReductionChain, problem: ex.ProblemForm):
             for c in problem.constraints]
         for where, objective, cons in trees:
             try:
-                chain.apply(ex.make_problem(problem.sense, objective, cons,
-                                            problem.variables))
+                chain.apply(ex.ProblemForm(problem.sense, objective, cons,
+                                           problem.variables))
             except ex.ProblemError:
                 raise ex.ProblemError(f"{where}: {OVERFLOW}") from err
         raise

@@ -196,7 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps-abs", type=float, default=1e-6)
         p.add_argument("--eps-rel", type=float, default=1e-6)
         p.add_argument("--json", action="store_true",
-                       help="JSON output for `analyze`")
+                       help="JSON report from `analyze`; `canonicalize` and "
+                            "`solve` always print JSON")
 
     analyze = sub.add_parser("analyze", help="report DCP verdict and target class")
     canonicalize = sub.add_parser("canonicalize",

@@ -32,6 +32,7 @@ __all__ = [
     "AtomDescriptor",
     "ATOMS",
     "ATOM_LABELS",
+    "apply_atom",
     "constant",
     "var_ref",
     "add",
@@ -456,13 +457,15 @@ def _compose_curvature(desc: AtomDescriptor, children: Sequence[ExpressionNode])
     return Curvature.UNKNOWN
 
 
-def _apply_atom(name: str, children: Sequence[ExpressionNode], param: int | None = None) -> ExpressionNode:
+def apply_atom(name: str, children: Sequence[ExpressionNode], param: int | None = None) -> ExpressionNode:
+    """Atom ``name`` over ``children``: every atom node is built here."""
     desc = ATOMS[name]
     n = len(children)
     if n < desc.arity_min or (desc.arity_max != -1 and n > desc.arity_max):
-        raise ExpressionError(f"atom '{name}' takes "
-                              f"{desc.arity_min}{'+' if desc.arity_max == -1 else f'..{desc.arity_max}'}"
-                              f" arguments, got {n}")
+        # Every atom takes a fixed count of arguments or, max, a count and up.
+        wanted = (f"{desc.arity_min}+ arguments" if desc.arity_max == -1 else
+                  f"{desc.arity_min} argument" + "s" * (desc.arity_min != 1))
+        raise ExpressionError(f"atom '{name}' takes {wanted}, got {n}")
     dim = desc.result_dim(children, param)
     curvature = _compose_curvature(desc, children)
     sign = desc.sign_rule(children)
@@ -471,15 +474,15 @@ def _apply_atom(name: str, children: Sequence[ExpressionNode], param: int | None
 
 
 def add(a: ExpressionNode, b: ExpressionNode) -> ExpressionNode:
-    return _apply_atom("add", (a, b))
+    return apply_atom("add", (a, b))
 
 
 def sub(a: ExpressionNode, b: ExpressionNode) -> ExpressionNode:
-    return _apply_atom("sub", (a, b))
+    return apply_atom("sub", (a, b))
 
 
 def neg(a: ExpressionNode) -> ExpressionNode:
-    return _apply_atom("neg", (a,))
+    return apply_atom("neg", (a,))
 
 
 def mul(a: ExpressionNode, b: ExpressionNode) -> ExpressionNode:
@@ -495,35 +498,35 @@ def mul(a: ExpressionNode, b: ExpressionNode) -> ExpressionNode:
     if is_zero:
         dim = _broadcast_dim((a, b), "mul_const")
         return constant(np.zeros(dim))
-    return _apply_atom("mul_const", (a, b))
+    return apply_atom("mul_const", (a, b))
 
 
 def index(a: ExpressionNode, k: int) -> ExpressionNode:
-    return _apply_atom("index", (a,), param=int(k))
+    return apply_atom("index", (a,), param=int(k))
 
 
 def sum_(a: ExpressionNode) -> ExpressionNode:
-    return _apply_atom("sum", (a,))
+    return apply_atom("sum", (a,))
 
 
 def max_(*args: ExpressionNode) -> ExpressionNode:
-    return _apply_atom("max", tuple(args))
+    return apply_atom("max", tuple(args))
 
 
 def abs_(a: ExpressionNode) -> ExpressionNode:
-    return _apply_atom("abs", (a,))
+    return apply_atom("abs", (a,))
 
 
 def square(a: ExpressionNode) -> ExpressionNode:
-    return _apply_atom("square", (a,))
+    return apply_atom("square", (a,))
 
 
 def sum_squares(a: ExpressionNode) -> ExpressionNode:
-    return _apply_atom("sum_squares", (a,))
+    return apply_atom("sum_squares", (a,))
 
 
 def norm2(a: ExpressionNode) -> ExpressionNode:
-    return _apply_atom("norm2", (a,))
+    return apply_atom("norm2", (a,))
 
 
 # --- traversal ---------------------------------------------------------------
@@ -582,7 +585,7 @@ def rebuild(node: ExpressionNode, children: Sequence[ExpressionNode]) -> Express
         return node
     if node.atom == "mul_const":
         return mul(children[0], children[1])  # folds a product with zero
-    return _apply_atom(node.atom, children, node.param)
+    return apply_atom(node.atom, children, node.param)
 
 
 # DCP scaling sign at the root of each tree of a problem: the objective's by
@@ -736,39 +739,46 @@ class ConstraintDecl:
 
 @dataclass(frozen=True)
 class ProblemForm:
-    """A full problem: sense, scalar objective, constraints, variables."""
+    """A full problem: sense, scalar objective, constraints, variables.
+
+    Constraints, given as ``(lhs, relation, rhs)`` triples or declarations,
+    are numbered by position.  The trees are not walked: the parser and the
+    reductions build them from declared variables, and :func:`make_problem`
+    checks trees built anywhere else.
+    """
 
     sense: Sense
     objective: ExpressionNode
     constraints: tuple[ConstraintDecl, ...]
     variables: tuple[VariableDecl, ...]
 
+    def __post_init__(self):
+        if self.objective.dim != 1:
+            raise ProblemError(f"objective must be scalar, got dim {self.objective.dim}")
+        variables = tuple(self.variables)
+        if len({v.id for v in variables}) != len(variables):
+            raise ProblemError("duplicate variable ids")
+        if len({v.name for v in variables}) != len(variables):
+            raise ProblemError("duplicate variable names")
+        cons = []
+        for pos, c in enumerate(self.constraints):
+            lhs, rel, rhs = (c.lhs, c.relation, c.rhs) if isinstance(c, ConstraintDecl) else c
+            cons.append(ConstraintDecl(pos, rel, lhs, rhs))
+        object.__setattr__(self, "constraints", tuple(cons))  # frozen: set once, here
+        object.__setattr__(self, "variables", variables)
+
 
 def make_problem(sense: Sense, objective: ExpressionNode,
                  constraints: Sequence[tuple[ExpressionNode, Relation, ExpressionNode] | ConstraintDecl],
                  variables: Sequence[VariableDecl]) -> ProblemForm:
-    """Validate and assemble a :class:`ProblemForm`.
+    """A :class:`ProblemForm` whose trees reference only its declared variables.
 
-    Constraint ids are assigned positionally.  Every variable referenced by an
-    expression must appear in ``variables``; ids and names must be unique.
+    For trees built outside the library: every variable an expression
+    references must appear in ``variables``, with its declared dimension.
     """
-    if objective.dim != 1:
-        raise ProblemError(f"objective must be scalar, got dim {objective.dim}")
-    ids = [v.id for v in variables]
-    names = [v.name for v in variables]
-    if len(set(ids)) != len(ids):
-        raise ProblemError("duplicate variable ids")
-    if len(set(names)) != len(names):
-        raise ProblemError("duplicate variable names")
-    decl_dims = {v.id: v.dim for v in variables}
-    cons = []
-    for pos, c in enumerate(constraints):
-        if isinstance(c, ConstraintDecl):
-            cons.append(ConstraintDecl(pos, c.relation, c.lhs, c.rhs))
-        else:
-            lhs, rel, rhs = c
-            cons.append(ConstraintDecl(pos, rel, lhs, rhs))
-    for expr in [objective] + [e for c in cons for e in (c.lhs, c.rhs)]:
+    problem = ProblemForm(sense, objective, constraints, variables)
+    decl_dims = {v.id: v.dim for v in problem.variables}
+    for _, expr, _ in walk_expressions(problem):
         for node in nodes(expr):
             if node.kind == "var":
                 if node.var_id not in decl_dims:
@@ -776,7 +786,7 @@ def make_problem(sense: Sense, objective: ExpressionNode,
                 if decl_dims[node.var_id] != node.dim:
                     raise ProblemError(f"variable '{node.var_name}' used with dim {node.dim}, "
                                        f"declared {decl_dims[node.var_id]}")
-    return ProblemForm(sense, objective, tuple(cons), tuple(variables))
+    return problem
 
 
 class VariablePool:

@@ -190,10 +190,9 @@ class _Parser:
         tok = self.peek()
         if tok[_KIND] != "EOF":
             raise ParseError(f"unexpected trailing input {tok[_TEXT]!r}", self.span(tok))
-        try:
-            return ex.make_problem(sense, objective, constraints, self.variables)
-        except (ex.ProblemError, ex.ExpressionError) as err:
-            raise ParseError(str(err), SourceSpan(1, 1, 1)) from err
+        # Dimensions and names are checked above and every identifier resolved
+        # through a declaration, so the trees need no second walk.
+        return ex.ProblemForm(sense, objective, constraints, self.variables)
 
     def parse_vardecl(self):
         self.expect("IDENT", "var")
@@ -309,10 +308,7 @@ class _Parser:
                     raise ParseError(f"unknown atom '{name}'", self.span(tok))
                 self.advance()
                 args = self.nest(tok, self.parse_arguments)
-                builder = {"abs": ex.abs_, "max": ex.max_, "sum": ex.sum_,
-                           "square": ex.square, "sum_squares": ex.sum_squares,
-                           "norm2": ex.norm2}[name]
-                return self._build(builder, tuple(args), tok)
+                return self._build(ex.apply_atom, (name, tuple(args)), tok)
             if name in RESERVED_WORDS:
                 raise ParseError(f"'{name}' is a reserved word", self.span(tok))
             if name not in self.refs:

@@ -28,14 +28,12 @@ __all__ = [
 class SmithProblem:
     """A problem whose nonlinear atoms all sit in defining constraints t == f.
 
-    ``aux_atoms`` maps each fresh variable id to the atom expression it
-    replaced (with already-smithed, affine arguments); ``aux_sigma`` records
-    the scaling sign of the replaced occurrence, which :class:`RelaxSmith`
-    checks before it relaxes.
+    ``aux_sigma`` maps each fresh variable id to the scaling sign of the atom
+    occurrence it replaced, which :class:`RelaxSmith` checks before it
+    relaxes.
     """
 
     problem: ex.ProblemForm
-    aux_atoms: dict[int, ex.ExpressionNode] = field(default_factory=dict)
     aux_sigma: dict[int, int] = field(default_factory=dict)
 
 
@@ -57,7 +55,6 @@ class SmithTransform(Reduction):
     def apply(self, problem):
         self._check(problem)
         pool = ex.VariablePool(problem.variables)
-        aux_atoms: dict[int, ex.ExpressionNode] = {}
         aux_sigma: dict[int, int] = {}
         cons: list = []
 
@@ -84,7 +81,6 @@ class SmithTransform(Reduction):
                     return body
                 aux = pending.pop()
                 cons.append((ex.var_ref(aux), ex.Relation.EQ, body))
-                aux_atoms[aux.id] = body
                 aux_sigma[aux.id] = s
                 return ex.var_ref(aux)
 
@@ -96,9 +92,8 @@ class SmithTransform(Reduction):
             lhs = replace(c.lhs, fl)
             rhs = replace(c.rhs, fr)
             cons.append((lhs, c.relation, rhs))
-        out = ex.make_problem(problem.sense, objective, cons, pool.variables)
-        smith = SmithProblem(out, aux_atoms, aux_sigma)
-        return smith, self._record(aux=sorted(aux_atoms))
+        out = ex.ProblemForm(problem.sense, objective, cons, pool.variables)
+        return SmithProblem(out, aux_sigma), self._record(aux=sorted(aux_sigma))
 
 
 class RelaxSmith(Reduction):
@@ -125,12 +120,11 @@ class RelaxSmith(Reduction):
         cons = []
         for c in inner.constraints:
             if c.relation is ex.Relation.EQ and c.lhs.kind == "var" \
-                    and c.lhs.var_id in smith.aux_atoms:
+                    and c.lhs.var_id in smith.aux_sigma:
                 cons.append((c.rhs, ex.Relation.LE, c.lhs))
             else:
                 cons.append((c.lhs, c.relation, c.rhs))
-        out = ex.make_problem(inner.sense, inner.objective, cons,
-                              inner.variables)
+        out = ex.ProblemForm(inner.sense, inner.objective, cons, inner.variables)
         return out, self._record()
 
 
@@ -250,13 +244,6 @@ def stack_variables(variables) -> tuple[dict[int, tuple[int, int]], int]:
     return {v.id: (int(s), v.dim) for v, s in zip(variables, starts)}, int(starts[-1])
 
 
-def stack_rows(blocks, width) -> tuple[np.ndarray, np.ndarray]:
-    """``(A, b)`` from ``(M, k)`` row blocks, stacked in order in one copy."""
-    if not blocks:
-        return np.zeros((0, width)), np.zeros(0)
-    return np.vstack([M for M, _ in blocks]), np.concatenate([k for _, k in blocks])
-
-
 OVERFLOW = "a coefficient overflows to a non-finite value"
 
 
@@ -282,6 +269,19 @@ def affine_row_data(expr: ex.ExpressionNode,
         M[:, start:start + length] = block
     require_finite(M, const)
     return M, const
+
+
+def stack_rows(blocks, var_offsets, width) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, b)`` from ``(exprs, sign)`` blocks, stacked in order in one copy.
+
+    Each expression's rows ``M x + k`` are written as ``A = sign·M``,
+    ``b = -sign·k``; every stuffer stacks its rows here.
+    """
+    rows = [(sign, *affine_row_data(e, var_offsets, width))
+            for exprs, sign in blocks for e in exprs]
+    if not rows:
+        return np.zeros((0, width)), np.zeros(0)
+    return np.vstack([s * M for s, M, _ in rows]), np.concatenate([-s * k for s, _, k in rows])
 
 
 class StuffCone(Reduction):
@@ -310,21 +310,14 @@ class StuffCone(Reduction):
     def apply(self, stage):
         self._check(stage)
         var_offsets, width = stack_variables(stage.variables)
-
-        def rows_of(cones, sign):
-            for cone in cones:
-                for e in ((cone.expr,) if cone.kind != "soc" else (cone.t,) + cone.x):
-                    M, k = affine_row_data(e, var_offsets, width)
-                    yield sign * M, -sign * k
-
-        zero = [c for c in stage.constraints if c.kind == "zero"]
-        nonneg = [c for c in stage.constraints if c.kind == "nonneg"]
+        zero = [c.expr for c in stage.constraints if c.kind == "zero"]
+        nonneg = [c.expr for c in stage.constraints if c.kind == "nonneg"]
         soc = [c for c in stage.constraints if c.kind == "soc"]
-        A, b = stack_rows([*rows_of(zero, +1.0), *rows_of(nonneg, -1.0),
-                           *rows_of(soc, -1.0)], width)
+        A, b = stack_rows([(zero, +1.0), (nonneg, -1.0),
+                           ([e for c in soc for e in (c.t, *c.x)], -1.0)],
+                          var_offsets, width)
         c_row, offset = affine_row_data(stage.objective, var_offsets, width)
-        dims = ConeDims(sum(c.expr.dim for c in zero),
-                        sum(c.expr.dim for c in nonneg),
+        dims = ConeDims(sum(e.dim for e in zero), sum(e.dim for e in nonneg),
                         tuple(1 + c.soc_x_dim for c in soc))
         data = ProgramData(None, c_row[0], float(offset[0]), A, b, dims,
                            var_offsets, tuple(stage.variables))

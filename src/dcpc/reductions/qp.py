@@ -223,30 +223,30 @@ def quadratic_form(expr: ex.ExpressionNode,
     return 0.5 * (P + P.T), Q[0], float(k[0])
 
 
-def _stack_moved_constraints(problem):
-    """(A, b, cones, var_offsets, width) from a moved-to-LHS problem.
+def _stuff_moved(problem, quadratic: bool) -> ProgramData:
+    """``ProgramData`` of a moved-to-LHS problem, with ``P`` only if ``quadratic``.
 
     Rows ``Mx + k == 0`` come first, then rows ``Mx + k <= 0``, each as
     ``A = M, b = -k``.
     """
     var_offsets, width = stack_variables(problem.variables)
-    eq_rows, ineq_rows = [], []
-    for c in problem.constraints:
-        M, k = affine_row_data(c.lhs, var_offsets, width)
-        if c.lhs.dim != c.dim:  # scalar side of a broadcast constraint
-            M = np.broadcast_to(M, (c.dim, width))
-            k = np.broadcast_to(k, (c.dim,))
-        target = eq_rows if c.relation is ex.Relation.EQ else ineq_rows
-        target.append((M, -k))
-    A, b = stack_rows(eq_rows + ineq_rows, width)
-    cones = ConeDims(sum(k.size for _, k in eq_rows),
-                     sum(k.size for _, k in ineq_rows), ())
-    return A, b, cones, var_offsets, width
+    eq = [c.lhs for c in problem.constraints if c.relation is ex.Relation.EQ]
+    le = [c.lhs for c in problem.constraints if c.relation is not ex.Relation.EQ]
+    A, b = stack_rows([(eq, +1.0), (le, +1.0)], var_offsets, width)
+    if quadratic:
+        P, q, r = quadratic_form(problem.objective, var_offsets, width)
+    else:
+        P, (q,), (r,) = None, *affine_row_data(problem.objective, var_offsets, width)
+    cones = ConeDims(sum(e.dim for e in eq), sum(e.dim for e in le), ())
+    return ProgramData(P, q, float(r), A, b, cones, var_offsets, problem.variables)
 
 
 def _is_moved_form(problem) -> bool:
+    """Every constraint is ``lhs <= 0`` or ``lhs == 0`` with an affine ``lhs``
+    that has all of the constraint's rows, as :class:`MoveToLhs` leaves it."""
     return all(c.relation is not ex.Relation.GE and is_zero_constant(c.rhs)
-               and c.lhs.curvature.is_affine for c in problem.constraints)
+               and c.lhs.dim == c.dim and c.lhs.curvature.is_affine
+               for c in problem.constraints)
 
 
 def _quadratic_tree(expr) -> bool:
@@ -273,11 +273,7 @@ class StuffQp(Reduction):
 
     def apply(self, problem):
         self._check(problem)
-        A, b, cones, var_offsets, width = _stack_moved_constraints(problem)
-        P, q, r = quadratic_form(problem.objective, var_offsets, width)
-        data = ProgramData(P, q, r, A, b, cones, var_offsets,
-                           tuple(problem.variables))
-        return data, self._record()
+        return _stuff_moved(problem, quadratic=True), self._record()
 
 
 class StuffLp(Reduction):
@@ -293,8 +289,4 @@ class StuffLp(Reduction):
 
     def apply(self, problem):
         self._check(problem)
-        A, b, cones, var_offsets, width = _stack_moved_constraints(problem)
-        crow, const = affine_row_data(problem.objective, var_offsets, width)
-        data = ProgramData(None, crow[0], float(const[0]), A, b, cones,
-                           var_offsets, tuple(problem.variables))
-        return data, self._record()
+        return _stuff_moved(problem, quadratic=False), self._record()

@@ -49,7 +49,7 @@ def trivially_infeasible_problem() -> ex.ProblemForm:
     ``infeasible`` message, so retrieval reports Infeasible whatever the
     downstream pipeline says.
     """
-    return ex.make_problem(ex.Sense.MINIMIZE, ex.constant(0.0), [], [])
+    return ex.ProblemForm(ex.Sense.MINIMIZE, ex.constant(0.0), [], [])
 
 
 class FlipObjective(Reduction):
@@ -62,8 +62,8 @@ class FlipObjective(Reduction):
 
     def apply(self, problem):
         self._check(problem)
-        flipped = ex.make_problem(ex.Sense.MINIMIZE, ex.neg(problem.objective),
-                                  problem.constraints, problem.variables)
+        flipped = ex.ProblemForm(ex.Sense.MINIMIZE, ex.neg(problem.objective),
+                                 problem.constraints, problem.variables)
         return flipped, self._record()
 
     def retrieve(self, solution, record):
@@ -86,7 +86,7 @@ class MoveToLhs(Reduction):
                 cons.append((smart_sub(c.rhs, c.lhs), ex.Relation.LE, _ZERO))
             else:
                 cons.append((smart_sub(c.lhs, c.rhs), c.relation, _ZERO))
-        out = ex.make_problem(problem.sense, problem.objective, cons, problem.variables)
+        out = ex.ProblemForm(problem.sense, problem.objective, cons, problem.variables)
         return out, self._record()
 
 
@@ -116,7 +116,7 @@ class EliminateLinearInequalities(Reduction):
             else:  # f >= g  <=>  (g - f) + s == 0
                 cons.append((ex.add(smart_sub(c.rhs, c.lhs), s), ex.Relation.EQ, _ZERO))
             cons.append((s, ex.Relation.GE, _ZERO))
-        out = ex.make_problem(problem.sense, problem.objective, cons, pool.variables)
+        out = ex.ProblemForm(problem.sense, problem.objective, cons, pool.variables)
         slack_ids = [v.id for v in pool.variables[len(problem.variables):]]
         return out, self._record(aux=slack_ids)
 
@@ -174,7 +174,7 @@ class EliminateFixedVariables(Reduction):
             cons.append((ex.substitute_variables(c.lhs, mapping), c.relation,
                          ex.substitute_variables(c.rhs, mapping)))
         variables = [v for v in problem.variables if v.id not in fixed]
-        out = ex.make_problem(problem.sense, objective, cons, variables)
+        out = ex.ProblemForm(problem.sense, objective, cons, variables)
         return out, self._record(infeasible="",
                                  fixed={vid: val for vid, val in fixed.items()})
 
@@ -229,7 +229,7 @@ class SplitFreeVariables(Reduction):
         cons = [(ex.substitute_variables(c.lhs, mapping), c.relation,
                  ex.substitute_variables(c.rhs, mapping))
                 for c in problem.constraints]
-        out = ex.make_problem(problem.sense, objective, cons + new_cons, variables)
+        out = ex.ProblemForm(problem.sense, objective, cons + new_cons, variables)
         return out, self._record(splits=splits)
 
     def retrieve(self, solution, record):
@@ -317,8 +317,8 @@ class DropRedundantConstraints(Reduction):
                     continue
             seen.add(key)
             kept.append((c.lhs, c.relation, c.rhs))
-        out = ex.make_problem(problem.sense, problem.objective, kept,
-                              problem.variables)
+        out = ex.ProblemForm(problem.sense, problem.objective, kept,
+                             problem.variables)
         return out, self._record(infeasible="")
 
 
@@ -358,8 +358,8 @@ class ScaleConstraints(Reduction):
                 factor = ex.constant(scale if dim > 1 else float(scale[0]))
                 cons.append((ex.mul(factor, c.lhs), c.relation,
                              ex.mul(factor, c.rhs)))
-        out = ex.make_problem(problem.sense, problem.objective, cons,
-                              problem.variables)
+        out = ex.ProblemForm(problem.sense, problem.objective, cons,
+                             problem.variables)
         return out, self._record()
 
 
@@ -446,7 +446,7 @@ class EliminatePwlAtoms(Reduction):
             lhs = rewrite(c.lhs)
             rhs = rewrite(c.rhs)
             cons.append((lhs, c.relation, rhs))
-        out = ex.make_problem(problem.sense, objective, cons, pool.variables)
+        out = ex.ProblemForm(problem.sense, objective, cons, pool.variables)
         aux_ids = [v.id for v in pool.variables[len(problem.variables):]]
         return out, self._record(aux=aux_ids)
 

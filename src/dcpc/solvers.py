@@ -99,6 +99,8 @@ def _run_phase(T: np.ndarray, basis: np.ndarray, allowed: int,
     lowest eligible one (Bland) until a pivot makes progress.  Ratio ties go
     to the lowest basic index, so no run of degenerate pivots is endless.
     """
+    if not allowed:  # a program without variables: no column can enter
+        return "optimal", 0
     obj, rhs = T[-1, :allowed], T[:-1, -1]
     degenerate = 0
     for used in range(budget):
@@ -293,17 +295,17 @@ def solve_admm(data: ProgramData,
         kkt.data[diagonal] = -1.0 / rho
         return rho, _factor(kkt, stats)
 
-    rho_bar = settings.rho
-    try:
-        rho, factor = refactor(rho_bar)
-    except RuntimeError as err:
-        return RawSolution(Status.ERROR, np.zeros(n), math.nan, 0,
-                           f"KKT factorization failed: {err}")
-    alpha, eps = _ALPHA, _CERT_EPS
+    rho_bar, factor, alpha, eps = settings.rho, None, _ALPHA, _CERT_EPS
     x, z, y = np.zeros(n), np.zeros(m), np.zeros(m)
     x_seen, y_seen = x, y
     status, message = Status.ITERATION_LIMIT, "splitting did not converge"
     for k in range(1, settings.max_iterations + 1):
+        if factor is None:  # the first factorization, or a refactor for a new rho
+            try:
+                rho, factor = refactor(rho_bar)
+            except RuntimeError as err:
+                return RawSolution(Status.ERROR, np.zeros(n), math.nan, k - 1,
+                                   f"KKT factorization failed: {err}", **stats)
         sol = factor.solve(np.concatenate([_SIGMA * x - q, z - y / rho]))
         z_relax = alpha * (z + (sol[n:] - y) / rho) + (1.0 - alpha) * z
         x = alpha * sol[:n] + (1.0 - alpha) * x
@@ -337,8 +339,7 @@ def solve_admm(data: ProgramData,
                                                  _inf_norm(q)) + 1e-20) + 1e-20))
             rho_new = min(max(rho_bar * math.sqrt(ratio), 1e-6), 1e6)
             if not rho_bar / _RHO_REFACTOR <= rho_new <= rho_bar * _RHO_REFACTOR:
-                rho_bar = rho_new
-                rho, factor = refactor(rho_bar)
+                rho_bar, factor = rho_new, None
     value = float(0.5 * x @ (P @ x) + q @ x)
     return RawSolution(status, d * x, value, k, message, **stats)
 

@@ -255,6 +255,12 @@ class TestCoefficientOverflow:
                 pytest.raises(ex.ProblemError, match="objective: a coefficient overflows"):
             solve_problem(parse_problem(f"var x; {objective}; subject to x >= -1;"), config)
 
+    def test_overflow_rerun_builds_no_validated_problem(self, monkeypatch):
+        monkeypatch.setattr(ex, "make_problem", None)  # any call would fail
+        problem = parse_problem("var x; minimize abs(x); subject to x*1e200*1e200 <= 1;")
+        with pytest.raises(ex.ProblemError, match="constraint 0"):
+            analyzer.apply_chain(select_target(problem).chain, problem)
+
     def test_stuffing_raises_the_bare_message(self):
         # Only apply_chain names a place; a chain applied directly does not.
         problem = parse_problem("var x; minimize abs(x); subject to x*1e200*1e200 <= 1;")
@@ -263,3 +269,26 @@ class TestCoefficientOverflow:
             with pytest.raises(ex.ProblemError) as err:
                 report.chain.apply(problem)
             assert str(err.value) == OVERFLOW
+
+
+@pytest.mark.parametrize("config", [
+    RewriterConfig(), RewriterConfig(presolve=True),
+    RewriterConfig(forced_target=TargetClass.QP),
+    RewriterConfig(forced_target=TargetClass.CONE, decompose_soc=True),
+    RewriterConfig(forced_target=TargetClass.CONE, presolve=True),
+], ids=["auto", "presolve", "qp", "cone", "cone-presolve"])
+def test_parsed_problems_are_validated_once(monkeypatch, config):
+    # The parser resolves every identifier through a declaration and every
+    # reduction builds from a problem that already holds, so neither walks
+    # the trees again through make_problem.
+    calls = []
+    real = ex.make_problem
+    monkeypatch.setattr(ex, "make_problem", lambda *a: calls.append(a) or real(*a))
+    for text in ("var x; var y; maximize -abs(x - 1) - y; subject to x + y >= 1; y == 2;",
+                 "var x[3]; minimize sum_squares(x) + max(x[0], 2); subject to sum(x) >= 1;",
+                 "var x[3]; minimize norm2(x - [1, 2, 3]) + square(x[1]); subject to x <= 5;"):
+        problem = parse_problem(text)
+        report = select_target(problem, config)
+        if report.chain is not None:
+            analyzer.apply_chain(report.chain, problem)
+    assert calls == []

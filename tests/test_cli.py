@@ -285,6 +285,33 @@ class TestSolve:
         assert out == ""
         assert err == "error: tolerances must be positive and finite\n"
 
+    @pytest.mark.parametrize("route", [(), ("--target", "qp"), ("--target", "cone")],
+                             ids=["auto", "qp", "cone"])
+    @pytest.mark.parametrize("constraints,code,value", [
+        ("x == 1;", 0, 1), ("x == 1; x == 2;", 4, None), ("x >= 1; 2 <= 1;", 4, None)])
+    def test_presolve_that_leaves_no_variables(self, write, route, constraints,
+                                               code, value):
+        # Presolve fixes x, or proves infeasibility and emits a placeholder
+        # without variables: every solver takes a program with no columns.
+        path = write(f"var x; minimize x; subject to {constraints}")
+        got, out, err = run_cli("solve", path, "--presolve", *route)
+        assert (got, err) == (code, "")
+        doc = json.loads(out)
+        assert doc["value"] == value
+        assert doc["variables"] == ({"x": [1.0]} if code == 0 else {})
+
+    def test_failed_refactor_exits_7(self, write):
+        # The iterates overflow, the adapted rho turns NaN at the first test,
+        # and the refactor it asks for fails.
+        path = write("var x; minimize norm2(x); subject to x == 1e200;")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli("solve", path)
+        assert (code, err) == (7, "")
+        doc = json.loads(out)
+        assert doc["status"] == "error" and doc["iterations"] > 0
+        assert doc["message"] == "KKT factorization failed: non-finite matrix entries"
+
 
 class TestNumericOverflow:
     @pytest.mark.parametrize("literal", ["var x[1e400]; minimize 1;",

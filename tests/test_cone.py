@@ -159,8 +159,7 @@ class TestRelaxSmith:
         assert RelaxSmith().accepts(sm)
         # the same DCP problem with its atom's sign flipped: the sigma check
         # alone must refuse it
-        fake = SmithProblem(sm.problem, sm.aux_atoms,
-                            {aux: -1 for aux in sm.aux_sigma})
+        fake = SmithProblem(sm.problem, {aux: -1 for aux in sm.aux_sigma})
         assert not RelaxSmith().accepts(fake)
 
     def test_retrieval_is_identity(self):

@@ -308,6 +308,33 @@ class TestProblemValidation:
             ex.make_problem(Sense.MINIMIZE, ex.constant(0.0), [],
                             [scalar_var(0, "x"), scalar_var(1, "x")])
 
+    def test_problem_form_numbers_constraints_and_checks_declarations(self):
+        x = scalar_var(0, "x")
+        first = (ex.var_ref(x), Relation.LE, ex.constant(1.0))
+        second = ex.ConstraintDecl(7, Relation.GE, ex.var_ref(x), ex.constant(0.0))
+        p = ex.ProblemForm(Sense.MINIMIZE, ex.var_ref(x), [first, second], [x])
+        assert [c.id for c in p.constraints] == [0, 1]
+        assert p.constraints[1].relation is Relation.GE
+        assert isinstance(p.constraints, tuple) and p.variables == (x,)
+        with pytest.raises(ex.ProblemError, match="duplicate variable ids"):
+            ex.ProblemForm(Sense.MINIMIZE, ex.constant(0.0), [], [x, scalar_var(0, "y")])
+        with pytest.raises(ex.ProblemError, match="scalar"):
+            ex.ProblemForm(Sense.MINIMIZE, ex.constant([1.0, 2.0]), [], [x])
+
+    def test_variable_used_with_another_dim(self):
+        y = ex.VariableDecl(0, "y", 2)
+        wrong = ex.var_ref(ex.VariableDecl(0, "y", 3))
+        with pytest.raises(ex.ProblemError, match="used with dim 3, declared 2"):
+            ex.make_problem(Sense.MINIMIZE, ex.sum_(wrong), [], [y])
+
+    def test_every_atom_checks_its_arity(self):
+        x = ex.var_ref(scalar_var())
+        with pytest.raises(ex.ExpressionError, match="'abs' takes 1 argument, got 2"):
+            ex.apply_atom("abs", (x, x))
+        with pytest.raises(ex.ExpressionError, match="'add' takes 2 arguments, got 1"):
+            ex.apply_atom("add", (x,))
+        assert ex.apply_atom("max", (x, x, x)) == ex.max_(x, x, x)
+
 
 class TestNumericSoundness:
     """Claimed curvature and sign are checked against stacked samples."""

@@ -234,6 +234,16 @@ ERROR_CORPUS = [
      "5:5: expected a relation ('<=', '>=', or '==')", (5, 5, 1)),
     ('var x; minimize x; subject to x <= 1 @ ; y',
      "1:38: unexpected character '@'", (1, 38, 1)),
+    ('var x; minimize abs(x, x);',
+     "1:17: atom 'abs' takes 1 argument, got 2", (1, 17, 9)),
+    ('var x[2];\nminimize sum(x, x);',
+     "2:10: atom 'sum' takes 1 argument, got 2", (2, 10, 9)),
+    ('var x; minimize square(x,\n  x);',
+     "1:17: atom 'square' takes 1 argument, got 2", (1, 17, 14)),
+    ('var x; minimize 1 + sum_squares(x, x, x);',
+     "1:21: atom 'sum_squares' takes 1 argument, got 3", (1, 21, 20)),
+    ('var x;\nminimize x;\nsubject to\n  norm2(x, x) <= 1;',
+     "4:3: atom 'norm2' takes 1 argument, got 2", (4, 3, 11)),
 ]
 
 

@@ -14,7 +14,7 @@ from dcpc.parsing import parse_problem, print_problem
 from dcpc.reductions.cone import affine_row_data, stack_variables
 from dcpc.reductions.framework import ReductionError, Solution, Status
 from dcpc.reductions.cone import ConeDims
-from dcpc.analyzer import TargetClass, build_chain
+from dcpc.analyzer import TargetClass, build_chain, solve_problem
 from dcpc.reductions.qp import (PathNfa, StuffLp, StuffQp, qp_applicable, quadratic_form,
                                 uses_quadratic_atom)
 from dcpc.reductions.framework import ReductionChain
@@ -527,6 +527,21 @@ class TestStuffLp:
         cons = [(x, ex.Relation.GE, ex.constant(0.0))]
         p = ex.make_problem(ex.Sense.MINIMIZE, ex.square(x), cons, [decl])
         assert not StuffQp().accepts(p)
+
+    def test_rejects_a_scalar_side_broadcast_over_zero_rows(self):
+        # MoveToLhs leaves lhs with every row of its constraint; a hand-built
+        # sum(x) <= [0, 0, 0] does not, so stuffing refuses it.
+        decl = ex.VariableDecl(0, "x", 3)
+        x = ex.var_ref(decl)
+        cons = [(ex.sum_(x), ex.Relation.LE, ex.constant([0.0, 0.0, 0.0]))]
+        p = ex.make_problem(ex.Sense.MINIMIZE, ex.sum_(x), cons, [decl])
+        assert not StuffLp().accepts(p) and not StuffQp().accepts(p)
+        with pytest.raises(ReductionError):
+            StuffLp().apply(p)
+        # The full chain moves it to sum(x) <= 0 first and solves it.
+        out = solve_problem(ex.make_problem(ex.Sense.MAXIMIZE, ex.sum_(x), cons, [decl]))
+        assert out.report.target is TargetClass.LP
+        assert out.solution.status is Status.OPTIMAL and out.solution.value == 0.0
 
 
 class TestStuffQpMemory:

@@ -277,11 +277,16 @@ def stack_rows(blocks, var_offsets, width) -> tuple[np.ndarray, np.ndarray]:
     Each expression's rows ``M x + k`` are written as ``A = sign·M``,
     ``b = -sign·k``; every stuffer stacks its rows here.
     """
-    rows = [(sign, *affine_row_data(e, var_offsets, width))
-            for exprs, sign in blocks for e in exprs]
-    if not rows:
+    A_rows, b_rows = [], []
+    for exprs, sign in blocks:
+        for e in exprs:
+            M, k = affine_row_data(e, var_offsets, width)
+            M *= sign  # M is fresh, so only one copy of each block is held
+            A_rows.append(M)
+            b_rows.append(-sign * k)  # k may be a constant's read-only payload
+    if not A_rows:
         return np.zeros((0, width)), np.zeros(0)
-    return np.vstack([s * M for s, M, _ in rows]), np.concatenate([-s * k for s, _, k in rows])
+    return np.vstack(A_rows), np.concatenate(b_rows)
 
 
 class StuffCone(Reduction):

@@ -603,6 +603,42 @@ subject to
   y <= 5;
 """
 
+# One-column sums: a (40, 1) coefficient block is summed pairwise, as numpy
+# sums one contiguous column, and a sequential sum differs in the last bit.
+ONE_COLUMN = [0.27, -0.46, -0.92, -0.97, 0.63, 0.83, 0.21, 0.46, 0.09, 0.87,
+              0.63, -0.99, 0.71, -0.93, 0.46, -0.65, 0.73, 0.08, -0.4, -0.15,
+              -0.94, -0.75, 0.34, 0.29, 0.23, -0.23, 0.99, 0.96, 0.37, 0.3,
+              0.38, -0.22, -0.73, 0.44, 0.05, -0.38, -0.03, 0.78, 0.87, -0.28]
+SUM_ONE_COLUMN = f"""\
+var y;
+var z;
+minimize sum({ONE_COLUMN} * y) + z;
+subject to
+  sum({ONE_COLUMN} * y) - z <= 1;
+  y >= -1;
+  y <= 1;
+  z >= -1;
+"""
+
+# A right-nested add of one column under a product: 1.3*(1 + (0.1 + 0.3)),
+# 1.3*((1 + 0.1) + 0.3) and 1.3*1 + 1.3*(0.1 + 0.3) differ in the last bit.
+RIGHT_NESTED = """\
+var x[2];
+minimize x[1] + 1.3*(x[0] + (0.1*x[0] + 0.3*x[0]));
+subject to
+  1.3*(x[0] + (0.1*x[0] + 0.3*x[0])) <= 1;
+  x >= -1;
+"""
+
+# A coefficient that cancels to zero: the stored row holds x[1] only.
+CANCELLING = """\
+var x[2];
+minimize x[1];
+subject to
+  x[0] - x[0] + x[1] <= 1;
+  x >= -1;
+"""
+
 # (name, source, cli arguments after the file).  The toy LP goes out under
 # all three layouts: its cone document has no SOC and the same rows as the LP
 # one, so only the chain, not the data, says which layout to write.
@@ -619,6 +655,11 @@ DOCUMENTS = [
      ["--target", "cone"]),
     ("cone_norm2_decomposed", lambda: NORM2,
      ["--target", "cone", "--decompose-soc"]),
+    ("lp_sum_one_column", lambda: SUM_ONE_COLUMN, ["--target", "lp"]),
+    ("cone_sum_one_column", lambda: SUM_ONE_COLUMN, ["--target", "cone"]),
+    ("lp_right_nested", lambda: RIGHT_NESTED, ["--target", "lp"]),
+    ("qp_right_nested", lambda: RIGHT_NESTED, ["--target", "qp"]),
+    ("lp_cancelling", lambda: CANCELLING, ["--target", "lp"]),
 ]
 
 

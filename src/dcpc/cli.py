@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .analyzer import (AnalyzerError, RewriterConfig, TargetClass,
                        apply_chain, select_target, solve_problem)
@@ -47,6 +48,11 @@ def _format_float(x: float) -> str:
     return "%.17g" % x
 
 
+def _format_row(row: np.ndarray) -> str:
+    # + 0.0 normalizes -0.0 as _format_float does.
+    return ", ".join(["%.17g" % v for v in (row + 0.0).tolist()])
+
+
 def render_json(obj, indent=0) -> str:
     """Serialize with 17-significant-digit floats (deterministic bytes)."""
     pad = "  " * indent
@@ -61,12 +67,21 @@ def render_json(obj, indent=0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
+    if sp.issparse(obj):  # as its dense array, one dense row at a time
+        if not obj.shape[0]:
+            return "[]"
+        obj = obj.tocsr()
+        row = np.zeros(obj.shape[1])
+        rows = []
+        for lo, hi in zip(obj.indptr[:-1], obj.indptr[1:]):
+            row[obj.indices[lo:hi]] = obj.data[lo:hi]
+            rows.append(_format_row(row))
+            row[obj.indices[lo:hi]] = 0.0
+        return "[\n" + ",\n".join(f"{inner}[{row}]" for row in rows) + "\n" + pad + "]"
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind != "f" or obj.ndim not in (1, 2) or not obj.size:
             return render_json(obj.tolist(), indent)
-        # A row at a time; + 0.0 normalizes -0.0 as _format_float does.
-        rows = [", ".join(["%.17g" % v for v in row])
-                for row in (obj.reshape(-1, obj.shape[-1]) + 0.0).tolist()]
+        rows = [_format_row(row) for row in obj.reshape(-1, obj.shape[-1])]
         if obj.ndim == 1:
             return "[" + rows[0] + "]"
         return "[\n" + ",\n".join(f"{inner}[{row}]" for row in rows) + "\n" + pad + "]"

@@ -653,35 +653,75 @@ def evaluate(expr: ExpressionNode, assignment: Mapping[int, object]) -> np.ndarr
     return fold(expr, leave)
 
 
+_ROW0 = np.zeros(1, dtype=np.intp)  # shared leaf arrays, never written
+_ONE = np.ones(1)
+
+
+def _coalesce(chunks):
+    """One triplet block from a list of chunks, each row-major with distinct
+    entries: repeated entries add in list order, as the dense sum of the
+    chunks would add them, and the result is row-major again."""
+    if len(chunks) == 1:
+        return chunks[0]
+    rows, cols, vals = (np.concatenate(a) for a in zip(*chunks))
+    keys, at = np.unique((rows << 32) | cols, return_inverse=True)
+    return keys >> 32, keys & 0xFFFFFFFF, np.bincount(at, vals, keys.size)
+
+
+def _tile(block, dim):
+    """A one-row block repeated over ``dim`` rows."""
+    _, cols, vals = block
+    return (np.repeat(np.arange(dim), cols.size), np.tile(cols, dim),
+            np.tile(vals, dim))
+
+
 def _combine_pieces(dim, pieces, scales):
-    coeffs: dict[int, np.ndarray] = {}
+    """``sum_i scale_i * piece_i`` over ``dim`` rows.  The first piece keeps
+    its chunks and each later one joins as one coalesced chunk, so entries
+    add in the order of the dense left-to-right sum."""
+    coeffs: dict[int, list] = {}
     const = np.zeros(dim)
-    for (pc, pk), scale in zip(pieces, scales):
-        if pk.shape[0] != dim:  # one row, broadcast up by tiling
-            pc = {v: np.repeat(m, dim, axis=0) for v, m in pc.items()}
+    for i, ((pc, pk), scale) in enumerate(zip(pieces, scales)):
+        tiled = pk.shape[0] != dim  # one row, broadcast up by tiling
+        if tiled:
             pk = np.repeat(pk, dim, axis=0)
         const = const + scale * pk
-        for v, m in pc.items():
-            cur = coeffs.get(v)
-            contrib = scale * m
-            coeffs[v] = contrib if cur is None else cur + contrib
+        for v, chunks in pc.items():
+            if i:
+                chunks = [_coalesce(chunks)]
+            if tiled:
+                chunks = [_tile(c, dim) for c in chunks]
+            if scale != 1.0:
+                chunks = [(r, c, scale * x) for r, c, x in chunks]
+            if v in coeffs:
+                coeffs[v] += chunks  # the left operand's list, used once
+            else:
+                coeffs[v] = chunks
     return coeffs, const
 
 
-def affine_coefficients(expr: ExpressionNode) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """Coefficient matrices and constant vector of an affine expression.
+def affine_coefficients(expr: ExpressionNode) -> tuple[dict, np.ndarray]:
+    """Sparse coefficient blocks and constant vector of an affine expression.
 
-    Returns ``({var_id: M}, k)`` with ``M`` of shape (dim, var_dim) and ``k``
-    of shape (dim,) such that the expression equals ``sum_i M_i x_i + k``.
-    Raises :class:`NotAffineError` naming the first nonlinear atom otherwise:
-    the post-order walk reaches it before any of its ancestors.
+    Returns ``({var_id: (rows, cols, vals)}, k)``: for each variable, COO
+    triplets of its (dim, var_dim) block ``M``, row-major with distinct
+    entries, and ``k`` of shape (dim,), such that the expression equals
+    ``sum_i M_i x_i + k``.  Every entry is the value the dense block
+    arithmetic gives it: the left operand of an ``add`` or ``sub`` stays a
+    list of chunks, and a block is coalesced before any step that is not
+    that left-to-right accumulation.  A block may hold entries that cancel
+    to zero.  Raises :class:`NotAffineError` naming the first nonlinear atom
+    otherwise: the post-order walk reaches it before any of its ancestors.
     """
+    widths: dict[int, int] = {}  # var_id -> var_dim, the blocks' widths
 
     def leave(node, pieces, _):
         if node.curvature.is_constant:
             return {}, node.payload if node.kind == "const" else evaluate(node, {})
         if node.kind == "var":
-            return {node.var_id: np.eye(node.dim)}, np.zeros(node.dim)
+            widths[node.var_id] = d = node.dim
+            ids = np.arange(d)
+            return {node.var_id: [(ids, ids, np.ones(d))]}, np.zeros(d)
         name = node.atom
         if name == "add":
             return _combine_pieces(node.dim, pieces, (1.0, 1.0))
@@ -693,29 +733,48 @@ def affine_coefficients(expr: ExpressionNode) -> tuple[dict[int, np.ndarray], np
             const_first = node.children[0].curvature.is_constant
             cval = pieces[0 if const_first else 1][1]
             coeffs, const = pieces[1 if const_first else 0]
+            blocks = {v: _coalesce(chunks) for v, chunks in coeffs.items()}
             if cval.shape[0] == 1:
-                return ({v: cval[0] * m for v, m in coeffs.items()}, cval[0] * const)
-            if const.shape[0] == 1:
-                # vector constant times scalar affine expression
-                return ({v: cval[:, None] @ m for v, m in coeffs.items()}, cval * const[0])
-            return ({v: cval[:, None] * m for v, m in coeffs.items()}, cval * const)
+                return ({v: [(r, c, cval[0] * x)] for v, (r, c, x) in blocks.items()},
+                        cval[0] * const)
+            if const.shape[0] == 1:  # a vector constant times a scalar expression
+                blocks = {v: _tile(b, cval.size) for v, b in blocks.items()}
+            return ({v: [(r, c, cval[r] * x)] for v, (r, c, x) in blocks.items()},
+                    cval * const)
         if name == "index":
             k = node.param
-            if not pieces:  # an indexed variable: one row of its identity
+            if not pieces:  # an indexed variable: one entry of its identity
                 leaf = node.children[0]
-                return {leaf.var_id: np.eye(1, leaf.dim, k)}, np.zeros(1)
+                widths[leaf.var_id] = leaf.dim
+                return {leaf.var_id: [(_ROW0, np.array([k]), _ONE)]}, np.zeros(1)
             coeffs, const = pieces[0]
-            return ({v: m[k:k + 1, :] for v, m in coeffs.items()}, const[k:k + 1])
+            out = {}
+            for v, chunks in coeffs.items():
+                r, c, x = _coalesce(chunks)
+                lo, hi = np.searchsorted(r, (k, k + 1))
+                out[v] = [(r[lo:hi] - k, c[lo:hi], x[lo:hi])]
+            return out, const[k:k + 1]
         if name == "sum":
             coeffs, const = pieces[0]
-            return ({v: np.sum(m, axis=0, keepdims=True) for v, m in coeffs.items()},
-                    np.array([np.sum(const)]))
+            out = {}
+            for v, chunks in coeffs.items():
+                r, c, x = _coalesce(chunks)
+                if widths[v] == 1:  # numpy sums one column pairwise, zeros too
+                    column = np.zeros(node.children[0].dim)
+                    column[r] = x
+                    out[v] = [(_ROW0, _ROW0, np.array([np.sum(column)]))]
+                else:  # and the rows of a wider block in sequence
+                    cols, at = np.unique(c, return_inverse=True)
+                    out[v] = [(np.zeros(cols.size, dtype=np.intp), cols,
+                               np.bincount(at, x, cols.size))]
+            return out, np.array([np.sum(const)])
         raise NotAffineError(node)
 
     def enter(node, _):  # skips constants and an indexed variable's leaf
         return nonconstant(node) and (node.atom != "index" or node.children[0].kind != "var")
 
-    return fold(expr, leave, enter)
+    coeffs, const = fold(expr, leave, enter)
+    return {v: _coalesce(chunks) for v, chunks in coeffs.items()}, const
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .. import expressions as ex
 from .framework import Reduction, ReductionError
@@ -20,7 +21,7 @@ from .standard import (CanonConstraint, CanonStage, scalar_components,
 __all__ = [
     "SmithProblem", "SmithTransform", "RelaxSmith", "GraphExpand",
     "ConeDims", "ProgramData", "StuffCone", "stack_variables", "stack_rows",
-    "affine_row_data", "require_finite", "OVERFLOW",
+    "affine_row_data", "dense_rows", "require_finite", "OVERFLOW",
 ]
 
 
@@ -218,18 +219,24 @@ class ProgramData:
 
     K is ``cones``: equality rows, then inequality rows, then SOC blocks.  An
     LP has no ``P`` (None) and no SOC, a QP no SOC, a cone program no ``P``.
+    ``A`` and ``P`` are ``scipy.sparse`` CSR matrices; dense or other sparse
+    input is converted once, here, so every reader sees one type.
     """
 
-    P: np.ndarray | None
+    P: sp.csr_matrix | None
     q: np.ndarray
     offset: float
-    A: np.ndarray
+    A: sp.csr_matrix
     b: np.ndarray
     cones: ConeDims
     var_offsets: dict[int, tuple[int, int]]
     variables: tuple[ex.VariableDecl, ...]
 
     def __post_init__(self):
+        for name in ("A", "P"):
+            M = getattr(self, name)
+            if M is not None and not isinstance(M, sp.csr_matrix):
+                object.__setattr__(self, name, sp.csr_matrix(M, dtype=float))
         m, n = self.cones.total, self.q.size
         if self.A.shape != (m, n) or self.b.shape != (m,):
             raise ValueError(f"A {self.A.shape} and b {self.b.shape} do not "
@@ -255,42 +262,59 @@ def require_finite(*arrays) -> None:
 
 def affine_row_data(expr: ex.ExpressionNode,
                     var_offsets: dict[int, tuple[int, int]],
-                    width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense rows M and constant k with ``expr == M x + k`` over the stack.
+                    width: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Rows M and constant k with ``expr == M x + k`` over the stack.
 
+    ``M`` is COO triplets ``(rows, cols, vals)`` in row-major order, with no
+    zero entry, so its entries are exactly the nonzeros of the dense rows.
     Every stuffer builds its rows here, so the finiteness check is here too;
     an overflow is reported by that check, not by a numpy warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs, const = ex.affine_coefficients(expr)
-    M = np.zeros((expr.dim, width))
-    for vid, block in coeffs.items():
-        start, length = var_offsets[vid]
-        M[:, start:start + length] = block
-    require_finite(M, const)
-    return M, const
+    blocks = [(r, c + var_offsets[v][0], x) for v, (r, c, x) in coeffs.items()]
+    rows, cols, vals = ((np.concatenate(a) for a in zip(*blocks)) if blocks
+                        else (np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),))
+    require_finite(vals, const)
+    keep = np.flatnonzero(vals)
+    if len(blocks) > 1:  # each block is row-major; merge their rows
+        keep = keep[np.argsort(rows[keep] * width + cols[keep])]
+    return (rows[keep], cols[keep], vals[keep]), const
 
 
-def stack_rows(blocks, var_offsets, width) -> tuple[np.ndarray, np.ndarray]:
-    """``(A, b)`` from ``(exprs, sign)`` blocks, stacked in order in one copy.
+def dense_rows(M: tuple[np.ndarray, ...], dim: int, width: int) -> np.ndarray:
+    """The (dim, width) array of the row triplets ``M``."""
+    rows, cols, vals = M
+    out = np.zeros((dim, width))
+    out[rows, cols] = vals
+    return out
+
+
+def stack_rows(blocks, var_offsets, width) -> tuple[sp.csr_matrix, np.ndarray]:
+    """``(A, b)`` from ``(exprs, sign)`` blocks, stacked in order.
 
     Each expression's rows ``M x + k`` are written as ``A = sign·M``,
-    ``b = -sign·k``; every stuffer stacks its rows here.
+    ``b = -sign·k``; every stuffer stacks its rows here.  ``A`` is one CSR
+    matrix built from the rows' triplets, with no stored zero.
     """
-    A_rows, b_rows = [], []
+    counts, cols, vals, b_rows = [], [], [], []
     for exprs, sign in blocks:
         for e in exprs:
-            M, k = affine_row_data(e, var_offsets, width)
-            M *= sign  # M is fresh, so only one copy of each block is held
-            A_rows.append(M)
+            (r, c, x), k = affine_row_data(e, var_offsets, width)
+            counts.append(np.bincount(r, minlength=e.dim))
+            cols.append(c)
+            vals.append(sign * x)
             b_rows.append(-sign * k)  # k may be a constant's read-only payload
-    if not A_rows:
-        return np.zeros((0, width)), np.zeros(0)
-    return np.vstack(A_rows), np.concatenate(b_rows)
+    if not counts:
+        return sp.csr_matrix((0, width)), np.zeros(0)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    A = sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr),
+                      shape=(indptr.size - 1, width))
+    return A, np.concatenate(b_rows)
 
 
 class StuffCone(Reduction):
-    """Stuff a canon stage into dense cone-program matrices.
+    """Stuff a canon stage into a cone program with a sparse ``A``.
 
     Variables stack in declaration-then-creation order; rows stack the zero
     block, then nonneg, then the SOCs (each ``(t, x...)``), every block
@@ -324,6 +348,6 @@ class StuffCone(Reduction):
         c_row, offset = affine_row_data(stage.objective, var_offsets, width)
         dims = ConeDims(sum(e.dim for e in zero), sum(e.dim for e in nonneg),
                         tuple(1 + c.soc_x_dim for c in soc))
-        data = ProgramData(None, c_row[0], float(offset[0]), A, b, dims,
-                           var_offsets, tuple(stage.variables))
+        data = ProgramData(None, dense_rows(c_row, 1, width)[0], float(offset[0]),
+                           A, b, dims, var_offsets, tuple(stage.variables))
         return data, self._record()

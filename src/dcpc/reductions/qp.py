@@ -13,10 +13,11 @@ the size of the data it emits, not rows times width squared.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .. import expressions as ex
-from .cone import (ConeDims, ProgramData, affine_row_data, require_finite,
-                   stack_rows, stack_variables)
+from .cone import (ConeDims, ProgramData, affine_row_data, dense_rows,
+                   require_finite, stack_rows, stack_variables)
 from .framework import Reduction, ReductionError
 from .standard import is_zero_constant
 
@@ -135,13 +136,18 @@ def _add_rows(a, b, sign):
 
 
 def _square_rows(M, width):
-    """Sparse rows ``2.0*(M_ij*M_il)`` of the Hessians of square(M x + c)."""
-    keys, vals = [], []
-    for i, row in enumerate(M):
-        J = np.flatnonzero(row)
+    """Sparse rows ``2.0*(M_ij*M_il)`` of the Hessians of square(M x + c),
+    from the row-major triplets ``M`` of the argument's nonzeros."""
+    rows, cols, vals = M
+    keys, out = [], []
+    for i in np.unique(rows):
+        lo, hi = np.searchsorted(rows, (i, i + 1))
+        J, v = cols[lo:hi], vals[lo:hi]
         keys.append(((i * width + J[:, None]) * width + J).ravel())
-        vals.append((2.0 * np.multiply.outer(row[J], row[J])).ravel())
-    return np.concatenate(keys), np.concatenate(vals)
+        out.append((2.0 * np.multiply.outer(v, v)).ravel())
+    if not keys:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    return np.concatenate(keys), np.concatenate(out)
 
 
 _QUADRATIC_ATOMS = ("square", "sum_squares")
@@ -156,6 +162,9 @@ def _quad_pieces(expr, var_offsets, width):
     is bit-for-bit the dense one.  The fold stops at affine subtrees, whose
     (Q, k) come from ``affine_row_data`` with an empty H; a product's
     constant operand is one of them, and its ``k`` is the constant's value.
+    ``sum_squares`` keeps the dense BLAS product ``2MᵀM`` of the dense case,
+    over the columns its argument touches only, unless every entry of the
+    product is a single product of two entries of ``M``.
     """
     cells = width * width
     no_hessian = np.zeros(0, dtype=np.int64), np.zeros(0)
@@ -164,9 +173,10 @@ def _quad_pieces(expr, var_offsets, width):
         return not node.curvature.is_affine and node.atom not in _QUADRATIC_ATOMS
 
     def leave(node, parts, _):
-        if node.curvature.is_affine:
-            return (no_hessian, *affine_row_data(node, var_offsets, width))
         d, atom = node.dim, node.atom
+        if node.curvature.is_affine:
+            M, k = affine_row_data(node, var_offsets, width)
+            return no_hessian, dense_rows(M, d, width), k
         if atom in _QUADRATIC_ATOMS:
             try:
                 M, c = affine_row_data(node.children[0], var_offsets, width)
@@ -175,11 +185,29 @@ def _quad_pieces(expr, var_offsets, width):
                     f"atom '{err.node.atom}' below a quadratic node has no "
                     f"constant-Hessian form") from err
             if atom == "square":
-                return _square_rows(M, width), 2.0 * c[:, None] * M, c ** 2
-            P = 2.0 * M.T @ M
-            q = 2.0 * M.T @ c
-            keys = np.flatnonzero(P)
-            return (keys, P.ravel()[keys]), q[None, :], np.array([float(c @ c)])
+                return (_square_rows(M, width),
+                        2.0 * c[:, None] * dense_rows(M, c.size, width), c ** 2)
+            rows, cols, vals = M
+            q = np.zeros(width)
+            if np.unique(cols).size == cols.size == np.unique(rows).size:
+                # One entry per row and per column: 2MᵀM is diagonal, and
+                # each entry of it and of 2Mᵀc is one product, rounded once
+                # in any order of summation.
+                twice = 2.0 * vals
+                q[cols] = twice * c[rows]
+                order = np.argsort(cols)
+                keys, vals = cols[order] * (width + 1), (twice * vals)[order]
+                keep = vals != 0.0
+                keys, vals = keys[keep], vals[keep]
+            else:
+                J, at = np.unique(cols, return_inverse=True)
+                MJ = np.zeros((c.size, J.size))
+                MJ[rows, at] = vals
+                P = 2.0 * MJ.T @ MJ
+                q[J] = 2.0 * MJ.T @ c
+                i, j = np.nonzero(P)
+                keys, vals = J[i] * width + J[j], P[i, j]
+            return (keys, vals), q[None, :], np.array([float(c @ c)])
         if atom in ("add", "sub"):
             a = _broadcast_rows(parts[0], d, cells)
             b = _broadcast_rows(parts[1], d, cells)
@@ -212,15 +240,18 @@ def _quad_pieces(expr, var_offsets, width):
 
 def quadratic_form(expr: ex.ExpressionNode,
                    var_offsets: dict[int, tuple[int, int]],
-                   width: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(P, q, r) with ``expr == ½xᵀPx + qᵀx + r`` for a scalar expression."""
+                   width: int) -> tuple[sp.csr_matrix, np.ndarray, float]:
+    """(P, q, r) with ``expr == ½xᵀPx + qᵀx + r`` for a scalar expression;
+    ``P`` is CSR, built from the Hessian's nonzeros with no dense square."""
     if expr.dim != 1:
         raise ReductionError("quadratic extraction needs a scalar expression")
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
         (keys, vals), Q, k = _quad_pieces(expr, var_offsets, width)
     require_finite(vals, Q, k)
-    P = np.bincount(keys, vals, width * width).reshape(width, width)
-    return 0.5 * (P + P.T), Q[0], float(k[0])
+    P = sp.csr_matrix((vals, (keys // width, keys % width)), shape=(width, width))
+    P = 0.5 * (P + P.T)
+    P.eliminate_zeros()  # a half that underflows
+    return P, Q[0], float(k[0])
 
 
 def _stuff_moved(problem, quadratic: bool) -> ProgramData:
@@ -236,7 +267,8 @@ def _stuff_moved(problem, quadratic: bool) -> ProgramData:
     if quadratic:
         P, q, r = quadratic_form(problem.objective, var_offsets, width)
     else:
-        P, (q,), (r,) = None, *affine_row_data(problem.objective, var_offsets, width)
+        M, (r,) = affine_row_data(problem.objective, var_offsets, width)
+        P, q = None, dense_rows(M, 1, width)[0]
     cones = ConeDims(sum(e.dim for e in eq), sum(e.dim for e in le), ())
     return ProgramData(P, q, float(r), A, b, cones, var_offsets, problem.variables)
 

@@ -244,8 +244,8 @@ class SplitFreeVariables(Reduction):
         return replace(solution, primal=primal)
 
 
-def _scalar_bound(c: ex.ConstraintDecl):
-    """Classify a scalar affine inequality as a one-variable bound.
+def _scalar_bound(c: ex.ConstraintDecl, dims: dict[int, int]):
+    """Classify a scalar affine inequality as a bound on a scalar variable.
 
     Returns ``(var_id, side, bound)`` where side is "upper" for ``x <= bound``
     and "lower" for ``x >= bound``; None when the constraint is not a bound.
@@ -258,10 +258,10 @@ def _scalar_bound(c: ex.ConstraintDecl):
     coeffs, const = ex.affine_coefficients(diff)
     if len(coeffs) != 1:
         return None
-    (vid, M), = coeffs.items()
-    if M.shape != (1, 1) or M[0, 0] == 0.0:
+    (vid, (_, _, vals)), = coeffs.items()
+    if dims[vid] != 1 or vals.size != 1 or vals[0] == 0.0:
         return None
-    a, k = float(M[0, 0]), float(const[0])
+    a, k = float(vals[0]), float(const[0])
     # a*x + k <= 0 (LE) or >= 0 (GE)
     le = c.relation is ex.Relation.LE
     if (a > 0) == le:
@@ -285,8 +285,9 @@ class DropRedundantConstraints(Reduction):
         self._check(problem)
         best: dict[tuple[int, str], tuple[float, int]] = {}
         bounds: dict[int, tuple[int, str, float]] = {}
+        dims = {v.id: v.dim for v in problem.variables}
         for c in problem.constraints:
-            hit = _scalar_bound(c)
+            hit = _scalar_bound(c, dims)
             if hit is None:
                 continue
             vid, side, bound = hit
@@ -342,14 +343,13 @@ class ScaleConstraints(Reduction):
         self._check(problem)
         cons = []
         for c in problem.constraints:
-            coeffs, _ = ex.affine_coefficients(smart_sub(c.lhs, c.rhs))
+            diff = smart_sub(c.lhs, c.rhs)
+            coeffs, _ = ex.affine_coefficients(diff)
             dim = c.dim
-            if coeffs:
-                stacked = np.hstack([np.broadcast_to(M, (dim, M.shape[1]))
-                                     for M in coeffs.values()])
-                norms = np.max(np.abs(stacked), axis=1)
-            else:
-                norms = np.zeros(dim)
+            norms = np.zeros(diff.dim)
+            for rows, _, vals in coeffs.values():
+                np.maximum.at(norms, rows, np.abs(vals))
+            norms = np.broadcast_to(norms, (dim,))
             scale = np.where(norms > 0.0,
                              1.0 / np.where(norms > 0.0, norms, 1.0), 1.0)
             if np.all(scale == 1.0):

@@ -134,21 +134,23 @@ def solve_lp_simplex(data: ProgramData,
     optimum of their sum above 1e-9 certifies infeasibility.  Both phases
     price as ``_run_phase`` says, so the method terminates.
     """
-    if data.P is not None and data.P.any():
+    if data.P is not None and data.P.count_nonzero():
         raise ValueError("simplex cannot solve a nonzero quadratic: it requires P == 0")
     if data.cones.soc:
         raise ValueError("simplex cannot solve second-order cone rows")
     c, mA = data.q, data.cones.zero
-    G, h, A, b = data.A[mA:], data.b[mA:], data.A[:mA], data.b[:mA]
+    h, b = data.b[mA:], data.b[:mA]
     m, n = data.A.shape
     mG = m - mA
     N = 2 * n + mG  # columns [u (n), v (n), slack (mG)], x = u - v
     rhs = np.concatenate([h, b]).astype(float)
     art = np.flatnonzero(np.concatenate([h < 0, np.ones(mA, dtype=bool)]))
 
-    # Tableau rows: the m constraints, then the objective's reduced costs.
+    # Tableau rows: the m constraints (G rows, then A rows), then the
+    # objective's reduced costs.  The stuffed A is densified once, here.
     T = np.zeros((m + 1, N + art.size + 1))
-    T[:mG, :n], T[mG:m, :n] = G, A
+    dense = data.A.toarray()
+    T[:mG, :n], T[mG:m, :n] = dense[mA:], dense[:mA]
     T[:m, n:2 * n] = -T[:m, :n]
     T[np.arange(mG), 2 * n + np.arange(mG)] = 1.0
     T[:m, -1] = rhs
@@ -263,6 +265,7 @@ def _cone_gap(v: np.ndarray, cones: ConeDims, plan) -> float:
     return _inf_norm(v - project_cone(v, cones, plan))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # tested at each check below
 def solve_admm(data: ProgramData,
                settings: SolverSettings = SolverSettings()) -> RawSolution:
     """OSQP-style splitting for ``min ½xᵀPx + qᵀx  s.t.  Ax + s = b, s ∈ K``.
@@ -280,11 +283,13 @@ def solve_admm(data: ProgramData,
     ``_CERT_EPS`` relative to ``‖δ‖∞``.  At iterations 25·2^j it sets ρ to
     balance the scaled residuals (OSQP §5.2), refactoring when ρ moves more
     than ``_RHO_REFACTOR`` times; a ρ that changed at every test kept some
-    degenerate problems from converging.
+    degenerate problems from converging.  Iterates that overflow end the
+    solve as an error at the next test, before any certificate or ρ reads
+    them.  ``A`` and ``P`` are used as the CSR matrices they come in.
     """
     cones, (m, n) = data.cones, data.A.shape
-    P = sp.coo_matrix((n, n) if data.P is None else data.P)
-    d, e, P, A = _equilibrate(P, sp.coo_matrix(data.A), cones)
+    P = sp.coo_matrix((n, n)) if data.P is None else data.P.tocoo()
+    d, e, P, A = _equilibrate(P, data.A.tocoo(), cones)
     AT, q, b, plan = A.T.tocsr(), d * data.q, e * data.b, _soc_plan(cones)
     kkt = sp.bmat([[P + _SIGMA * sp.eye(n), AT], [A, -sp.eye(m)]], format="csc")
     diagonal = kkt.indptr[n + 1:] - 1  # -1/ρ closes each of the last m columns
@@ -313,6 +318,9 @@ def solve_admm(data: ProgramData,
         y = y + rho * (z_relax - z)
         if k % 25 and k < settings.max_iterations:
             continue
+        if not all(np.isfinite(v).all() for v in (x, z, y)):
+            return RawSolution(Status.ERROR, np.zeros(n), math.nan, k,
+                               "iterates are not finite", **stats)
         Ax, Px, ATy = A @ x, P @ x, AT @ y
         r_prim, r_dual = Ax - z, Px + q + ATy
         if (np.all(np.abs(r_prim) <= settings.eps_abs * e + settings.eps_rel

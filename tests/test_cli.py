@@ -300,17 +300,17 @@ class TestSolve:
         assert doc["value"] == value
         assert doc["variables"] == ({"x": [1.0]} if code == 0 else {})
 
-    def test_failed_refactor_exits_7(self, write):
-        # The iterates overflow, the adapted rho turns NaN at the first test,
-        # and the refactor it asks for fails.
+    def test_overflowing_iterates_exit_7(self, write):
+        # The iterates overflow; the first test stops the solve before rho
+        # or a certificate reads them, and no numpy warning is raised.
         path = write("var x; minimize norm2(x); subject to x == 1e200;")
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             code, out, err = run_cli("solve", path)
         assert (code, err) == (7, "")
         doc = json.loads(out)
-        assert doc["status"] == "error" and doc["iterations"] > 0
-        assert doc["message"] == "KKT factorization failed: non-finite matrix entries"
+        assert doc["status"] == "error" and doc["iterations"] == 25
+        assert doc["message"] == "iterates are not finite"
 
 
 class TestNumericOverflow:

@@ -249,10 +249,10 @@ class TestStuffCone:
         assert data.cones == ConeDims(zero=1, nonneg=3, soc=())
         # zero block carries the equality row, then the orthant block holds
         # the two epigraph rows and the user inequality
-        np.testing.assert_array_equal(data.A, [[0.0, 1.0, 0.0],
-                                               [1.0, 1.0, -1.0],
-                                               [-1.0, -1.0, -1.0],
-                                               [1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(data.A.toarray(), [[0.0, 1.0, 0.0],
+                                                         [1.0, 1.0, -1.0],
+                                                         [-1.0, -1.0, -1.0],
+                                                         [1.0, 0.0, 0.0]])
         np.testing.assert_array_equal(data.b, [-0.5, -2.0, 0.0, 0.0])
         assert data.offset == 0.0
         assert data.var_offsets == {0: (0, 1), 1: (1, 1), 2: (2, 1)}
@@ -289,7 +289,8 @@ class TestStuffCone:
             data, _ = chain.apply(toy_problem())
             return data
         a, b = stuff(), stuff()
-        assert a.A.tobytes() == b.A.tobytes()
+        for part in ("data", "indices", "indptr"):
+            assert getattr(a.A, part).tobytes() == getattr(b.A, part).tobytes()
         assert a.b.tobytes() == b.b.tobytes()
         assert a.q.tobytes() == b.q.tobytes()
 
@@ -299,7 +300,7 @@ class TestStuffCone:
                                 StuffCone()])
         data, _ = chain.apply(parse_problem("var x[2]; minimize norm2(x);"))
         xstack = np.array([1.0, -2.0, 7.0])  # (x1, x2, t)
-        s = data.b - data.A @ xstack
+        s = data.b - data.A.toarray() @ xstack
         np.testing.assert_allclose(s, [7.0, 1.0, -2.0])
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dcpc import expressions as ex
+from dcpc.reductions.cone import dense_rows
 from dcpc.expressions import (Curvature, Relation, Sense, Sign)
 
 from helpers import (ALL_ATOMS, AFFINE_ATOMS, batch_eval, random_expression,
@@ -207,28 +208,28 @@ class TestAffineCoefficients:
         p = toy_problem()
         lhs = p.objective.children[0]  # alice + bob + 2
         coeffs, const = ex.affine_coefficients(lhs)
-        np.testing.assert_allclose(coeffs[0], [[1.0]])
-        np.testing.assert_allclose(coeffs[1], [[1.0]])
+        np.testing.assert_allclose(dense_rows(coeffs[0], 1, 1), [[1.0]])
+        np.testing.assert_allclose(dense_rows(coeffs[1], 1, 1), [[1.0]])
         np.testing.assert_allclose(const, [2.0])
 
     def test_collected_coefficients(self):
         x = ex.var_ref(scalar_var())
         e = ex.sub(ex.mul(ex.constant(3.0), x), x)
         coeffs, const = ex.affine_coefficients(e)
-        np.testing.assert_allclose(coeffs[0], [[2.0]])
+        np.testing.assert_allclose(dense_rows(coeffs[0], 1, 1), [[2.0]])
         np.testing.assert_allclose(const, [0.0])
 
     def test_sum_over_vector(self):
         y = ex.var_ref(ex.VariableDecl(0, "y", 3))
         coeffs, const = ex.affine_coefficients(ex.sum_(y))
-        np.testing.assert_allclose(coeffs[0], [[1.0, 1.0, 1.0]])
+        np.testing.assert_allclose(dense_rows(coeffs[0], 1, 3), [[1.0, 1.0, 1.0]])
         np.testing.assert_allclose(const, [0.0])
 
     def test_vector_constant_times_scalar_expression(self):
         x = ex.var_ref(scalar_var())
         e = ex.mul(ex.constant([1.0, -2.0]), ex.add(x, ex.constant(1.0)))
         coeffs, const = ex.affine_coefficients(e)
-        np.testing.assert_allclose(coeffs[0], [[1.0], [-2.0]])
+        np.testing.assert_allclose(dense_rows(coeffs[0], 2, 1), [[1.0], [-2.0]])
         np.testing.assert_allclose(const, [1.0, -2.0])
 
     def test_nonlinear_tree_raises_naming_the_atom(self):
@@ -240,7 +241,7 @@ class TestAffineCoefficients:
         x = ex.var_ref(scalar_var())
         e = ex.add(x, ex.max_(ex.constant(1.0), ex.constant(2.0)))
         coeffs, const = ex.affine_coefficients(e)
-        np.testing.assert_allclose(coeffs[0], [[1.0]])
+        np.testing.assert_allclose(dense_rows(coeffs[0], 1, 1), [[1.0]])
         np.testing.assert_allclose(const, [2.0])
 
     def test_affine_round_trip_on_random_trees(self):
@@ -257,7 +258,7 @@ class TestAffineCoefficients:
                 direct = ex.evaluate(e, asg)
                 linear = const.copy()
                 for vid, M in coeffs.items():
-                    linear = linear + M @ asg[vid]
+                    linear = linear + dense_rows(M, e.dim, asg[vid].size) @ asg[vid]
                 np.testing.assert_allclose(direct, linear, atol=1e-10)
             checked += 1
 

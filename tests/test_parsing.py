@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dcpc import expressions as ex
 from dcpc.parsing import ParseError, parse_problem, print_problem
+from dcpc.reductions.cone import dense_rows
 
 from helpers import problems_structurally_equal, random_expression, toy_problem
 
@@ -74,7 +75,7 @@ class TestParse:
     def test_parenthesized_expressions(self):
         p = parse_problem("var x; minimize 2 * (x + 1);")
         coeffs, const = ex.affine_coefficients(p.objective)
-        np.testing.assert_allclose(coeffs[0], [[2.0]])
+        np.testing.assert_allclose(dense_rows(coeffs[0], 1, 1), [[2.0]])
         np.testing.assert_allclose(const, [2.0])
 
     def test_all_atoms_parse(self):

@@ -11,7 +11,9 @@ from dcpc import expressions as ex
 from dcpc import randgen
 from dcpc.cli import main as cli_main
 from dcpc.parsing import parse_problem, print_problem
-from dcpc.reductions.cone import affine_row_data, stack_variables
+from dcpc.reductions.cone import (GraphExpand, RelaxSmith, SmithTransform,
+                                  StuffCone, affine_row_data, dense_rows,
+                                  stack_variables)
 from dcpc.reductions.framework import ReductionError, Solution, Status
 from dcpc.reductions.cone import ConeDims
 from dcpc.analyzer import TargetClass, build_chain, solve_problem
@@ -19,6 +21,7 @@ from dcpc.reductions.qp import (PathNfa, StuffLp, StuffQp, qp_applicable, quadra
                                 uses_quadratic_atom)
 from dcpc.reductions.framework import ReductionChain
 from dcpc.reductions.standard import EliminatePwlAtoms, MoveToLhs
+from dcpc.solvers import solve_admm
 
 from helpers import batch_eval, hinge_square_problem, toy_problem
 
@@ -204,6 +207,7 @@ def dense_quadratic_form(expr, var_offsets, width):
             return T, Q, k
         if node.atom in ("square", "sum_squares"):
             M, c = affine_row_data(node.children[0], var_offsets, width)
+            M = dense_rows(M, c.size, width)
             if node.atom == "square":
                 return 2.0 * np.einsum("ij,ik->ijk", M, M), 2.0 * c[:, None] * M, c ** 2
             return ((2.0 * M.T @ M)[None], (2.0 * M.T @ c)[None],
@@ -233,7 +237,8 @@ def dense_quadratic_form(expr, var_offsets, width):
 class TestQuadraticForm:
     def form(self, expr, variables):
         offsets, width = stack_variables(variables)
-        return quadratic_form(expr, offsets, width)
+        P, q, r = quadratic_form(expr, offsets, width)
+        return P.toarray(), q, r
 
     def test_square_of_variable(self):
         decl, x = scalar_var()
@@ -339,6 +344,7 @@ class TestQuadraticForm:
         offsets, width = stack_variables([dx, dy])
         for expr in exprs:
             P, q, r = quadratic_form(expr, offsets, width)
+            P = P.toarray()
             np.testing.assert_allclose(P, P.T, atol=1e-12)
             samples = rng.normal(size=(width, 100))
             vals = batch_eval(expr, {0: samples[0:2], 1: samples[2:3]})[0]
@@ -360,6 +366,7 @@ class TestQuadraticForm:
                    ex.sum_(ex.mul(a, ex.neg(ex.square(ex.sub(x, y)))))),
             ex.sum_(ex.add(ex.mul(b, ex.square(x)), ex.square(ex.mul(a, y)))),
             ex.add(ex.sum_squares(affine), ex.sum_(ex.sub(x, ex.square(y)))),
+            ex.sum_squares(ex.sub(ex.mul(b, x), a)),  # a diagonal Hessian
         )]
         for seed in range(40):
             problem = randgen.random_qp_problem(np.random.default_rng(seed), 4)
@@ -368,7 +375,8 @@ class TestQuadraticForm:
             cases.append((problem.variables, problem.objective))
         for variables, expr in cases:
             offsets, width = stack_variables(variables)
-            got = quadratic_form(expr, offsets, width)
+            P, q, r = quadratic_form(expr, offsets, width)
+            got = P.toarray(), q, r
             want = dense_quadratic_form(expr, offsets, width)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
@@ -383,7 +391,7 @@ class TestQuadraticForm:
             b = ex.constant(float(rng.normal()))
             expr = ex.add(ex.sum_squares(ex.add(v, a)),
                           ex.square(ex.add(ex.sum_(ex.mul(a, v)), b)))
-            P, _, _ = quadratic_form(expr, offsets, width)
+            P = quadratic_form(expr, offsets, width)[0].toarray()
             np.testing.assert_allclose(P, P.T, atol=1e-12)
             assert np.linalg.eigvalsh(P).min() >= -1e-9
 
@@ -417,14 +425,14 @@ class TestCanonicalizeQp:
         p = toy_problem()
         data, _ = build_chain(p, TargetClass.QP).apply(p)
         assert [v.name for v in data.variables] == ["alice", "bob", "_t2"]
-        np.testing.assert_array_equal(data.P, np.zeros((3, 3)))
+        np.testing.assert_array_equal(data.P.toarray(), np.zeros((3, 3)))
         np.testing.assert_array_equal(data.q, [0.0, 0.0, 1.0])
         assert data.offset == 0.0
         # Ax == b rows first, then Gx <= h.
         assert data.cones == ConeDims(1, 3, ())
         np.testing.assert_array_equal(
-            data.A, [[0.0, 1.0, 0.0],
-                     [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0], [1.0, 0.0, 0.0]])
+            data.A.toarray(), [[0.0, 1.0, 0.0],
+                               [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0], [1.0, 0.0, 0.0]])
         np.testing.assert_array_equal(data.b, [-0.5, -2.0, 0.0, 0.0])
         assert data.var_offsets == {0: (0, 1), 1: (1, 1), 2: (2, 1)}
 
@@ -433,13 +441,13 @@ class TestCanonicalizeQp:
         data, _ = build_chain(p, TargetClass.QP).apply(p)
         assert [v.name for v in data.variables] == ["x", "_t1", "_t2"]
         np.testing.assert_array_equal(
-            data.P, [[0.0, 0.0, 0.0], [0.0, 2.0, 2.0], [0.0, 2.0, 2.0]])
+            data.P.toarray(), [[0.0, 0.0, 0.0], [0.0, 2.0, 2.0], [0.0, 2.0, 2.0]])
         np.testing.assert_array_equal(data.q, np.zeros(3))
         assert data.offset == 0.0
         assert data.cones == ConeDims(0, 4, ())  # no equality rows
         np.testing.assert_array_equal(
-            data.A, [[1.0, -1.0, 0.0], [0.0, -1.0, 0.0],
-                     [1.0, 0.0, -1.0], [0.0, 0.0, -1.0]])
+            data.A.toarray(), [[1.0, -1.0, 0.0], [0.0, -1.0, 0.0],
+                               [1.0, 0.0, -1.0], [0.0, 0.0, -1.0]])
         np.testing.assert_array_equal(data.b, [0.0, 0.0, 1.0, 0.0])
 
     def test_rejects_outside_fragment(self):
@@ -470,10 +478,10 @@ class TestCanonicalizeQp:
         for _ in range(50):
             x = float(rng.uniform(-2.0, 3.0))
             stacked = np.array([x, max(x, 0.0), max(x - 1.0, 0.0)])
-            model = 0.5 * stacked @ data.P @ stacked + data.q @ stacked + data.offset
+            model = 0.5 * stacked @ data.P.toarray() @ stacked + data.q @ stacked + data.offset
             truth = (max(x, 0.0) + max(x - 1.0, 0.0)) ** 2
             assert model == pytest.approx(truth, abs=1e-12)
-            assert (data.A @ stacked <= data.b + 1e-12).all()
+            assert (data.A.toarray() @ stacked <= data.b + 1e-12).all()
 
 
 class TestHessianProbe:
@@ -499,8 +507,8 @@ class TestStuffLp:
         np.testing.assert_array_equal(data.q, [0.0, 0.0, 1.0])
         assert data.cones == ConeDims(1, 3, ())
         np.testing.assert_array_equal(
-            data.A, [[0.0, 1.0, 0.0],
-                     [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0], [1.0, 0.0, 0.0]])
+            data.A.toarray(), [[0.0, 1.0, 0.0],
+                               [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0], [1.0, 0.0, 0.0]])
         np.testing.assert_array_equal(data.b, [-0.5, -2.0, 0.0, 0.0])
         assert data.offset == 0.0
         assert data.var_offsets == {0: (0, 1), 1: (1, 1), 2: (2, 1)}
@@ -562,8 +570,48 @@ class TestStuffQpMemory:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, f"StuffQp peaked at {peak / 2**20:.0f} MB"
-        np.testing.assert_array_equal(data.P[:n, :n], 2.0 * np.eye(n))
-        assert np.count_nonzero(data.P) == n
+        np.testing.assert_array_equal(data.P.toarray()[:n, :n], 2.0 * np.eye(n))
+        assert np.count_nonzero(data.P.toarray()) == n
+
+
+@pytest.fixture(scope="module")
+def wide_cone_stage():
+    """``norm2(x - c) + sum(square(x))`` with box rows at n = 2000, as the
+    canon stage that StuffCone takes: 12001 rows over 4001 columns."""
+    n = 2000
+    center = ", ".join(f"{v:.2f}" for v in np.linspace(-3.0, 3.0, n))
+    stage = parse_problem(
+        f"var x[{n}];\nminimize norm2(x - [{center}]) + sum(square(x));\n"
+        "subject to\n  x <= 10;\n  x >= -10;\n")
+    for member in (SmithTransform(), RelaxSmith(), GraphExpand()):
+        stage, _ = member.apply(stage)
+    return stage
+
+
+class TestStuffConeMemory:
+    """A dense ``A`` of the wide-cone stage is 384 MB; its stuffing peaked at
+    736 MB when every row was stacked dense.  It holds 12001 nonzeros."""
+
+    def test_stuffing_stays_small(self, wide_cone_stage):
+        tracemalloc.start()
+        try:
+            data, _ = StuffCone().apply(wide_cone_stage)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"StuffCone peaked at {peak / 2**20:.0f} MB"
+        assert data.A.shape == (12001, 4001) and data.A.nnz == 12001
+
+    def test_solve_allocates_no_dense_matrix(self, wide_cone_stage):
+        data, _ = StuffCone().apply(wide_cone_stage)
+        tracemalloc.start()
+        try:
+            raw = solve_admm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert raw.status is Status.OPTIMAL
+        assert peak < 32 * 2**20, f"solve_admm peaked at {peak / 2**20:.0f} MB"
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -661,6 +709,17 @@ DOCUMENTS = [
     ("qp_right_nested", lambda: RIGHT_NESTED, ["--target", "qp"]),
     ("lp_cancelling", lambda: CANCELLING, ["--target", "lp"]),
 ]
+
+
+@pytest.mark.parametrize("target", [TargetClass.LP, TargetClass.QP,
+                                    TargetClass.CONE])
+def test_cancelled_coefficient_is_not_stored(target):
+    problem = parse_problem(CANCELLING)
+    data, _ = build_chain(problem, target).apply(problem)
+    for M in (data.A, data.P):
+        if M is not None:
+            assert M.nnz == np.count_nonzero(M.toarray())
+    np.testing.assert_array_equal(data.A.toarray()[0], [0.0, 1.0])
 
 
 class TestQpDocumentBytes:

@@ -5,6 +5,7 @@ import pytest
 
 from dcpc import expressions as ex
 from dcpc.parsing import parse_problem
+from dcpc.reductions.cone import dense_rows
 from dcpc.reductions.framework import Solution, Status
 from dcpc.reductions.standard import (CanonConstraint, CanonStage,
                                       DecomposeSoc, DropRedundantConstraints,
@@ -318,7 +319,7 @@ class TestScaleConstraints:
         c = q.constraints[0]
         coeffs, const = ex.affine_coefficients(smart_sub(c.lhs, c.rhs))
         (M,) = coeffs.values()
-        np.testing.assert_allclose(M, [[1.0]])
+        np.testing.assert_allclose(dense_rows(M, 1, 1), [[1.0]])
         np.testing.assert_allclose(const, [-2.0])
 
     def test_unit_norm_row_unchanged(self):
@@ -339,7 +340,7 @@ class TestScaleConstraints:
         c = q.constraints[0]
         coeffs, const = ex.affine_coefficients(smart_sub(c.lhs, c.rhs))
         (M,) = coeffs.values()
-        np.testing.assert_allclose(M, [[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(dense_rows(M, 2, 2), [[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_allclose(const, [-2.0, -0.5])
 
     def test_feasible_set_unchanged(self):

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog, minimize
 
 from dcpc import expressions as ex, solvers
@@ -73,6 +74,15 @@ class TestProgramData:
         ProgramData(**parts)
         with pytest.raises(ValueError, match="fit"):
             ProgramData(**{**parts, field: value})
+
+    def test_dense_input_becomes_csr_without_zeros(self):
+        P, A = np.diag([2.0, 0.0]), np.array([[0.0, -1.0], [3, 0]])
+        data = ProgramData(P, np.zeros(2), 0.0, A, np.zeros(2),
+                           ConeDims(0, 2, ()), {}, ())
+        for got, want in ((data.P, P), (data.A, A)):
+            assert isinstance(got, sp.csr_matrix) and got.dtype == float
+            np.testing.assert_array_equal(got.toarray(), want)
+            assert got.nnz == np.count_nonzero(want)
 
 
 class TestSolverSettings:
@@ -258,7 +268,8 @@ class TestSimplex:
             assert outcome.report.target is TargetClass.LP
             data, raw = outcome.data, outcome.raw
             zero = data.cones.zero
-            G, h, A, b = data.A[zero:], data.b[zero:], data.A[:zero], data.b[:zero]
+            dense = data.A.toarray()
+            G, h, A, b = dense[zero:], data.b[zero:], dense[:zero], data.b[:zero]
             ref = linprog(data.q, A_ub=G, b_ub=h,
                           A_eq=A if A.size else None,
                           b_eq=b if b.size else None,
@@ -304,7 +315,7 @@ class TestQpAdmm:
         raw = solve_qp_admm(data)
         assert raw.status is Status.OPTIMAL
         assert raw.value + data.offset == pytest.approx(0.0, abs=1e-5)
-        assert data.cones.zero == 0 and (data.A @ raw.x <= data.b + 1e-5).all()
+        assert data.cones.zero == 0 and (data.A.toarray() @ raw.x <= data.b + 1e-5).all()
 
     def test_zero_variable_problems(self):
         ok = ProgramData(np.zeros((0, 0)), np.zeros(0), 0.0, np.zeros((1, 0)),

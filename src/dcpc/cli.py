@@ -67,24 +67,21 @@ def render_json(obj, indent=0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
-    if sp.issparse(obj):  # as its dense array, one dense row at a time
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2:
+        obj = sp.csr_matrix(obj)  # one writer for every float matrix
+    if sp.issparse(obj):  # its dense array, one dense row at a time
         if not obj.shape[0]:
             return "[]"
-        obj = obj.tocsr()
-        row = np.zeros(obj.shape[1])
-        rows = []
+        obj, row, rows = obj.tocsr(), np.zeros(obj.shape[1]), []
         for lo, hi in zip(obj.indptr[:-1], obj.indptr[1:]):
             row[obj.indices[lo:hi]] = obj.data[lo:hi]
             rows.append(_format_row(row))
             row[obj.indices[lo:hi]] = 0.0
-        return "[\n" + ",\n".join(f"{inner}[{row}]" for row in rows) + "\n" + pad + "]"
+        return "[\n" + ",\n".join(f"{inner}[{r}]" for r in rows) + "\n" + pad + "]"
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind != "f" or obj.ndim not in (1, 2) or not obj.size:
+        if obj.dtype.kind != "f" or obj.ndim != 1:
             return render_json(obj.tolist(), indent)
-        rows = [_format_row(row) for row in obj.reshape(-1, obj.shape[-1])]
-        if obj.ndim == 1:
-            return "[" + rows[0] + "]"
-        return "[\n" + ",\n".join(f"{inner}[{row}]" for row in rows) + "\n" + pad + "]"
+        return "[" + _format_row(obj) + "]"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"

@@ -703,15 +703,14 @@ def _combine_pieces(dim, pieces, scales):
 def affine_coefficients(expr: ExpressionNode) -> tuple[dict, np.ndarray]:
     """Sparse coefficient blocks and constant vector of an affine expression.
 
-    Returns ``({var_id: (rows, cols, vals)}, k)``: for each variable, COO
-    triplets of its (dim, var_dim) block ``M``, row-major with distinct
-    entries, and ``k`` of shape (dim,), such that the expression equals
-    ``sum_i M_i x_i + k``.  Every entry is the value the dense block
-    arithmetic gives it: the left operand of an ``add`` or ``sub`` stays a
-    list of chunks, and a block is coalesced before any step that is not
-    that left-to-right accumulation.  A block may hold entries that cancel
-    to zero.  Raises :class:`NotAffineError` naming the first nonlinear atom
-    otherwise: the post-order walk reaches it before any of its ancestors.
+    Returns ``({var_id: (rows, cols, vals)}, k)``: COO triplets of each
+    variable's (dim, var_dim) block ``M``, row-major with distinct entries
+    (some may cancel to zero), and ``k`` of shape (dim,), such that the
+    expression equals ``sum_i M_i x_i + k``.  Each entry has the bits that
+    dense block arithmetic gives it: the left operand of an ``add`` or
+    ``sub`` stays a list of chunks, and a block is coalesced before any
+    other step.  Raises :class:`NotAffineError` naming the first nonlinear
+    atom otherwise: the post-order walk reaches it before any ancestor.
     """
     widths: dict[int, int] = {}  # var_id -> var_dim, the blocks' widths
 

@@ -48,9 +48,12 @@ def _format_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _format_row(row: np.ndarray) -> str:
+_BLOCK_CELLS = 1 << 16  # a matrix is written through dense blocks this large
+
+
+def _format_rows(block: np.ndarray) -> list[str]:
     # + 0.0 normalizes -0.0 as _format_float does.
-    return ", ".join(["%.17g" % v for v in (row + 0.0).tolist()])
+    return [", ".join(["%.17g" % v for v in row]) for row in (block + 0.0).tolist()]
 
 
 def render_json(obj, indent=0) -> str:
@@ -69,19 +72,18 @@ def render_json(obj, indent=0) -> str:
         return _format_float(float(obj))
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2:
         obj = sp.csr_matrix(obj)  # one writer for every float matrix
-    if sp.issparse(obj):  # its dense array, one dense row at a time
-        if not obj.shape[0]:
+    if sp.issparse(obj):  # its dense array, a few rows at a time
+        obj = obj.tocsr()
+        step = max(1, _BLOCK_CELLS // max(obj.shape[1], 1))
+        rows = [row for lo in range(0, obj.shape[0], step)
+                for row in _format_rows(obj[lo:lo + step].toarray())]
+        if not rows:
             return "[]"
-        obj, row, rows = obj.tocsr(), np.zeros(obj.shape[1]), []
-        for lo, hi in zip(obj.indptr[:-1], obj.indptr[1:]):
-            row[obj.indices[lo:hi]] = obj.data[lo:hi]
-            rows.append(_format_row(row))
-            row[obj.indices[lo:hi]] = 0.0
         return "[\n" + ",\n".join(f"{inner}[{r}]" for r in rows) + "\n" + pad + "]"
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind != "f" or obj.ndim != 1:
             return render_json(obj.tolist(), indent)
-        return "[" + _format_row(obj) + "]"
+        return "[" + _format_rows(obj[None])[0] + "]"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"

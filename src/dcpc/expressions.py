@@ -664,7 +664,10 @@ def _coalesce(chunks):
     if len(chunks) == 1:
         return chunks[0]
     rows, cols, vals = (np.concatenate(a) for a in zip(*chunks))
-    keys, at = np.unique((rows << 32) | cols, return_inverse=True)
+    keys = (rows << 32) | cols
+    if (keys[1:] > keys[:-1]).all():  # distinct and in order already
+        return rows, cols, vals
+    keys, at = np.unique(keys, return_inverse=True)
     return keys >> 32, keys & 0xFFFFFFFF, np.bincount(at, vals, keys.size)
 
 
@@ -685,7 +688,7 @@ def _combine_pieces(dim, pieces, scales):
         tiled = pk.shape[0] != dim  # one row, broadcast up by tiling
         if tiled:
             pk = np.repeat(pk, dim, axis=0)
-        const = const + scale * pk
+        const = const + (pk if scale == 1.0 else scale * pk)
         for v, chunks in pc.items():
             if i:
                 chunks = [_coalesce(chunks)]
@@ -732,14 +735,14 @@ def affine_coefficients(expr: ExpressionNode) -> tuple[dict, np.ndarray]:
             const_first = node.children[0].curvature.is_constant
             cval = pieces[0 if const_first else 1][1]
             coeffs, const = pieces[1 if const_first else 0]
-            blocks = {v: _coalesce(chunks) for v, chunks in coeffs.items()}
-            if cval.shape[0] == 1:
-                return ({v: [(r, c, cval[0] * x)] for v, (r, c, x) in blocks.items()},
-                        cval[0] * const)
-            if const.shape[0] == 1:  # a vector constant times a scalar expression
-                blocks = {v: _tile(b, cval.size) for v, b in blocks.items()}
-            return ({v: [(r, c, cval[r] * x)] for v, (r, c, x) in blocks.items()},
-                    cval * const)
+            vector = cval.shape[0] > 1
+            out = {}
+            for v, chunks in coeffs.items():
+                r, c, x = block = _coalesce(chunks)
+                if vector and const.shape[0] == 1:  # times a scalar expression
+                    r, c, x = _tile(block, cval.size)
+                out[v] = [(r, c, (cval[r] if vector else cval) * x)]
+            return out, cval * const
         if name == "index":
             k = node.param
             if not pieces:  # an indexed variable: one entry of its identity

@@ -273,13 +273,19 @@ def affine_row_data(expr: ex.ExpressionNode,
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs, const = ex.affine_coefficients(expr)
     blocks = [(r, c + var_offsets[v][0], x) for v, (r, c, x) in coeffs.items()]
-    rows, cols, vals = ((np.concatenate(a) for a in zip(*blocks)) if blocks
-                        else (np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),))
+    if len(blocks) == 1:
+        (rows, cols, vals), = blocks
+    elif blocks:  # each block is row-major; merge their rows
+        rows, cols, vals = (np.concatenate(a) for a in zip(*blocks))
+        order = np.argsort(rows * width + cols)
+        rows, cols, vals = rows[order], cols[order], vals[order]
+    else:
+        rows, cols, vals = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
     require_finite(vals, const)
-    keep = np.flatnonzero(vals)
-    if len(blocks) > 1:  # each block is row-major; merge their rows
-        keep = keep[np.argsort(rows[keep] * width + cols[keep])]
-    return (rows[keep], cols[keep], vals[keep]), const
+    if not vals.all():
+        keep = vals != 0.0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return (rows, cols, vals), const
 
 
 def dense_rows(M: tuple[np.ndarray, ...], dim: int, width: int) -> np.ndarray:
@@ -303,7 +309,7 @@ def stack_rows(blocks, var_offsets, width) -> tuple[sp.csr_matrix, np.ndarray]:
             (r, c, x), k = affine_row_data(e, var_offsets, width)
             counts.append(np.bincount(r, minlength=e.dim))
             cols.append(c)
-            vals.append(sign * x)
+            vals.append(x if sign > 0 else -x)
             b_rows.append(-sign * k)  # k may be a constant's read-only payload
     if not counts:
         return sp.csr_matrix((0, width)), np.zeros(0)

@@ -280,7 +280,8 @@ def affine_row_data(expr: ex.ExpressionNode,
         order = np.argsort(rows * width + cols)
         rows, cols, vals = rows[order], cols[order], vals[order]
     else:
-        rows, cols, vals = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+        rows = cols = np.zeros(0, dtype=np.intp)
+        vals = np.zeros(0)
     require_finite(vals, const)
     if not vals.all():
         keep = vals != 0.0

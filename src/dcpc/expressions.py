@@ -48,6 +48,8 @@ __all__ = [
     "norm2",
     "evaluate",
     "affine_coefficients",
+    "combine_affine",
+    "coalesce",
     "is_dcp",
     "make_problem",
     "VariablePool",
@@ -657,18 +659,19 @@ _ROW0 = np.zeros(1, dtype=np.intp)  # shared leaf arrays, never written
 _ONE = np.ones(1)
 
 
-def _coalesce(chunks):
+def coalesce(chunks):
     """One triplet block from a list of chunks, each row-major with distinct
     entries: repeated entries add in list order, as the dense sum of the
     chunks would add them, and the result is row-major again."""
     if len(chunks) == 1:
         return chunks[0]
     rows, cols, vals = (np.concatenate(a) for a in zip(*chunks))
-    keys = (rows << 32) | cols
+    span = int(cols.max(initial=0)) + 1  # a Hessian block's columns reach width²
+    keys = rows * span + cols
     if (keys[1:] > keys[:-1]).all():  # distinct and in order already
         return rows, cols, vals
     keys, at = np.unique(keys, return_inverse=True)
-    return keys >> 32, keys & 0xFFFFFFFF, np.bincount(at, vals, keys.size)
+    return keys // span, keys % span, np.bincount(at, vals, keys.size)
 
 
 def _tile(block, dim):
@@ -682,7 +685,7 @@ def _combine_pieces(dim, pieces, scales):
     """``sum_i scale_i * piece_i`` over ``dim`` rows.  The first piece keeps
     its chunks and each later one joins as one coalesced chunk, so entries
     add in the order of the dense left-to-right sum."""
-    coeffs: dict[int, list] = {}
+    coeffs: dict = {}
     const = np.zeros(dim)
     for i, ((pc, pk), scale) in enumerate(zip(pieces, scales)):
         tiled = pk.shape[0] != dim  # one row, broadcast up by tiling
@@ -691,7 +694,7 @@ def _combine_pieces(dim, pieces, scales):
         const = const + (pk if scale == 1.0 else scale * pk)
         for v, chunks in pc.items():
             if i:
-                chunks = [_coalesce(chunks)]
+                chunks = [coalesce(chunks)]
             if tiled:
                 chunks = [_tile(c, dim) for c in chunks]
             if scale != 1.0:
@@ -703,17 +706,73 @@ def _combine_pieces(dim, pieces, scales):
     return coeffs, const
 
 
+_SCALES = {"add": (1.0, 1.0), "sub": (1.0, -1.0), "neg": (-1.0,)}
+
+
+def combine_affine(node: ExpressionNode, pieces, widths) -> tuple[dict, np.ndarray]:
+    """The piece of ``node``, an affine atom, from its children's pieces.
+
+    A piece is ``({key: chunks}, k)``: for each column space ``key``, a list
+    of row-major triplet chunks that add up to the (dim, widths[key]) block,
+    and the constant vector ``k`` of shape (dim,).  This holds the rules of
+    ``add``, ``sub``, ``neg``, constant ``mul``, ``index`` and ``sum``, each
+    entry with the bits that dense block arithmetic gives it: the left
+    operand of an ``add`` or ``sub`` stays a list of chunks, and a block is
+    coalesced before any other step.  Raises :class:`NotAffineError` for
+    any other atom.
+    """
+    name = node.atom
+    if name in _SCALES:
+        return _combine_pieces(node.dim, pieces, _SCALES[name])
+    if name == "mul_const":
+        const_first = node.children[0].curvature.is_constant
+        cval = pieces[0 if const_first else 1][1]
+        coeffs, const = pieces[1 if const_first else 0]
+        vector = cval.shape[0] > 1
+        out = {}
+        for v, chunks in coeffs.items():
+            r, c, x = block = coalesce(chunks)
+            if vector and const.shape[0] == 1:  # times a scalar expression
+                r, c, x = _tile(block, cval.size)
+            out[v] = [(r, c, (cval[r] if vector else cval) * x)]
+        return out, cval * const
+    if name == "index":
+        k = node.param
+        coeffs, const = pieces[0]
+        out = {}
+        for v, chunks in coeffs.items():
+            r, c, x = coalesce(chunks)
+            lo, hi = np.searchsorted(r, (k, k + 1))
+            out[v] = [(r[lo:hi] - k, c[lo:hi], x[lo:hi])]
+        return out, const[k:k + 1]
+    if name == "sum":
+        coeffs, const = pieces[0]
+        out = {}
+        for v, chunks in coeffs.items():
+            r, c, x = coalesce(chunks)
+            if widths[v] == 1:  # numpy sums one column pairwise, zeros too
+                column = np.zeros(node.children[0].dim)
+                column[r] = x
+                out[v] = [(_ROW0, _ROW0, np.array([np.sum(column)]))]
+            else:  # and the rows of a wider block in sequence
+                cols, at = np.unique(c, return_inverse=True)
+                out[v] = [(np.zeros(cols.size, dtype=np.intp), cols,
+                           np.bincount(at, x, cols.size))]
+        return out, np.array([np.sum(const)])
+    raise NotAffineError(node)
+
+
 def affine_coefficients(expr: ExpressionNode) -> tuple[dict, np.ndarray]:
     """Sparse coefficient blocks and constant vector of an affine expression.
 
     Returns ``({var_id: (rows, cols, vals)}, k)``: COO triplets of each
     variable's (dim, var_dim) block ``M``, row-major with distinct entries
     (some may cancel to zero), and ``k`` of shape (dim,), such that the
-    expression equals ``sum_i M_i x_i + k``.  Each entry has the bits that
-    dense block arithmetic gives it: the left operand of an ``add`` or
-    ``sub`` stays a list of chunks, and a block is coalesced before any
-    other step.  Raises :class:`NotAffineError` naming the first nonlinear
-    atom otherwise: the post-order walk reaches it before any ancestor.
+    expression equals ``sum_i M_i x_i + k``.  The leaves are read here and
+    every atom is combined by :func:`combine_affine`, with each variable's
+    block as one column space.  Raises :class:`NotAffineError` naming the
+    first nonlinear atom otherwise: the post-order walk reaches it before
+    any ancestor.
     """
     widths: dict[int, int] = {}  # var_id -> var_dim, the blocks' widths
 
@@ -724,59 +783,17 @@ def affine_coefficients(expr: ExpressionNode) -> tuple[dict, np.ndarray]:
             widths[node.var_id] = d = node.dim
             ids = np.arange(d)
             return {node.var_id: [(ids, ids, np.ones(d))]}, np.zeros(d)
-        name = node.atom
-        if name == "add":
-            return _combine_pieces(node.dim, pieces, (1.0, 1.0))
-        if name == "sub":
-            return _combine_pieces(node.dim, pieces, (1.0, -1.0))
-        if name == "neg":
-            return _combine_pieces(node.dim, pieces, (-1.0,))
-        if name == "mul_const":
-            const_first = node.children[0].curvature.is_constant
-            cval = pieces[0 if const_first else 1][1]
-            coeffs, const = pieces[1 if const_first else 0]
-            vector = cval.shape[0] > 1
-            out = {}
-            for v, chunks in coeffs.items():
-                r, c, x = block = _coalesce(chunks)
-                if vector and const.shape[0] == 1:  # times a scalar expression
-                    r, c, x = _tile(block, cval.size)
-                out[v] = [(r, c, (cval[r] if vector else cval) * x)]
-            return out, cval * const
-        if name == "index":
-            k = node.param
-            if not pieces:  # an indexed variable: one entry of its identity
-                leaf = node.children[0]
-                widths[leaf.var_id] = leaf.dim
-                return {leaf.var_id: [(_ROW0, np.array([k]), _ONE)]}, np.zeros(1)
-            coeffs, const = pieces[0]
-            out = {}
-            for v, chunks in coeffs.items():
-                r, c, x = _coalesce(chunks)
-                lo, hi = np.searchsorted(r, (k, k + 1))
-                out[v] = [(r[lo:hi] - k, c[lo:hi], x[lo:hi])]
-            return out, const[k:k + 1]
-        if name == "sum":
-            coeffs, const = pieces[0]
-            out = {}
-            for v, chunks in coeffs.items():
-                r, c, x = _coalesce(chunks)
-                if widths[v] == 1:  # numpy sums one column pairwise, zeros too
-                    column = np.zeros(node.children[0].dim)
-                    column[r] = x
-                    out[v] = [(_ROW0, _ROW0, np.array([np.sum(column)]))]
-                else:  # and the rows of a wider block in sequence
-                    cols, at = np.unique(c, return_inverse=True)
-                    out[v] = [(np.zeros(cols.size, dtype=np.intp), cols,
-                               np.bincount(at, x, cols.size))]
-            return out, np.array([np.sum(const)])
-        raise NotAffineError(node)
+        if node.atom == "index" and not pieces:  # one entry of a variable's identity
+            leaf = node.children[0]
+            widths[leaf.var_id] = leaf.dim
+            return {leaf.var_id: [(_ROW0, np.array([node.param]), _ONE)]}, np.zeros(1)
+        return combine_affine(node, pieces, widths)
 
     def enter(node, _):  # skips constants and an indexed variable's leaf
         return nonconstant(node) and (node.atom != "index" or node.children[0].kind != "var")
 
     coeffs, const = fold(expr, leave, enter)
-    return {v: _coalesce(chunks) for v, chunks in coeffs.items()}, const
+    return {v: coalesce(chunks) for v, chunks in coeffs.items()}, const
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ one state set per node, and its constraints are piecewise-linear
 inequalities plus affine equalities.  Accepted problems are lowered by
 eliminating the piecewise-linear atoms, moving constraints to the left-hand
 side, and extracting the quadratic form of the objective.  That extraction
-keeps only the nonzeros of each node's row Hessians, so stuffing costs about
-the size of the data it emits, not rows times width squared.
+carries each node's row Hessians and linear rows as triplet blocks through
+``expressions.combine_affine``, the arithmetic of affine rows, so stuffing
+costs about the size of the data it emits, not rows times width squared.
 """
 
 from __future__ import annotations
@@ -118,122 +119,85 @@ def qp_applicable(problem: ex.ProblemForm) -> bool:
                    frozenset({nfa.START}))
 
 
-def _broadcast_rows(parts, dim, cells):
-    (keys, vals), Q, k = parts
-    if k.shape[0] == dim:
-        return parts
-    return (((np.arange(dim)[:, None] * cells + keys).ravel(), np.tile(vals, dim)),
-            np.broadcast_to(Q, (dim,) + Q.shape[1:]), np.broadcast_to(k, (dim,)))
-
-
-def _add_rows(a, b, sign):
-    """``a + sign*b`` over sparse rows, entry by entry as the dense sum."""
-    keys = np.union1d(a[0], b[0])
-    vals = np.zeros(keys.size)
-    vals[np.searchsorted(keys, a[0])] = a[1]
-    vals[np.searchsorted(keys, b[0])] += sign * b[1]
-    return keys, vals
-
-
 def _square_rows(M, width):
-    """Sparse rows ``2.0*(M_ij*M_il)`` of the Hessians of square(M x + c),
-    from the row-major triplets ``M`` of the argument's nonzeros."""
+    """Hessian rows ``2.0*(M_ij*M_il)`` of square(M x + c), at column
+    ``j·width + l``, from the row-major triplets ``M`` of the argument."""
     rows, cols, vals = M
-    keys, out = [], []
-    for i in np.unique(rows):
-        lo, hi = np.searchsorted(rows, (i, i + 1))
-        J, v = cols[lo:hi], vals[lo:hi]
-        keys.append(((i * width + J[:, None]) * width + J).ravel())
-        out.append((2.0 * np.multiply.outer(v, v)).ravel())
-    if not keys:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
-    return np.concatenate(keys), np.concatenate(out)
+    start = np.searchsorted(rows, rows)  # each entry's row: start and length
+    count = np.searchsorted(rows, rows, side="right") - start
+    left = np.repeat(np.arange(rows.size), count)  # entry j of each pair ...
+    first = np.repeat(np.cumsum(count) - count, count)
+    right = np.repeat(start, count) + np.arange(left.size) - first  # ... and l
+    return (rows[left], cols[left] * width + cols[right],
+            2.0 * (vals[left] * vals[right]))
+
+
+def _sum_squares_rows(M, c, width):
+    """The one-row Hessian and linear blocks of sum_squares(M x + c): the
+    dense BLAS products ``2MᵀM`` and ``2Mᵀc`` over the columns the argument
+    touches, unless every entry of them is a single product of two entries
+    of ``M``."""
+    rows, cols, vals = M
+    if np.unique(cols).size == cols.size == np.unique(rows).size:
+        # One entry per row and per column: 2MᵀM is diagonal, and each entry
+        # of it and of 2Mᵀc is one product, rounded once in any order.
+        order = np.argsort(cols)
+        J, twice = cols[order], 2.0 * vals[order]
+        return (J * (width + 1), twice * vals[order]), (J, twice * c[rows[order]])
+    J, at = np.unique(cols, return_inverse=True)
+    MJ = np.zeros((c.size, J.size))
+    MJ[rows, at] = vals
+    P = 2.0 * MJ.T @ MJ
+    i, j = np.nonzero(P)
+    return (J[i] * width + J[j], P[i, j]), (J, 2.0 * MJ.T @ c)
 
 
 _QUADRATIC_ATOMS = ("square", "sum_squares")
+_NO_ENTRIES = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
 
 
 def _quad_pieces(expr, var_offsets, width):
-    """Per-row quadratic data (H, Q, k): row i equals ½xᵀH_i x + Q_i x + k_i.
+    """The piece of ``expr`` as :func:`ex.combine_affine` takes it, over two
+    column spaces: ``"H"``, the row Hessians at column j·width + l, and
+    ``"Q"``, the linear rows; row i equals ½xᵀH_i x + Q_i x + k_i.
 
-    Q and k are dense; H keeps only the nonzeros of the row Hessians, as
-    sorted ``keys`` (i·width² + j·width + l) and their ``vals``.  Entries are
-    combined with the dense (d, width, width) arithmetic, in its order, so P
-    is bit-for-bit the dense one.  The fold stops at affine subtrees, whose
-    (Q, k) come from ``affine_row_data`` with an empty H; a product's
-    constant operand is one of them, and its ``k`` is the constant's value.
-    ``sum_squares`` keeps the dense BLAS product ``2MᵀM`` of the dense case,
-    over the columns its argument touches only, unless every entry of the
-    product is a single product of two entries of ``M``.
+    The fold supplies only leaves and sends every other node to
+    ``combine_affine``, so the blocks add, scale, index and sum as affine
+    rows do, with the bits of the dense (d, width, width) arithmetic.  It
+    stops at affine subtrees, whose ``"Q"`` block and ``k`` come from
+    ``affine_row_data``; a product's constant operand is one of them.  A
+    quadratic atom gives an ``"H"`` and a ``"Q"`` block of its argument's
+    nonzeros, and no block is ever dense.
     """
-    cells = width * width
-    no_hessian = np.zeros(0, dtype=np.int64), np.zeros(0)
+    widths = {"H": width * width, "Q": width}
 
     def enter(node, _):
         return not node.curvature.is_affine and node.atom not in _QUADRATIC_ATOMS
 
-    def leave(node, parts, _):
-        d, atom = node.dim, node.atom
+    def leave(node, pieces, _):
         if node.curvature.is_affine:
             M, k = affine_row_data(node, var_offsets, width)
-            return no_hessian, dense_rows(M, d, width), k
-        if atom in _QUADRATIC_ATOMS:
+            return {"Q": [M]}, k
+        if node.atom not in _QUADRATIC_ATOMS:
             try:
-                M, c = affine_row_data(node.children[0], var_offsets, width)
-            except ex.NotAffineError as err:
+                return ex.combine_affine(node, pieces, widths)
+            except ex.NotAffineError:
                 raise ReductionError(
-                    f"atom '{err.node.atom}' below a quadratic node has no "
-                    f"constant-Hessian form") from err
-            if atom == "square":
-                return (_square_rows(M, width),
-                        2.0 * c[:, None] * dense_rows(M, c.size, width), c ** 2)
+                    f"atom '{node.atom}' has no quadratic form") from None
+        try:
+            M, c = affine_row_data(node.children[0], var_offsets, width)
+        except ex.NotAffineError as err:
+            raise ReductionError(
+                f"atom '{err.node.atom}' below a quadratic node has no "
+                f"constant-Hessian form") from err
+        if node.atom == "square":
             rows, cols, vals = M
-            q = np.zeros(width)
-            if np.unique(cols).size == cols.size == np.unique(rows).size:
-                # One entry per row and per column: 2MᵀM is diagonal, and
-                # each entry of it and of 2Mᵀc is one product, rounded once
-                # in any order of summation.
-                twice = 2.0 * vals
-                q[cols] = twice * c[rows]
-                order = np.argsort(cols)
-                keys, vals = cols[order] * (width + 1), (twice * vals)[order]
-                keep = vals != 0.0
-                keys, vals = keys[keep], vals[keep]
-            else:
-                J, at = np.unique(cols, return_inverse=True)
-                MJ = np.zeros((c.size, J.size))
-                MJ[rows, at] = vals
-                P = 2.0 * MJ.T @ MJ
-                q[J] = 2.0 * MJ.T @ c
-                i, j = np.nonzero(P)
-                keys, vals = J[i] * width + J[j], P[i, j]
-            return (keys, vals), q[None, :], np.array([float(c @ c)])
-        if atom in ("add", "sub"):
-            a = _broadcast_rows(parts[0], d, cells)
-            b = _broadcast_rows(parts[1], d, cells)
-            sign = 1.0 if atom == "add" else -1.0
-            return (_add_rows(a[0], b[0], sign), a[1] + sign * b[1],
-                    a[2] + sign * b[2])
-        if atom == "mul_const":
-            const_first = node.children[0].curvature.is_constant
-            cval = parts[0 if const_first else 1][2]
-            (keys, vals), Q, k = _broadcast_rows(parts[1 if const_first else 0],
-                                                 d, cells)
-            scale = np.broadcast_to(cval, (d,))
-            return ((keys, scale[keys // cells] * vals), scale[:, None] * Q,
-                    scale * k)
-        (keys, vals), Q, k = parts[0]
-        if atom == "neg":
-            return (keys, -vals), -Q, -k
-        if atom == "sum":  # bincount adds each entry's rows first to last
-            keys, at = np.unique(keys % cells, return_inverse=True)
-            return ((keys, np.bincount(at, vals, keys.size)),
-                    Q.sum(axis=0, keepdims=True), k.sum(keepdims=True))
-        if atom == "index":
-            i = node.param
-            lo, hi = np.searchsorted(keys, (i * cells, (i + 1) * cells))
-            return (keys[lo:hi] - i * cells, vals[lo:hi]), Q[i:i + 1], k[i:i + 1]
-        raise ReductionError(f"atom '{atom}' has no quadratic form")
+            return ({"H": [_square_rows(M, width)],
+                     "Q": [(rows, cols, (2.0 * c)[rows] * vals)]}, c ** 2)
+        (hc, hv), (qc, qv) = _sum_squares_rows(M, c, width)
+        return ({"H": [(np.zeros(hc.size, dtype=np.intp), hc, hv)],
+                 "Q": [(np.zeros(qc.size, dtype=np.intp), qc, qv)]},
+                np.array([float(c @ c)]))
 
     return ex.fold(expr, leave, enter)
 
@@ -246,12 +210,14 @@ def quadratic_form(expr: ex.ExpressionNode,
     if expr.dim != 1:
         raise ReductionError("quadratic extraction needs a scalar expression")
     with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
-        (keys, vals), Q, k = _quad_pieces(expr, var_offsets, width)
-    require_finite(vals, Q, k)
+        blocks, k = _quad_pieces(expr, var_offsets, width)
+    _, keys, vals = ex.coalesce(blocks.get("H", [_NO_ENTRIES]))  # affine: none
+    Q = ex.coalesce(blocks["Q"])
+    require_finite(vals, Q[2], k)
     P = sp.csr_matrix((vals, (keys // width, keys % width)), shape=(width, width))
     P = 0.5 * (P + P.T)
     P.eliminate_zeros()  # a half that underflows
-    return P, Q[0], float(k[0])
+    return P, dense_rows(Q, 1, width)[0], float(k[0])
 
 
 def _stuff_moved(problem, quadratic: bool) -> ProgramData:

@@ -368,6 +368,18 @@ class TestQuadraticForm:
             ex.add(ex.sum_squares(affine), ex.sum_(ex.sub(x, ex.square(y)))),
             ex.sum_squares(ex.sub(ex.mul(b, x), a)),  # a diagonal Hessian
         )]
+        # A vector constant times a scalar quadratic tiles one-row blocks.
+        dz = ex.VariableDecl(2, "z", 2)
+        scaled = ex.mul(ex.constant(np.array([1.3, -0.7, 2.1])), ex.square(
+            ex.sub(ex.mul(ex.constant(0.3), y), ex.constant(1.1))))
+        cases.append(([dy, dz], ex.add(ex.sum_(scaled),
+                                       ex.sum_squares(ex.var_ref(dz)))))
+        # At width 1 numpy sums the (12, 1, 1) Hessian rows pairwise.
+        a1 = ex.constant(np.array([2.04, -2.56, 0.42, -0.57, -0.45, -0.22,
+                                   -2.02, -0.23, -0.87, 3.32, 0.23, -0.35]))
+        c1 = ex.constant(np.array([-0.28, -0.67, -1.06, -0.39, 0.48, -0.24,
+                                   0.96, -0.2, 0.02, 1.55, 0.55, -0.51]))
+        cases.append(([dy], ex.sum_(ex.square(ex.sub(ex.mul(a1, y), c1)))))
         for seed in range(40):
             problem = randgen.random_qp_problem(np.random.default_rng(seed), 4)
             for member in (EliminatePwlAtoms(), MoveToLhs()):
@@ -380,6 +392,20 @@ class TestQuadraticForm:
             want = dense_quadratic_form(expr, offsets, width)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
+
+    def test_hessian_columns_past_32_bits(self):
+        # Hessian columns j·width + l pass 2**32 at this width.
+        dz, dx = ex.VariableDecl(0, "z", 65536), ex.VariableDecl(1, "x", 2)
+        x = ex.var_ref(dx)
+        expr = ex.sum_(ex.add(ex.square(x), ex.square(
+            ex.sub(x, ex.constant(np.array([1.0, 2.0]))))))
+        offsets, width = stack_variables([dz, dx])
+        P, q, r = quadratic_form(expr, offsets, width)
+        assert P.nnz == 2
+        np.testing.assert_array_equal(P[65536:, 65536:].toarray(), 4.0 * np.eye(2))
+        assert not q[:65536].any()
+        np.testing.assert_array_equal(q[65536:], [-2.0, -4.0])
+        assert r == 5.0
 
     def test_psd_for_convex_quadratics(self):
         rng = np.random.default_rng(21)
@@ -552,26 +578,42 @@ class TestStuffLp:
         assert out.solution.status is Status.OPTIMAL and out.solution.value == 0.0
 
 
+def stuff_qp_peak(objective, n):
+    """``StuffQp``'s data and tracemalloc peak on ``objective`` over ``var
+    x[n]`` with box rows, where ``{c}`` is a center vector, after
+    elimination and the move to the left-hand side."""
+    center = ", ".join(f"{v:.2f}" for v in np.linspace(-3.0, 3.0, n))
+    problem = parse_problem(
+        f"var x[{n}];\nminimize {objective.format(c=f'[{center}]')};\n"
+        "subject to\n  x <= 10;\n  x >= -10;\n")
+    for member in (EliminatePwlAtoms(), MoveToLhs()):
+        problem, _ = member.apply(problem)
+    tracemalloc.start()
+    try:
+        data, _ = StuffQp().apply(problem)
+        return data, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestStuffQpMemory:
     def test_vector_epigraph_stays_small(self):
         # sum(abs(x)) leaves sum(t) over a 400-vector epigraph variable; its
         # row Hessians are all zero, so stuffing must not cost n * width^2.
         n = 400
-        center = ", ".join(f"{v:.2f}" for v in np.linspace(-3.0, 3.0, n))
-        problem = parse_problem(
-            f"var x[{n}];\nminimize sum_squares(x - [{center}]) + sum(abs(x));\n"
-            "subject to\n  x <= 10;\n  x >= -10;\n")
-        for member in (EliminatePwlAtoms(), MoveToLhs()):
-            problem, _ = member.apply(problem)
-        tracemalloc.start()
-        try:
-            data, _ = StuffQp().apply(problem)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        data, peak = stuff_qp_peak("sum_squares(x - {c}) + sum(abs(x))", n)
         assert peak < 64 * 2**20, f"StuffQp peaked at {peak / 2**20:.0f} MB"
         np.testing.assert_array_equal(data.P.toarray()[:n, :n], 2.0 * np.eye(n))
         assert np.count_nonzero(data.P.toarray()) == n
+
+    def test_vector_square_keeps_no_dense_row(self):
+        # square of an n-vector: its linear rows once peaked at n * width
+        # floats (61 MB at n = 2000).
+        n = 2000
+        data, peak = stuff_qp_peak("sum(square(x - {c}))", n)
+        assert peak < 8 * 2**20, f"StuffQp peaked at {peak / 2**20:.1f} MB"
+        assert data.P.shape == (n, n) and data.P.nnz == n
+        np.testing.assert_array_equal(data.P.diagonal(), 2.0)
 
 
 @pytest.fixture(scope="module")

@@ -5,8 +5,9 @@ itself and reads the stuffed ``ProgramData`` fields directly, so a change to
 the container can break the benchmark without breaking any library call.
 This runs that path on one tiny problem per target and checks it against
 ``emit_document`` and ``solve_problem``.  It also pins the bytes that
-``dcpc canonicalize`` writes for every benchmark problem at seed 1, so a
-change that moves any emitted byte fails here.
+``dcpc canonicalize`` writes for every benchmark problem at seed 1, and the
+bits of every benchmark solve at seed 1, so a change that moves any emitted
+byte or solver iterate fails here.
 """
 
 import hashlib
@@ -175,3 +176,48 @@ def test_benchmark_documents_keep_their_bytes(seed_one_cases):
         data, _ = apply_chain(report.chain, problem)
         doc = emit_document(data, report.chain_names).render()
         assert hashlib.sha256(doc.encode()).hexdigest() == DOCUMENT_SHA256[key], key
+
+
+# sha256 of each benchmark solve at seed 1: its status, iteration count, value
+# repr and message, then the primal bytes in variable-id order, keyed as above.
+SOLVE_SHA256 = {
+    ("solve-dense", 0): "9bc30c7b504bc79066634a582027e40af1be2b179bdb017b3a9d24d3abfd915b",
+    ("solve-dense", 1): "a2106d976f3b9126d4e0d9d5c89c0709e484b384ebf3f190e192d77b8825022a",
+    ("solve-dense", 2): "b8df28c2b3489597b5cfd9df2added9c70a1e8825da3daebc6094de264956a5c",
+    ("solve-dense", 3): "e6fdbb93ae59bfcd8c129d919e1c5a8605b56ad7a54f2799014926f0fccb4dd8",
+    ("solve-dense", 4): "32cd6a42289b5b239aec0d520b8d87aba655eff141fec994d560a7c42eb148f7",
+    ("solve-dense", 5): "68bca863143a5ef7a06a9da04dd990e3715c7893b4b97bc0d4b19becad3b19a0",
+    ("solve-dense", 6): "1cb57bbbf91256599a2db3ef317d809164764c0e7e7b5304409699e50671ab7d",
+    ("solve-dense", 7): "1262e1ceda1146ca33f9b79f61813376e0171e7317c9820edcaf42bb1de55218",
+    ("solve-dense", 8): "cd56f10e79dbce16570af214e7f16f75976cd89c53fc9d3a33ac7e1f89a7ed2d",
+    ("solve-dense", 9): "48d66c7ba231dcd99e14ffa67bdfd45ace66eace409711c828b00782dd48b451",
+    ("solve-dense", 10): "bdb5dbfb83c95a70289d77835a52141e856d38f42e7383c93c11881aa67ab47c",
+    ("solve-dense", 11): "a0b46f250e53e1d6422837e84d0a212a582d53237addb49521803ab5d4399158",
+    ("solve-dense", 12): "5f02bcb29ffa3bac56abc8b7d32415d8f2c4d2f425dfe02d29f7321178208a09",
+    ("solve-dense", 13): "a0b46f250e53e1d6422837e84d0a212a582d53237addb49521803ab5d4399158",
+    ("solve-dense", 14): "5f02bcb29ffa3bac56abc8b7d32415d8f2c4d2f425dfe02d29f7321178208a09",
+    ("solve-wide", 0): "2cc0f78f2eb4dd40b8c3f91a25f7d79df697cb674bf2001dad66b567dbcd8dba",
+    ("solve-wide", 1): "48fd9ac142708a83c33b0e7d271069f698b5a8cfea4eedef34385df4c1e2191f",
+    ("solve-wide", 2): "3f5b287ed3bc715f72fc1d5249a341b35fa97eac63ba6ba76720d1c7e3be3d8a",
+    ("solve-wide", 3): "fbfced197b2aa8e88b3c286c3efe211afb8416e13553eac4f4d985470cd4643a",
+    ("solve-wide", 4): "3523e5db9f2fe7af4d836e271765747e1e4f940460e2f2a167ff49aa454525aa",
+    ("solve-wide", 5): "45ddf5482d4833023c228068e445c4c693c1e29a7e68d9428610b887cf8a43cc",
+}
+
+
+def solve_digest(text):
+    outcome = solve_problem(parse_problem(text))
+    s = outcome.solution
+    digest = hashlib.sha256(
+        f"{s.status.name}|{outcome.raw.iterations}|{s.value!r}|{s.message}".encode())
+    for var_id in sorted(s.primal):
+        digest.update(s.primal[var_id].tobytes())
+    return digest.hexdigest()
+
+
+def test_benchmark_solves_keep_their_bits(seed_one_cases):
+    solves = {key: text for key, text in seed_one_cases.items()
+              if key[0] != "canon-scalar"}
+    assert solves.keys() == SOLVE_SHA256.keys()
+    for key, text in solves.items():
+        assert solve_digest(text) == SOLVE_SHA256[key], key

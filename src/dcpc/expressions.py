@@ -58,6 +58,7 @@ __all__ = [
     "nodes",
     "fold",
     "nonconstant",
+    "nonaffine",
     "rebuild",
     "ROOT_SIGNS",
     "child_sign",
@@ -537,13 +538,14 @@ def norm2(a: ExpressionNode) -> ExpressionNode:
 # own stack, so a tree of any depth is walked without Python recursion.
 
 
-def nodes(expr: ExpressionNode):
-    """Every node of ``expr`` in pre-order: parents first, children left to right."""
+def nodes(expr: ExpressionNode, enter=None):
+    """Every node of ``expr`` in pre-order, parents first; ``enter`` is :func:`fold`'s."""
     stack = [expr]
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(node.children))
+        if enter is None or enter(node, None):
+            stack.extend(reversed(node.children))
 
 
 def fold(expr: ExpressionNode, leave, enter=None, down=None, flag=None):
@@ -579,6 +581,11 @@ def fold(expr: ExpressionNode, leave, enter=None, down=None, flag=None):
 def nonconstant(node: ExpressionNode, flag=None) -> bool:
     """An ``enter`` for :func:`fold` that skips constant subtrees."""
     return not node.curvature.is_constant
+
+
+def nonaffine(node: ExpressionNode, flag=None) -> bool:
+    """An ``enter`` that skips affine subtrees: none holds a nonconstant nonlinear atom."""
+    return not node.curvature.is_affine
 
 
 def rebuild(node: ExpressionNode, children: Sequence[ExpressionNode]) -> ExpressionNode:

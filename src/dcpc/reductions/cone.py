@@ -68,14 +68,14 @@ class SmithTransform(Reduction):
             pending = []  # aux of each nonlinear atom entered, not yet left
 
             def enter(node, _):
-                if node.kind != "atom" or node.curvature.is_affine:
+                if not ex.nonaffine(node):
                     return False
                 if nonlinear(node):
                     pending.append(pool.fresh("_t", node.dim))
                 return True
 
             def leave(node, children, s):
-                if node.kind != "atom" or node.curvature.is_affine:
+                if not ex.nonaffine(node):
                     return node
                 body = ex.rebuild(node, children)
                 if not nonlinear(node):

@@ -74,9 +74,9 @@ class PathNfa:
 
 
 def _live_atoms(expr: ex.ExpressionNode):
-    """The atoms of ``expr`` outside constant subtrees, i.e. the nonconstant ones."""
-    return (n for n in ex.nodes(expr)
-            if n.kind == "atom" and not n.curvature.is_constant)
+    """The non-affine atoms of ``expr``: its nonconstant nonlinear atoms and
+    their ancestors, found without entering an affine subtree."""
+    return (n for n in ex.nodes(expr, ex.nonaffine) if ex.nonaffine(n))
 
 
 _PWL_LABELS = frozenset({"A", "P"})
@@ -91,11 +91,12 @@ def uses_quadratic_atom(problem: ex.ProblemForm) -> bool:
 def qp_applicable(problem: ex.ProblemForm) -> bool:
     """QP-reducibility: DCP + PWL constraints + NFA-accepted objective paths.
 
-    The machine runs down the objective, carrying its state set from each
-    node to its children, so shared path prefixes are simulated once.
-    Constant subtrees hold no variable, hence no path; a bare variable is the
-    empty path, affine and accepted.  DCP already makes both sides of an
-    equality affine.
+    The machine runs down the objective's non-affine nodes, carrying its
+    state set from each node to its children, so shared path prefixes are
+    simulated once.  Every state has an edge for A or P, an affine atom's
+    labels, into an accepting state, so an affine subtree (a bare variable
+    too) accepts when it is reached with any state.  DCP already makes both
+    sides of an equality affine.
     """
     ok, _ = ex.is_dcp(problem)
     if not ok:
@@ -103,19 +104,15 @@ def qp_applicable(problem: ex.ProblemForm) -> bool:
     if not all(ex.ATOM_LABELS[n.atom] <= _PWL_LABELS for c in problem.constraints
                for e in (c.lhs, c.rhs) for n in _live_atoms(e)):
         return False
-    if problem.objective.kind == "var":
-        return True
     nfa = PathNfa()
 
     def down(node, i, states):
         return nfa.step(states, ex.ATOM_LABELS[node.atom])
 
     def leave(node, accepted, states):
-        if node.kind == "var":
-            return bool(states & nfa.ACCEPTING)
-        return all(accepted)
+        return all(accepted) if ex.nonaffine(node) else bool(states)
 
-    return ex.fold(problem.objective, leave, ex.nonconstant, down,
+    return ex.fold(problem.objective, leave, ex.nonaffine, down,
                    frozenset({nfa.START}))
 
 
@@ -230,13 +227,10 @@ def _stuff_moved(problem, quadratic: bool) -> ProgramData:
     eq = [c.lhs for c in problem.constraints if c.relation is ex.Relation.EQ]
     le = [c.lhs for c in problem.constraints if c.relation is not ex.Relation.EQ]
     A, b = stack_rows([(eq, +1.0), (le, +1.0)], var_offsets, width)
-    if quadratic:
-        P, q, r = quadratic_form(problem.objective, var_offsets, width)
-    else:
-        M, (r,) = affine_row_data(problem.objective, var_offsets, width)
-        P, q = None, dense_rows(M, 1, width)[0]
+    P, q, r = quadratic_form(problem.objective, var_offsets, width)
     cones = ConeDims(sum(e.dim for e in eq), sum(e.dim for e in le), ())
-    return ProgramData(P, q, float(r), A, b, cones, var_offsets, problem.variables)
+    return ProgramData(P if quadratic else None, q, r, A, b, cones, var_offsets,
+                       problem.variables)
 
 
 def _is_moved_form(problem) -> bool:

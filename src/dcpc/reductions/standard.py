@@ -401,11 +401,11 @@ class EliminatePwlAtoms(Reduction):
     """Replace abs/max occurrences with epigraph variables and inequalities.
 
     Constraints produced for the objective come first, then, per user
-    constraint, its epigraph rows followed by the rewritten constraint.  Atom
-    occurrences over constants fold away, so the output contains no
-    piecewise-linear atoms at all.  Every DCP problem is accepted: a
-    nonconstant abs or max is convex, so DCP admits it only at scaling sign
-    +1, where its epigraph is exact.
+    constraint, its epigraph rows followed by the rewritten constraint.  The
+    walk keeps affine subtrees as written, constants too (stuffers evaluate
+    them), and no nonconstant piecewise-linear atom remains.  Every DCP
+    problem is accepted: a nonconstant abs or max is convex, so DCP admits
+    it only at scaling sign +1, where its epigraph is exact.
     """
 
     name = "eliminate_pwl_atoms"
@@ -421,11 +421,7 @@ class EliminatePwlAtoms(Reduction):
         def rewrite(expr):
             # Aux variables are created in post-order: inner atoms first.
             def leave(node, children, _):
-                if node.kind != "atom":
-                    return node
-                if node.curvature.is_constant:
-                    if any(n.atom in _PWL_ATOMS for n in ex.nodes(node)):
-                        return ex.constant(ex.evaluate(node, {}))
+                if not ex.nonaffine(node):
                     return node
                 if node.atom not in _PWL_ATOMS:
                     return ex.rebuild(node, children)
@@ -439,7 +435,7 @@ class EliminatePwlAtoms(Reduction):
                     cons.append((ex.neg(arg), ex.Relation.LE, t))
                 return t
 
-            return ex.fold(expr, leave, ex.nonconstant)
+            return ex.fold(expr, leave, ex.nonaffine)
 
         objective = rewrite(problem.objective)
         for c in problem.constraints:

@@ -358,6 +358,21 @@ class TestNumericOverflow:
         assert out == ""
         assert err == "error: objective: a coefficient overflows to a non-finite value\n"
 
+    @pytest.mark.parametrize("presolve", [(), ("--presolve",)], ids=["plain", "presolve"])
+    @pytest.mark.parametrize("command", ["canonicalize", "solve"])
+    @pytest.mark.parametrize("target", ["auto", "lp", "qp", "cone"])
+    def test_overflowing_constant_under_pwl_atom_exits_7(self, write, command,
+                                                          target, presolve):
+        # The constant branch abs(1e200*1e200) is evaluated by stuffing, as
+        # every other constant subtree is.
+        path = write("var x; minimize max(x, abs(1e200*1e200));")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may escape
+            code, out, err = run_cli(command, path, "--target", target, *presolve)
+        assert code == 7
+        assert out == ""
+        assert err == "error: objective: a coefficient overflows to a non-finite value\n"
+
 
 class TestInternalErrors:
     @pytest.mark.parametrize("error", [

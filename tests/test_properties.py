@@ -7,7 +7,9 @@ of label sets, cone projection against the defining properties of a
 Euclidean projection (idempotence, non-expansiveness, Jensen's inequality
 for the convex atoms it supports), and the DCP rules against the position
 invariant that piecewise-linear atom elimination relies on and against the
-sigma check that gates the cone chain.
+sigma check that gates the cone chain.  The QP analysis, which stops at
+affine subtrees, is compared against references that read every node and
+every root-to-leaf label word.
 """
 
 import itertools
@@ -22,7 +24,7 @@ from dcpc import expressions as ex
 from dcpc import randgen
 from dcpc.cli import render_json
 from dcpc.reductions.cone import ConeDims, RelaxSmith, SmithTransform
-from dcpc.reductions.qp import PathNfa
+from dcpc.reductions.qp import PathNfa, qp_applicable, uses_quadratic_atom
 from dcpc.solvers import project_cone
 
 from helpers import ALL_ATOMS, random_expression
@@ -210,3 +212,91 @@ def test_pwl_atoms_are_convex_atoms():
     assert {"abs", "max"} <= set(ALL_ATOMS)
     for name in ("abs", "max"):
         assert ex.ATOMS[name].curvature_class is ex.Curvature.CONVEX
+
+
+# --- QP analysis that stops at affine subtrees -----------------------------
+
+def _every_node(expr):
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children)
+
+
+def _live_label_words(expr):
+    """The atom label sets on every root-to-variable path of ``expr`` that
+    stays outside constant subtrees, one word per path."""
+    if expr.curvature.is_constant:
+        return []
+    if expr.kind == "var":
+        return [[]]
+    head = ex.ATOM_LABELS[expr.atom]
+    return [[head] + word for child in expr.children
+            for word in _live_label_words(child)]
+
+
+def _live(node):
+    return node.kind == "atom" and not node.curvature.is_constant
+
+
+def _qp_applicable_reference(problem):
+    """DCP, piecewise-linear constraint atoms, and every objective path
+    accepted by the machine; an atomless path is an affine objective."""
+    if not ex.is_dcp(problem)[0]:
+        return False
+    if any(_live(n) and not ex.ATOM_LABELS[n.atom] <= {"A", "P"}
+           for c in problem.constraints for e in (c.lhs, c.rhs)
+           for n in _every_node(e)):
+        return False
+    nfa = PathNfa()
+    return all(not word or nfa.accepts(word)
+               for word in _live_label_words(problem.objective))
+
+
+def _uses_quadratic_atom_reference(problem):
+    return any(_live(n) and "Q" in ex.ATOM_LABELS[n.atom]
+               for _, e, _ in ex.walk_expressions(problem) for n in _every_node(e))
+
+
+def _random_analysis_problem(rng):
+    """A problem over trees of depth 1-5 with all atoms, a scalar and a
+    vector variable; half the draws keep only trees that DCP admits."""
+    decls = [ex.VariableDecl(0, "x"), ex.VariableDecl(1, "y", 3)]
+    sense = (ex.Sense.MINIMIZE, ex.Sense.MAXIMIZE)[int(rng.integers(2))]
+    depth = int(rng.integers(1, 6))
+    dcp_only = bool(rng.integers(2))
+
+    def keep(objective, cons=()):
+        return not dcp_only or \
+            ex.is_dcp(ex.make_problem(sense, objective, list(cons), decls))[0]
+
+    objective = ex.constant(0.0)
+    for _ in range(20):
+        tree = random_expression(rng, decls, depth)
+        tree = ex.sum_(tree) if tree.dim != 1 else tree
+        if keep(tree):
+            objective = tree
+            break
+    cons = []
+    for _ in range(int(rng.integers(0, 4))):
+        lhs = random_expression(rng, decls, int(rng.integers(1, depth + 1)))
+        rhs = random_expression(rng, decls, int(rng.integers(1, depth + 1)))
+        if lhs.dim != rhs.dim and 1 not in (lhs.dim, rhs.dim):
+            rhs = ex.constant(0.0)
+        con = (lhs, list(ex.Relation)[int(rng.integers(3))], rhs)
+        if keep(ex.constant(0.0), [con]):
+            cons.append(con)
+    return ex.make_problem(sense, objective, cons, decls)
+
+
+def test_pruned_qp_analysis_matches_full_walk_references():
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for _ in range(2000):
+        problem = _random_analysis_problem(rng)
+        expected = _qp_applicable_reference(problem)
+        assert qp_applicable(problem) == expected, problem
+        assert uses_quadratic_atom(problem) == _uses_quadratic_atom_reference(problem)
+        outcomes.add((ex.is_dcp(problem)[0], expected))
+    assert outcomes == {(False, False), (True, False), (True, True)}

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from dcpc import expressions as ex
+from dcpc.analyzer import select_target
+from dcpc.cli import emit_document
 from dcpc.parsing import parse_problem
 from dcpc.reductions.cone import dense_rows
 from dcpc.reductions.framework import Solution, Status
@@ -471,14 +473,28 @@ class TestEliminatePwlAtoms:
                 assert np.all(gap <= 1e-9)
 
     def test_constant_pwl_folds_away(self):
-        p = parse_problem("var x; minimize max(x, abs(-3));")
-        q, _ = EliminatePwlAtoms().apply(p)
+        text = "var x; minimize max(x, abs(-3));"
+        q, _ = EliminatePwlAtoms().apply(parse_problem(text))
         aux = [v for v in q.variables if v.name.startswith("_t")]
         assert len(aux) == 1  # only the outer max needed a variable
-        assert atoms_in(q, ("abs", "max")) == []
-        # the folded branch 3 survives as the constant row 3 <= t
-        rows = [c for c in q.constraints if c.lhs == ex.constant(3.0)]
-        assert len(rows) == 1
+        live = [n.atom for _, e, _ in ex.walk_expressions(q)
+                for n in ex.nodes(e, ex.nonconstant) if not n.curvature.is_constant]
+        assert not {"abs", "max"} & set(live)
+        # abs(-3) stays as written in the row abs(-3) <= t; stuffing folds it
+        # to the constant 3 of the row 3 <= t
+        assert [c.lhs for c in q.constraints if c.lhs.curvature.is_constant] \
+            == [ex.abs_(ex.constant(-3.0))]
+        problem = parse_problem(text)
+        report = select_target(problem)
+        data, _ = report.chain.apply(problem)
+        assert emit_document(data, report.chain_names).render() == (
+            '{\n  "schema_version": "1",\n  "target": "lp",\n'
+            '  "chain": ["eliminate_pwl_atoms", "move_to_lhs", "stuff_lp"],\n'
+            '  "data": {\n    "c": [0, 1],\n'
+            '    "G": [\n      [1, -1],\n      [0, -1]\n    ],\n'
+            '    "h": [0, -3],\n    "A": [],\n    "b": [],\n    "offset": 0,\n'
+            '    "var_offsets": {\n      "x": [0, 1],\n      "_t1": [1, 1]\n    }\n'
+            '  }\n}\n')
 
     def test_vector_abs_elementwise(self):
         p = parse_problem("var v[2]; minimize sum(v); subject to abs(v) <= 2;")

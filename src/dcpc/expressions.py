@@ -2,7 +2,9 @@
 
 Variables, constants, and atom applications form immutable trees.  Every node
 caches its dimension, curvature, and sign at construction time, so convexity
-verification is a table lookup once a problem has been built.  The data model
+verification is a table lookup once a problem has been built.  An atom over
+constant leaves folds into a constant leaf where it is built, so a finite
+constant carries the sign of its value.  The data model
 is deliberately small: scalars and dense real vectors only, eleven atoms, and
 three constraint relations.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -168,7 +171,9 @@ class AtomDescriptor:
 
     ``monotonicity`` resolves the per-argument direction for a concrete list
     of children (sign-dependent atoms inspect their argument's sign, and
-    ``mul_const`` inspects the constant operand).
+    ``mul_const`` inspects the constant operand).  ``value`` is the numeric
+    rule over the children's values and ``param``; its result broadcasts to
+    the atom's dimension.
     """
 
     name: str
@@ -179,6 +184,7 @@ class AtomDescriptor:
     result_dim: Callable[[Sequence["ExpressionNode"], int | None], int]
     sign_rule: Callable[[Sequence["ExpressionNode"]], Sign]
     monotonicity: Callable[[Sequence["ExpressionNode"], int], int]
+    value: Callable[[Sequence[np.ndarray], int | None], np.ndarray]
 
 
 def _broadcast_dim(children: Sequence["ExpressionNode"], where: str) -> int:
@@ -295,28 +301,30 @@ def _dim_index(children, param) -> int:
 
 
 ATOMS: dict[str, AtomDescriptor] = {
-    "add": AtomDescriptor("add", 2, 2, Curvature.AFFINE, frozenset("AP"),
-                          _dim_broadcast, _sign_add, _mono_increasing),
-    "sub": AtomDescriptor("sub", 2, 2, Curvature.AFFINE, frozenset("AP"),
-                          _dim_broadcast, _sign_sub, _mono_sub),
-    "neg": AtomDescriptor("neg", 1, 1, Curvature.AFFINE, frozenset("AP"),
-                          _dim_same, _sign_neg, _mono_decreasing),
+    "add": AtomDescriptor("add", 2, 2, Curvature.AFFINE, frozenset("AP"), _dim_broadcast,
+                          _sign_add, _mono_increasing, lambda a, p: a[0] + a[1]),
+    "sub": AtomDescriptor("sub", 2, 2, Curvature.AFFINE, frozenset("AP"), _dim_broadcast,
+                          _sign_sub, _mono_sub, lambda a, p: a[0] - a[1]),
+    "neg": AtomDescriptor("neg", 1, 1, Curvature.AFFINE, frozenset("AP"), _dim_same,
+                          _sign_neg, _mono_decreasing, lambda a, p: -a[0]),
     "mul_const": AtomDescriptor("mul_const", 2, 2, Curvature.AFFINE, frozenset("AP"),
-                                _dim_broadcast, _sign_mul, _mono_mul),
-    "index": AtomDescriptor("index", 1, 1, Curvature.AFFINE, frozenset("AP"),
-                            _dim_index, _sign_passthrough, _mono_increasing),
-    "sum": AtomDescriptor("sum", 1, 1, Curvature.AFFINE, frozenset("AP"),
-                          _dim_scalar, _sign_passthrough, _mono_increasing),
-    "max": AtomDescriptor("max", 2, -1, Curvature.CONVEX, frozenset("P"),
-                          _dim_broadcast, _sign_max, _mono_increasing),
-    "abs": AtomDescriptor("abs", 1, 1, Curvature.CONVEX, frozenset("P"),
-                          _dim_same, _sign_nonneg_image, _mono_sign_dependent),
-    "square": AtomDescriptor("square", 1, 1, Curvature.CONVEX, frozenset("Q"),
-                             _dim_same, _sign_nonneg_image, _mono_sign_dependent),
+                                _dim_broadcast, _sign_mul, _mono_mul, lambda a, p: a[0] * a[1]),
+    "index": AtomDescriptor("index", 1, 1, Curvature.AFFINE, frozenset("AP"), _dim_index,
+                            _sign_passthrough, _mono_increasing, lambda a, p: a[0][p:p + 1]),
+    "sum": AtomDescriptor("sum", 1, 1, Curvature.AFFINE, frozenset("AP"), _dim_scalar,
+                          _sign_passthrough, _mono_increasing, lambda a, p: np.sum(a[0])),
+    "max": AtomDescriptor("max", 2, -1, Curvature.CONVEX, frozenset("P"), _dim_broadcast,
+                          _sign_max, _mono_increasing, lambda a, p: reduce(np.maximum, a)),
+    "abs": AtomDescriptor("abs", 1, 1, Curvature.CONVEX, frozenset("P"), _dim_same,
+                          _sign_nonneg_image, _mono_sign_dependent, lambda a, p: np.abs(a[0])),
+    "square": AtomDescriptor("square", 1, 1, Curvature.CONVEX, frozenset("Q"), _dim_same,
+                             _sign_nonneg_image, _mono_sign_dependent, lambda a, p: a[0] * a[0]),
     "sum_squares": AtomDescriptor("sum_squares", 1, 1, Curvature.CONVEX, frozenset("Q"),
-                                  _dim_scalar, _sign_nonneg_image, _mono_sign_dependent),
-    "norm2": AtomDescriptor("norm2", 1, 1, Curvature.CONVEX, frozenset("N"),
-                            _dim_scalar, _sign_nonneg_image, _mono_sign_dependent),
+                                  _dim_scalar, _sign_nonneg_image, _mono_sign_dependent,
+                                  lambda a, p: np.dot(a[0], a[0])),
+    "norm2": AtomDescriptor("norm2", 1, 1, Curvature.CONVEX, frozenset("N"), _dim_scalar,
+                            _sign_nonneg_image, _mono_sign_dependent,
+                            lambda a, p: np.linalg.norm(a[0])),
 }
 
 ATOM_LABELS: dict[str, frozenset[str]] = {name: d.labels for name, d in ATOMS.items()}
@@ -471,6 +479,13 @@ def apply_atom(name: str, children: Sequence[ExpressionNode], param: int | None 
         raise ExpressionError(f"atom '{name}' takes {wanted}, got {n}")
     dim = desc.result_dim(children, param)
     curvature = _compose_curvature(desc, children)
+    if curvature.is_constant and all(c.kind == "const" for c in children):
+        # Folds to a leaf with evaluate's bits; a non-finite value stays a
+        # tree, and stuffing names the overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = desc.value([c.payload for c in children], param)
+        if np.isfinite(value).all():  # a scalar takes constant's float path
+            return constant(value.item() if dim == 1 else value)
     sign = desc.sign_rule(children)
     return ExpressionNode("atom", dim, curvature, sign, atom=name,
                           children=children, param=param)
@@ -493,14 +508,8 @@ def mul(a: ExpressionNode, b: ExpressionNode) -> ExpressionNode:
     if not (a.curvature.is_constant or b.curvature.is_constant):
         raise ExpressionError("non-constant * non-constant product is not allowed")
     const_side = a if a.curvature.is_constant else b
-    if const_side.kind == "const":
-        is_zero = const_side.sign is Sign.ZERO
-    else:  # an overflow here is reported later, by the finiteness checks
-        with np.errstate(over="ignore", invalid="ignore"):
-            is_zero = np.all(evaluate(const_side, {}) == 0.0)
-    if is_zero:
-        dim = _broadcast_dim((a, b), "mul_const")
-        return constant(np.zeros(dim))
+    if const_side.kind == "const" and const_side.sign is Sign.ZERO:
+        return constant(np.zeros(_broadcast_dim((a, b), "mul_const")))
     return apply_atom("mul_const", (a, b))
 
 
@@ -592,8 +601,6 @@ def rebuild(node: ExpressionNode, children: Sequence[ExpressionNode]) -> Express
     """``node`` over new ``children``; ``node`` itself when no child changed."""
     if all(new is old for new, old in zip(children, node.children)):
         return node
-    if node.atom == "mul_const":
-        return mul(children[0], children[1])  # folds a product with zero
     return apply_atom(node.atom, children, node.param)
 
 
@@ -629,34 +636,7 @@ def evaluate(expr: ExpressionNode, assignment: Mapping[int, object]) -> np.ndarr
                 raise EvaluationError(
                     f"variable '{node.var_name}' has dim {node.dim}, got value of shape {val.shape}")
             return val
-        name = node.atom
-        if name == "add":
-            out = args[0] + args[1]
-        elif name == "sub":
-            out = args[0] - args[1]
-        elif name == "neg":
-            out = -args[0]
-        elif name == "mul_const":
-            out = args[0] * args[1]
-        elif name == "index":
-            out = args[0][node.param:node.param + 1]
-        elif name == "sum":
-            out = np.array([np.sum(args[0])])
-        elif name == "max":
-            out = args[0]
-            for a in args[1:]:
-                out = np.maximum(out, a)
-            out = np.broadcast_to(out, (node.dim,))
-        elif name == "abs":
-            out = np.abs(args[0])
-        elif name == "square":
-            out = args[0] * args[0]
-        elif name == "sum_squares":
-            out = np.array([float(np.dot(args[0], args[0]))])
-        elif name == "norm2":
-            out = np.array([float(np.linalg.norm(args[0]))])
-        else:  # pragma: no cover - the atom table is closed
-            raise EvaluationError(f"unknown atom '{name}'")
+        out = ATOMS[node.atom].value(args, node.param)
         return np.asarray(np.broadcast_to(out, (node.dim,)), dtype=float)
 
     return fold(expr, leave)

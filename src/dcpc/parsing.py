@@ -24,8 +24,8 @@ Grammar sketch (``#`` starts a line comment, files are UTF-8)::
 
 Precedence: unary minus binds tighter than ``*``, which binds tighter than
 ``+``/``-``; relations bind loosest and cannot be chained.  Indexing is
-0-based.  A unary minus applied directly to a numeric or vector literal folds
-into a negative constant, so printed problems parse back to identical trees.
+0-based.  A unary minus on a constant folds into a negative constant, as every
+atom over constants does, so printed problems parse back to identical trees.
 Parentheses, atom calls and unary minus nest at most 100 levels deep; sums
 and products of any length are fine.  A literal that overflows a float is
 an error at the literal.  Tokens carry only their character offset: spans
@@ -68,8 +68,6 @@ _KEYWORDS = ("var", "minimize", "maximize", "subject", "to")
 # costs several parser frames, so the bound keeps deep input a parse error
 # instead of a RecursionError.
 _MAX_NESTING = 100
-_ATOM_NAMES = ("abs", "max", "sum", "square", "sum_squares", "norm2")
-RESERVED_WORDS = frozenset(_KEYWORDS) | frozenset(_ATOM_NAMES)
 
 # Whitespace and comments match no named group; any other character is a
 # BAD token, so the pattern matches every position of the text.
@@ -267,14 +265,6 @@ class _Parser:
         tok = self.peek()
         if tok[_TEXT] == "-":
             self.advance()
-            nxt = self.peek()
-            # A minus applied directly to a literal folds into the constant,
-            # which keeps printed negative constants re-parseable as written.
-            if nxt[_KIND] == "NUMBER":
-                self.advance()
-                return ex.constant(-self.number(nxt))
-            if nxt[_TEXT] == "[":
-                return ex.constant(-self.parse_vector_literal())
             operand = self.nest(tok, self.parse_factor)
             return self._build(ex.neg, (operand,), tok)
         return self.parse_primary()
@@ -362,6 +352,9 @@ _OPERATORS = {"add": (_LEVEL_ADD, "", " + ", (_LEVEL_ADD, _LEVEL_MUL)),
               "sub": (_LEVEL_ADD, "", " - ", (_LEVEL_ADD, _LEVEL_MUL)),
               "mul_const": (_LEVEL_MUL, "", " * ", (_LEVEL_MUL, _LEVEL_UNARY)),
               "neg": (_LEVEL_UNARY, "-", "", (_LEVEL_UNARY,))}
+# The callable atoms: every atom but the operators and variable indexing.
+_ATOM_NAMES = frozenset(ex.ATOMS) - frozenset(_OPERATORS) - {"index"}
+RESERVED_WORDS = frozenset(_KEYWORDS) | _ATOM_NAMES
 
 
 def _print_expr(expr: ex.ExpressionNode) -> str:
@@ -374,8 +367,6 @@ def _print_expr(expr: ex.ExpressionNode) -> str:
     closers: list[str] = []
 
     def down(node, i, _):
-        if node.atom == "neg" and node.children[0].kind == "const":
-            return _LEVEL_FACTOR + 1, ""  # always parenthesized: -(3)
         if node.atom in _OPERATORS:
             _, _, sep, needs = _OPERATORS[node.atom]
             return needs[i], (sep if i else "")

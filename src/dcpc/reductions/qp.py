@@ -149,7 +149,6 @@ def _sum_squares_rows(M, c, width):
     return (J[i] * width + J[j], P[i, j]), (J, 2.0 * MJ.T @ c)
 
 
-_QUADRATIC_ATOMS = ("square", "sum_squares")
 _NO_ENTRIES = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
 
 
@@ -169,13 +168,13 @@ def _quad_pieces(expr, var_offsets, width):
     widths = {"H": width * width, "Q": width}
 
     def enter(node, _):
-        return not node.curvature.is_affine and node.atom not in _QUADRATIC_ATOMS
+        return not node.curvature.is_affine and ex.ATOM_LABELS[node.atom] != {"Q"}
 
     def leave(node, pieces, _):
         if node.curvature.is_affine:
             M, k = affine_row_data(node, var_offsets, width)
             return {"Q": [M]}, k
-        if node.atom not in _QUADRATIC_ATOMS:
+        if ex.ATOM_LABELS[node.atom] != {"Q"}:
             try:
                 return ex.combine_affine(node, pieces, widths)
             except ex.NotAffineError:
@@ -244,7 +243,7 @@ def _is_moved_form(problem) -> bool:
 def _quadratic_tree(expr) -> bool:
     """True when the tree is affine combinations of squares of affine terms."""
     for n in _live_atoms(expr):
-        if n.atom in _QUADRATIC_ATOMS:
+        if ex.ATOM_LABELS[n.atom] == {"Q"}:
             if not n.children[0].curvature.is_affine:
                 return False
         elif ex.ATOMS[n.atom].curvature_class is not ex.Curvature.AFFINE:

@@ -394,18 +394,17 @@ class PresolveFixedPoint(Reduction):
         return solution
 
 
-_PWL_ATOMS = ("abs", "max")
-
-
 class EliminatePwlAtoms(Reduction):
     """Replace abs/max occurrences with epigraph variables and inequalities.
 
     Constraints produced for the objective come first, then, per user
     constraint, its epigraph rows followed by the rewritten constraint.  The
-    walk keeps affine subtrees as written, constants too (stuffers evaluate
-    them), and no nonconstant piecewise-linear atom remains.  Every DCP
-    problem is accepted: a nonconstant abs or max is convex, so DCP admits
-    it only at scaling sign +1, where its epigraph is exact.
+    walk keeps affine subtrees as written; a constant atom there is a
+    non-finite tree, since a finite one folds where it is built, and
+    stuffing reports its overflow.  No nonconstant piecewise-linear atom
+    remains.  Every DCP problem is accepted: a nonconstant abs or max is
+    convex, so DCP admits it only at scaling sign +1, where its epigraph is
+    exact.
     """
 
     name = "eliminate_pwl_atoms"
@@ -423,7 +422,7 @@ class EliminatePwlAtoms(Reduction):
             def leave(node, children, _):
                 if not ex.nonaffine(node):
                     return node
-                if node.atom not in _PWL_ATOMS:
+                if ex.ATOM_LABELS[node.atom] != {"P"}:
                     return ex.rebuild(node, children)
                 t = ex.var_ref(pool.fresh("_t", node.dim))
                 if node.atom == "max":

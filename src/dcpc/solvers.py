@@ -33,6 +33,7 @@ _EQ_RHO_SCALE = 1e3  # stiffer penalty on equality rows, as splitting solvers do
 _CERT_EPS = 1e-4  # relative tolerance of the infeasibility certificates
 _RUIZ_PASSES = 10  # equilibration passes, OSQP's default
 _RHO_REFACTOR = 5.0  # refactor the KKT matrix when rho moves this many times
+_RHO0 = 1.0  # the first rho; it adapts from iteration 25 on
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class SolverSettings:
     max_iterations: int = 20000
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
-    rho: float = 1.0
 
     def __post_init__(self):
         if self.max_iterations <= 0:
@@ -50,8 +50,6 @@ class SolverSettings:
         if not all(math.isfinite(v) and v > 0
                    for v in (self.eps_abs, self.eps_rel)):
             raise ValueError("tolerances must be positive and finite")
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError("rho must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -300,7 +298,7 @@ def solve_admm(data: ProgramData,
         kkt.data[diagonal] = -1.0 / rho
         return rho, _factor(kkt, stats)
 
-    rho_bar, factor, alpha, eps = settings.rho, None, _ALPHA, _CERT_EPS
+    rho_bar, factor, alpha, eps = _RHO0, None, _ALPHA, _CERT_EPS
     x, z, y = np.zeros(n), np.zeros(m), np.zeros(m)
     x_seen, y_seen = x, y
     status, message = Status.ITERATION_LIMIT, "splitting did not converge"

@@ -347,9 +347,9 @@ class TestNumericOverflow:
         assert out == ""
         assert err == "error: constraint 1: a coefficient overflows to a non-finite value\n"
 
-    @pytest.mark.parametrize("target", ["auto", "cone"])
+    @pytest.mark.parametrize("target", ["auto", "qp", "cone"])
     def test_overflowing_constant_product_exits_7(self, write, target):
-        # The parser folds 1e200*1e200 while testing the product for zero.
+        # 1e200*1e200 overflows, so it stays a product and is not folded.
         path = write("var x; minimize 1e200*1e200*square(x);")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy warning may escape

@@ -63,10 +63,9 @@ class TestParse:
         assert top.children[0].children[0].atom == "neg"
 
     def test_double_negative_literal(self):
+        # Each minus folds into the constant below it, so --3 is the leaf 3.
         p = parse_problem("var x; minimize x + --3;")
-        inner = p.objective.children[1]
-        assert inner.atom == "neg" and inner.children[0].kind == "const"
-        np.testing.assert_allclose(ex.evaluate(inner, {}), [3.0])
+        assert p.objective.children[1] == ex.constant(3.0)
 
     def test_comments_and_blank_lines(self):
         p = parse_problem("# top\nvar x; # inline\n\nminimize x;\n# tail\n")
@@ -183,6 +182,8 @@ ERROR_CORPUS = [
      "2:21: expected ], found '2'", (2, 21, 1)),
     ('var x[2];\nminimize sum(x - [1, -, 2]);',
      "2:23: expected a number, found ','", (2, 23, 1)),
+    ('var x; minimize x + -1e400;',
+     '1:22: number 1e400 is not finite', (1, 22, 5)),
     ('var x[2];\n# vector below\nminimize sum(x - [1, 2, 3]);',
      "3:14: dimension mismatch in 'broadcast': operand dims [2, 3]", (3, 14, 13)),
     ("var x;\nminimize " + "(" * DEEP + "x" + ")" * DEEP + ";",
@@ -298,11 +299,13 @@ class TestPrint:
         assert problems_structurally_equal(p, q)
 
     def test_negated_constant_node_round_trips(self):
+        # neg over a constant folds to a leaf, which prints as a literal.
         x = ex.VariableDecl(0, "x")
-        e = ex.add(ex.var_ref(x), ex.neg(ex.constant(3.0)))
-        p = ex.make_problem(ex.Sense.MINIMIZE, e, [], [x])
+        negated = ex.neg(ex.constant(3.0))
+        assert negated == ex.constant(-3.0)
+        p = ex.make_problem(ex.Sense.MINIMIZE, ex.add(ex.var_ref(x), negated), [], [x])
         out = print_problem(p)
-        assert "-(3)" in out
+        assert "minimize x + -3;" in out
         assert problems_structurally_equal(p, parse_problem(out))
 
 

@@ -480,10 +480,10 @@ class TestEliminatePwlAtoms:
         live = [n.atom for _, e, _ in ex.walk_expressions(q)
                 for n in ex.nodes(e, ex.nonconstant) if not n.curvature.is_constant]
         assert not {"abs", "max"} & set(live)
-        # abs(-3) stays as written in the row abs(-3) <= t; stuffing folds it
-        # to the constant 3 of the row 3 <= t
+        # the parser turns abs(-3) into the constant 3, so the max's second
+        # row is 3 <= t
         assert [c.lhs for c in q.constraints if c.lhs.curvature.is_constant] \
-            == [ex.abs_(ex.constant(-3.0))]
+            == [ex.constant(3.0)]
         problem = parse_problem(text)
         report = select_target(problem)
         data, _ = report.chain.apply(problem)

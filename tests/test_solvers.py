@@ -89,13 +89,11 @@ class TestSolverSettings:
     def test_defaults(self):
         s = SolverSettings()
         assert (s.max_iterations, s.eps_abs, s.eps_rel) == (20000, 1e-6, 1e-6)
-        assert s.rho == 1.0
 
     @pytest.mark.parametrize("kwargs", [
         {"max_iterations": 0}, {"eps_abs": 0.0}, {"eps_rel": -1e-9},
-        {"rho": 0.0},
         {"eps_abs": math.inf}, {"eps_rel": math.inf}, {"eps_abs": math.nan},
-        {"eps_rel": math.nan}, {"rho": math.inf}, {"rho": math.nan},
+        {"eps_rel": math.nan},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -427,8 +425,9 @@ class TestConeAdmm:
     INFEASIBLE_ROW = ProgramData(None, np.array([1.0]), 0.0, np.array([[0.0]]),
                                  np.array([1.0]), ConeDims(1, 0, ()), {0: (0, 1)}, ())
 
-    def test_infeasible_row_certified_at_high_rho(self):
-        raw = solve_cone_admm(self.INFEASIBLE_ROW, SolverSettings(rho=1e4))
+    def test_infeasible_row_certified_at_high_rho(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_RHO0", 1e4)
+        raw = solve_cone_admm(self.INFEASIBLE_ROW)
         assert raw.status is Status.INFEASIBLE and raw.value == math.inf
         assert raw.message == "certificate of primal infeasibility"
 
@@ -482,13 +481,14 @@ class TestTruthfulStatus:
             assert outcome.raw.iterations <= 100
 
     @pytest.mark.parametrize("rho", [0.01, 1.0, 100.0])
-    def test_redundant_rows_certify_nothing(self, rho):
+    def test_redundant_rows_certify_nothing(self, rho, monkeypatch):
         # min x  s.t.  3x <= 1, 3x <= 2, -5 <= x <= 5.  Moving dual weight
         # from one parallel row to the other gives Aᵀδy = 0 and bᵀδy < 0, but
         # that δy has a negative entry, outside the dual cone.
         data = program_data(None, [1.0], G=[[3.0], [3.0], [1.0], [-1.0]],
                             h=[1.0, 2.0, 5.0, 5.0])
-        raw = solve_qp_admm(data, SolverSettings(rho=rho))
+        monkeypatch.setattr(solvers, "_RHO0", rho)
+        raw = solve_qp_admm(data)
         assert raw.status is Status.OPTIMAL
         assert raw.x[0] == pytest.approx(-5.0, abs=1e-5)
 

@@ -1,12 +1,16 @@
 """Expression trees for desk-scale convex optimization problems.
 
-Variables, constants, and atom applications form immutable trees.  Every node
-caches its dimension, curvature, and sign at construction time, so convexity
-verification is a table lookup once a problem has been built.  An atom over
-constant leaves folds into a constant leaf where it is built, so a finite
-constant carries the sign of its value.  The data model
-is deliberately small: scalars and dense real vectors only, eleven atoms, and
-three constraint relations.
+Variables, constants, affine forms and atom applications form immutable
+trees.  Every node caches its dimension, curvature, and sign at construction
+time, so convexity verification is a table lookup once a problem has been
+built.  An atom over constant leaves folds into a constant leaf where it is
+built, so a finite constant carries the sign of its value.  An affine atom
+over variables, constants and forms folds into a form: a leaf that holds the
+subtree's sparse coefficient blocks and constant vector, as
+:func:`combine_affine` computes them, so an affine subtree is one node and
+its coefficients are extracted once.  The data model is deliberately small:
+scalars and dense real vectors only, eleven atoms, and three constraint
+relations.
 """
 
 from __future__ import annotations
@@ -32,12 +36,15 @@ __all__ = [
     "ExpressionNode",
     "ConstraintDecl",
     "ProblemForm",
+    "OVERFLOW",
     "AtomDescriptor",
     "ATOMS",
     "ATOM_LABELS",
     "apply_atom",
+    "broadcast_dim",
     "constant",
     "var_ref",
+    "affine_form",
     "add",
     "sub",
     "neg",
@@ -53,6 +60,8 @@ __all__ = [
     "affine_coefficients",
     "combine_affine",
     "coalesce",
+    "sum_entries",
+    "tile_rows",
     "is_dcp",
     "make_problem",
     "VariablePool",
@@ -86,6 +95,9 @@ class NotAffineError(ValueError):
 
 class ProblemError(ValueError):
     """Raised for malformed problem constructions."""
+
+
+OVERFLOW = "a coefficient overflows to a non-finite value"
 
 
 class Curvature(Enum):
@@ -187,10 +199,11 @@ class AtomDescriptor:
     value: Callable[[Sequence[np.ndarray], int | None], np.ndarray]
 
 
-def _broadcast_dim(children: Sequence["ExpressionNode"], where: str) -> int:
-    dims = {c.dim for c in children if c.dim != 1}
+def broadcast_dim(dims, where: str = "broadcast") -> int:
+    """The dimension of an elementwise result over operands of ``dims``."""
+    dims = {d for d in dims if d != 1}
     if len(dims) > 1:
-        raise ExpressionError(f"dimension mismatch in '{where}': operand dims {sorted(d for d in dims)}")
+        raise ExpressionError(f"dimension mismatch in '{where}': operand dims {sorted(dims)}")
     return dims.pop() if dims else 1
 
 
@@ -281,7 +294,7 @@ def _mono_mul(children, i) -> int:
 
 
 def _dim_broadcast(children, param) -> int:
-    return _broadcast_dim(children, "broadcast")
+    return broadcast_dim(c.dim for c in children)
 
 
 def _dim_same(children, param) -> int:
@@ -333,17 +346,21 @@ ATOM_LABELS: dict[str, frozenset[str]] = {name: d.labels for name, d in ATOMS.it
 class ExpressionNode:
     """One immutable node of an expression tree.
 
-    ``kind`` is ``"const"``, ``"var"``, or ``"atom"``.  Constants carry a
-    read-only float vector in ``payload``; variable references carry the
-    declaration's ``var_id``/``var_name``; atom applications carry the atom
-    name, the child tuple, and (for ``index``) the integer ``param``.
+    ``kind`` is ``"const"``, ``"var"``, ``"form"`` or ``"atom"``.  Constants
+    carry a read-only float vector in ``payload``; variable references carry
+    the declaration's ``var_id``/``var_name``; atom applications carry the
+    atom name, the child tuple, and (for ``index``) the integer ``param``.
+    A form is a nonconstant affine leaf: ``payload`` is ``({var_id: (rows,
+    cols, vals)}, k)``, each variable's coalesced row-major block and the
+    constant vector, read-only and finite, and ``refs`` holds the reference
+    nodes of its variables in id order.
     """
 
     __slots__ = ("kind", "dim", "curvature", "sign", "payload", "var_id",
-                 "var_name", "atom", "children", "param", "_hash")
+                 "var_name", "atom", "children", "param", "refs", "_hash")
 
     def __init__(self, kind, dim, curvature, sign, payload=None, var_id=None,
-                 var_name=None, atom=None, children=(), param=None):
+                 var_name=None, atom=None, children=(), param=None, refs=()):
         put = _SLOT_SETTERS  # the slots' own setters; __setattr__ refuses writes
         put["kind"](self, kind)
         put["dim"](self, dim)
@@ -355,6 +372,7 @@ class ExpressionNode:
         put["atom"](self, atom)
         put["children"](self, tuple(children))
         put["param"](self, param)
+        put["refs"](self, refs)
         put["_hash"](self, None)
 
     def __setattr__(self, name, value):
@@ -366,6 +384,11 @@ class ExpressionNode:
             return ("const", self.dim, self.payload.tobytes())
         if self.kind == "var":
             return ("var", self.var_id, self.dim)
+        if self.kind == "form":
+            coeffs, k = self.payload
+            return ("form", self.dim, k.tobytes(), tuple(
+                (r.var_id, r.dim) + tuple(a.tobytes() for a in coeffs[r.var_id])
+                for r in self.refs))
         return ("atom", self.atom, self.param, len(self.children))
 
     def __eq__(self, other):
@@ -399,6 +422,11 @@ class ExpressionNode:
                 return f"Const({np.array2string(node.payload, separator=', ')})"
             if node.kind == "var":
                 return f"Var({node.var_name}#{node.var_id}:{node.dim})"
+            if node.kind == "form":
+                coeffs, k = node.payload
+                blocks = ", ".join(f"{r.var_name}#{r.var_id}: {coeffs[r.var_id]}"
+                                   for r in node.refs)
+                return f"Form({{{blocks}}}, {np.array2string(k, separator=', ')})"
             if node.atom == "index":
                 return f"index({inner[0]}, {node.param})"
             return f"{node.atom}({', '.join(inner)})"
@@ -435,6 +463,66 @@ def var_ref(decl: VariableDecl) -> ExpressionNode:
     """Build a reference node for a declared variable."""
     return ExpressionNode("var", decl.dim, Curvature.AFFINE, Sign.UNKNOWN,
                           var_id=decl.id, var_name=decl.name)
+
+
+def affine_form(coeffs: Mapping[int, tuple], const: np.ndarray,
+                refs) -> ExpressionNode | None:
+    """A form leaf, or None when a coefficient or the constant is not finite.
+
+    ``refs`` are the reference nodes of the form's variables, ``coeffs``
+    maps each one's id to its coalesced row-major block ``(rows, cols,
+    vals)``, and ``const`` is the constant vector.  A coefficient's zero is
+    stored as +0.0, as a constant's is; no reader tells the two apart.
+    """
+    if not np.isfinite(const).all():
+        return None
+    if const.base is not None:
+        const = const.copy()
+    refs = tuple(sorted(refs, key=lambda r: r.var_id))
+    blocks = {}
+    for ref in refs:
+        rows, cols, vals = coeffs[ref.var_id]
+        if not np.isfinite(vals).all():
+            return None
+        # A form owns its arrays, so it keeps no larger array alive.
+        blocks[ref.var_id] = block = (rows if rows.base is None else rows.copy(),
+                                      cols if cols.base is None else cols.copy(),
+                                      vals + 0.0)
+        for a in block:
+            a.setflags(write=False)
+    const.setflags(write=False)
+    return ExpressionNode("form", const.shape[0], Curvature.AFFINE, Sign.UNKNOWN,
+                          payload=(blocks, const), refs=refs)
+
+
+def _piece(node: ExpressionNode, widths: dict) -> tuple[dict, np.ndarray]:
+    """The piece of a constant leaf, variable or form, as
+    :func:`combine_affine` takes it; records the variables' widths."""
+    if node.kind == "const":
+        return {}, node.payload
+    if node.kind == "var":
+        widths[node.var_id] = d = node.dim
+        ids = np.arange(d)
+        return {node.var_id: [(ids, ids, np.ones(d))]}, np.zeros(d)
+    coeffs, const = node.payload
+    for ref in node.refs:
+        widths[ref.var_id] = ref.dim
+    return {v: [block] for v, block in coeffs.items()}, const
+
+
+def _form_of(node: ExpressionNode) -> ExpressionNode | None:
+    """The form of an affine atom over variables, constant leaves and forms."""
+    widths: dict[int, int] = {}
+    pieces = [_piece(c, widths) for c in node.children]
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs, const = combine_affine(node, pieces, widths)
+        coeffs = {v: coalesce(chunks) for v, chunks in coeffs.items()}
+    refs = {r.var_id: r for c in node.children
+            for r in ((c,) if c.kind == "var" else c.refs)}
+    return affine_form(coeffs, const, refs.values())
+
+
+_FORM_PARTS = frozenset(("var", "const", "form"))
 
 
 def _compose_curvature(desc: AtomDescriptor, children: Sequence[ExpressionNode]) -> Curvature:
@@ -487,8 +575,13 @@ def apply_atom(name: str, children: Sequence[ExpressionNode], param: int | None 
         if np.isfinite(value).all():  # a scalar takes constant's float path
             return constant(value.item() if dim == 1 else value)
     sign = desc.sign_rule(children)
-    return ExpressionNode("atom", dim, curvature, sign, atom=name,
+    node = ExpressionNode("atom", dim, curvature, sign, atom=name,
                           children=children, param=param)
+    if curvature.is_affine and not curvature.is_constant \
+            and all(c.kind in _FORM_PARTS for c in children):
+        # A non-finite form stays a node, and stuffing names the overflow.
+        return _form_of(node) or node
+    return node
 
 
 def add(a: ExpressionNode, b: ExpressionNode) -> ExpressionNode:
@@ -509,7 +602,7 @@ def mul(a: ExpressionNode, b: ExpressionNode) -> ExpressionNode:
         raise ExpressionError("non-constant * non-constant product is not allowed")
     const_side = a if a.curvature.is_constant else b
     if const_side.kind == "const" and const_side.sign is Sign.ZERO:
-        return constant(np.zeros(_broadcast_dim((a, b), "mul_const")))
+        return constant(np.zeros(broadcast_dim((a.dim, b.dim), "mul_const")))
     return apply_atom("mul_const", (a, b))
 
 
@@ -624,26 +717,34 @@ def child_sign(node: ExpressionNode, i: int, sigma: int) -> int:
 def evaluate(expr: ExpressionNode, assignment: Mapping[int, object]) -> np.ndarray:
     """Evaluate a tree under ``{var_id: value}``; returns an array of shape (dim,)."""
 
+    def value(ref):
+        if ref.var_id not in assignment:
+            raise EvaluationError(
+                f"no value assigned to variable '{ref.var_name}' (id {ref.var_id})")
+        val = np.atleast_1d(np.asarray(assignment[ref.var_id], dtype=float))
+        if val.shape != (ref.dim,):
+            raise EvaluationError(
+                f"variable '{ref.var_name}' has dim {ref.dim}, got value of shape {val.shape}")
+        return val
+
     def leave(node, args, _):
         if node.kind == "const":
             return node.payload
         if node.kind == "var":
-            if node.var_id not in assignment:
-                raise EvaluationError(
-                    f"no value assigned to variable '{node.var_name}' (id {node.var_id})")
-            val = np.atleast_1d(np.asarray(assignment[node.var_id], dtype=float))
-            if val.shape != (node.dim,):
-                raise EvaluationError(
-                    f"variable '{node.var_name}' has dim {node.dim}, got value of shape {val.shape}")
-            return val
+            return value(node)
+        if node.kind == "form":
+            coeffs, out = node.payload
+            for ref in node.refs:
+                rows, cols, vals = coeffs[ref.var_id]
+                out = out + np.bincount(rows, vals * value(ref)[cols], node.dim)
+            return out
         out = ATOMS[node.atom].value(args, node.param)
         return np.asarray(np.broadcast_to(out, (node.dim,)), dtype=float)
 
     return fold(expr, leave)
 
 
-_ROW0 = np.zeros(1, dtype=np.intp)  # shared leaf arrays, never written
-_ONE = np.ones(1)
+_ROW0 = np.zeros(1, dtype=np.intp)  # a shared row array, never written
 
 
 def coalesce(chunks):
@@ -652,7 +753,12 @@ def coalesce(chunks):
     chunks would add them, and the result is row-major again."""
     if len(chunks) == 1:
         return chunks[0]
-    rows, cols, vals = (np.concatenate(a) for a in zip(*chunks))
+    return sum_entries(*(np.concatenate(a) for a in zip(*chunks)))
+
+
+def sum_entries(rows, cols, vals):
+    """Row-major triplets with distinct entries from any triplets: the
+    entries at one place add in the order given."""
     span = int(cols.max(initial=0)) + 1  # a Hessian block's columns reach width²
     keys = rows * span + cols
     if (keys[1:] > keys[:-1]).all():  # distinct and in order already
@@ -661,7 +767,7 @@ def coalesce(chunks):
     return keys // span, keys % span, np.bincount(at, vals, keys.size)
 
 
-def _tile(block, dim):
+def tile_rows(block, dim):
     """A one-row block repeated over ``dim`` rows."""
     _, cols, vals = block
     return (np.repeat(np.arange(dim), cols.size), np.tile(cols, dim),
@@ -683,7 +789,7 @@ def _combine_pieces(dim, pieces, scales):
             if i:
                 chunks = [coalesce(chunks)]
             if tiled:
-                chunks = [_tile(c, dim) for c in chunks]
+                chunks = [tile_rows(c, dim) for c in chunks]
             if scale != 1.0:
                 chunks = [(r, c, scale * x) for r, c, x in chunks]
             if v in coeffs:
@@ -720,7 +826,7 @@ def combine_affine(node: ExpressionNode, pieces, widths) -> tuple[dict, np.ndarr
         for v, chunks in coeffs.items():
             r, c, x = block = coalesce(chunks)
             if vector and const.shape[0] == 1:  # times a scalar expression
-                r, c, x = _tile(block, cval.size)
+                r, c, x = tile_rows(block, cval.size)
             out[v] = [(r, c, (cval[r] if vector else cval) * x)]
         return out, cval * const
     if name == "index":
@@ -755,31 +861,22 @@ def affine_coefficients(expr: ExpressionNode) -> tuple[dict, np.ndarray]:
     Returns ``({var_id: (rows, cols, vals)}, k)``: COO triplets of each
     variable's (dim, var_dim) block ``M``, row-major with distinct entries
     (some may cancel to zero), and ``k`` of shape (dim,), such that the
-    expression equals ``sum_i M_i x_i + k``.  The leaves are read here and
-    every atom is combined by :func:`combine_affine`, with each variable's
-    block as one column space.  Raises :class:`NotAffineError` naming the
-    first nonlinear atom otherwise: the post-order walk reaches it before
-    any ancestor.
+    expression equals ``sum_i M_i x_i + k``.  A form holds them already;
+    above forms, every atom is combined by :func:`combine_affine`, with each
+    variable's block as one column space.  Raises :class:`NotAffineError`
+    naming the first nonlinear atom otherwise: the post-order walk reaches
+    it before any ancestor.
     """
     widths: dict[int, int] = {}  # var_id -> var_dim, the blocks' widths
 
     def leave(node, pieces, _):
+        if node.kind != "atom":
+            return _piece(node, widths)
         if node.curvature.is_constant:
-            return {}, node.payload if node.kind == "const" else evaluate(node, {})
-        if node.kind == "var":
-            widths[node.var_id] = d = node.dim
-            ids = np.arange(d)
-            return {node.var_id: [(ids, ids, np.ones(d))]}, np.zeros(d)
-        if node.atom == "index" and not pieces:  # one entry of a variable's identity
-            leaf = node.children[0]
-            widths[leaf.var_id] = leaf.dim
-            return {leaf.var_id: [(_ROW0, np.array([node.param]), _ONE)]}, np.zeros(1)
+            return {}, evaluate(node, {})
         return combine_affine(node, pieces, widths)
 
-    def enter(node, _):  # skips constants and an indexed variable's leaf
-        return nonconstant(node) and (node.atom != "index" or node.children[0].kind != "var")
-
-    coeffs, const = fold(expr, leave, enter)
+    coeffs, const = fold(expr, leave, nonconstant)
     return {v: coalesce(chunks) for v, chunks in coeffs.items()}, const
 
 
@@ -845,12 +942,12 @@ def make_problem(sense: Sense, objective: ExpressionNode,
     decl_dims = {v.id: v.dim for v in problem.variables}
     for _, expr, _ in walk_expressions(problem):
         for node in nodes(expr):
-            if node.kind == "var":
-                if node.var_id not in decl_dims:
-                    raise ProblemError(f"undeclared variable '{node.var_name}' (id {node.var_id})")
-                if decl_dims[node.var_id] != node.dim:
-                    raise ProblemError(f"variable '{node.var_name}' used with dim {node.dim}, "
-                                       f"declared {decl_dims[node.var_id]}")
+            for ref in (node,) if node.kind == "var" else node.refs:
+                if ref.var_id not in decl_dims:
+                    raise ProblemError(f"undeclared variable '{ref.var_name}' (id {ref.var_id})")
+                if decl_dims[ref.var_id] != ref.dim:
+                    raise ProblemError(f"variable '{ref.var_name}' used with dim {ref.dim}, "
+                                       f"declared {decl_dims[ref.var_id]}")
     return problem
 
 
@@ -899,11 +996,67 @@ def is_dcp(problem: ProblemForm) -> tuple[bool, list[str]]:
 
 def substitute_variables(expr: ExpressionNode,
                          mapping: Mapping[int, ExpressionNode]) -> ExpressionNode:
-    """Rebuild a tree with every referenced variable in ``mapping`` replaced."""
+    """Rebuild a tree with every referenced variable in ``mapping`` replaced.
+
+    A variable inside a form can be replaced by a variable, constant leaf or
+    form of its dimension; see :func:`_substitute_form`.
+    """
 
     def leave(node, children, _):
         if node.kind == "var":
             return mapping.get(node.var_id, node)
+        if node.kind == "form":
+            return _substitute_form(node, mapping)
         return rebuild(node, children)
 
     return fold(expr, leave)
+
+
+def _substitute_form(node: ExpressionNode, mapping) -> ExpressionNode:
+    """``node`` with its variables in ``mapping`` replaced, by a sparse product.
+
+    Each replaced block ``B`` becomes ``B M`` over the replacement's blocks
+    ``M``, and ``B k`` joins the constant: the products of each row add from
+    0.0 in variable-id and row-major order, then the form's own constant, as
+    a sum that ends in its constant term folds them.
+    With no variable left the result is a constant leaf.  A value that is
+    not finite raises the stuffers' overflow error.
+    """
+    coeffs, const = node.payload
+    if not any(r.var_id in mapping for r in node.refs):
+        return node
+    widths: dict[int, int] = {}
+    chunks: dict[int, list] = {}
+    refs: dict[int, ExpressionNode] = {}
+    moved = []  # (rows, products) of B k, per replaced variable
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ref in node.refs:
+            rows, cols, vals = coeffs[ref.var_id]
+            new = mapping.get(ref.var_id, ref)
+            if new.kind not in _FORM_PARTS or new.dim != ref.dim:
+                raise ExpressionError(f"variable '{ref.var_name}' in an affine form can only "
+                                      f"become a variable, constant or form of dim {ref.dim}")
+            pieces, k = _piece(new, widths)
+            if k.any():
+                moved.append((rows, vals * k[cols]))
+            for r in ((new,) if new.kind == "var" else new.refs):
+                refs[r.var_id] = r
+            for v, ((mr, mc, mx),) in pieces.items():  # entries (c, j) of M's row c
+                start = np.searchsorted(mr, cols)
+                count = np.searchsorted(mr, cols, side="right") - start
+                left = np.repeat(np.arange(cols.size), count)
+                at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(left.size)
+                chunks.setdefault(v, []).append(
+                    sum_entries(rows[left], mc[at], vals[left] * mx[at]))
+        if moved:
+            rows, products = (np.concatenate(a) for a in zip(*moved))
+            const = np.bincount(rows, products, node.dim) + const
+        coeffs = {v: coalesce(c) for v, c in chunks.items()}
+    if not refs:
+        out = constant(const.item() if node.dim == 1 else const) \
+            if np.isfinite(const).all() else None
+    else:
+        out = affine_form(coeffs, const, refs.values())
+    if out is None:
+        raise ProblemError(OVERFLOW)
+    return out

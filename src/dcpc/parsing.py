@@ -30,6 +30,15 @@ Parentheses, atom calls and unary minus nest at most 100 levels deep; sums
 and products of any length are fine.  A literal that overflows a float is
 an error at the literal.  Tokens carry only their character offset: spans
 are computed from token offsets only when an error is raised.
+
+Affine subtrees become form leaves (see :mod:`dcpc.expressions`).  A
+``+``/``-`` run keeps its scalar terms (``c*x[i]``, ``x[i]``, ``-x[i]``,
+numbers) as Python scalars and builds the form of its all-affine prefix
+once, at the first term that cannot join it or at its end, with the bits
+that adding the terms one at a time gives.  A run whose head is not affine
+keeps one ``add``/``sub`` node per term, so no sum is regrouped.  The
+printer writes a form as a sum in variable-id and column order that parses
+back to the same form, bit for bit.
 """
 
 from __future__ import annotations
@@ -107,7 +116,8 @@ def _tokenize(text: str) -> list[_Tok]:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        # Spare end tokens let parse_term look eight tokens ahead unchecked.
+        self.tokens = _tokenize(text) + [("EOF", "", len(text))] * 8
         self.pos = 0
         self.variables: list[ex.VariableDecl] = []
         # One reference node per declaration, shared by every occurrence:
@@ -245,12 +255,71 @@ class _Parser:
 
     def parse_additive(self) -> ex.ExpressionNode:
         start = self.peek()
-        node = self.parse_mult()
-        while self.peek()[_TEXT] in ("+", "-"):
-            op = self.advance()[_TEXT]
-            rhs = self.parse_mult()
-            node = self._build(ex.add if op == "+" else ex.sub, (node, rhs), start)
-        return node
+        run = _Run()
+        node = None  # the run so far, once a term could not join the form
+        plus = True
+        while True:
+            term = self.parse_term()
+            if node is None and (type(term) is not ex.ExpressionNode
+                                 or term.kind in _RUN_NODES):
+                try:
+                    run.join(plus, term)
+                except ex.ExpressionError as err:
+                    raise ParseError(str(err), self.span(start, self.prev())) from err
+            else:
+                if node is None and run.terms:
+                    node = run.node()
+                term = _term_node(term)
+                node = term if node is None else \
+                    self._build(ex.add if plus else ex.sub, (node, term), start)
+            if self.peek()[_TEXT] not in ("+", "-"):
+                return run.node() if node is None else node
+            plus = self.advance()[_TEXT] == "+"
+
+    def parse_term(self):
+        """One term of a sum.  A scalar ``c*x[i]``, ``x[i]``, ``-x[i]``,
+        ``c*x`` or ``-x`` comes back as ``(ref, col, coef, k)``, ``k`` being
+        the constant the term's form has, and a number as a float, both read
+        straight off the tokens; any other term is parsed to a node."""
+        toks, p = self.tokens, self.pos
+        neg = toks[p][_TEXT] == "-"
+        if neg:
+            if self.depth >= _MAX_NESTING:
+                return self.parse_mult()
+            p += 1
+        coef = None
+        if toks[p][_KIND] == "NUMBER":
+            coef = float(toks[p][_TEXT])
+            if math.isinf(coef):
+                return self.parse_mult()
+            if toks[p + 1][_TEXT] != "*":
+                self.pos = p + 1
+                return -coef if neg else coef
+            p += 2
+        tok = toks[p]
+        ref = self.refs.get(tok[_TEXT]) if tok[_KIND] == "IDENT" else None
+        if ref is None:
+            return self.parse_mult()
+        after = toks[p + 1][_TEXT]
+        if after == "[":
+            idx = toks[p + 2]
+            i = float(idx[_TEXT]) if idx[_KIND] == "NUMBER" else math.nan
+            if not (toks[p + 3][_TEXT] == "]" and i.is_integer() and 0 <= i < ref.dim):
+                return self.parse_mult()
+            col, p = int(i), p + 4
+        elif ref.dim == 1 and after != "(" and (neg or coef is not None):
+            col, p = 0, p + 1
+        else:
+            return self.parse_mult()
+        if toks[p][_TEXT] == "*":
+            return self.parse_mult()
+        self.pos = p
+        if coef is None:
+            return ref, col, -1.0 if neg else 1.0, 0.0
+        coef = -coef if neg else coef
+        if coef == 0.0:  # a product with a zero constant is the constant zero
+            return 0.0
+        return ref, col, coef, coef * 0.0
 
     def parse_mult(self) -> ex.ExpressionNode:
         start = self.peek()
@@ -331,6 +400,131 @@ class _Parser:
         return sign * self.number(self.expect("NUMBER", what="a number"))
 
 
+_RUN_NODES = frozenset(("var", "const", "form"))  # the nodes a run's form takes in
+
+
+def _term_node(term) -> ex.ExpressionNode:
+    """The node of one term of a run, as ``parse_mult`` builds it."""
+    if type(term) is float:
+        return ex.constant(term)
+    if type(term) is tuple:
+        ref, col, coef, k = term
+        return ex.affine_form({ref.var_id: (np.zeros(1, dtype=np.intp), np.array([col]),
+                                            np.array([coef]))}, np.array([k]), (ref,))
+    return term
+
+
+class _Run:
+    """The all-affine prefix of a ``+``/``-`` run, built into one node.
+
+    The entries of scalar terms are kept as Python scalars, those of
+    variables and forms as arrays, in term order.  :meth:`node` stacks them
+    once, each variable's rows apart, and coalesces them once, so the
+    entries at one place add in term order; the constant adds term by term
+    from 0.0 as the terms join.  Those are the bits of adding the terms one
+    at a time with ``add``/``sub``, which is what :meth:`node` falls back to
+    when a value is not finite, since such a value stays a tree.
+    """
+
+    def __init__(self):
+        self.terms: list = []  # (plus, term) in order, for the fallback
+        self.dim = 1
+        self.const = 0.0  # a float until a vector constant joins
+        self.slots: dict[int, int] = {}  # var_id -> slot, by first appearance
+        self.refs: list[ex.ExpressionNode] = []
+        self.slot, self.col, self.val = [], [], []  # scalar terms' entries
+        self.nodes: list = []  # (entries before it, plus, variable or form)
+
+    def slot_of(self, ref) -> int:
+        slot = self.slots.get(ref.var_id)
+        if slot is None:
+            slot = self.slots[ref.var_id] = len(self.refs)
+            self.refs.append(ref)
+        return slot
+
+    def join(self, plus: bool, term) -> None:
+        self.terms.append((plus, term))
+        if type(term) is tuple:
+            ref, col, coef, _ = term
+            self.slot.append(self.slot_of(ref))
+            self.col.append(col)
+            self.val.append(coef if plus else -coef)
+            return
+        if type(term) is float:
+            self.const = self.const + (term if plus else -term)
+            return
+        if term.dim != 1:
+            self.dim = ex.broadcast_dim((self.dim, term.dim))
+        if term.kind == "var":
+            self.slot_of(term)
+            self.nodes.append((len(self.val), plus, term))
+            return
+        if term.kind == "form":
+            for ref in term.refs:
+                self.slot_of(ref)
+            self.nodes.append((len(self.val), plus, term))
+            k = term.payload[1]
+        else:
+            k = term.payload
+        if k.shape[0] == 1:
+            self.const = self.const + (float(k[0]) if plus else -float(k[0]))
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.const = self.const + (k if plus else -k)
+
+    def _entries(self, lo, hi):
+        """Stacked rows, columns and values of the scalar terms lo..hi."""
+        d = self.dim
+        rows = np.array(self.slot[lo:hi], dtype=np.intp) * d
+        cols = np.array(self.col[lo:hi], dtype=np.intp)
+        vals = np.array(self.val[lo:hi])
+        if d > 1:  # each broadcasts over every row
+            rows = (rows + np.arange(d)[:, None]).ravel()
+            cols, vals = np.tile(cols, d), np.tile(vals, d)
+        return rows, cols, vals
+
+    def _node_entries(self, plus, node):
+        d = self.dim
+        if node.kind == "var":
+            ids = np.arange(node.dim)
+            blocks = [(node, (ids, ids, np.ones(node.dim)))]
+        else:
+            blocks = [(r, node.payload[0][r.var_id]) for r in node.refs]
+        for ref, (rows, cols, vals) in blocks:
+            if node.dim != d:  # one row, broadcast
+                rows, cols, vals = ex.tile_rows((rows, cols, vals), d)
+            yield self.slots[ref.var_id] * d + rows, cols, vals if plus else -vals
+
+    def node(self) -> ex.ExpressionNode:
+        if len(self.terms) == 1:
+            return _term_node(self.terms[0][1])
+        d = self.dim
+        with np.errstate(over="ignore", invalid="ignore"):
+            const = np.full(d, self.const) if type(self.const) is float else self.const
+            parts, lo = [], 0
+            for at, plus, node in self.nodes:
+                parts.append(self._entries(lo, at))
+                parts.extend(self._node_entries(plus, node))
+                lo = at
+            parts.append(self._entries(lo, len(self.val)))
+            rows, cols, vals = ex.sum_entries(*(np.concatenate(a) for a in zip(*parts)))
+        if not self.refs:
+            out = ex.constant(const.item() if d == 1 else const) \
+                if np.isfinite(const).all() else None
+        else:
+            bounds = np.searchsorted(rows, np.arange(len(self.refs) + 1) * d)
+            out = ex.affine_form(
+                {r.var_id: (rows[a:b] - i * d, cols[a:b], vals[a:b])
+                 for i, (r, a, b) in enumerate(zip(self.refs, bounds, bounds[1:]))},
+                const, self.refs)
+        if out is None:  # not finite: the terms one at a time, as a tree
+            plus, term = self.terms[0]
+            out = _term_node(term)
+            for plus, term in self.terms[1:]:
+                out = (ex.add if plus else ex.sub)(out, _term_node(term))
+        return out
+
+
 def parse_problem(text: str) -> ex.ProblemForm:
     """Parse source text into a validated :class:`ProblemForm`."""
     return _Parser(text).parse()
@@ -381,13 +575,12 @@ def _print_expr(expr: ex.ExpressionNode) -> str:
             level = _LEVEL_UNARY if head.startswith("-") else _LEVEL_FACTOR
         elif node.kind == "var":
             head, level = node.var_name, _LEVEL_FACTOR
+        elif node.kind == "form":
+            head, level = _form_text(node)
         elif node.atom in _OPERATORS:
             level, head, _, _ = _OPERATORS[node.atom]
-        elif node.atom == "index":
-            base = node.children[0]
-            if base.kind != "var":
-                raise ValueError("index of a non-variable expression has no textual form")
-            head, level = f"{base.var_name}[{node.param}]", _LEVEL_FACTOR
+        elif node.atom == "index":  # an indexed variable is a form
+            raise ValueError("index of a non-variable expression has no textual form")
         else:
             head, tail, level = node.atom + "(", ")", _LEVEL_FACTOR
         paren = level < need
@@ -397,6 +590,100 @@ def _print_expr(expr: ex.ExpressionNode) -> str:
 
     ex.fold(expr, lambda node, _, __: out.append(closers.pop()), enter, down, (0, ""))
     return "".join(out)
+
+
+def _vector_text(values) -> str:
+    return "[" + ", ".join(format_number(float(v)) for v in values) + "]"
+
+
+def _scaled_terms(u, target: str, whole: bool) -> list:
+    """Terms that add ``u`` times ``target``, each as ``(text, k, level)``
+    with ``k`` the constant the term alone parses to (None for a bare
+    variable).  A uniform ``u`` is written as a scalar, which broadcasts."""
+    c = u[0]
+    if not (u == c).all():
+        return [(f"{_vector_text(u)} * {target}", u * 0.0, _LEVEL_MUL)]
+    if c == 0.0:  # a zero product folds away; a cancelled pair is stored
+        return [(target, None, _LEVEL_FACTOR), ("-" + target, None, _LEVEL_UNARY)]
+    if c == 1.0:
+        return [(target, None if whole else 0.0, _LEVEL_FACTOR)]
+    if c == -1.0:
+        return [("-" + target, 0.0, _LEVEL_UNARY)]
+    return [(f"{format_number(float(c))} * {target}", c * 0.0, _LEVEL_MUL)]
+
+
+def _form_terms(refs, coeffs, k, dim: int) -> list:
+    """The terms of a form, each variable's in column order, then the constant.
+
+    A block of ``dim`` rows is a set of full columns, each written as
+    ``u * x[j]``, plus, for a variable as wide as the form, a diagonal
+    written as ``d * x`` first; a place in both takes its value from the
+    column, after a 0.0 from the diagonal.
+    """
+    terms: list = []
+    wide = False  # some term has the form's dimension
+    for ref in refs:
+        rows, cols, vals = coeffs[ref.var_id]
+        full = np.bincount(cols, minlength=ref.dim) == dim
+        diag = ~full[cols]
+        if diag.any():
+            if ref.dim != dim or not np.array_equal(rows[diag], cols[diag]) \
+                    or diag.sum() + full.sum() != dim:
+                raise ValueError("this affine form has no textual form")
+            d = np.zeros(dim)
+            d[rows[diag]] = vals[diag]
+            terms += _scaled_terms(d, ref.var_name, True)
+            wide = True
+        for j in np.flatnonzero(full):
+            u = vals[cols == j]
+            wide = wide or not (u == u[0]).all()
+            target = ref.var_name if ref.dim == 1 else f"{ref.var_name}[{j}]"
+            terms += _scaled_terms(u, target, ref.dim == 1)
+    if dim > 1 and not wide:
+        terms.append((_vector_text(k), None, _LEVEL_FACTOR))
+    elif k.any():
+        text = format_number(float(k[0])) if (k == k[0]).all() else _vector_text(k)
+        terms.append((text, None, _LEVEL_FACTOR))
+    return terms
+
+
+def _join_terms(terms) -> str:
+    out = [terms[0][0]]
+    for text, _, _ in terms[1:]:
+        out.append(" - " + text[1:] if text.startswith("-") else " + " + text)
+    return "".join(out)
+
+
+def _alone(terms, k) -> bool:
+    """True when ``terms`` is one term that alone parses to constant ``k``."""
+    if len(terms) != 1 or terms[0][1] is None:
+        return False
+    own = np.broadcast_to(terms[0][1], k.shape)
+    return bool((own == k).all() and (np.signbit(own) == np.signbit(k)).all())
+
+
+def _form_text(node: ex.ExpressionNode) -> tuple[str, int]:
+    """Text of a form that parses back to it bit for bit, and its level.
+
+    A sum of two or more terms has a constant without -0.0, so a form whose
+    constant holds -0.0 is written as ``s * (...)``, ``s`` being -1 at those
+    rows and 1 elsewhere, over the form with those rows negated.
+    """
+    coeffs, k = node.payload
+    terms = _form_terms(node.refs, coeffs, k, node.dim)
+    if _alone(terms, k):
+        return terms[0][0], terms[0][2]
+    flip = np.signbit(k) & (k == 0.0)
+    if not flip.any():
+        return _join_terms(terms + [("0", None, 0)] * (len(terms) == 1)), _LEVEL_ADD
+    s = np.where(flip, -1.0, 1.0)
+    k = s * k
+    terms = _form_terms(node.refs, {v: (r, c, s[r] * x) for v, (r, c, x) in coeffs.items()},
+                        k, node.dim)
+    if len(terms) == 1 and not _alone(terms, k):
+        terms.append(("0", None, 0))
+    factor = format_number(-1.0) if node.dim == 1 else _vector_text(s)
+    return f"{factor} * ({_join_terms(terms)})", _LEVEL_MUL
 
 
 def print_problem(problem: ex.ProblemForm) -> str:

@@ -15,8 +15,7 @@ import scipy.sparse as sp
 
 from .. import expressions as ex
 from .framework import Reduction, ReductionError
-from .standard import (CanonConstraint, CanonStage, scalar_components,
-                       smart_sub)
+from .standard import CanonConstraint, CanonStage, smart_sub
 
 __all__ = [
     "SmithProblem", "SmithTransform", "RelaxSmith", "GraphExpand",
@@ -135,7 +134,8 @@ class GraphExpand(Reduction):
     Affine constraints map directly (EQ to a zero cone, LE/GE to the
     nonnegative orthant); ``abs``/``max`` produce orthant rows, ``norm2`` a
     second-order cone, and ``square``/``sum_squares`` the standard embedding
-    ``norm2((2y, 1-t)) <= 1+t``, row by row for the elementwise ``square``.
+    ``norm2((2y, 1-t)) <= 1+t``, as one block of cones, one per row, for
+    the elementwise ``square``.
     """
 
     name = "graph_expand"
@@ -189,9 +189,7 @@ class GraphExpand(Reduction):
                 emit("soc", ex.add(one, t), (ex.mul(two, y), smart_sub(one, t)))
             elif f.atom == "square":
                 (y,) = f.children
-                for yi, ti in zip(scalar_components(y), scalar_components(t)):
-                    emit("soc", ex.add(one, ti),
-                         (ex.mul(two, yi), smart_sub(one, ti)))
+                emit("soc", ex.add(one, t), (ex.mul(two, y), smart_sub(one, t)))
             else:  # pragma: no cover - the atom set is closed
                 raise ReductionError(
                     f"no graph implementation for atom '{f.atom}'")
@@ -325,9 +323,11 @@ class StuffCone(Reduction):
 
     Variables stack in declaration-then-creation order; rows stack the zero
     block, then nonneg, then the SOCs (each ``(t, x...)``), every block
-    preserving constraint order.  The slack identity is ``s == b - Ax`` with
-    ``s`` the constraint expression itself, so zero rows carry ``A = M,
-    b = -k`` and the orthant/SOC rows ``A = -M, b = k``.
+    preserving constraint order.  A block of cones is stacked expression by
+    expression and then put in cone order by one row permutation.  The
+    slack identity is ``s == b - Ax`` with ``s`` the constraint expression
+    itself, so zero rows carry ``A = M, b = -k`` and the orthant/SOC rows
+    ``A = -M, b = k``.
     """
 
     name = "stuff_cone"
@@ -354,7 +354,16 @@ class StuffCone(Reduction):
                           var_offsets, width)
         c_row, offset = affine_row_data(stage.objective, var_offsets, width)
         dims = ConeDims(sum(e.dim for e in zero), sum(e.dim for e in nonneg),
-                        tuple(1 + c.soc_x_dim for c in soc))
+                        tuple(1 + c.soc_x_dim for c in soc for _ in range(c.t.dim)))
+        if any(c.t.dim > 1 for c in soc):
+            start = dims.zero + dims.nonneg
+            order = [np.arange(start)]
+            for c in soc:  # a block's rows, expression-major, to cone-major
+                k, m = c.t.dim, 1 + c.soc_x_dim
+                order.append(start + (np.arange(m) * k + np.arange(k)[:, None]).ravel())
+                start += k * m
+            order = np.concatenate(order)
+            A, b = A[order], b[order]
         data = ProgramData(None, dense_rows(c_row, 1, width)[0], float(offset[0]),
                            A, b, dims, var_offsets, tuple(stage.variables))
         return data, self._record()

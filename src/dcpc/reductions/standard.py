@@ -454,7 +454,9 @@ class CanonConstraint:
     """A cone-stage constraint over affine expressions.
 
     kind "zero": expr == 0 elementwise; kind "nonneg": expr >= 0 elementwise;
-    kind "soc": ||stack(x)||_2 <= t with scalar affine t and affine pieces x.
+    kind "soc": ||stack(x)||_2 <= t with scalar affine t and affine pieces x,
+    or, when t has dim k > 1 and every piece dim k, the block of k cones
+    ||(x_1[i], x_2[i], ...)||_2 <= t[i].
     """
 
     id: int
@@ -477,7 +479,8 @@ class CanonConstraint:
 
     @property
     def soc_x_dim(self) -> int:
-        return sum(e.dim for e in self.x)
+        """The dimension of each cone's x part."""
+        return sum(e.dim for e in self.x) // self.t.dim
 
 
 @dataclass(frozen=True)

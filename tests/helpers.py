@@ -53,6 +53,15 @@ def batch_eval(expr, assignment):
         return np.broadcast_to(expr.payload[:, None], (expr.dim, some.shape[1])).copy()
     if expr.kind == "var":
         return np.asarray(assignment[expr.var_id], dtype=float)
+    if expr.kind == "form":  # sum of dense blocks times values, plus the constant
+        coeffs, k = expr.payload
+        out = np.asarray(k, dtype=float)[:, None]
+        for ref in expr.refs:
+            rows, cols, vals = coeffs[ref.var_id]
+            block = np.zeros((expr.dim, ref.dim))
+            block[rows, cols] = vals
+            out = out + block @ np.asarray(assignment[ref.var_id], dtype=float)
+        return out
     args = [batch_eval(c, assignment) for c in expr.children]
     name = expr.atom
     if name == "add":

@@ -125,7 +125,7 @@ class TestFold:
         assert not p.objective.curvature.is_constant
 
     def test_neg_over_a_literal_is_a_leaf(self):
-        assert parse_problem("var x; minimize sum(x + -[1, 0]);").objective \
+        assert parse_problem("var x; minimize sum(max(x, -[1, 0]));").objective \
             .children[0].children[1] == ex.constant([-1.0, 0.0])
         assert ex.neg(ex.constant(0.0)).payload.tobytes() == np.zeros(1).tobytes()
 
@@ -180,7 +180,10 @@ class TestAtomTable:
         if name in parsing._ATOM_NAMES:
             args = ", ".join(["x"] * ex.ATOMS[name].arity_min)
             tree = parse_problem(f"var x; minimize {name}({args});").objective
-            assert tree.atom == name
+            x = ex.var_ref(ex.VariableDecl(0, "x"))
+            assert tree == ex.apply_atom(name, [x] * ex.ATOMS[name].arity_min)
+            affine = ex.ATOMS[name].curvature_class is ex.Curvature.AFFINE
+            assert tree.kind == "form" if affine else tree.atom == name
 
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("name", ex.ATOMS)

@@ -168,6 +168,16 @@ def seed_one_cases(bench):
         sys.path.remove(str(RUN_PY.parent))
 
 
+def test_canon_scalar_parses_to_few_nodes(bench, seed_one_cases):
+    # Each affine subtree is one form leaf; one node per operator made
+    # 89 154 nodes of these three problems, and a tenth of that is the bound.
+    run, _ = bench
+    nodes = sum(run.count_nodes(parse_problem(text))
+                for (workload, _), text in seed_one_cases.items()
+                if workload == "canon-scalar")
+    assert nodes <= 8915
+
+
 def test_benchmark_documents_keep_their_bytes(seed_one_cases):
     assert seed_one_cases.keys() == DOCUMENT_SHA256.keys()
     for key, text in seed_one_cases.items():

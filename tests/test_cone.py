@@ -195,9 +195,14 @@ class TestGraphExpand:
 
     def test_vector_square_one_cone_per_row(self):
         stage = self.expand("var v[3]; minimize sum(square(v));")
-        socs = [c for c in stage.constraints if c.kind == "soc"]
-        assert len(socs) == 3
-        assert all(1 + c.soc_x_dim == 3 for c in socs)
+        (block,) = [c for c in stage.constraints if c.kind == "soc"]
+        assert block.t.dim == 3 and 1 + block.soc_x_dim == 3  # three 3-dim cones
+        env = {0: np.array([1.0, -2.0, 0.5]), 1: np.array([1.0, 4.0, 0.25])}
+        t = ex.evaluate(block.t, env)
+        x = np.stack([ex.evaluate(e, env) for e in block.x], axis=1)
+        np.testing.assert_allclose(np.linalg.norm(x, axis=1), t)  # each on its boundary
+        data, _ = StuffCone().apply(stage)
+        assert data.cones.soc == (3, 3, 3)
 
     def test_sum_squares_single_cone(self):
         stage = self.expand("var v[3]; minimize sum_squares(v);")

@@ -147,7 +147,9 @@ class TestConstruction:
         x = ex.var_ref(scalar_var())
         for c in (ex.constant(-0.5), ex.constant([0.0, 2.0]),
                   ex.sub(ex.constant(2.0), ex.constant(1.0))):
-            assert ex.mul(c, x).atom == "mul_const"
+            product = ex.mul(c, x)  # a form: the product of c and x's identity
+            assert product.kind == "form" and product.dim == c.dim
+            np.testing.assert_array_equal(ex.evaluate(product, {0: 1.0}), c.payload)
 
     @pytest.mark.parametrize("v", [0.0, -0.0, 1.5, -1.5, 1e308, 5e-324, -5e-324])
     def test_scalar_constant_matches_the_array_path(self, v):
@@ -327,6 +329,27 @@ class TestProblemValidation:
         wrong = ex.var_ref(ex.VariableDecl(0, "y", 3))
         with pytest.raises(ex.ProblemError, match="used with dim 3, declared 2"):
             ex.make_problem(Sense.MINIMIZE, ex.sum_(wrong), [], [y])
+
+    def test_forms_are_checked_like_their_variables(self):
+        # A form is a leaf, but make_problem reads its variables: each error
+        # is the one the variable's own node raises.
+        x, y = scalar_var(0, "x"), ex.VariableDecl(1, "y", 2)
+        ghost, wide = scalar_var(7, "ghost"), ex.VariableDecl(1, "y", 3)
+        for bad, message in ((ghost, "undeclared variable 'ghost' (id 7)"),
+                             (wide, "variable 'y' used with dim 3, declared 2")):
+            ref = ex.var_ref(bad)
+            form = ex.add(ex.var_ref(x), ex.sum_(ex.mul(ex.constant(2.0), ref)))
+            assert form.kind == "form"
+            for objective in (ex.sum_(ref), form, ex.abs_(form)):
+                with pytest.raises(ex.ProblemError) as info:
+                    ex.make_problem(Sense.MINIMIZE, objective, [], [x, y])
+                assert str(info.value) == message
+            with pytest.raises(ex.ProblemError) as info:
+                ex.make_problem(Sense.MINIMIZE, ex.var_ref(x),
+                                [(form, Relation.LE, ex.constant(1.0))], [x, y])
+            assert str(info.value) == message
+        ok = ex.add(ex.var_ref(x), ex.index(ex.var_ref(y), 1))
+        assert ex.make_problem(Sense.MINIMIZE, ok, [], [x, y]).objective is ok
 
     def test_every_atom_checks_its_arity(self):
         x = ex.var_ref(scalar_var())

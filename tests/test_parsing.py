@@ -50,22 +50,26 @@ class TestParse:
               y <= [1, 2.5, -3e-1];
         """)
         assert p.variables[0].dim == 3
-        assert p.objective.children[0].param == 0
+        y = ex.var_ref(p.variables[0])
+        assert p.objective == ex.add(ex.index(y, 0), ex.index(y, 2))
+        (rows, cols, vals), = p.objective.payload[0].values()
+        assert (rows.tolist(), cols.tolist(), vals.tolist()) == ([0, 0], [0, 2], [1.0, 1.0])
         rhs = p.constraints[1].rhs
         np.testing.assert_allclose(rhs.payload, [1.0, 2.5, -0.3])
 
     def test_precedence_unary_mul_add(self):
         p = parse_problem("var x; minimize -x * 2 + x;")
-        # (-x) * 2, then + x
-        top = p.objective
-        assert top.atom == "add"
-        assert top.children[0].atom == "mul_const"
-        assert top.children[0].children[0].atom == "neg"
+        # (-x) * 2, then + x: one form with coefficient -1
+        x = ex.var_ref(p.variables[0])
+        assert p.objective == ex.add(ex.mul(ex.neg(x), ex.constant(2.0)), x)
+        coeffs, const = p.objective.payload
+        assert coeffs[0][2].tolist() == [-1.0] and const.tolist() == [0.0]
 
     def test_double_negative_literal(self):
         # Each minus folds into the constant below it, so --3 is the leaf 3.
         p = parse_problem("var x; minimize x + --3;")
-        assert p.objective.children[1] == ex.constant(3.0)
+        assert p.objective == ex.add(ex.var_ref(p.variables[0]), ex.constant(3.0))
+        assert p.objective.payload[1].tolist() == [3.0]
 
     def test_comments_and_blank_lines(self):
         p = parse_problem("# top\nvar x; # inline\n\nminimize x;\n# tail\n")
@@ -85,7 +89,9 @@ class TestParse:
         """)
         names = {n.atom for loc, e, _ in ex.walk_expressions(p)
                  for n in _nodes(e) if n.kind == "atom"}
-        assert {"abs", "max", "sum", "square", "sum_squares", "norm2"} <= names
+        assert {"abs", "max", "square", "sum_squares", "norm2"} <= names
+        # sum(y) is affine: it parses to the form the builder makes of it
+        assert ex.sum_(ex.var_ref(p.variables[1])) in set(_nodes(p.objective))
 
 
 def _nodes(e):
@@ -275,9 +281,9 @@ def test_overflowing_literals_are_parse_errors(text, span):
 
 def test_variable_occurrences_share_one_reference_node():
     p = parse_problem("var x[2]; minimize sum(x) + x[0] + x[1]; subject to x <= 1;")
-    refs = [n for e in (p.objective, p.constraints[0].lhs) for n in ex.nodes(e)
-            if n.kind == "var"]
-    assert len(refs) == 4 and all(r is refs[0] for r in refs)
+    refs = [r for e in (p.objective, p.constraints[0].lhs) for n in ex.nodes(e)
+            for r in ((n,) if n.kind == "var" else n.refs)]
+    assert len(refs) == 2 and all(r is refs[0] for r in refs)
 
 
 class TestPrint:
@@ -305,8 +311,64 @@ class TestPrint:
         assert negated == ex.constant(-3.0)
         p = ex.make_problem(ex.Sense.MINIMIZE, ex.add(ex.var_ref(x), negated), [], [x])
         out = print_problem(p)
-        assert "minimize x + -3;" in out
+        assert "minimize x - 3;" in out
         assert problems_structurally_equal(p, parse_problem(out))
+
+
+class TestPrintForms:
+    """A form prints in variable-id and column order, and that text parses
+    back to the same form, bit for bit: every stored entry, cancelled ones
+    too, and the sign of every zero in the constant."""
+
+    X = ex.VariableDecl(0, "x", 3)
+
+    def round_trip(self, expr, text):
+        x = ex.var_ref(self.X)
+        p = ex.make_problem(ex.Sense.MINIMIZE, ex.constant(0.0),
+                            [(expr(x), ex.Relation.LE, ex.constant(1.0))], [self.X])
+        assert p.constraints[0].lhs.kind == "form"
+        out = print_problem(p)
+        assert f"  {text} <= 1;" in out
+        q = parse_problem(out)
+        assert problems_structurally_equal(p, q) and print_problem(q) == out
+        return q.constraints[0].lhs.payload
+
+    def test_cancelled_entry_is_stored_as_zero(self):
+        # 0 * x[0] would fold away; the cancelled pair keeps the entry.
+        (coeffs, k) = self.round_trip(lambda x: ex.sub(ex.index(x, 0), ex.index(x, 0)),
+                                      "x[0] - x[0]")
+        assert coeffs[0][1].tolist() == [0] and coeffs[0][2].tolist() == [0.0]
+        assert k.tolist() == [0.0]
+
+    def test_broadcast_scalar_column(self):
+        (coeffs, k) = self.round_trip(
+            lambda x: ex.add(ex.index(x, 0), ex.constant([1.0, 2.0, 3.0])),
+            "x[0] + [1, 2, 3]")
+        assert coeffs[0][1].tolist() == [0, 0, 0] and k.tolist() == [1.0, 2.0, 3.0]
+
+    def test_vector_scaling_overlapping_a_broadcast_column(self):
+        (coeffs, _) = self.round_trip(
+            lambda x: ex.add(ex.mul(ex.constant([1.0, 0.0, 2.0]), x), ex.index(x, 1)),
+            "[1, 0, 2] * x + x[1]")
+        rows, cols, vals = coeffs[0]
+        assert list(zip(rows.tolist(), cols.tolist(), vals.tolist())) == [
+            (0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0), (2, 1, 1.0), (2, 2, 2.0)]
+
+    def test_form_without_constant(self):
+        (coeffs, k) = self.round_trip(
+            lambda x: ex.sub(ex.mul(ex.constant(2.5), ex.index(x, 2)), ex.index(x, 0)),
+            "-x[0] + 2.5 * x[2]")
+        assert coeffs[0][2].tolist() == [-1.0, 2.5] and k.tolist() == [0.0]
+
+    def test_negative_zero_constant(self):
+        # A product's constant can be -0.0, which no sum of terms gives.
+        (_, k) = self.round_trip(lambda x: ex.mul(ex.constant(-2.0), ex.index(x, 1)),
+                                 "-2 * x[1]")
+        assert np.signbit(k).tolist() == [True]
+        (_, k) = self.round_trip(
+            lambda x: ex.mul(ex.constant([-1.0, 2.0, 1.0]), ex.add(x, ex.index(x, 0))),
+            "[-1, 1, 1] * ([0, 2, 1] * x + [2, 2, 1] * x[0])")
+        assert np.signbit(k).tolist() == [True, False, False]
 
 
 def _random_problem(seed: int) -> ex.ProblemForm:

@@ -229,7 +229,7 @@ def _live_label_words(expr):
     stays outside constant subtrees, one word per path."""
     if expr.curvature.is_constant:
         return []
-    if expr.kind == "var":
+    if expr.kind in ("var", "form"):  # a form's paths hold affine labels only
         return [[]]
     head = ex.ATOM_LABELS[expr.atom]
     return [[head] + word for child in expr.children

@@ -205,6 +205,13 @@ def dense_quadratic_form(expr, var_offsets, width):
             else:
                 k[:] = ex.evaluate(node, {})
             return T, Q, k
+        if node.kind == "form":  # its coefficient blocks, written densely
+            coeffs, k = node.payload
+            T, Q = np.zeros((d, width, width)), np.zeros((d, width))
+            for ref in node.refs:
+                r, c, x = coeffs[ref.var_id]
+                Q[r, var_offsets[ref.var_id][0] + c] = x
+            return T, Q, k
         if node.atom in ("square", "sum_squares"):
             M, c = affine_row_data(node.children[0], var_offsets, width)
             M = dense_rows(M, c.size, width)

@@ -551,9 +551,10 @@ class TestDecomposeSoc:
         u = next(v for v in out.variables if v.name.startswith("_u"))
         # {(x2, x3, u), (x1, u, t)}
         assert inner.t == ex.var_ref(u)
-        assert [e.param for e in inner.x] == [1, 2]
+        x = ex.var_ref(stage.variables[1])
+        assert list(inner.x) == [ex.index(x, 1), ex.index(x, 2)]
         assert outer.t.var_name == "t"
-        assert outer.x[0].param == 0 and outer.x[1] == ex.var_ref(u)
+        assert outer.x[0] == ex.index(x, 0) and outer.x[1] == ex.var_ref(u)
 
     @pytest.mark.parametrize("n", [*range(2, 11), 1200])
     def test_count_is_n_minus_one(self, n):

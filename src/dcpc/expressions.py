@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
+from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
     "constant",
     "var_ref",
     "affine_form",
+    "FORM_PARTS",
     "add",
     "sub",
     "neg",
@@ -61,6 +63,8 @@ __all__ = [
     "combine_affine",
     "coalesce",
     "sum_entries",
+    "leaf_piece",
+    "leaf_refs",
     "tile_rows",
     "is_dcp",
     "make_problem",
@@ -474,30 +478,44 @@ def affine_form(coeffs: Mapping[int, tuple], const: np.ndarray,
     vals)``, and ``const`` is the constant vector.  A coefficient's zero is
     stored as +0.0, as a constant's is; no reader tells the two apart.
     """
+    blocks = _owned_blocks(coeffs)
+    return None if blocks is None else _form(blocks, const, refs)
+
+
+def _owned_blocks(coeffs: Mapping[int, tuple]) -> dict | None:
+    """The blocks as a form holds them: finite, with +0.0 zeros, read-only
+    and owning their arrays, so a form keeps no larger array alive; None
+    when a value is not finite.  A block with no writable array is held by
+    a form already and is taken as it is."""
+    blocks = {}
+    for v, block in coeffs.items():
+        rows, cols, vals = block
+        if rows.flags.writeable or cols.flags.writeable or vals.flags.writeable:
+            if not np.isfinite(vals).all():
+                return None
+            block = (rows if rows.base is None else rows.copy(),
+                     cols if cols.base is None else cols.copy(), vals + 0.0)
+            for a in block:
+                a.setflags(write=False)
+        blocks[v] = block
+    return blocks
+
+
+def _form(blocks: dict, const: np.ndarray, refs) -> ExpressionNode | None:
+    """The form of owned ``blocks``, or None when ``const`` is not finite."""
     if not np.isfinite(const).all():
         return None
     if const.base is not None:
         const = const.copy()
-    refs = tuple(sorted(refs, key=lambda r: r.var_id))
-    blocks = {}
-    for ref in refs:
-        rows, cols, vals = coeffs[ref.var_id]
-        if not np.isfinite(vals).all():
-            return None
-        # A form owns its arrays, so it keeps no larger array alive.
-        blocks[ref.var_id] = block = (rows if rows.base is None else rows.copy(),
-                                      cols if cols.base is None else cols.copy(),
-                                      vals + 0.0)
-        for a in block:
-            a.setflags(write=False)
     const.setflags(write=False)
     return ExpressionNode("form", const.shape[0], Curvature.AFFINE, Sign.UNKNOWN,
-                          payload=(blocks, const), refs=refs)
+                          payload=(blocks, const), refs=tuple(sorted(refs, key=_VAR_ID)))
 
 
-def _piece(node: ExpressionNode, widths: dict) -> tuple[dict, np.ndarray]:
+def leaf_piece(node: ExpressionNode, widths: dict) -> tuple[dict, np.ndarray]:
     """The piece of a constant leaf, variable or form, as
-    :func:`combine_affine` takes it; records the variables' widths."""
+    :func:`combine_affine` takes it; records the variables' widths in
+    ``widths``."""
     if node.kind == "const":
         return {}, node.payload
     if node.kind == "var":
@@ -510,19 +528,43 @@ def _piece(node: ExpressionNode, widths: dict) -> tuple[dict, np.ndarray]:
     return {v: [block] for v, block in coeffs.items()}, const
 
 
+def leaf_refs(node: ExpressionNode) -> tuple:
+    """The reference nodes of the variables a node holds as leaves: a
+    variable's own, a form's, and none for any other node."""
+    return (node,) if node.kind == "var" else node.refs
+
+
 def _form_of(node: ExpressionNode) -> ExpressionNode | None:
-    """The form of an affine atom over variables, constant leaves and forms."""
+    """The form of an affine atom over variables, constant leaves and forms.
+
+    ``add`` and ``sub`` keep their left operand's chunks, and one chunk
+    coalesces to itself, so a left form of the result's dimension keeps
+    every block that the right operand does not touch, and only the right
+    operand's variables are combined: a sum built one term at a time costs
+    its terms, not its terms times its variables.
+    """
     widths: dict[int, int] = {}
-    pieces = [_piece(c, widths) for c in node.children]
+    left, kept = node.children[0], {}
+    if node.atom in ("add", "sub") and left.kind == "form" and left.dim == node.dim:
+        right = leaf_piece(node.children[1], widths)
+        kept = dict(left.payload[0])
+        pieces = [({v: [kept.pop(v)] for v in right[0] if v in kept}, left.payload[1]), right]
+        refs = left.refs + tuple(r for r in leaf_refs(node.children[1])
+                                 if r.var_id not in left.payload[0])
+    else:
+        pieces = [leaf_piece(c, widths) for c in node.children]
+        refs = {r.var_id: r for c in node.children for r in leaf_refs(c)}.values()
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs, const = combine_affine(node, pieces, widths)
-        coeffs = {v: coalesce(chunks) for v, chunks in coeffs.items()}
-    refs = {r.var_id: r for c in node.children
-            for r in ((c,) if c.kind == "var" else c.refs)}
-    return affine_form(coeffs, const, refs.values())
+        blocks = _owned_blocks({v: coalesce(chunks) for v, chunks in coeffs.items()})
+    if blocks is None:
+        return None
+    kept.update(blocks)
+    return _form(kept, const, refs)
 
 
-_FORM_PARTS = frozenset(("var", "const", "form"))
+FORM_PARTS = frozenset(("var", "const", "form"))  # the node kinds a form takes in
+_VAR_ID = attrgetter("var_id")
 
 
 def _compose_curvature(desc: AtomDescriptor, children: Sequence[ExpressionNode]) -> Curvature:
@@ -578,7 +620,7 @@ def apply_atom(name: str, children: Sequence[ExpressionNode], param: int | None 
     node = ExpressionNode("atom", dim, curvature, sign, atom=name,
                           children=children, param=param)
     if curvature.is_affine and not curvature.is_constant \
-            and all(c.kind in _FORM_PARTS for c in children):
+            and all(c.kind in FORM_PARTS for c in children):
         # A non-finite form stays a node, and stuffing names the overflow.
         return _form_of(node) or node
     return node
@@ -871,7 +913,7 @@ def affine_coefficients(expr: ExpressionNode) -> tuple[dict, np.ndarray]:
 
     def leave(node, pieces, _):
         if node.kind != "atom":
-            return _piece(node, widths)
+            return leaf_piece(node, widths)
         if node.curvature.is_constant:
             return {}, evaluate(node, {})
         return combine_affine(node, pieces, widths)
@@ -942,7 +984,7 @@ def make_problem(sense: Sense, objective: ExpressionNode,
     decl_dims = {v.id: v.dim for v in problem.variables}
     for _, expr, _ in walk_expressions(problem):
         for node in nodes(expr):
-            for ref in (node,) if node.kind == "var" else node.refs:
+            for ref in leaf_refs(node):
                 if ref.var_id not in decl_dims:
                     raise ProblemError(f"undeclared variable '{ref.var_name}' (id {ref.var_id})")
                 if decl_dims[ref.var_id] != ref.dim:
@@ -1033,13 +1075,13 @@ def _substitute_form(node: ExpressionNode, mapping) -> ExpressionNode:
         for ref in node.refs:
             rows, cols, vals = coeffs[ref.var_id]
             new = mapping.get(ref.var_id, ref)
-            if new.kind not in _FORM_PARTS or new.dim != ref.dim:
+            if new.kind not in FORM_PARTS or new.dim != ref.dim:
                 raise ExpressionError(f"variable '{ref.var_name}' in an affine form can only "
                                       f"become a variable, constant or form of dim {ref.dim}")
-            pieces, k = _piece(new, widths)
+            pieces, k = leaf_piece(new, widths)
             if k.any():
                 moved.append((rows, vals * k[cols]))
-            for r in ((new,) if new.kind == "var" else new.refs):
+            for r in leaf_refs(new):
                 refs[r.var_id] = r
             for v, ((mr, mc, mx),) in pieces.items():  # entries (c, j) of M's row c
                 start = np.searchsorted(mr, cols)

@@ -261,7 +261,7 @@ class _Parser:
         while True:
             term = self.parse_term()
             if node is None and (type(term) is not ex.ExpressionNode
-                                 or term.kind in _RUN_NODES):
+                                 or term.kind in ex.FORM_PARTS):
                 try:
                     run.join(plus, term)
                 except ex.ExpressionError as err:
@@ -400,9 +400,6 @@ class _Parser:
         return sign * self.number(self.expect("NUMBER", what="a number"))
 
 
-_RUN_NODES = frozenset(("var", "const", "form"))  # the nodes a run's form takes in
-
-
 def _term_node(term) -> ex.ExpressionNode:
     """The node of one term of a run, as ``parse_mult`` builds it."""
     if type(term) is float:
@@ -433,7 +430,7 @@ class _Run:
         self.slots: dict[int, int] = {}  # var_id -> slot, by first appearance
         self.refs: list[ex.ExpressionNode] = []
         self.slot, self.col, self.val = [], [], []  # scalar terms' entries
-        self.nodes: list = []  # (entries before it, plus, variable or form)
+        self.nodes: list = []  # (entries before it, plus, dim, blocks) of nodes
 
     def slot_of(self, ref) -> int:
         slot = self.slots.get(ref.var_id)
@@ -455,17 +452,11 @@ class _Run:
             return
         if term.dim != 1:
             self.dim = ex.broadcast_dim((self.dim, term.dim))
-        if term.kind == "var":
-            self.slot_of(term)
-            self.nodes.append((len(self.val), plus, term))
-            return
-        if term.kind == "form":
-            for ref in term.refs:
-                self.slot_of(ref)
-            self.nodes.append((len(self.val), plus, term))
-            k = term.payload[1]
-        else:
-            k = term.payload
+        for ref in ex.leaf_refs(term):
+            self.slot_of(ref)
+        blocks, k = ex.leaf_piece(term, {})
+        if blocks:
+            self.nodes.append((len(self.val), plus, term.dim, blocks))
         if k.shape[0] == 1:
             self.const = self.const + (float(k[0]) if plus else -float(k[0]))
         else:
@@ -483,31 +474,25 @@ class _Run:
             cols, vals = np.tile(cols, d), np.tile(vals, d)
         return rows, cols, vals
 
-    def _node_entries(self, plus, node):
+    def _node_entries(self, plus, dim, blocks):
         d = self.dim
-        if node.kind == "var":
-            ids = np.arange(node.dim)
-            blocks = [(node, (ids, ids, np.ones(node.dim)))]
-        else:
-            blocks = [(r, node.payload[0][r.var_id]) for r in node.refs]
-        for ref, (rows, cols, vals) in blocks:
-            if node.dim != d:  # one row, broadcast
+        for v, ((rows, cols, vals),) in blocks.items():
+            if dim != d:  # one row, broadcast
                 rows, cols, vals = ex.tile_rows((rows, cols, vals), d)
-            yield self.slots[ref.var_id] * d + rows, cols, vals if plus else -vals
+            yield self.slots[v] * d + rows, cols, vals if plus else -vals
 
     def node(self) -> ex.ExpressionNode:
         if len(self.terms) == 1:
             return _term_node(self.terms[0][1])
         d = self.dim
-        with np.errstate(over="ignore", invalid="ignore"):
-            const = np.full(d, self.const) if type(self.const) is float else self.const
-            parts, lo = [], 0
-            for at, plus, node in self.nodes:
-                parts.append(self._entries(lo, at))
-                parts.extend(self._node_entries(plus, node))
-                lo = at
-            parts.append(self._entries(lo, len(self.val)))
-            rows, cols, vals = ex.sum_entries(*(np.concatenate(a) for a in zip(*parts)))
+        const = np.full(d, self.const) if type(self.const) is float else self.const
+        parts, lo = [], 0
+        for at, plus, dim, blocks in self.nodes:
+            parts.append(self._entries(lo, at))
+            parts.extend(self._node_entries(plus, dim, blocks))
+            lo = at
+        parts.append(self._entries(lo, len(self.val)))
+        rows, cols, vals = ex.sum_entries(*(np.concatenate(a) for a in zip(*parts)))
         if not self.refs:
             out = ex.constant(const.item() if d == 1 else const) \
                 if np.isfinite(const).all() else None

@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import expressions as ex
+from ..expressions import OVERFLOW
 from .framework import Reduction, ReductionError
 from .standard import CanonConstraint, CanonStage, smart_sub
 
@@ -184,10 +185,7 @@ class GraphExpand(Reduction):
             elif f.atom == "norm2":
                 (y,) = f.children
                 emit("soc", t, (y,))
-            elif f.atom == "sum_squares":
-                (y,) = f.children
-                emit("soc", ex.add(one, t), (ex.mul(two, y), smart_sub(one, t)))
-            elif f.atom == "square":
+            elif f.atom in ("sum_squares", "square"):  # a block of cones for square
                 (y,) = f.children
                 emit("soc", ex.add(one, t), (ex.mul(two, y), smart_sub(one, t)))
             else:  # pragma: no cover - the atom set is closed
@@ -247,9 +245,6 @@ def stack_variables(variables) -> tuple[dict[int, tuple[int, int]], int]:
     """``({id: (start, dim)}, width)`` for the variables stacked in order."""
     starts = np.cumsum([0] + [v.dim for v in variables])
     return {v.id: (int(s), v.dim) for v, s in zip(variables, starts)}, int(starts[-1])
-
-
-OVERFLOW = "a coefficient overflows to a non-finite value"
 
 
 def require_finite(*arrays) -> None:

@@ -632,19 +632,25 @@ def _form_terms(refs, coeffs, k, dim: int) -> list:
     return terms
 
 
-def _join_terms(terms) -> str:
-    out = [terms[0][0]]
-    for text, _, _ in terms[1:]:
-        out.append(" - " + text[1:] if text.startswith("-") else " + " + text)
-    return "".join(out)
-
-
 def _alone(terms, k) -> bool:
     """True when ``terms`` is one term that alone parses to constant ``k``."""
     if len(terms) != 1 or terms[0][1] is None:
         return False
     own = np.broadcast_to(terms[0][1], k.shape)
     return bool((own == k).all() and (np.signbit(own) == np.signbit(k)).all())
+
+
+def _sum_text(terms, k) -> str:
+    """The terms as a sum that parses to constant ``k``, which holds no
+    -0.0: a sum of two or more terms adds its constant from 0.0, so a lone
+    term that parses to another constant, or to a bare variable, gets a
+    ``+ 0``."""
+    if len(terms) == 1 and not _alone(terms, k):
+        terms = terms + [("0", None, _LEVEL_FACTOR)]
+    out = [terms[0][0]]
+    for text, _, _ in terms[1:]:
+        out.append(" - " + text[1:] if text.startswith("-") else " + " + text)
+    return "".join(out)
 
 
 def _form_text(node: ex.ExpressionNode) -> tuple[str, int]:
@@ -660,15 +666,13 @@ def _form_text(node: ex.ExpressionNode) -> tuple[str, int]:
         return terms[0][0], terms[0][2]
     flip = np.signbit(k) & (k == 0.0)
     if not flip.any():
-        return _join_terms(terms + [("0", None, 0)] * (len(terms) == 1)), _LEVEL_ADD
+        return _sum_text(terms, k), _LEVEL_ADD
     s = np.where(flip, -1.0, 1.0)
     k = s * k
     terms = _form_terms(node.refs, {v: (r, c, s[r] * x) for v, (r, c, x) in coeffs.items()},
                         k, node.dim)
-    if len(terms) == 1 and not _alone(terms, k):
-        terms.append(("0", None, 0))
     factor = format_number(-1.0) if node.dim == 1 else _vector_text(s)
-    return f"{factor} * ({_join_terms(terms)})", _LEVEL_MUL
+    return f"{factor} * ({_sum_text(terms, k)})", _LEVEL_MUL
 
 
 def print_problem(problem: ex.ProblemForm) -> str:

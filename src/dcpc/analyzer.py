@@ -153,10 +153,11 @@ def build_chain(problem: ex.ProblemForm, target: TargetClass,
 def apply_chain(chain: ReductionChain, problem: ex.ProblemForm):
     """``chain.apply(problem)``, with a coefficient overflow blamed on the user.
 
-    Stuffing sees only rewritten rows, whose numbering is the chain's, so it
-    raises the bare ``OVERFLOW`` message and this is the only code that names
-    a place.  On an overflow the chain runs again on the objective alone, then
-    on each constraint alone, and the error names the first that overflows.
+    The chain sees only rewritten rows, whose numbering is its own, so an
+    overflow made inside it (presolve substitution, a subtraction of two
+    finite sides, a Hessian) raises the bare ``OVERFLOW`` message.  On an
+    overflow the chain runs again on the objective alone, then on each
+    constraint alone, and the error names the first that overflows.
     """
     try:
         return chain.apply(problem)
@@ -171,7 +172,7 @@ def apply_chain(chain: ReductionChain, problem: ex.ProblemForm):
                 chain.apply(ex.ProblemForm(problem.sense, objective, cons,
                                            problem.variables))
             except ex.ProblemError:
-                raise ex.ProblemError(f"{where}: {OVERFLOW}") from err
+                raise ex.located_overflow(where) from err
         raise
 
 

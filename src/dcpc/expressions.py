@@ -4,11 +4,13 @@ Variables, constants, affine forms and atom applications form immutable
 trees.  Every node caches its dimension, curvature, and sign at construction
 time, so convexity verification is a table lookup once a problem has been
 built.  An atom over constant leaves folds into a constant leaf where it is
-built, so a finite constant carries the sign of its value.  An affine atom
-over variables, constants and forms folds into a form: a leaf that holds the
+built, so a constant carries the sign of its value.  An affine atom over
+variables, constants and forms folds into a form: a leaf that holds the
 subtree's sparse coefficient blocks and constant vector, as
-:func:`combine_affine` computes them, so an affine subtree is one node and
-its coefficients are extracted once.  The data model is deliberately small:
+:func:`combine_affine` computes them.  A value that overflows is a
+:class:`ProblemError` where it is built, so every node of affine curvature
+is a leaf, every atom node is non-affine, and an affine subtree's
+coefficients are read off one node.  The data model is deliberately small:
 scalars and dense real vectors only, eleven atoms, and three constraint
 relations.
 """
@@ -38,6 +40,7 @@ __all__ = [
     "ConstraintDecl",
     "ProblemForm",
     "OVERFLOW",
+    "located_overflow",
     "AtomDescriptor",
     "ATOMS",
     "ATOM_LABELS",
@@ -46,7 +49,6 @@ __all__ = [
     "constant",
     "var_ref",
     "affine_form",
-    "FORM_PARTS",
     "add",
     "sub",
     "neg",
@@ -73,8 +75,6 @@ __all__ = [
     "substitute_variables",
     "nodes",
     "fold",
-    "nonconstant",
-    "nonaffine",
     "rebuild",
     "ROOT_SIGNS",
     "child_sign",
@@ -102,6 +102,11 @@ class ProblemError(ValueError):
 
 
 OVERFLOW = "a coefficient overflows to a non-finite value"
+
+
+def located_overflow(where: str) -> ProblemError:
+    """The overflow error of the problem's ``objective`` or ``constraint i``."""
+    return ProblemError(f"{where}: {OVERFLOW}")
 
 
 class Curvature(Enum):
@@ -469,30 +474,29 @@ def var_ref(decl: VariableDecl) -> ExpressionNode:
                           var_id=decl.id, var_name=decl.name)
 
 
-def affine_form(coeffs: Mapping[int, tuple], const: np.ndarray,
-                refs) -> ExpressionNode | None:
-    """A form leaf, or None when a coefficient or the constant is not finite.
+def affine_form(coeffs: Mapping[int, tuple], const: np.ndarray, refs) -> ExpressionNode:
+    """A form leaf, or a constant leaf when ``refs`` is empty.
 
     ``refs`` are the reference nodes of the form's variables, ``coeffs``
     maps each one's id to its coalesced row-major block ``(rows, cols,
     vals)``, and ``const`` is the constant vector.  A coefficient's zero is
     stored as +0.0, as a constant's is; no reader tells the two apart.
+    Raises ``ProblemError(OVERFLOW)`` when a value is not finite.
     """
-    blocks = _owned_blocks(coeffs)
-    return None if blocks is None else _form(blocks, const, refs)
+    return _form(_owned_blocks(coeffs), const, refs)
 
 
-def _owned_blocks(coeffs: Mapping[int, tuple]) -> dict | None:
+def _owned_blocks(coeffs: Mapping[int, tuple]) -> dict:
     """The blocks as a form holds them: finite, with +0.0 zeros, read-only
-    and owning their arrays, so a form keeps no larger array alive; None
-    when a value is not finite.  A block with no writable array is held by
-    a form already and is taken as it is."""
+    and owning their arrays, so a form keeps no larger array alive.  A
+    block with no writable array is held by a form already and is taken as
+    it is."""
     blocks = {}
     for v, block in coeffs.items():
         rows, cols, vals = block
         if rows.flags.writeable or cols.flags.writeable or vals.flags.writeable:
             if not np.isfinite(vals).all():
-                return None
+                raise ProblemError(OVERFLOW)
             block = (rows if rows.base is None else rows.copy(),
                      cols if cols.base is None else cols.copy(), vals + 0.0)
             for a in block:
@@ -501,10 +505,13 @@ def _owned_blocks(coeffs: Mapping[int, tuple]) -> dict | None:
     return blocks
 
 
-def _form(blocks: dict, const: np.ndarray, refs) -> ExpressionNode | None:
-    """The form of owned ``blocks``, or None when ``const`` is not finite."""
+def _form(blocks: dict, const: np.ndarray, refs) -> ExpressionNode:
+    """The form of owned ``blocks``, or the constant leaf when ``refs`` is
+    empty; raises ``ProblemError(OVERFLOW)`` when ``const`` is not finite."""
     if not np.isfinite(const).all():
-        return None
+        raise ProblemError(OVERFLOW)
+    if not refs:
+        return constant(const.item() if const.shape[0] == 1 else const)
     if const.base is not None:
         const = const.copy()
     const.setflags(write=False)
@@ -534,7 +541,7 @@ def leaf_refs(node: ExpressionNode) -> tuple:
     return (node,) if node.kind == "var" else node.refs
 
 
-def _form_of(node: ExpressionNode) -> ExpressionNode | None:
+def _form_of(node: ExpressionNode) -> ExpressionNode:
     """The form of an affine atom over variables, constant leaves and forms.
 
     ``add`` and ``sub`` keep their left operand's chunks, and one chunk
@@ -556,14 +563,10 @@ def _form_of(node: ExpressionNode) -> ExpressionNode | None:
         refs = {r.var_id: r for c in node.children for r in leaf_refs(c)}.values()
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs, const = combine_affine(node, pieces, widths)
-        blocks = _owned_blocks({v: coalesce(chunks) for v, chunks in coeffs.items()})
-    if blocks is None:
-        return None
-    kept.update(blocks)
+        kept.update(_owned_blocks({v: coalesce(chunks) for v, chunks in coeffs.items()}))
     return _form(kept, const, refs)
 
 
-FORM_PARTS = frozenset(("var", "const", "form"))  # the node kinds a form takes in
 _VAR_ID = attrgetter("var_id")
 
 
@@ -609,21 +612,17 @@ def apply_atom(name: str, children: Sequence[ExpressionNode], param: int | None 
         raise ExpressionError(f"atom '{name}' takes {wanted}, got {n}")
     dim = desc.result_dim(children, param)
     curvature = _compose_curvature(desc, children)
-    if curvature.is_constant and all(c.kind == "const" for c in children):
-        # Folds to a leaf with evaluate's bits; a non-finite value stays a
-        # tree, and stuffing names the overflow.
+    if curvature.is_constant:
+        # Every child is a constant leaf: fold to a leaf with evaluate's bits.
         with np.errstate(over="ignore", invalid="ignore"):
             value = desc.value([c.payload for c in children], param)
-        if np.isfinite(value).all():  # a scalar takes constant's float path
-            return constant(value.item() if dim == 1 else value)
-    sign = desc.sign_rule(children)
-    node = ExpressionNode("atom", dim, curvature, sign, atom=name,
+        if not np.isfinite(value).all():
+            raise ProblemError(OVERFLOW)
+        return constant(value.item() if dim == 1 else value)  # a scalar takes the float path
+    node = ExpressionNode("atom", dim, curvature, desc.sign_rule(children), atom=name,
                           children=children, param=param)
-    if curvature.is_affine and not curvature.is_constant \
-            and all(c.kind in FORM_PARTS for c in children):
-        # A non-finite form stays a node, and stuffing names the overflow.
-        return _form_of(node) or node
-    return node
+    # Every child of an affine atom is a leaf, so it is a form: no atom node is affine.
+    return _form_of(node) if curvature.is_affine else node
 
 
 def add(a: ExpressionNode, b: ExpressionNode) -> ExpressionNode:
@@ -643,7 +642,7 @@ def mul(a: ExpressionNode, b: ExpressionNode) -> ExpressionNode:
     if not (a.curvature.is_constant or b.curvature.is_constant):
         raise ExpressionError("non-constant * non-constant product is not allowed")
     const_side = a if a.curvature.is_constant else b
-    if const_side.kind == "const" and const_side.sign is Sign.ZERO:
+    if const_side.sign is Sign.ZERO:  # a constant is a leaf with its value's sign
         return constant(np.zeros(broadcast_dim((a.dim, b.dim), "mul_const")))
     return apply_atom("mul_const", (a, b))
 
@@ -682,14 +681,13 @@ def norm2(a: ExpressionNode) -> ExpressionNode:
 # own stack, so a tree of any depth is walked without Python recursion.
 
 
-def nodes(expr: ExpressionNode, enter=None):
-    """Every node of ``expr`` in pre-order, parents first; ``enter`` is :func:`fold`'s."""
+def nodes(expr: ExpressionNode):
+    """Every node of ``expr`` in pre-order, parents first."""
     stack = [expr]
     while stack:
         node = stack.pop()
         yield node
-        if enter is None or enter(node, None):
-            stack.extend(reversed(node.children))
+        stack.extend(reversed(node.children))
 
 
 def fold(expr: ExpressionNode, leave, enter=None, down=None, flag=None):
@@ -720,16 +718,6 @@ def fold(expr: ExpressionNode, leave, enter=None, down=None, flag=None):
         else:
             values.append(leave(node, (), f))
     return values[0]
-
-
-def nonconstant(node: ExpressionNode, flag=None) -> bool:
-    """An ``enter`` for :func:`fold` that skips constant subtrees."""
-    return not node.curvature.is_constant
-
-
-def nonaffine(node: ExpressionNode, flag=None) -> bool:
-    """An ``enter`` that skips affine subtrees: none holds a nonconstant nonlinear atom."""
-    return not node.curvature.is_affine
 
 
 def rebuild(node: ExpressionNode, children: Sequence[ExpressionNode]) -> ExpressionNode:
@@ -903,23 +891,16 @@ def affine_coefficients(expr: ExpressionNode) -> tuple[dict, np.ndarray]:
     Returns ``({var_id: (rows, cols, vals)}, k)``: COO triplets of each
     variable's (dim, var_dim) block ``M``, row-major with distinct entries
     (some may cancel to zero), and ``k`` of shape (dim,), such that the
-    expression equals ``sum_i M_i x_i + k``.  A form holds them already;
-    above forms, every atom is combined by :func:`combine_affine`, with each
-    variable's block as one column space.  Raises :class:`NotAffineError`
-    naming the first nonlinear atom otherwise: the post-order walk reaches
-    it before any ancestor.
+    expression equals ``sum_i M_i x_i + k``.  An affine expression is a
+    leaf, which holds them.  Any other is an atom node, and this raises
+    :class:`NotAffineError` naming its first atom in post-order, the first
+    atom over leaves only, which is nonlinear.
     """
-    widths: dict[int, int] = {}  # var_id -> var_dim, the blocks' widths
-
-    def leave(node, pieces, _):
-        if node.kind != "atom":
-            return leaf_piece(node, widths)
-        if node.curvature.is_constant:
-            return {}, evaluate(node, {})
-        return combine_affine(node, pieces, widths)
-
-    coeffs, const = fold(expr, leave, nonconstant)
-    return {v: coalesce(chunks) for v, chunks in coeffs.items()}, const
+    if expr.kind == "atom":
+        raise NotAffineError(next(n for n in nodes(expr) if n.kind == "atom"
+                                  and all(c.kind != "atom" for c in n.children)))
+    coeffs, const = leaf_piece(expr, {})
+    return {v: block for v, (block,) in coeffs.items()}, const
 
 
 @dataclass(frozen=True)
@@ -1062,7 +1043,7 @@ def _substitute_form(node: ExpressionNode, mapping) -> ExpressionNode:
     0.0 in variable-id and row-major order, then the form's own constant, as
     a sum that ends in its constant term folds them.
     With no variable left the result is a constant leaf.  A value that is
-    not finite raises the stuffers' overflow error.
+    not finite raises ``ProblemError(OVERFLOW)``.
     """
     coeffs, const = node.payload
     if not any(r.var_id in mapping for r in node.refs):
@@ -1075,7 +1056,7 @@ def _substitute_form(node: ExpressionNode, mapping) -> ExpressionNode:
         for ref in node.refs:
             rows, cols, vals = coeffs[ref.var_id]
             new = mapping.get(ref.var_id, ref)
-            if new.kind not in FORM_PARTS or new.dim != ref.dim:
+            if new.kind == "atom" or new.dim != ref.dim:
                 raise ExpressionError(f"variable '{ref.var_name}' in an affine form can only "
                                       f"become a variable, constant or form of dim {ref.dim}")
             pieces, k = leaf_piece(new, widths)
@@ -1094,11 +1075,4 @@ def _substitute_form(node: ExpressionNode, mapping) -> ExpressionNode:
             rows, products = (np.concatenate(a) for a in zip(*moved))
             const = np.bincount(rows, products, node.dim) + const
         coeffs = {v: coalesce(c) for v, c in chunks.items()}
-    if not refs:
-        out = constant(const.item() if node.dim == 1 else const) \
-            if np.isfinite(const).all() else None
-    else:
-        out = affine_form(coeffs, const, refs.values())
-    if out is None:
-        raise ProblemError(OVERFLOW)
-    return out
+    return affine_form(coeffs, const, refs.values())

@@ -28,8 +28,11 @@ Precedence: unary minus binds tighter than ``*``, which binds tighter than
 atom over constants does, so printed problems parse back to identical trees.
 Parentheses, atom calls and unary minus nest at most 100 levels deep; sums
 and products of any length are fine.  A literal that overflows a float is
-an error at the literal.  Tokens carry only their character offset: spans
-are computed from token offsets only when an error is raised.
+an error at the literal; a value built from finite literals that overflows
+is an error that names the ``objective`` or ``constraint i`` it is in, as
+:func:`dcpc.analyzer.apply_chain` names an overflow in the chain.  Tokens
+carry only their character offset: spans are computed from token offsets
+only when an error is raised.
 
 Affine subtrees become form leaves (see :mod:`dcpc.expressions`).  A
 ``+``/``-`` run keeps its scalar terms (``c*x[i]``, ``x[i]``, ``-x[i]``,
@@ -183,7 +186,7 @@ class _Parser:
         self.advance()
         sense = ex.Sense.MINIMIZE if sense_tok[_TEXT] == "minimize" else ex.Sense.MAXIMIZE
         start = self.peek()
-        objective = self.parse_expr()
+        objective = self.parse_located("objective")
         if objective.dim != 1:
             raise ParseError(f"objective must be scalar, got dimension {objective.dim}",
                              self.span(start, self.prev()))
@@ -192,9 +195,9 @@ class _Parser:
         if self.at("subject"):
             self.advance()
             self.expect("IDENT", "to", what="'to'")
-            constraints.append(self.parse_constraint())
+            constraints.append(self.parse_constraint(len(constraints)))
             while self.peek()[_KIND] != "EOF":
-                constraints.append(self.parse_constraint())
+                constraints.append(self.parse_constraint(len(constraints)))
         tok = self.peek()
         if tok[_KIND] != "EOF":
             raise ParseError(f"unexpected trailing input {tok[_TEXT]!r}", self.span(tok))
@@ -224,14 +227,14 @@ class _Parser:
         self.variables.append(decl)
         self.refs[name] = ex.var_ref(decl)
 
-    def parse_constraint(self):
+    def parse_constraint(self, i: int):
         lhs_start = self.peek()
-        lhs = self.parse_expr()
+        lhs = self.parse_located(f"constraint {i}")
         rel_tok = self.peek()
         if rel_tok[_KIND] != "REL":
             raise ParseError("expected a relation ('<=', '>=', or '==')", self.span(rel_tok))
         self.advance()
-        rhs = self.parse_expr()
+        rhs = self.parse_located(f"constraint {i}")
         after = self.peek()
         if after[_KIND] == "REL":
             raise ParseError("chained relations are not allowed", self.span(after))
@@ -247,6 +250,14 @@ class _Parser:
     def parse_expr(self) -> ex.ExpressionNode:
         return self.parse_additive()
 
+    def parse_located(self, where: str) -> ex.ExpressionNode:
+        """One side of the ``objective`` or ``constraint i`` named by ``where``;
+        a value that overflows is an error naming it."""
+        try:
+            return self.parse_expr()
+        except ex.ProblemError as err:
+            raise ex.located_overflow(where) from err
+
     def _build(self, fn, args, start: _Tok):
         try:
             return fn(*args)
@@ -260,14 +271,13 @@ class _Parser:
         plus = True
         while True:
             term = self.parse_term()
-            if node is None and (type(term) is not ex.ExpressionNode
-                                 or term.kind in ex.FORM_PARTS):
+            if node is None and (type(term) is not ex.ExpressionNode or term.kind != "atom"):
                 try:
                     run.join(plus, term)
                 except ex.ExpressionError as err:
                     raise ParseError(str(err), self.span(start, self.prev())) from err
             else:
-                if node is None and run.terms:
+                if node is None and run.count:
                     node = run.node()
                 term = _term_node(term)
                 node = term if node is None else \
@@ -419,12 +429,11 @@ class _Run:
     once, each variable's rows apart, and coalesces them once, so the
     entries at one place add in term order; the constant adds term by term
     from 0.0 as the terms join.  Those are the bits of adding the terms one
-    at a time with ``add``/``sub``, which is what :meth:`node` falls back to
-    when a value is not finite, since such a value stays a tree.
+    at a time with ``add``/``sub``.  A run of one term is that term's node.
     """
 
     def __init__(self):
-        self.terms: list = []  # (plus, term) in order, for the fallback
+        self.count, self.first = 0, None  # the terms joined, and the first
         self.dim = 1
         self.const = 0.0  # a float until a vector constant joins
         self.slots: dict[int, int] = {}  # var_id -> slot, by first appearance
@@ -440,7 +449,9 @@ class _Run:
         return slot
 
     def join(self, plus: bool, term) -> None:
-        self.terms.append((plus, term))
+        self.count += 1
+        if self.count == 1:
+            self.first = term
         if type(term) is tuple:
             ref, col, coef, _ = term
             self.slot.append(self.slot_of(ref))
@@ -482,8 +493,10 @@ class _Run:
             yield self.slots[v] * d + rows, cols, vals if plus else -vals
 
     def node(self) -> ex.ExpressionNode:
-        if len(self.terms) == 1:
-            return _term_node(self.terms[0][1])
+        """The run's node; raises ``ProblemError(OVERFLOW)`` when a value
+        is not finite."""
+        if self.count == 1:
+            return _term_node(self.first)
         d = self.dim
         const = np.full(d, self.const) if type(self.const) is float else self.const
         parts, lo = [], 0
@@ -493,21 +506,11 @@ class _Run:
             lo = at
         parts.append(self._entries(lo, len(self.val)))
         rows, cols, vals = ex.sum_entries(*(np.concatenate(a) for a in zip(*parts)))
-        if not self.refs:
-            out = ex.constant(const.item() if d == 1 else const) \
-                if np.isfinite(const).all() else None
-        else:
-            bounds = np.searchsorted(rows, np.arange(len(self.refs) + 1) * d)
-            out = ex.affine_form(
-                {r.var_id: (rows[a:b] - i * d, cols[a:b], vals[a:b])
-                 for i, (r, a, b) in enumerate(zip(self.refs, bounds, bounds[1:]))},
-                const, self.refs)
-        if out is None:  # not finite: the terms one at a time, as a tree
-            plus, term = self.terms[0]
-            out = _term_node(term)
-            for plus, term in self.terms[1:]:
-                out = (ex.add if plus else ex.sub)(out, _term_node(term))
-        return out
+        bounds = np.searchsorted(rows, np.arange(len(self.refs) + 1) * d)
+        return ex.affine_form(
+            {r.var_id: (rows[a:b] - i * d, cols[a:b], vals[a:b])
+             for i, (r, a, b) in enumerate(zip(self.refs, bounds, bounds[1:]))},
+            const, self.refs)
 
 
 def parse_problem(text: str) -> ex.ProblemForm:

@@ -41,11 +41,11 @@ class SmithProblem:
 class SmithTransform(Reduction):
     """Pull every nonlinear atom application into a ``t == atom(args)`` row.
 
-    Affine subtrees (constants included) are kept intact, so the output is the
-    pragmatic Smith form: every atom in the transformed problem has affine
-    arguments.  Defining constraints for the objective come first, then each
-    user constraint follows its own defining rows; within one expression,
-    inner atoms are defined before the atoms that use them.
+    Affine subtrees (constants included) are leaves and kept intact, so the
+    output is the pragmatic Smith form: every atom in the transformed problem
+    has affine arguments.  Defining constraints for the objective come
+    first, then each user constraint follows its own defining rows; within
+    one expression, inner atoms are defined before the atoms that use them.
     """
 
     name = "smith_transform"
@@ -60,7 +60,8 @@ class SmithTransform(Reduction):
         cons: list = []
 
         def nonlinear(node):
-            return ex.ATOMS[node.atom].curvature_class is not ex.Curvature.AFFINE
+            return node.kind == "atom" and \
+                ex.ATOMS[node.atom].curvature_class is not ex.Curvature.AFFINE
 
         def replace(expr, sigma):
             # A nonlinear atom takes its aux id on the way down and appends
@@ -68,14 +69,12 @@ class SmithTransform(Reduction):
             pending = []  # aux of each nonlinear atom entered, not yet left
 
             def enter(node, _):
-                if not ex.nonaffine(node):
-                    return False
                 if nonlinear(node):
                     pending.append(pool.fresh("_t", node.dim))
                 return True
 
             def leave(node, children, s):
-                if not ex.nonaffine(node):
+                if node.kind != "atom":
                     return node
                 body = ex.rebuild(node, children)
                 if not nonlinear(node):
@@ -260,11 +259,9 @@ def affine_row_data(expr: ex.ExpressionNode,
 
     ``M`` is COO triplets ``(rows, cols, vals)`` in row-major order, with no
     zero entry, so its entries are exactly the nonzeros of the dense rows.
-    Every stuffer builds its rows here, so the finiteness check is here too;
-    an overflow is reported by that check, not by a numpy warning.
+    Every stuffer builds its rows here, so the finiteness check is here too.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs, const = ex.affine_coefficients(expr)
+    coeffs, const = ex.affine_coefficients(expr)
     blocks = [(r, c + var_offsets[v][0], x) for v, (r, c, x) in coeffs.items()]
     if len(blocks) == 1:
         (rows, cols, vals), = blocks

@@ -74,16 +74,16 @@ class PathNfa:
 
 
 def _live_atoms(expr: ex.ExpressionNode):
-    """The non-affine atoms of ``expr``: its nonconstant nonlinear atoms and
-    their ancestors, found without entering an affine subtree."""
-    return (n for n in ex.nodes(expr, ex.nonaffine) if ex.nonaffine(n))
+    """The atom nodes of ``expr``: its nonlinear atoms and their ancestors,
+    since every affine subtree is a leaf."""
+    return (n for n in ex.nodes(expr) if n.kind == "atom")
 
 
 _PWL_LABELS = frozenset({"A", "P"})
 
 
 def uses_quadratic_atom(problem: ex.ProblemForm) -> bool:
-    """True when a Q-labeled atom appears outside constant subtrees."""
+    """True when a Q-labeled atom appears in the problem."""
     return any("Q" in ex.ATOM_LABELS[n.atom]
                for _, e, _ in ex.walk_expressions(problem) for n in _live_atoms(e))
 
@@ -91,11 +91,11 @@ def uses_quadratic_atom(problem: ex.ProblemForm) -> bool:
 def qp_applicable(problem: ex.ProblemForm) -> bool:
     """QP-reducibility: DCP + PWL constraints + NFA-accepted objective paths.
 
-    The machine runs down the objective's non-affine nodes, carrying its
-    state set from each node to its children, so shared path prefixes are
-    simulated once.  Every state has an edge for A or P, an affine atom's
-    labels, into an accepting state, so an affine subtree (a bare variable
-    too) accepts when it is reached with any state.  DCP already makes both
+    The machine runs down the objective's atom nodes, carrying its state set
+    from each node to its children, so shared path prefixes are simulated
+    once.  Every state has an edge for A or P, an affine atom's labels, into
+    an accepting state, so an affine subtree, which is a leaf, accepts when
+    it is reached with any state.  DCP already makes both
     sides of an equality affine.
     """
     ok, _ = ex.is_dcp(problem)
@@ -110,10 +110,9 @@ def qp_applicable(problem: ex.ProblemForm) -> bool:
         return nfa.step(states, ex.ATOM_LABELS[node.atom])
 
     def leave(node, accepted, states):
-        return all(accepted) if ex.nonaffine(node) else bool(states)
+        return all(accepted) if node.kind == "atom" else bool(states)
 
-    return ex.fold(problem.objective, leave, ex.nonaffine, down,
-                   frozenset({nfa.START}))
+    return ex.fold(problem.objective, leave, None, down, frozenset({nfa.START}))
 
 
 def _square_rows(M, width):

@@ -399,12 +399,10 @@ class EliminatePwlAtoms(Reduction):
 
     Constraints produced for the objective come first, then, per user
     constraint, its epigraph rows followed by the rewritten constraint.  The
-    walk keeps affine subtrees as written; a constant atom there is a
-    non-finite tree, since a finite one folds where it is built, and
-    stuffing reports its overflow.  No nonconstant piecewise-linear atom
-    remains.  Every DCP problem is accepted: a nonconstant abs or max is
-    convex, so DCP admits it only at scaling sign +1, where its epigraph is
-    exact.
+    walk keeps affine subtrees, which are leaves, as written, so no
+    piecewise-linear atom remains.  Every DCP problem is accepted: an abs or
+    max node is convex, so DCP admits it only at scaling sign +1, where its
+    epigraph is exact.
     """
 
     name = "eliminate_pwl_atoms"
@@ -420,7 +418,7 @@ class EliminatePwlAtoms(Reduction):
         def rewrite(expr):
             # Aux variables are created in post-order: inner atoms first.
             def leave(node, children, _):
-                if not ex.nonaffine(node):
+                if node.kind != "atom":
                     return node
                 if ex.ATOM_LABELS[node.atom] != {"P"}:
                     return ex.rebuild(node, children)
@@ -434,7 +432,7 @@ class EliminatePwlAtoms(Reduction):
                     cons.append((ex.neg(arg), ex.Relation.LE, t))
                 return t
 
-            return ex.fold(expr, leave, ex.nonaffine)
+            return ex.fold(expr, leave)
 
         objective = rewrite(problem.objective)
         for c in problem.constraints:

@@ -278,9 +278,9 @@ def solve_admm(data: ProgramData,
     (Stellato et al., arXiv 1711.08013, §3.4; dual-cone tests of Banjac et
     al. 2019): infeasible when ``Aᵀδy ≈ 0``, ``bᵀδy < 0`` and ``δy ∈ K*``,
     unbounded when ``Pδx ≈ 0``, ``qᵀδx < 0`` and ``-Aδx ∈ K``, each to
-    ``_CERT_EPS`` relative to ``‖δ‖∞``.  At iterations 25·2^j it sets ρ to
-    balance the scaled residuals (OSQP §5.2), refactoring when ρ moves more
-    than ``_RHO_REFACTOR`` times; a ρ that changed at every test kept some
+    ``_CERT_EPS`` and read on ``δ/‖δ‖∞``.  At iterations 25·2^j it sets ρ
+    to balance the scaled residuals (OSQP §5.2), refactoring when ρ moves
+    more than ``_RHO_REFACTOR`` times; a ρ that changed at every test kept some
     degenerate problems from converging.  Iterates that overflow end the
     solve as an error at the next test, before any certificate or ρ reads
     them.  ``A`` and ``P`` are used as the CSR matrices they come in.
@@ -327,15 +327,18 @@ def solve_admm(data: ProgramData,
                 * max(_inf_norm(Px / d), _inf_norm(data.q), _inf_norm(ATy / d))):
             status, message = Status.OPTIMAL, ""
             break
+        # The tests are homogeneous, so they read δ/‖δ‖∞ (a zero δ fails the
+        # first): a δ decayed to subnormals would round A δ to 0 and pass all.
         dy, dx = y - y_seen, x - x_seen
         ny, nx = _inf_norm(e * dy), _inf_norm(d * dx)
+        dy, dx = dy / (ny or 1.0), dx / (nx or 1.0)
         # K is self-dual but for the zero cone, whose dual leaves rows free
-        if (b @ dy < -eps * ny and _inf_norm(AT @ dy / d) <= eps * ny
-                and _cone_gap(np.where(eq, 0.0, e * dy), cones, plan) <= eps * ny):
+        if (b @ dy < -eps and _inf_norm(AT @ dy / d) <= eps
+                and _cone_gap(np.where(eq, 0.0, e * dy), cones, plan) <= eps):
             return RawSolution(Status.INFEASIBLE, np.zeros(n), math.inf, k,
                                "certificate of primal infeasibility", **stats)
-        if (q @ dx < -eps * nx and _inf_norm(P @ dx / d) <= eps * nx
-                and _cone_gap(-(A @ dx) / e, cones, plan) <= eps * nx):
+        if (q @ dx < -eps and _inf_norm(P @ dx / d) <= eps
+                and _cone_gap(-(A @ dx) / e, cones, plan) <= eps):
             return RawSolution(Status.UNBOUNDED, np.zeros(n), -math.inf, k,
                                "certificate of dual infeasibility", **stats)
         x_seen, y_seen = x, y

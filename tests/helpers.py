@@ -14,7 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from dcpc import expressions as ex
+from dcpc.analyzer import RewriterConfig, TargetClass, select_target
+from dcpc.reductions.cone import SmithProblem
 from dcpc.reductions.framework import Status
+from dcpc.reductions.standard import CanonStage
 
 # The six status probes of the benchmark's solve-dense workload
 # (bench/workloads.PROBES): one infeasible and one unbounded problem for each
@@ -221,3 +224,47 @@ def problems_structurally_equal(p, q):
         if renumber(cq.lhs) != cp.lhs or renumber(cq.rhs) != cp.rhs:
             return False
     return True
+
+
+
+# The chains the property below runs: auto, each forced target, presolve and
+# the decomposed cone chain.
+STAGE_CONFIGS = {
+    "auto": RewriterConfig(),
+    "lp": RewriterConfig(forced_target=TargetClass.LP),
+    "qp": RewriterConfig(forced_target=TargetClass.QP),
+    "cone": RewriterConfig(forced_target=TargetClass.CONE),
+    "presolve": RewriterConfig(presolve=True),
+    "decompose-soc": RewriterConfig(forced_target=TargetClass.CONE, decompose_soc=True),
+}
+
+
+def stage_trees(stage):
+    """The expression trees of a problem, a Smith problem or a cone stage;
+    none for stuffed data."""
+    if isinstance(stage, SmithProblem):
+        stage = stage.problem
+    if isinstance(stage, ex.ProblemForm):
+        return [e for _, e, _ in ex.walk_expressions(stage)]
+    if isinstance(stage, CanonStage):
+        return [stage.objective] + [e for c in stage.constraints
+                                    for e in (c.expr, c.t, *c.x) if e is not None]
+    return []
+
+
+def assert_no_affine_atom(problem) -> set:
+    """Check that no atom node has affine curvature in ``problem`` or after
+    any member of the chains of ``STAGE_CONFIGS``; returns the names of the
+    stage types seen."""
+    seen = set()
+    for config in STAGE_CONFIGS.values():
+        chain = select_target(problem, config).chain
+        stages = [problem]
+        for member in chain.members if chain is not None else ():
+            stages.append(member.apply(stages[-1])[0])
+        for stage in stages:
+            seen.add(type(stage).__name__)
+            for tree in stage_trees(stage):
+                for node in ex.nodes(tree):
+                    assert node.kind != "atom" or not node.curvature.is_affine, node
+    return seen

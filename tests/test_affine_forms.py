@@ -10,11 +10,11 @@ written here, which shares no code with the library.
 import numpy as np
 import pytest
 
-from dcpc import expressions as ex
+from dcpc import expressions as ex, randgen
 from dcpc.parsing import parse_problem, print_problem
 from dcpc.reductions.cone import dense_rows
 
-from helpers import problems_structurally_equal
+from helpers import assert_no_affine_atom, problems_structurally_equal
 
 DECLS = [ex.VariableDecl(0, "s"), ex.VariableDecl(1, "u", 3),
          ex.VariableDecl(2, "v", 3), ex.VariableDecl(3, "w", 4)]
@@ -210,3 +210,30 @@ def test_a_long_run_matches_the_builder():
         t = ex.mul(ex.constant(float(c)), ex.index(REFS[1], int(j[:-1])))
         built = (ex.add if sign == "+" else ex.sub)(built, t)
     assert node == ex.add(built, ex.constant([1.0, 2.0, 3.0]))
+
+
+# --- every node of affine curvature is a leaf -------------------------------
+
+ALL_STAGES = {"ProblemForm", "SmithProblem", "CanonStage", "ProgramData"}
+
+
+def test_no_atom_node_is_affine_in_randgen_problems():
+    seen = set()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for make in (randgen.random_pwl_problem, randgen.random_qp_problem,
+                     randgen.random_cone_problem):
+            built = make(rng, int(rng.integers(2, 5)), bool(rng.integers(2)))
+            seen |= assert_no_affine_atom(built)
+            seen |= assert_no_affine_atom(parse_problem(print_problem(built)))
+    assert seen == ALL_STAGES
+
+
+def test_no_atom_node_is_affine_over_random_affine_texts():
+    rng = np.random.default_rng([20261019, 17])
+    seen = set()
+    for _ in range(30):
+        a, b, c = (run(rng, int(rng.integers(3)))[0] for _ in range(3))
+        seen |= assert_no_affine_atom(parse_problem(
+            HEADER + f"minimize sum(abs({a})) + sum_squares({b});\nsubject to\n  {c} >= 0;\n"))
+    assert seen == ALL_STAGES

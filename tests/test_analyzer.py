@@ -236,7 +236,8 @@ class TestCoefficientOverflow:
         ("minimize square(x - 1)", TargetClass.CONE, "constraint 0"),
     ])
     def test_overflowing_constraint_row(self, objective, target, where):
-        problem = parse_problem(f"var x; {objective}; subject to x*1e200*1e200 <= 1;")
+        # Both sides are finite; their difference overflows inside the chain.
+        problem = parse_problem(f"var x; {objective}; subject to 1e308*x <= -1e308*x;")
         config = RewriterConfig(forced_target=target)
         with np.errstate(over="ignore"), pytest.raises(ex.ProblemError, match=where):
             solve_problem(problem, config)
@@ -257,13 +258,14 @@ class TestCoefficientOverflow:
 
     def test_overflow_rerun_builds_no_validated_problem(self, monkeypatch):
         monkeypatch.setattr(ex, "make_problem", None)  # any call would fail
-        problem = parse_problem("var x; minimize abs(x); subject to x*1e200*1e200 <= 1;")
+        problem = parse_problem("var x; minimize abs(x); subject to 1e308*x <= -1e308*x;")
         with pytest.raises(ex.ProblemError, match="constraint 0"):
             analyzer.apply_chain(select_target(problem).chain, problem)
 
     def test_stuffing_raises_the_bare_message(self):
-        # Only apply_chain names a place; a chain applied directly does not.
-        problem = parse_problem("var x; minimize abs(x); subject to x*1e200*1e200 <= 1;")
+        # Only apply_chain names a place in the chain; a chain applied
+        # directly does not.
+        problem = parse_problem("var x; minimize abs(x); subject to 1e308*x <= -1e308*x;")
         for target in TargetClass:
             report = select_target(problem, RewriterConfig(forced_target=target))
             with pytest.raises(ex.ProblemError) as err:

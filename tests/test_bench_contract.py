@@ -5,13 +5,15 @@ itself and reads the stuffed ``ProgramData`` fields directly, so a change to
 the container can break the benchmark without breaking any library call.
 This runs that path on one tiny problem per target and checks it against
 ``emit_document`` and ``solve_problem``.  It also pins the bytes that
-``dcpc canonicalize`` writes for every benchmark problem at seed 1, and the
-bits of every benchmark solve at seed 1, so a change that moves any emitted
-byte or solver iterate fails here.
+``dcpc canonicalize`` writes for every benchmark problem at seed 1, under the
+target it picks and under ``--target qp``, and the bits of every benchmark
+solve at seed 1, so a change that moves any emitted byte or solver iterate
+fails here.
 """
 
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import sys
@@ -21,10 +23,10 @@ import numpy as np
 import pytest
 
 from dcpc.analyzer import apply_chain, select_target, solve_problem
-from dcpc.cli import emit_document
+from dcpc.cli import emit_document, main
 from dcpc.parsing import parse_problem
 
-from helpers import PROBES
+from helpers import PROBES, assert_no_affine_atom
 
 RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
@@ -178,6 +180,11 @@ def test_canon_scalar_parses_to_few_nodes(bench, seed_one_cases):
     assert nodes <= 8915
 
 
+def test_no_atom_node_is_affine_in_any_benchmark_stage(seed_one_cases):
+    for text in seed_one_cases.values():
+        assert_no_affine_atom(parse_problem(text))
+
+
 def test_benchmark_documents_keep_their_bytes(seed_one_cases):
     assert seed_one_cases.keys() == DOCUMENT_SHA256.keys()
     for key, text in seed_one_cases.items():
@@ -187,6 +194,47 @@ def test_benchmark_documents_keep_their_bytes(seed_one_cases):
         doc = emit_document(data, report.chain_names).render()
         assert hashlib.sha256(doc.encode()).hexdigest() == DOCUMENT_SHA256[key], key
 
+
+# sha256 of ``dcpc canonicalize --target qp`` on each benchmark problem at
+# seed 1: its exit code, stdout and stderr, since the QP target rejects the
+# cone problems; keyed as above.
+QP_DOCUMENT_SHA256 = {
+    ("canon-scalar", 0): "8e8cd8d2eb9ed33015b5546fcb2165f3eed033044b43bd1af7c1825e4d7c2451",
+    ("canon-scalar", 1): "7dc70f1448085528a5c493567a85f3a53df8b56967864e78272e693188d29773",
+    ("canon-scalar", 2): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
+    ("solve-dense", 0): "839a52ffb49d030d97b551647027159fe74cc646ed7a91bcef04f19003a023e2",
+    ("solve-dense", 1): "7234db0b8da04eae1b7a056c84a00ca9ecc0aa6f1d9d97dcea0c10bcf8ccd823",
+    ("solve-dense", 2): "567628234f8d862fd5623354383ef214720f41e4cbed94b33750ba4dda6e8302",
+    ("solve-dense", 3): "14166ae06c6594fe9e511678bf8138452454596493544fa78a6a62f8b307e9be",
+    ("solve-dense", 4): "eba7b530d26b285e043b100d88f481f65da6cbd8d4da7a08ff71f3d88348136e",
+    ("solve-dense", 5): "db2b90223c7c847bd091b80e9937464bfd8512e2891810568dca4dd561d00080",
+    ("solve-dense", 6): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
+    ("solve-dense", 7): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
+    ("solve-dense", 8): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
+    ("solve-dense", 9): "843cd643b476e74e8115d1d29c229d758c486daf1b9c35b54262f5e62d7f8025",
+    ("solve-dense", 10): "9cd731750d297b738bf755ccfa5d1e820a5955bccfcf3d0058d2d8d97103bd61",
+    ("solve-dense", 11): "bde3d826d6400b5d2fd449c5077f29757f0ff55ec27d8ebc7e22c1899e2e860b",
+    ("solve-dense", 12): "3f523392519afb6c02c42ffc04b5ceb4d0577879229163099e0d27b971acedcf",
+    ("solve-dense", 13): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
+    ("solve-dense", 14): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
+    ("solve-wide", 0): "810c3ef1dc8c8fb9dea3901888b55e0cedfaf2099cb88baef099d3477179ccd1",
+    ("solve-wide", 1): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
+    ("solve-wide", 2): "baa3095c628a58df562d01916b11f961322f67c980dd1aec70f53d55325e6dc2",
+    ("solve-wide", 3): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
+    ("solve-wide", 4): "719574892713421f635a6ec93283756cd04623655a47e737c92128ba60513237",
+    ("solve-wide", 5): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
+}
+
+
+def test_forced_qp_documents_keep_their_bytes(seed_one_cases, tmp_path):
+    assert seed_one_cases.keys() == QP_DOCUMENT_SHA256.keys()
+    path = tmp_path / "problem.cvx"
+    for key, text in seed_one_cases.items():
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["canonicalize", str(path), "--target", "qp"], out, err)
+        digest = hashlib.sha256(f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode())
+        assert digest.hexdigest() == QP_DOCUMENT_SHA256[key], key
 
 # sha256 of each benchmark solve at seed 1: its status, iteration count, value
 # repr and message, then the primal bytes in variable-id order, keyed as above.

@@ -349,7 +349,7 @@ class TestNumericOverflow:
 
     @pytest.mark.parametrize("target", ["auto", "qp", "cone"])
     def test_overflowing_constant_product_exits_7(self, write, target):
-        # 1e200*1e200 overflows, so it stays a product and is not folded.
+        # 1e200*1e200 overflows where the parser builds it.
         path = write("var x; minimize 1e200*1e200*square(x);")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy warning may escape
@@ -363,8 +363,8 @@ class TestNumericOverflow:
     @pytest.mark.parametrize("target", ["auto", "lp", "qp", "cone"])
     def test_overflowing_constant_under_pwl_atom_exits_7(self, write, command,
                                                           target, presolve):
-        # The constant branch abs(1e200*1e200) is evaluated by stuffing, as
-        # every other constant subtree is.
+        # The constant branch abs(1e200*1e200) overflows where the parser
+        # builds it, as every other constant subtree is folded there.
         path = write("var x; minimize max(x, abs(1e200*1e200));")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy warning may escape
@@ -372,6 +372,27 @@ class TestNumericOverflow:
         assert code == 7
         assert out == ""
         assert err == "error: objective: a coefficient overflows to a non-finite value\n"
+
+    @pytest.mark.parametrize("text,where", [
+        ("var x; minimize 1e200*1e200*square(x);", "objective"),
+        ("var x; minimize x; subject to x >= -5; x*1e200*1e200 <= 1;", "constraint 1")])
+    def test_analyze_names_an_overflow_in_the_text(self, write, text, where):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli("analyze", write(text))
+        assert (code, out) == (7, "")
+        assert err == f"error: {where}: a coefficient overflows to a non-finite value\n"
+
+    @pytest.mark.parametrize("command", ["canonicalize", "solve"])
+    @pytest.mark.parametrize("target", ["auto", "lp", "qp", "cone"])
+    def test_overflow_made_in_the_chain_names_the_constraint(self, write, command, target):
+        # Both sides are finite; moving them to one side overflows.
+        path = write("var x; minimize abs(x); subject to 1e308*x <= -1e308*x;")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(command, path, "--target", target)
+        assert (code, out) == (7, "")
+        assert err == "error: constraint 0: a coefficient overflows to a non-finite value\n"
 
 
 class TestInternalErrors:

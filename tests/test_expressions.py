@@ -238,6 +238,9 @@ class TestAffineCoefficients:
         x = ex.var_ref(scalar_var())
         with pytest.raises(ex.NotAffineError, match="square"):
             ex.affine_coefficients(ex.add(ex.square(x), x))
+        # the first nonlinear atom in post-order, below every ancestor
+        with pytest.raises(ex.NotAffineError, match="'abs'"):
+            ex.affine_coefficients(ex.add(ex.neg(ex.abs_(x)), ex.square(x)))
 
     def test_constant_atom_subtree_is_fine(self):
         x = ex.var_ref(scalar_var())
@@ -263,6 +266,23 @@ class TestAffineCoefficients:
                     linear = linear + dense_rows(M, e.dim, asg[vid].size) @ asg[vid]
                 np.testing.assert_allclose(direct, linear, atol=1e-10)
             checked += 1
+
+
+class TestOverflowIsRaisedWhereBuilt:
+    """A value that overflows is an error where it is built, so no node of
+    affine curvature is an atom."""
+
+    def test_constant_product(self):
+        with pytest.raises(ex.ProblemError) as err:
+            ex.mul(ex.constant(1e200), ex.constant(1e200))
+        assert str(err.value) == ex.OVERFLOW
+
+    def test_sum_of_two_forms(self):
+        big = ex.mul(ex.constant(1e308), ex.var_ref(scalar_var()))
+        assert big.kind == "form"
+        with pytest.raises(ex.ProblemError) as err:
+            ex.add(big, big)
+        assert str(err.value) == ex.OVERFLOW
 
 
 class TestDcp:

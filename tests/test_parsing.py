@@ -279,6 +279,20 @@ def test_overflowing_literals_are_parse_errors(text, span):
     assert (got.line, got.column, got.length) == span
 
 
+@pytest.mark.parametrize("text,where", [
+    ("var x; minimize abs(1e200*1e200) + x;", "objective"),
+    ("var x; minimize x + 1e308*x + 1e308*x;", "objective"),
+    ("var x; minimize x; subject to x <= 1e308 + 1e308;", "constraint 0"),
+    ("var x[2]; minimize sum(x); subject to x >= 0; [1e308, 1] + [1e308, 1] >= x;",
+     "constraint 1"),
+])
+def test_overflowing_values_name_their_place(text, where):
+    # Each literal is finite; the value built from them is not.
+    with pytest.raises(ex.ProblemError) as info:
+        parse_problem(text)
+    assert str(info.value) == f"{where}: {ex.OVERFLOW}"
+
+
 def test_variable_occurrences_share_one_reference_node():
     p = parse_problem("var x[2]; minimize sum(x) + x[0] + x[1]; subject to x <= 1;")
     refs = [r for e in (p.objective, p.constraints[0].lhs) for n in ex.nodes(e)

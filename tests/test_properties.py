@@ -142,7 +142,7 @@ def _pwl_occurrences(expr, sigma):
         if node.atom in ("abs", "max") and not node.curvature.is_constant:
             found.append((node.curvature, s))
 
-    ex.fold(expr, leave, ex.nonconstant, ex.child_sign, sigma)
+    ex.fold(expr, leave, None, ex.child_sign, sigma)
     return found
 
 

@@ -478,7 +478,7 @@ class TestEliminatePwlAtoms:
         aux = [v for v in q.variables if v.name.startswith("_t")]
         assert len(aux) == 1  # only the outer max needed a variable
         live = [n.atom for _, e, _ in ex.walk_expressions(q)
-                for n in ex.nodes(e, ex.nonconstant) if not n.curvature.is_constant]
+                for n in ex.nodes(e) if not n.curvature.is_constant]
         assert not {"abs", "max"} & set(live)
         # the parser turns abs(-3) into the constant 3, so the max's second
         # row is 3 <= t

@@ -492,6 +492,18 @@ class TestTruthfulStatus:
         assert raw.status is Status.OPTIMAL
         assert raw.x[0] == pytest.approx(-5.0, abs=1e-5)
 
+    @pytest.mark.parametrize("objective", ["square(1e50*x)", "sum_squares(1e50*x)",
+                                           "square(1e100*x)", "square(1e200*x)"])
+    def test_subnormal_steps_certify_nothing(self, objective):
+        # The optimum is 0 at x = 0.  The iterate changes decay to
+        # subnormals, where A δx rounds to 0, so tests read on δ itself
+        # certified dual infeasibility at iteration 2325.
+        config = RewriterConfig(forced_target=TargetClass.CONE,
+                                settings=SolverSettings(max_iterations=2500))
+        outcome = solve_problem(parse_problem(f"var x; minimize {objective};"), config)
+        assert outcome.solution.status is Status.ITERATION_LIMIT
+        assert outcome.solution.primal[0].tolist() == [0.0]
+
     def test_large_net_coefficients_converge(self):
         # 300 terms cycling over x[k % 4]: net coefficients of +-75 in the
         # objective and 75 in the row.  Fixed rho with unscaled data stopped

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,17 +44,25 @@ _STATUS_EXIT = {
 
 
 def _format_float(x: float) -> str:
-    if x == 0.0:
-        x = 0.0  # normalize -0.0 so emissions are stable across paths
-    return "%.17g" % x
+    return "%.17g" % (x + 0.0)  # + 0.0 turns -0.0 into 0.0, stable across paths
 
 
-_BLOCK_CELLS = 1 << 16  # a matrix is written through dense blocks this large
-
-
-def _format_rows(block: np.ndarray) -> list[str]:
-    # + 0.0 normalizes -0.0 as _format_float does.
-    return [", ".join(["%.17g" % v for v in row]) for row in (block + 0.0).tolist()]
+def _matrix_rows(m) -> Iterator[str]:
+    """The rows of sparse ``m``'s dense array, formatting only the stored
+    entries; duplicates add in stored order from 0.0, as ``toarray`` adds them."""
+    m = sp.csr_matrix(m)
+    nrows, ncols = m.shape
+    keys, where = np.unique(np.repeat(np.arange(nrows), np.diff(m.indptr)) * ncols
+                            + m.indices, return_inverse=True)
+    values = np.bincount(where, weights=m.data, minlength=len(keys))
+    cells = [_format_float(v) for v in values.tolist()]
+    cols = (keys % max(ncols, 1)).tolist()
+    bounds = np.searchsorted(keys, np.arange(nrows + 1) * ncols).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        row = ["0"] * ncols
+        for i in range(lo, hi):
+            row[cols[i]] = cells[i]
+        yield ", ".join(row)
 
 
 def render_json(obj, indent=0) -> str:
@@ -70,20 +79,14 @@ def render_json(obj, indent=0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2:
-        obj = sp.csr_matrix(obj)  # one writer for every float matrix
-    if sp.issparse(obj):  # its dense array, a few rows at a time
-        obj = obj.tocsr()
-        step = max(1, _BLOCK_CELLS // max(obj.shape[1], 1))
-        rows = [row for lo in range(0, obj.shape[0], step)
-                for row in _format_rows(obj[lo:lo + step].toarray())]
-        if not rows:
-            return "[]"
-        return "[\n" + ",\n".join(f"{inner}[{r}]" for r in rows) + "\n" + pad + "]"
+    if sp.issparse(obj) or (isinstance(obj, np.ndarray) and obj.dtype.kind == "f"
+                            and obj.ndim == 2):  # one writer for every float matrix
+        rows = [f"{inner}[{r}]" for r in _matrix_rows(obj)]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]" if rows else "[]"
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind != "f" or obj.ndim != 1:
             return render_json(obj.tolist(), indent)
-        return "[" + _format_rows(obj[None])[0] + "]"
+        return "[" + ", ".join([_format_float(v) for v in obj.tolist()]) + "]"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -100,17 +103,10 @@ def render_json(obj, indent=0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _named_offsets(data) -> dict[str, list[int]]:
-    out = {}
-    for decl in data.variables:
-        start, length = data.var_offsets[decl.id]
-        out[decl.name] = [start, length]
-    return out
-
-
 def _data_payload(data, target: str) -> dict:
     """The lp and qp layouts split the rows at ``cones.zero`` into A, b, G, h."""
-    zero, offsets = data.cones.zero, _named_offsets(data)
+    zero = data.cones.zero
+    offsets = {decl.name: list(data.var_offsets[decl.id]) for decl in data.variables}
     A, b, G, h = data.A[:zero], data.b[:zero], data.A[zero:], data.b[zero:]
     if target == "lp":
         return {"c": data.q, "G": G, "h": h, "A": A, "b": b,

@@ -30,9 +30,9 @@ Parentheses, atom calls and unary minus nest at most 100 levels deep; sums
 and products of any length are fine.  A literal that overflows a float is
 an error at the literal; a value built from finite literals that overflows
 is an error that names the ``objective`` or ``constraint i`` it is in, as
-:func:`dcpc.analyzer.apply_chain` names an overflow in the chain.  Tokens
-carry only their character offset: spans are computed from token offsets
-only when an error is raised.
+:func:`dcpc.analyzer.apply_chain` names an overflow in the chain.  A token
+is its text alone; the parser keeps token positions, and a span is found by
+scanning the text again only when an error is raised.
 
 Affine subtrees become form leaves (see :mod:`dcpc.expressions`).  A
 ``+``/``-`` run keeps its scalar terms (``c*x[i]``, ``x[i]``, ``-x[i]``,
@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -81,38 +82,49 @@ _KEYWORDS = ("var", "minimize", "maximize", "subject", "to")
 # instead of a RecursionError.
 _MAX_NESTING = 100
 
-# Whitespace and comments match no named group; any other character is a
-# BAD token, so the pattern matches every position of the text.
+# A match is the blanks (whitespace, comments) before a token, then the token
+# as the one group: \Z is the empty EOF token and any other character a BAD
+# one, so no match fails after its blanks and long blanks cost linear time.
 _TOKEN_RE = re.compile(r"""
-    [ \t\r\n]+ | \#[^\n]*
-  | (?P<NUMBER>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<REL><=|>=|==)
-  | (?P<PUNCT>[;,()\[\]+\-*])
-  | (?P<BAD>.)
+    [ \t\r\n]* (?:\#[^\n]*[ \t\r\n]*)*
+    ( [;,()\[\]+\-*]
+    | [A-Za-z_][A-Za-z0-9_]*
+    | (?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?
+    | <=|>=|==
+    | .
+    | \Z )
 """, re.VERBOSE)
-
-# A token is a plain ``(kind, text, offset)`` tuple; kind is NUMBER, IDENT,
-# REL, PUNCT or EOF (a BAD token stops _tokenize).
-_Tok = tuple[str, str, int]
-_KIND, _TEXT, _OFFSET = 0, 1, 2
+_RELATIONS = {"<=": ex.Relation.LE, ">=": ex.Relation.GE, "==": ex.Relation.EQ}
+_FIXED_KINDS = {"": "EOF", **dict.fromkeys(_RELATIONS, "REL"),
+                **dict.fromkeys(";,()[]+-*", "PUNCT")}
 
 
-def _span(text: str, start: _Tok, end: _Tok) -> SourceSpan:
-    """The span from token ``start`` through ``end``, found only for an error."""
-    offset = start[_OFFSET]
+def _kind(tok: str) -> str:
+    """NUMBER, IDENT, REL, PUNCT, EOF or BAD, by the pattern's own classes: a
+    ``\\d`` is any Unicode decimal digit, an IDENT starts with ASCII."""
+    c = tok[:1]
+    if c.isdecimal() or (c == "." and len(tok) > 1):
+        return "NUMBER"
+    if c == "_" or (c.isascii() and c.isalpha()):
+        return "IDENT"
+    return _FIXED_KINDS.get(tok, "BAD")
+
+
+def _span(text: str, start: int, end: int) -> SourceSpan:
+    """The span of the tokens at positions ``start`` to ``end``, for an error."""
+    spans = [m.span(1) for m in islice(_TOKEN_RE.finditer(text), max(start, end) + 1)]
+    offset = spans[start][0]
     line_start = text.rfind("\n", 0, offset) + 1
-    length = max(1, end[_OFFSET] + len(end[_TEXT]) - offset)
+    length = max(1, spans[end][1] - offset)
     return SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1, length)
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    tokens = [(m.lastgroup, m.group(), m.start())
-              for m in _TOKEN_RE.finditer(text) if m.lastgroup]
-    for tok in tokens:
-        if tok[_KIND] == "BAD":
-            raise ParseError(f"unexpected character {tok[_TEXT]!r}", _span(text, tok, tok))
-    tokens.append(("EOF", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The token texts, ending with the EOF token ``""`` (twice after blanks)."""
+    tokens = _TOKEN_RE.findall(text)
+    pos = min((tokens.index(tok) for tok in set(tokens) if _kind(tok) == "BAD"), default=None)
+    if pos is not None:
+        raise ParseError(f"unexpected character {tokens[pos]!r}", _span(text, pos, pos))
     return tokens
 
 
@@ -120,7 +132,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         # Spare end tokens let parse_term look eight tokens ahead unchecked.
-        self.tokens = _tokenize(text) + [("EOF", "", len(text))] * 8
+        self.tokens = _tokenize(text) + [""] * 8
         self.pos = 0
         self.variables: list[ex.VariableDecl] = []
         # One reference node per declaration, shared by every occurrence:
@@ -130,49 +142,50 @@ class _Parser:
 
     # --- token plumbing -------------------------------------------------
 
-    def peek(self) -> _Tok:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
     def at(self, text: str) -> bool:
         # Keywords, punctuation and relations are told apart by text alone.
-        return self.tokens[self.pos][_TEXT] == text
+        return self.tokens[self.pos] == text
 
-    def advance(self) -> _Tok:
+    def advance(self) -> str:
         tok = self.tokens[self.pos]
-        if tok[_KIND] != "EOF":
+        if tok:
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Tok:
-        tok = self.peek()
-        if tok[_KIND] != kind or (text is not None and tok[_TEXT] != text):
+    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> int:
+        pos, tok = self.pos, self.tokens[self.pos]
+        if _kind(tok) != kind or (text is not None and tok != text):
             wanted = what or (text if text is not None else kind.lower())
-            raise ParseError(f"expected {wanted}, found {self.describe(tok)}", self.span(tok))
-        return self.advance()
+            raise ParseError(f"expected {wanted}, found {self.describe(tok)}", self.span(pos))
+        self.advance()
+        return pos
 
-    def describe(self, tok: _Tok) -> str:
-        return repr(tok[_TEXT]) if tok[_KIND] != "EOF" else "end of input"
+    def describe(self, tok: str) -> str:
+        return repr(tok) if tok else "end of input"
 
-    def span(self, start: _Tok, end: _Tok | None = None) -> SourceSpan:
-        return _span(self.text, start, end or start)
+    def span(self, start: int, end: int | None = None) -> SourceSpan:
+        return _span(self.text, start, start if end is None else end)
 
-    def prev(self) -> _Tok:
-        return self.tokens[max(0, self.pos - 1)]
+    def prev(self) -> int:
+        return max(0, self.pos - 1)
 
-    def nest(self, tok: _Tok, parse):
-        """Run ``parse()`` one nesting level below ``tok``."""
+    def nest(self, pos: int, parse):
+        """Run ``parse()`` one nesting level below the token at ``pos``."""
         if self.depth >= _MAX_NESTING:
-            raise ParseError("expression nested too deeply", self.span(tok))
+            raise ParseError("expression nested too deeply", self.span(pos))
         self.depth += 1
         node = parse()
         self.depth -= 1
         return node
 
-    def number(self, tok: _Tok) -> float:
-        """The value of a NUMBER token; a literal that overflows is an error."""
-        value = float(tok[_TEXT])
+    def number(self, pos: int) -> float:
+        """The value of the NUMBER at ``pos``; a literal that overflows is an error."""
+        value = float(self.tokens[pos])
         if math.isinf(value):
-            raise ParseError(f"number {tok[_TEXT]} is not finite", self.span(tok))
+            raise ParseError(f"number {self.tokens[pos]} is not finite", self.span(pos))
         return value
 
     # --- grammar --------------------------------------------------------
@@ -180,12 +193,10 @@ class _Parser:
     def parse(self) -> ex.ProblemForm:
         while self.at("var"):
             self.parse_vardecl()
-        sense_tok = self.peek()
-        if sense_tok[_TEXT] not in ("minimize", "maximize"):
-            raise ParseError("expected 'minimize' or 'maximize'", self.span(sense_tok))
-        self.advance()
-        sense = ex.Sense.MINIMIZE if sense_tok[_TEXT] == "minimize" else ex.Sense.MAXIMIZE
-        start = self.peek()
+        if self.peek() not in ("minimize", "maximize"):
+            raise ParseError("expected 'minimize' or 'maximize'", self.span(self.pos))
+        sense = ex.Sense.MINIMIZE if self.advance() == "minimize" else ex.Sense.MAXIMIZE
+        start = self.pos
         objective = self.parse_located("objective")
         if objective.dim != 1:
             raise ParseError(f"objective must be scalar, got dimension {objective.dim}",
@@ -196,30 +207,29 @@ class _Parser:
             self.advance()
             self.expect("IDENT", "to", what="'to'")
             constraints.append(self.parse_constraint(len(constraints)))
-            while self.peek()[_KIND] != "EOF":
+            while self.peek():
                 constraints.append(self.parse_constraint(len(constraints)))
-        tok = self.peek()
-        if tok[_KIND] != "EOF":
-            raise ParseError(f"unexpected trailing input {tok[_TEXT]!r}", self.span(tok))
+        if self.peek():
+            raise ParseError(f"unexpected trailing input {self.peek()!r}", self.span(self.pos))
         # Dimensions and names are checked above and every identifier resolved
         # through a declaration, so the trees need no second walk.
         return ex.ProblemForm(sense, objective, constraints, self.variables)
 
     def parse_vardecl(self):
         self.expect("IDENT", "var")
-        name_tok = self.expect("IDENT", what="variable name")
-        name = name_tok[_TEXT]
+        name_pos = self.expect("IDENT", what="variable name")
+        name = self.tokens[name_pos]
         if name in RESERVED_WORDS:
-            raise ParseError(f"'{name}' is a reserved word", self.span(name_tok))
+            raise ParseError(f"'{name}' is a reserved word", self.span(name_pos))
         if name in self.refs:
-            raise ParseError(f"variable '{name}' is already declared", self.span(name_tok))
+            raise ParseError(f"variable '{name}' is already declared", self.span(name_pos))
         dim = 1
         if self.at("["):
             self.advance()
-            dim_tok = self.expect("NUMBER", what="dimension")
-            dim_val = self.number(dim_tok)
+            dim_pos = self.expect("NUMBER", what="dimension")
+            dim_val = self.number(dim_pos)
             if not dim_val.is_integer() or dim_val < 1:
-                raise ParseError("dimension must be a positive integer", self.span(dim_tok))
+                raise ParseError("dimension must be a positive integer", self.span(dim_pos))
             dim = int(dim_val)
             self.expect("PUNCT", "]")
         self.expect("PUNCT", ";")
@@ -228,27 +238,21 @@ class _Parser:
         self.refs[name] = ex.var_ref(decl)
 
     def parse_constraint(self, i: int):
-        lhs_start = self.peek()
+        lhs_start = self.pos
         lhs = self.parse_located(f"constraint {i}")
-        rel_tok = self.peek()
-        if rel_tok[_KIND] != "REL":
-            raise ParseError("expected a relation ('<=', '>=', or '==')", self.span(rel_tok))
+        relation = _RELATIONS.get(self.peek())
+        if relation is None:
+            raise ParseError("expected a relation ('<=', '>=', or '==')", self.span(self.pos))
         self.advance()
         rhs = self.parse_located(f"constraint {i}")
-        after = self.peek()
-        if after[_KIND] == "REL":
-            raise ParseError("chained relations are not allowed", self.span(after))
+        if self.peek() in _RELATIONS:
+            raise ParseError("chained relations are not allowed", self.span(self.pos))
         self.expect("PUNCT", ";")
-        relation = {"<=": ex.Relation.LE, ">=": ex.Relation.GE,
-                    "==": ex.Relation.EQ}[rel_tok[_TEXT]]
         if lhs.dim != rhs.dim and 1 not in (lhs.dim, rhs.dim):
             raise ParseError(
                 f"constraint sides have dimensions {lhs.dim} and {rhs.dim}",
                 self.span(lhs_start, self.prev()))
         return (lhs, relation, rhs)
-
-    def parse_expr(self) -> ex.ExpressionNode:
-        return self.parse_additive()
 
     def parse_located(self, where: str) -> ex.ExpressionNode:
         """One side of the ``objective`` or ``constraint i`` named by ``where``;
@@ -258,14 +262,14 @@ class _Parser:
         except ex.ProblemError as err:
             raise ex.located_overflow(where) from err
 
-    def _build(self, fn, args, start: _Tok):
+    def _build(self, fn, args, start: int):
         try:
             return fn(*args)
         except ex.ExpressionError as err:
             raise ParseError(str(err), self.span(start, self.prev())) from err
 
-    def parse_additive(self) -> ex.ExpressionNode:
-        start = self.peek()
+    def parse_expr(self) -> ex.ExpressionNode:
+        start = self.pos
         run = _Run()
         node = None  # the run so far, once a term could not join the form
         plus = True
@@ -282,9 +286,9 @@ class _Parser:
                 term = _term_node(term)
                 node = term if node is None else \
                     self._build(ex.add if plus else ex.sub, (node, term), start)
-            if self.peek()[_TEXT] not in ("+", "-"):
+            if self.peek() not in ("+", "-"):
                 return run.node() if node is None else node
-            plus = self.advance()[_TEXT] == "+"
+            plus = self.advance() == "+"
 
     def parse_term(self):
         """One term of a sum.  A scalar ``c*x[i]``, ``x[i]``, ``-x[i]``,
@@ -292,36 +296,35 @@ class _Parser:
         the constant the term's form has, and a number as a float, both read
         straight off the tokens; any other term is parsed to a node."""
         toks, p = self.tokens, self.pos
-        neg = toks[p][_TEXT] == "-"
+        neg = toks[p] == "-"
         if neg:
             if self.depth >= _MAX_NESTING:
                 return self.parse_mult()
             p += 1
         coef = None
-        if toks[p][_KIND] == "NUMBER":
-            coef = float(toks[p][_TEXT])
+        if _kind(toks[p]) == "NUMBER":
+            coef = float(toks[p])
             if math.isinf(coef):
                 return self.parse_mult()
-            if toks[p + 1][_TEXT] != "*":
+            if toks[p + 1] != "*":
                 self.pos = p + 1
                 return -coef if neg else coef
             p += 2
-        tok = toks[p]
-        ref = self.refs.get(tok[_TEXT]) if tok[_KIND] == "IDENT" else None
+        ref = self.refs.get(toks[p])  # declared names are identifiers
         if ref is None:
             return self.parse_mult()
-        after = toks[p + 1][_TEXT]
+        after = toks[p + 1]
         if after == "[":
             idx = toks[p + 2]
-            i = float(idx[_TEXT]) if idx[_KIND] == "NUMBER" else math.nan
-            if not (toks[p + 3][_TEXT] == "]" and i.is_integer() and 0 <= i < ref.dim):
+            i = float(idx) if _kind(idx) == "NUMBER" else math.nan
+            if not (toks[p + 3] == "]" and i.is_integer() and 0 <= i < ref.dim):
                 return self.parse_mult()
             col, p = int(i), p + 4
         elif ref.dim == 1 and after != "(" and (neg or coef is not None):
             col, p = 0, p + 1
         else:
             return self.parse_mult()
-        if toks[p][_TEXT] == "*":
+        if toks[p] == "*":
             return self.parse_mult()
         self.pos = p
         if coef is None:
@@ -332,7 +335,7 @@ class _Parser:
         return ref, col, coef, coef * 0.0
 
     def parse_mult(self) -> ex.ExpressionNode:
-        start = self.peek()
+        start = self.pos
         node = self.parse_factor()
         while self.at("*"):
             self.advance()
@@ -341,11 +344,11 @@ class _Parser:
         return node
 
     def parse_factor(self) -> ex.ExpressionNode:
-        tok = self.peek()
-        if tok[_TEXT] == "-":
+        pos = self.pos
+        if self.peek() == "-":
             self.advance()
-            operand = self.nest(tok, self.parse_factor)
-            return self._build(ex.neg, (operand,), tok)
+            operand = self.nest(pos, self.parse_factor)
+            return self._build(ex.neg, (operand,), pos)
         return self.parse_primary()
 
     def parse_vector_literal(self) -> np.ndarray:
@@ -358,41 +361,41 @@ class _Parser:
         return np.array(values)
 
     def parse_primary(self) -> ex.ExpressionNode:
-        tok = self.peek()
-        kind, name = tok[_KIND], tok[_TEXT]
+        pos, name = self.pos, self.peek()
+        kind = _kind(name)
         if kind == "NUMBER":
             self.advance()
-            return ex.constant(self.number(tok))
+            return ex.constant(self.number(pos))
         if name == "[":
             return ex.constant(self.parse_vector_literal())
         if name == "(":
             self.advance()
-            node = self.nest(tok, self.parse_expr)
+            node = self.nest(pos, self.parse_expr)
             self.expect("PUNCT", ")")
             return node
         if kind == "IDENT":
             self.advance()
             if self.at("("):
                 if name not in _ATOM_NAMES:
-                    raise ParseError(f"unknown atom '{name}'", self.span(tok))
+                    raise ParseError(f"unknown atom '{name}'", self.span(pos))
                 self.advance()
-                args = self.nest(tok, self.parse_arguments)
-                return self._build(ex.apply_atom, (name, tuple(args)), tok)
+                args = self.nest(pos, self.parse_arguments)
+                return self._build(ex.apply_atom, (name, tuple(args)), pos)
             if name in RESERVED_WORDS:
-                raise ParseError(f"'{name}' is a reserved word", self.span(tok))
+                raise ParseError(f"'{name}' is a reserved word", self.span(pos))
             if name not in self.refs:
-                raise ParseError(f"unknown identifier '{name}'", self.span(tok))
+                raise ParseError(f"unknown identifier '{name}'", self.span(pos))
             node = self.refs[name]
             if self.at("["):
                 self.advance()
-                idx_tok = self.expect("NUMBER", what="index")
-                idx_val = self.number(idx_tok)
+                idx_pos = self.expect("NUMBER", what="index")
+                idx_val = self.number(idx_pos)
                 if not idx_val.is_integer():
-                    raise ParseError("index must be an integer", self.span(idx_tok))
+                    raise ParseError("index must be an integer", self.span(idx_pos))
                 self.expect("PUNCT", "]")
-                node = self._build(ex.index, (node, int(idx_val)), tok)
+                node = self._build(ex.index, (node, int(idx_val)), pos)
             return node
-        raise ParseError(f"expected an expression, found {self.describe(tok)}", self.span(tok))
+        raise ParseError(f"expected an expression, found {self.describe(name)}", self.span(pos))
 
     def parse_arguments(self) -> list[ex.ExpressionNode]:
         args = [self.parse_expr()]
@@ -558,8 +561,8 @@ def _print_expr(expr: ex.ExpressionNode) -> str:
         need, sep = context
         tail = ""
         if node.kind == "const":
-            values = [format_number(float(v)) for v in node.payload]
-            head = values[0] if node.dim == 1 else "[" + ", ".join(values) + "]"
+            head = format_number(float(node.payload[0])) if node.dim == 1 \
+                else _vector_text(node.payload)
             level = _LEVEL_UNARY if head.startswith("-") else _LEVEL_FACTOR
         elif node.kind == "var":
             head, level = node.var_name, _LEVEL_FACTOR

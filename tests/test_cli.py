@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dcpc import cli
 from dcpc.analyzer import RewriterConfig, solve_problem
@@ -449,6 +450,66 @@ class TestRenderJson:
 
     def test_empty_matrix_renders_as_empty_list(self):
         assert render_json({"A": np.zeros((0, 3))}) == '{\n  "A": []\n}'
+
+
+def dense_reference(m, indent=0) -> str:
+    """A sparse matrix written through its whole dense array."""
+    rows = [", ".join(["%.17g" % v for v in row]) for row in (m.toarray() + 0.0).tolist()]
+    if not rows:
+        return "[]"
+    inner = "  " * (indent + 1)
+    return "[\n" + ",\n".join(f"{inner}[{r}]" for r in rows) + "\n" + "  " * indent + "]"
+
+
+def random_csr(rng, nrows, ncols):
+    """A CSR matrix with empty rows, repeated and unsorted column indices,
+    and stored 0.0 and -0.0 among values of every scale."""
+    counts = rng.integers(0, 2 * ncols + 2, nrows) * (rng.random(nrows) < 0.8) \
+        if ncols else np.zeros(nrows, dtype=int)
+    nnz = int(counts.sum())
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.1, 1e16, -1e16, 1e308, 5e-324, 1 / 3])
+    data = np.where(rng.random(nnz) < 0.4, rng.choice(pool, nnz),
+                    rng.standard_normal(nnz) * 10.0 ** rng.integers(-20, 20, nnz))
+    indices = rng.integers(0, max(ncols, 1), nnz)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csr_matrix((data, indices, indptr), shape=(nrows, ncols))
+
+
+class TestMatrixWriter:
+    """The writer formats only stored entries; it must give the bytes of
+    the whole dense array written cell by cell."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_sparse_matrices_match_the_dense_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        m = random_csr(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+        before = (m.data.copy(), m.indices.copy(), m.indptr.copy())
+        for indent in (0, 2):
+            assert render_json(m, indent) == dense_reference(m, indent)
+        assert all(np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(before, (m.data, m.indices, m.indptr)))
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (1, 1)])
+    def test_degenerate_shapes_match_the_dense_reference(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(5):
+            m = random_csr(rng, *shape)
+            assert render_json(m) == dense_reference(m)
+            assert render_json(m.toarray()) == dense_reference(m)
+
+    def test_duplicates_add_in_stored_order(self):
+        # (1e16 + 1) - 1e16 is 0 but (1e16 - 1e16) + 1 is 1: the writer must
+        # add repeated entries in the order toarray adds them.
+        values = [1e16, 1.0, -1e16, 1.0, 2.0, -0.0]
+        m = sp.csr_matrix((values, [3, 3, 3, 0, 1, 2], [0, 6]), shape=(1, 4))
+        assert render_json(m) == dense_reference(m) == "[\n  [1, 2, 0, 0]\n]"
+        long_row = np.tile(values, 20)
+        m = sp.csr_matrix((long_row, np.tile([3, 3, 3, 0, 1, 2], 20), [0, 120]), shape=(1, 4))
+        assert render_json(m) == dense_reference(m)
+
+    def test_negative_zero_entries_write_as_zero(self):
+        m = sp.csr_matrix(([-0.0, -0.0, 0.0], [0, 1, 1], [0, 3]), shape=(1, 3))
+        assert render_json(m) == "[\n  [0, 0, 0]\n]"
 
 
 def test_module_entrypoint_runs(tmp_path):

@@ -156,6 +156,7 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> int:
+        """Consume a token of ``kind`` (and ``text``, if given); its position."""
         pos, tok = self.pos, self.tokens[self.pos]
         if _kind(tok) != kind or (text is not None and tok != text):
             wanted = what or (text if text is not None else kind.lower())

@@ -316,8 +316,8 @@ class _Parser:
             return self.parse_mult()
         after = toks[p + 1]
         if after == "[":
-            idx = toks[p + 2]
-            i = float(idx) if _kind(idx) == "NUMBER" else math.nan
+            idx = toks[p + 2]  # a NUMBER that starts with "." is no integer
+            i = float(idx) if idx[:1].isdecimal() else math.nan
             if not (toks[p + 3] == "]" and i.is_integer() and 0 <= i < ref.dim):
                 return self.parse_mult()
             col, p = int(i), p + 4

@@ -214,8 +214,9 @@ class ProgramData:
 
     K is ``cones``: equality rows, then inequality rows, then SOC blocks.  An
     LP has no ``P`` (None) and no SOC, a QP no SOC, a cone program no ``P``.
-    ``A`` and ``P`` are ``scipy.sparse`` CSR matrices; dense or other sparse
-    input is converted once, here, so every reader sees one type.
+    ``A`` and ``P`` are canonical ``scipy.sparse`` CSR matrices (sorted
+    column indices, no duplicate entry); other input is converted once, here,
+    so every reader sees one form.
     """
 
     P: sp.csr_matrix | None
@@ -230,8 +231,11 @@ class ProgramData:
     def __post_init__(self):
         for name in ("A", "P"):
             M = getattr(self, name)
-            if M is not None and not isinstance(M, sp.csr_matrix):
-                object.__setattr__(self, name, sp.csr_matrix(M, dtype=float))
+            if M is not None and not (isinstance(M, sp.csr_matrix)
+                                      and M.has_canonical_format):
+                M = sp.csr_matrix(M, dtype=float, copy=True)
+                M.sum_duplicates()
+                object.__setattr__(self, name, M)
         m, n = self.cones.total, self.q.size
         if self.A.shape != (m, n) or self.b.shape != (m,):
             raise ValueError(f"A {self.A.shape} and b {self.b.shape} do not "

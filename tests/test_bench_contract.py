@@ -21,12 +21,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from dcpc import solvers
 from dcpc.analyzer import apply_chain, select_target, solve_problem
 from dcpc.cli import emit_document, main
 from dcpc.parsing import parse_problem
 
-from helpers import PROBES, assert_no_affine_atom
+from helpers import PROBES, assert_no_affine_atom, bench_workloads
 
 RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
@@ -254,12 +256,12 @@ SOLVE_SHA256 = {
     ("solve-dense", 12): "5f02bcb29ffa3bac56abc8b7d32415d8f2c4d2f425dfe02d29f7321178208a09",
     ("solve-dense", 13): "a0b46f250e53e1d6422837e84d0a212a582d53237addb49521803ab5d4399158",
     ("solve-dense", 14): "5f02bcb29ffa3bac56abc8b7d32415d8f2c4d2f425dfe02d29f7321178208a09",
-    ("solve-wide", 0): "2cc0f78f2eb4dd40b8c3f91a25f7d79df697cb674bf2001dad66b567dbcd8dba",
-    ("solve-wide", 1): "48fd9ac142708a83c33b0e7d271069f698b5a8cfea4eedef34385df4c1e2191f",
-    ("solve-wide", 2): "3f5b287ed3bc715f72fc1d5249a341b35fa97eac63ba6ba76720d1c7e3be3d8a",
-    ("solve-wide", 3): "fbfced197b2aa8e88b3c286c3efe211afb8416e13553eac4f4d985470cd4643a",
-    ("solve-wide", 4): "3523e5db9f2fe7af4d836e271765747e1e4f940460e2f2a167ff49aa454525aa",
-    ("solve-wide", 5): "45ddf5482d4833023c228068e445c4c693c1e29a7e68d9428610b887cf8a43cc",
+    ("solve-wide", 0): "9c1745eb59006e9eb0f4bfc21a72ec5a86e228db2458c3d1066a1755d2150137",
+    ("solve-wide", 1): "e6efeb62ea8b64842b876ebbc34bc6384a78bb4baa635f6c242f7698365f6d04",
+    ("solve-wide", 2): "43169a387705c72c51e79b22719312e1ad55822f323bf98207f47ccc5af1faec",
+    ("solve-wide", 3): "18bd90c64b2c67e5e0e1b4b70f5710129cee60cd9dbd4e4cd6328d8da32cf307",
+    ("solve-wide", 4): "21d4982bd556bba0cc615ecb7c1c7b0f79849d6552f16cb2875937e1cbd1c048",
+    ("solve-wide", 5): "b2fed93f4a37168b039f0525a04258c67080008da17e0a8c8d0a18b08697fd54",
 }
 
 
@@ -279,3 +281,54 @@ def test_benchmark_solves_keep_their_bits(seed_one_cases):
     assert solves.keys() == SOLVE_SHA256.keys()
     for key, text in solves.items():
         assert solve_digest(text) == SOLVE_SHA256[key], key
+
+
+# (workload, position in make_cases) of the seed-1 problems the splitting solver takes
+SOLVE_FAMILIES = {("solve-dense", i): f"{family}-{i}" for i, family in
+                  ((3, "qp"), (4, "qp"), (5, "qp"), (6, "cone"), (7, "cone"), (8, "cone"))}
+SOLVE_FAMILIES.update({("solve-wide", i): f"wide-{i}" for i in range(6)})
+
+
+def first_kkt(text):
+    """The splitting solver's KKT matrix of ``text`` at its first ρ."""
+    problem = parse_problem(text)
+    data, _ = apply_chain(select_target(problem).chain, problem)
+    n = data.q.size
+    P = sp.csr_matrix((n, n)) if data.P is None else data.P
+    _, _, P, A = solvers._equilibrate(P, data.A, data.cones)
+    kkt = solvers._kkt(P, A)
+    eq = np.arange(A.shape[0]) < data.cones.zero
+    kkt.data[kkt.indptr[n + 1:] - 1] = -1.0 / (np.where(eq, solvers._EQ_RHO_SCALE, 1.0)
+                                               * solvers._RHO0)
+    return kkt
+
+
+def test_kkt_ordering_side_of_each_benchmark_family(seed_one_cases):
+    # box rows give wide KKT columns 5 entries against √N >= 30; dense rows
+    # give 20 to 43 against √N from 9 to 17
+    sides = {}
+    for (workload, i), text in seed_one_cases.items():
+        name = SOLVE_FAMILIES.get((workload, i))
+        if name is not None:
+            sides[name] = solvers._orders_symmetrically(first_kkt(text))
+    assert sides == {name: name.startswith("wide") for name in SOLVE_FAMILIES.values()}
+
+
+def assert_small_residual(kkt):
+    r = np.random.default_rng(kkt.shape[0]).normal(size=kkt.shape[0])
+    residual = kkt @ solvers._factor(kkt, {}).solve(r) - r
+    assert np.abs(residual).max() <= 1e-12 * np.abs(r).max()
+
+
+def test_kkt_solves_are_accurate_on_both_sides(seed_one_cases):
+    for key in SOLVE_FAMILIES:
+        assert_small_residual(first_kkt(seed_one_cases[key]))
+
+
+@pytest.mark.parametrize("family", ["wide-qp", "wide-cone"])
+def test_wide_kkt_solve_is_accurate_at_n_1000(family):
+    # a symmetric ordering with no diagonal pivot threshold left 7e-10 here
+    case = bench_workloads().wide_case(np.random.default_rng(1000), family, 1000)
+    kkt = first_kkt(case.text)
+    assert solvers._orders_symmetrically(kkt)
+    assert_small_residual(kkt)

@@ -264,6 +264,27 @@ def test_error_corpus_messages_and_spans(text, message, where):
     assert (span.line, span.column, span.length) == where
 
 
+@pytest.mark.parametrize("index,as_int", [("1e0", "1"), ("1.0", "1"), ("\u0663", "3")])
+def test_integral_number_indexes_a_scalar_term(index, as_int):
+    # the sum's scalar terms take their index straight off the token
+    text = "var x[4];\nminimize 2*x[{}] + x[{}] - x[0];"
+    assert problems_structurally_equal(parse_problem(text.format(index, index)),
+                                       parse_problem(text.format(as_int, as_int)))
+
+
+@pytest.mark.parametrize("text,where", [
+    ("var y[2];\nminimize y[.5] + 1;", (2, 12, 2)),
+    ("var y[2];\nminimize 1 - y[.5];", (2, 16, 2)),
+    ("var y[2];\nminimize 2*y[1.5] + y[0];", (2, 14, 3)),
+    ("var y[2];\nminimize y[0] - y[1.5];", (2, 19, 3)),
+])
+def test_fractional_index_of_a_scalar_term_is_an_error(text, where):
+    with pytest.raises(ParseError, match="index must be an integer") as info:
+        parse_problem(text)
+    got = info.value.span
+    assert (got.line, got.column, got.length) == where
+
+
 @pytest.mark.parametrize("text,span", [
     ("var x[1e400]; minimize 1;", (1, 7, 5)),
     ("var x[2];\nminimize x[1e400];", (2, 12, 5)),

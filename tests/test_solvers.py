@@ -84,6 +84,17 @@ class TestProgramData:
             np.testing.assert_array_equal(got.toarray(), want)
             assert got.nnz == np.count_nonzero(want)
 
+    def test_unsorted_csr_input_becomes_canonical(self):
+        # row 0 lists column 1 before 0 and column 1 twice; the caller's
+        # matrix keeps its layout
+        A = sp.csr_matrix((np.array([1.0, 2.0, 4.0, 0.0]), np.array([1, 0, 1, 0]),
+                           np.array([0, 3, 4])), shape=(2, 2))
+        data = ProgramData(None, np.zeros(2), 0.0, A, np.zeros(2),
+                           ConeDims(0, 2, ()), {}, ())
+        assert data.A.has_canonical_format and data.A.indices.tolist() == [0, 1, 0]
+        assert data.A.data.tolist() == [2.0, 5.0, 0.0]
+        assert A.indices.tolist() == [1, 0, 1, 0]
+
 
 class TestSolverSettings:
     def test_defaults(self):
@@ -451,6 +462,104 @@ class TestConeAdmm:
         assert raw.status is Status.INFEASIBLE and raw.iterations <= 100
         assert raw.message == "certificate of primal infeasibility"
 
+
+
+def equilibrate_coo(P, A, cones):
+    """The COO form of ``solvers._equilibrate``: ``ufunc.at`` maxima over the
+    triplets and a COO-built CSR of the scaled entries."""
+    P, A = P.tocoo(), A.tocoo()
+    m, n = A.shape
+    d, e = np.ones(n), np.ones(m)
+    head = cones.zero + cones.nonneg
+    starts = np.cumsum((0,) + cones.soc[:-1], dtype=np.intp)
+    for _ in range(solvers._RUIZ_PASSES):
+        a = np.abs(A.data) * e[A.row] * d[A.col]
+        col, row = np.zeros(n), np.zeros(m)
+        np.fmax.at(col, P.col, np.abs(P.data) * d[P.row] * d[P.col])
+        np.fmax.at(col, A.col, a)
+        np.fmax.at(row, A.row, a)
+        if cones.soc:
+            row[head:] = np.repeat(np.fmax.reduceat(row[head:], starts), cones.soc)
+        d /= np.sqrt(np.where(col < 1e-4, 1.0, np.minimum(col, 1e4)))
+        e /= np.sqrt(np.where(row < 1e-4, 1.0, np.minimum(row, 1e4)))
+    return d, e, *(sp.csr_matrix((M.data * s[M.row] * d[M.col], (M.row, M.col)),
+                                 shape=M.shape) for M, s in ((P, d), (A, e)))
+
+
+def random_program(rng, n, cones, quadratic=True, nan=False):
+    """ProgramData with random sparse ``P`` and ``A`` in [-1e3, 1e3]: some rows
+    and columns empty, a tenth of the stored entries zero, and one NaN."""
+    m = cones.total
+
+    def sparse(rows, cols, density):
+        dense = np.where(rng.random((rows, cols)) < density,
+                         rng.uniform(-1.0, 1.0, (rows, cols)) * 10.0 ** rng.integers(-3, 4),
+                         0.0)
+        dense[rng.random(rows) < 0.2] = 0.0
+        dense[:, rng.random(cols) < 0.2] = 0.0
+        r, c = np.nonzero(dense)
+        vals = np.where(rng.random(r.size) < 0.1, 0.0, dense[r, c])
+        if nan and vals.size:
+            vals[rng.integers(vals.size)] = math.nan
+        return sp.csr_matrix((vals, (r, c)), shape=(rows, cols))
+
+    P = None
+    if quadratic:
+        B = sparse(n, n, 0.3)
+        P = B + B.T
+        P.data[rng.random(P.nnz) < 0.1] = 0.0
+    return ProgramData(P, rng.normal(size=n), 0.0, sparse(m, n, 0.3), rng.normal(size=m),
+                       cones, {}, ())
+
+
+SETUP_CASES = [  # (n, cones, quadratic)
+    (6, ConeDims(2, 5, ()), True),
+    (6, ConeDims(0, 4, ()), False),
+    (5, ConeDims(0, 0, ()), True),  # no rows, as probe-qp-unbounded
+    (5, ConeDims(0, 0, ()), False),
+    (8, ConeDims(1, 3, (3, 4, 3, 2)), False),
+    (7, ConeDims(0, 2, (5, 1)), True),
+    (30, ConeDims(4, 20, (4, 4, 6)), True),
+]
+
+
+class TestSplittingSetup:
+    """The solver's setup against the COO and ``sp.bmat`` forms it replaced,
+    bit for bit: any difference would move every splitting iterate."""
+
+    @staticmethod
+    def same_bits(M, N):
+        return all(getattr(M, k).dtype == getattr(N, k).dtype
+                   and getattr(M, k).tobytes() == getattr(N, k).tobytes()
+                   for k in ("indptr", "indices", "data"))
+
+    @pytest.mark.parametrize("n, cones, quadratic", SETUP_CASES)
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_equilibrate_matches_coo_form(self, n, cones, quadratic, nan):
+        for seed in range(5):
+            data = random_program(np.random.default_rng(seed), n, cones, quadratic, nan)
+            P = sp.csr_matrix((n, n)) if data.P is None else data.P
+            got = solvers._equilibrate(P, data.A, cones)
+            want = equilibrate_coo(P, data.A, cones)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert self.same_bits(got[2], want[2]) and self.same_bits(got[3], want[3])
+
+    @pytest.mark.parametrize("n, cones, quadratic", SETUP_CASES)
+    def test_kkt_matches_bmat(self, n, cones, quadratic):
+        m = cones.total
+        for seed in range(5):
+            data = random_program(np.random.default_rng(seed), n, cones, quadratic)
+            P = sp.csr_matrix((n, n)) if data.P is None else data.P
+            _, _, P, A = solvers._equilibrate(P, data.A, cones)
+            kkt = solvers._kkt(P, A)
+            want = sp.bmat([[P + solvers._SIGMA * sp.eye(n), A.T], [A, -sp.eye(m)]],
+                           format="csc")
+            assert self.same_bits(kkt, want)
+            # the -1/ρ entry closes each of the last m columns
+            diagonal = kkt.indptr[n + 1:] - 1
+            assert kkt.indices[diagonal].tolist() == list(range(n, n + m))
+            assert (kkt.data[diagonal] == -1.0).all()
 
 
 ROUTES = {"auto": RewriterConfig(), "admm": RewriterConfig(solver="admm"),

@@ -12,7 +12,7 @@ A quasi-definite matrix factors stably in any symmetric order (Vanderbei
 degree order of ``Aᵀ + A`` with diagonal pivots, as OSQP factors it: on box
 rows one solve with its factor then takes a quarter to four fifths of the
 time.  Denser matrices keep SuperLU's unsymmetric COLAMD default, because
-there the MMD ordering itself costs more than the solves save: about 45 ms
+there the MMD ordering itself costs more than the solves save: about 48 ms
 against 18 ms per factorization of a dense n = 160 QP's KKT matrix.
 """
 

@@ -194,7 +194,9 @@ class AtomDescriptor:
     of children (sign-dependent atoms inspect their argument's sign, and
     ``mul_const`` inspects the constant operand).  ``value`` is the numeric
     rule over the children's values and ``param``; its result broadcasts to
-    the atom's dimension.
+    the atom's dimension.  A convex atom holds its graph over its children
+    ``args``: ``pieces(args)``, the affine ``y_j`` with ``atom = max_j y_j``,
+    or ``cone(t, args)``, a ``(t', x)`` with ``atom <= t`` iff ``‖x‖ <= t'``.
     """
 
     name: str
@@ -206,6 +208,8 @@ class AtomDescriptor:
     sign_rule: Callable[[Sequence["ExpressionNode"]], Sign]
     monotonicity: Callable[[Sequence["ExpressionNode"], int], int]
     value: Callable[[Sequence[np.ndarray], int | None], np.ndarray]
+    pieces: Callable[[Sequence["ExpressionNode"]], tuple] | None = None
+    cone: Callable[["ExpressionNode", Sequence["ExpressionNode"]], tuple] | None = None
 
 
 def broadcast_dim(dims, where: str = "broadcast") -> int:
@@ -322,6 +326,12 @@ def _dim_index(children, param) -> int:
     return 1
 
 
+def _cone_quadratic(t, args) -> tuple:
+    # y·y <= t  iff  ‖(2y, 1 - t)‖ <= 1 + t, entry by entry for a vector square
+    one = constant(1.0)
+    return add(one, t), (mul(constant(2.0), args[0]), sub(one, t))
+
+
 ATOMS: dict[str, AtomDescriptor] = {
     "add": AtomDescriptor("add", 2, 2, Curvature.AFFINE, frozenset("AP"), _dim_broadcast,
                           _sign_add, _mono_increasing, lambda a, p: a[0] + a[1]),
@@ -336,17 +346,20 @@ ATOMS: dict[str, AtomDescriptor] = {
     "sum": AtomDescriptor("sum", 1, 1, Curvature.AFFINE, frozenset("AP"), _dim_scalar,
                           _sign_passthrough, _mono_increasing, lambda a, p: np.sum(a[0])),
     "max": AtomDescriptor("max", 2, -1, Curvature.CONVEX, frozenset("P"), _dim_broadcast,
-                          _sign_max, _mono_increasing, lambda a, p: reduce(np.maximum, a)),
+                          _sign_max, _mono_increasing, lambda a, p: reduce(np.maximum, a),
+                          pieces=tuple),
     "abs": AtomDescriptor("abs", 1, 1, Curvature.CONVEX, frozenset("P"), _dim_same,
-                          _sign_nonneg_image, _mono_sign_dependent, lambda a, p: np.abs(a[0])),
+                          _sign_nonneg_image, _mono_sign_dependent, lambda a, p: np.abs(a[0]),
+                          pieces=lambda a: (a[0], neg(a[0]))),
     "square": AtomDescriptor("square", 1, 1, Curvature.CONVEX, frozenset("Q"), _dim_same,
-                             _sign_nonneg_image, _mono_sign_dependent, lambda a, p: a[0] * a[0]),
+                             _sign_nonneg_image, _mono_sign_dependent, lambda a, p: a[0] * a[0],
+                             cone=_cone_quadratic),
     "sum_squares": AtomDescriptor("sum_squares", 1, 1, Curvature.CONVEX, frozenset("Q"),
                                   _dim_scalar, _sign_nonneg_image, _mono_sign_dependent,
-                                  lambda a, p: np.dot(a[0], a[0])),
+                                  lambda a, p: np.dot(a[0], a[0]), cone=_cone_quadratic),
     "norm2": AtomDescriptor("norm2", 1, 1, Curvature.CONVEX, frozenset("N"), _dim_scalar,
                             _sign_nonneg_image, _mono_sign_dependent,
-                            lambda a, p: np.linalg.norm(a[0])),
+                            lambda a, p: np.linalg.norm(a[0]), cone=lambda t, a: (t, a)),
 }
 
 ATOM_LABELS: dict[str, frozenset[str]] = {name: d.labels for name, d in ATOMS.items()}

@@ -15,13 +15,13 @@ import scipy.sparse as sp
 
 from .. import expressions as ex
 from ..expressions import OVERFLOW
-from .framework import Reduction, ReductionError
+from .framework import Reduction
 from .standard import CanonConstraint, CanonStage, smart_sub
 
 __all__ = [
     "SmithProblem", "SmithTransform", "RelaxSmith", "GraphExpand",
     "ConeDims", "ProgramData", "StuffCone", "stack_variables", "stack_rows",
-    "affine_row_data", "dense_rows", "require_finite", "OVERFLOW",
+    "affine_row_data", "dense_rows", "OVERFLOW",
 ]
 
 
@@ -132,10 +132,11 @@ class GraphExpand(Reduction):
     """Swap each relaxed atom inequality for its cone-constraint graph.
 
     Affine constraints map directly (EQ to a zero cone, LE/GE to the
-    nonnegative orthant); ``abs``/``max`` produce orthant rows, ``norm2`` a
-    second-order cone, and ``square``/``sum_squares`` the standard embedding
-    ``norm2((2y, 1-t)) <= 1+t``, as one block of cones, one per row, for
-    the elementwise ``square``.
+    nonnegative orthant).  An atom reads its graph from ``ex.ATOMS``: a
+    piecewise-linear atom gives one orthant row ``t - y`` per piece ``y``,
+    and any other one second-order cone, ``norm2`` its own and
+    ``square``/``sum_squares`` the embedding ``norm2((2y, 1-t)) <= 1+t``,
+    as one block of cones, one per row, for the elementwise ``square``.
     """
 
     name = "graph_expand"
@@ -157,8 +158,6 @@ class GraphExpand(Reduction):
 
     def apply(self, problem):
         self._check(problem)
-        one = ex.constant(1.0)
-        two = ex.constant(2.0)
         cones: list[CanonConstraint] = []
 
         def emit(kind, *args):
@@ -174,22 +173,12 @@ class GraphExpand(Reduction):
                     emit("nonneg", smart_sub(c.lhs, c.rhs))
                 continue
             t, f = c.rhs, c.lhs
-            if f.atom == "abs":
-                (y,) = f.children
-                emit("nonneg", smart_sub(t, y))
-                emit("nonneg", ex.add(t, y))
-            elif f.atom == "max":
-                for y in f.children:
+            desc = ex.ATOMS[f.atom]
+            if desc.pieces is None:
+                emit("soc", *desc.cone(t, f.children))
+            else:
+                for y in desc.pieces(f.children):
                     emit("nonneg", smart_sub(t, y))
-            elif f.atom == "norm2":
-                (y,) = f.children
-                emit("soc", t, (y,))
-            elif f.atom in ("sum_squares", "square"):  # a block of cones for square
-                (y,) = f.children
-                emit("soc", ex.add(one, t), (ex.mul(two, y), smart_sub(one, t)))
-            else:  # pragma: no cover - the atom set is closed
-                raise ReductionError(
-                    f"no graph implementation for atom '{f.atom}'")
         stage = CanonStage(problem.objective, tuple(cones),
                            tuple(problem.variables))
         return stage, self._record()
@@ -250,12 +239,6 @@ def stack_variables(variables) -> tuple[dict[int, tuple[int, int]], int]:
     return {v.id: (int(s), v.dim) for v, s in zip(variables, starts)}, int(starts[-1])
 
 
-def require_finite(*arrays) -> None:
-    """Reject stuffed data that a product of large constants overflowed."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ex.ProblemError(OVERFLOW)
-
-
 def affine_row_data(expr: ex.ExpressionNode,
                     var_offsets: dict[int, tuple[int, int]],
                     width: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -263,7 +246,6 @@ def affine_row_data(expr: ex.ExpressionNode,
 
     ``M`` is COO triplets ``(rows, cols, vals)`` in row-major order, with no
     zero entry, so its entries are exactly the nonzeros of the dense rows.
-    Every stuffer builds its rows here, so the finiteness check is here too.
     """
     coeffs, const = ex.affine_coefficients(expr)
     blocks = [(r, c + var_offsets[v][0], x) for v, (r, c, x) in coeffs.items()]
@@ -276,7 +258,6 @@ def affine_row_data(expr: ex.ExpressionNode,
     else:
         rows = cols = np.zeros(0, dtype=np.intp)
         vals = np.zeros(0)
-    require_finite(vals, const)
     if not vals.all():
         keep = vals != 0.0
         rows, cols, vals = rows[keep], cols[keep], vals[keep]

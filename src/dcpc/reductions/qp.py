@@ -17,8 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import expressions as ex
-from .cone import (ConeDims, ProgramData, affine_row_data, dense_rows,
-                   require_finite, stack_rows, stack_variables)
+from .cone import (ConeDims, ProgramData, affine_row_data, dense_rows, stack_rows,
+                   stack_variables)
 from .framework import Reduction, ReductionError
 from .standard import is_zero_constant
 
@@ -204,11 +204,12 @@ def quadratic_form(expr: ex.ExpressionNode,
     ``P`` is CSR, built from the Hessian's nonzeros with no dense square."""
     if expr.dim != 1:
         raise ReductionError("quadratic extraction needs a scalar expression")
-    with np.errstate(over="ignore", invalid="ignore"):  # require_finite reports it
+    with np.errstate(over="ignore", invalid="ignore"):  # a Hessian product may overflow
         blocks, k = _quad_pieces(expr, var_offsets, width)
     _, keys, vals = ex.coalesce(blocks.get("H", [_NO_ENTRIES]))  # affine: none
     Q = ex.coalesce(blocks["Q"])
-    require_finite(vals, Q[2], k)
+    if not all(np.isfinite(a).all() for a in (vals, Q[2], k)):
+        raise ex.ProblemError(ex.OVERFLOW)
     P = sp.csr_matrix((vals, (keys // width, keys % width)), shape=(width, width))
     P = 0.5 * (P + P.T)
     P.eliminate_zeros()  # a half that underflows

@@ -28,18 +28,13 @@ _ZERO = ex.constant(0.0)
 
 
 def is_zero_constant(e: ex.ExpressionNode) -> bool:
-    return e.kind == "const" and bool(np.all(e.payload == 0.0))
+    # a constant carries the sign of its value: ZERO when every entry is 0
+    return e.kind == "const" and e.sign is ex.Sign.ZERO
 
 
 def smart_sub(a: ex.ExpressionNode, b: ex.ExpressionNode) -> ex.ExpressionNode:
-    """``a - b`` with constant folding that keeps trees tidy."""
-    if is_zero_constant(b):
-        return a
-    if is_zero_constant(a):
-        return ex.neg(b)
-    if b.kind == "const":
-        return ex.add(a, ex.constant(-b.payload))
-    return ex.sub(a, b)
+    """``a - b``, or ``a`` itself when ``b`` is the zero constant."""
+    return a if is_zero_constant(b) else ex.sub(a, b)
 
 
 def trivially_infeasible_problem() -> ex.ProblemForm:
@@ -395,7 +390,7 @@ class PresolveFixedPoint(Reduction):
 
 
 class EliminatePwlAtoms(Reduction):
-    """Replace abs/max occurrences with epigraph variables and inequalities.
+    """Replace each abs/max with a variable ``t`` and a row ``y <= t`` per piece ``y``.
 
     Constraints produced for the objective come first, then, per user
     constraint, its epigraph rows followed by the rewritten constraint.  The
@@ -420,16 +415,11 @@ class EliminatePwlAtoms(Reduction):
             def leave(node, children, _):
                 if node.kind != "atom":
                     return node
-                if ex.ATOM_LABELS[node.atom] != {"P"}:
+                pieces = ex.ATOMS[node.atom].pieces
+                if pieces is None:
                     return ex.rebuild(node, children)
                 t = ex.var_ref(pool.fresh("_t", node.dim))
-                if node.atom == "max":
-                    for arg in children:
-                        cons.append((arg, ex.Relation.LE, t))
-                else:  # abs
-                    arg = children[0]
-                    cons.append((arg, ex.Relation.LE, t))
-                    cons.append((ex.neg(arg), ex.Relation.LE, t))
+                cons.extend((y, ex.Relation.LE, t) for y in pieces(children))
                 return t
 
             return ex.fold(expr, leave)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -148,8 +148,8 @@ def solve_lp_simplex(data: ProgramData,
     inequality rows ``Gx <= h`` get slacks, giving the equality standard form
     that the tableau iterates on.
     Phase one starts from the slack basis on rows with ``h >= 0``; only rows
-    with ``h < 0`` and equality rows get artificial variables, and an
-    optimum of their sum above 1e-9 certifies infeasibility.  Both phases
+    with ``h < 0`` and equality rows get artificial variables, and basic
+    artificials summing above 1e-9 after phase one certify infeasibility.  Both phases
     price as ``_run_phase`` says, so the method terminates.
     """
     if data.P is not None and data.P.count_nonzero():
@@ -183,7 +183,8 @@ def solve_lp_simplex(data: ProgramData,
     if outcome == "limit":
         return RawSolution(Status.ITERATION_LIMIT, np.zeros(n), math.nan, used,
                            "phase-1 iteration limit")
-    if -T[-1, -1] > 1e-9:
+    # the basic artificials' values: a large row can round them out of T[-1, -1]
+    if T[:-1, -1][basis >= N].sum() > 1e-9:
         return RawSolution(Status.INFEASIBLE, np.zeros(n), math.inf, used,
                            "artificial variables remain positive")
 
@@ -316,8 +317,9 @@ def solve_admm(data: ProgramData,
     then the changes ``δy``, ``δx`` since the last test for a certificate
     (Stellato et al., arXiv 1711.08013, §3.4; dual-cone tests of Banjac et
     al. 2019): infeasible when ``Aᵀδy ≈ 0``, ``bᵀδy < 0`` and ``δy ∈ K*``,
-    unbounded when ``Pδx ≈ 0``, ``qᵀδx < 0`` and ``-Aδx ∈ K``, each to
-    ``_CERT_EPS`` and read on ``δ/‖δ‖∞``.  At iterations 25·2^j it sets ρ
+    and a descent ray when ``Pδx ≈ 0``, ``qᵀδx < 0`` and ``-Aδx ∈ K``, each
+    to ``_CERT_EPS`` and read on ``δ/‖δ‖∞``; ``_decide_ray`` then tells
+    unbounded from infeasible.  At iterations 25·2^j it sets ρ
     to balance the scaled residuals (OSQP §5.2), refactoring when ρ moves
     more than ``_RHO_REFACTOR`` times; a ρ that changed at every test kept some
     degenerate problems from converging.  Iterates that overflow end the
@@ -382,8 +384,7 @@ def solve_admm(data: ProgramData,
                                "certificate of primal infeasibility", **stats)
         if (q @ dx < -eps and _inf_norm(P @ dx / d) <= eps
                 and _cone_gap(-(A @ dx) / e, cones, plan) <= eps):
-            return RawSolution(Status.UNBOUNDED, np.zeros(n), -math.inf, k,
-                               "certificate of dual infeasibility", **stats)
+            return _decide_ray(data, settings, k, stats)
         x_seen, y_seen = x, y
         if m and (k // 25) & (k // 25 - 1) == 0:  # k = 25·2^j
             ratio = (_inf_norm(r_prim) / (max(_inf_norm(Ax), _inf_norm(z)) + 1e-20)
@@ -394,6 +395,24 @@ def solve_admm(data: ProgramData,
                 rho_bar, factor = rho_new, None
     value = float(0.5 * x @ (P @ x) + q @ x)
     return RawSolution(status, d * x, value, k, message, **stats)
+
+
+def _decide_ray(data: ProgramData, settings: SolverSettings, k: int,
+                stats: dict) -> RawSolution:
+    """The answer once ``solve_admm`` certifies a descent ray at iteration ``k``:
+    a ray proves only "unbounded or infeasible", so the same rows are solved
+    with no objective and the same settings, where no ray passes.  The
+    iterations and factorization seconds count both solves."""
+    check = solve_admm(replace(data, P=None, q=np.zeros_like(data.q)), settings)
+    if check.status is Status.OPTIMAL:
+        status, value, message = Status.UNBOUNDED, -math.inf, "certificate of dual infeasibility"
+    elif check.status is Status.INFEASIBLE:
+        status, value, message = Status.INFEASIBLE, math.inf, check.message
+    else:
+        status, value, message = check.status, math.nan, (
+            f"a descent ray was certified, but feasibility was not decided: {check.message}")
+    return RawSolution(status, np.zeros_like(data.q), value, k + check.iterations, message,
+                       stats["factor_s"] + check.factor_s, check.factor_nnz)
 
 
 solve_qp_admm = solve_cone_admm = solve_admm  # the names the benchmark keys on

@@ -224,3 +224,59 @@ class TestAtomTable:
         assert "graph_expand" in report.chain_names
         data, _ = apply_chain(report.chain, problem)
         assert data.A.shape[0] > 0
+
+
+CONVEX_ATOMS = [n for n, d in ex.ATOMS.items() if d.curvature_class is ex.Curvature.CONVEX]
+
+
+class TestGraphs:
+    """Each convex atom's graph implementation, read from the table by
+    ``EliminatePwlAtoms`` and ``GraphExpand``."""
+
+    @pytest.mark.parametrize("name", ex.ATOMS)
+    def test_each_convex_atom_has_one_graph(self, name):
+        desc = ex.ATOMS[name]
+        has = (desc.pieces is not None, desc.cone is not None)
+        if desc.labels == {"P"}:
+            assert has == (True, False)
+        elif desc.labels in ({"N"}, {"Q"}):
+            assert has == (False, True)
+        else:
+            assert desc.curvature_class is ex.Curvature.AFFINE
+            assert has == (False, False)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("name", CONVEX_ATOMS)
+    def test_graph_holds_exactly_where_the_atom_is_below_t(self, name, dim):
+        # atom(y) <= t entry by entry exactly when every piece is <= t, or
+        # when each cone ‖x‖ <= t' holds, on points kept off the boundary
+        desc = ex.ATOMS[name]
+        rng = np.random.default_rng([dim, len(name), desc.arity_min])
+        decls = [ex.VariableDecl(i, f"y{i}", dim)
+                 for i in range(desc.arity_min + (desc.arity_max == -1))]
+        args = [ex.var_ref(d) for d in decls]
+        t_decl = ex.VariableDecl(len(decls), "t", ex.apply_atom(name, args).dim)
+        t = ex.var_ref(t_decl)
+        graph = desc.pieces(args) if desc.pieces else desc.cone(t, args)
+        parts = graph if desc.pieces else (graph[0], *graph[1])
+        assert all(e.curvature.is_affine for e in parts)
+        outcomes = set()
+        for _ in range(200):
+            ys = [rng.uniform(-2.0, 2.0, size=dim) for _ in decls]
+            value = np.broadcast_to(desc.value(ys, None), (t_decl.dim,))
+            gap = rng.uniform(0.05, 1.0, size=t_decl.dim) * rng.choice([-1.0, 1.0],
+                                                                       size=t_decl.dim)
+            point = {d.id: y for d, y in zip(decls, ys)}
+            point[t_decl.id] = tv = value + gap
+            if desc.pieces:
+                holds = np.all([ex.evaluate(y, point) <= tv for y in graph], axis=0)
+            else:
+                bound = ex.evaluate(graph[0], point)
+                xs = [ex.evaluate(x, point) for x in graph[1]]
+                if bound.size == 1:  # one cone over all the pieces
+                    holds = np.linalg.norm(np.concatenate(xs)) <= bound
+                else:  # one cone per entry
+                    holds = np.linalg.norm(np.stack(xs, axis=1), axis=1) <= bound
+            np.testing.assert_array_equal(holds, gap > 0)
+            outcomes.update(np.atleast_1d(holds).tolist())
+        assert outcomes == {True, False}

@@ -253,9 +253,9 @@ SOLVE_SHA256 = {
     ("solve-dense", 9): "48d66c7ba231dcd99e14ffa67bdfd45ace66eace409711c828b00782dd48b451",
     ("solve-dense", 10): "bdb5dbfb83c95a70289d77835a52141e856d38f42e7383c93c11881aa67ab47c",
     ("solve-dense", 11): "a0b46f250e53e1d6422837e84d0a212a582d53237addb49521803ab5d4399158",
-    ("solve-dense", 12): "5f02bcb29ffa3bac56abc8b7d32415d8f2c4d2f425dfe02d29f7321178208a09",
+    ("solve-dense", 12): "9e50b64017432a73c8ca9796259ec08a4da5b7659771446ec72a5037b974aab9",
     ("solve-dense", 13): "a0b46f250e53e1d6422837e84d0a212a582d53237addb49521803ab5d4399158",
-    ("solve-dense", 14): "5f02bcb29ffa3bac56abc8b7d32415d8f2c4d2f425dfe02d29f7321178208a09",
+    ("solve-dense", 14): "9e50b64017432a73c8ca9796259ec08a4da5b7659771446ec72a5037b974aab9",
     ("solve-wide", 0): "9c1745eb59006e9eb0f4bfc21a72ec5a86e228db2458c3d1066a1755d2150137",
     ("solve-wide", 1): "e6efeb62ea8b64842b876ebbc34bc6384a78bb4baa635f6c242f7698365f6d04",
     ("solve-wide", 2): "43169a387705c72c51e79b22719312e1ad55822f323bf98207f47ccc5af1faec",

@@ -151,6 +151,19 @@ class TestSimplex:
         assert raw.status is Status.OPTIMAL
         assert raw.value == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("text", [
+        "var y; var w; minimize w; subject to 3 + y <= y; w >= 4e20;",
+        "var y; var w; var z; minimize z; subject to 3 + y <= y; w >= 4e20;",
+    ])
+    def test_small_infeasibility_beside_a_large_row(self, text):
+        # The artificial of 3 <= 0 holds 3, but summed with the 4e20 row into
+        # the phase-one objective cell it rounded away: optimal at 4e20, or
+        # unbounded over a free z.
+        outcome = solve_problem(parse_problem(text))
+        assert outcome.report.target is TargetClass.LP
+        assert outcome.solution.status is Status.INFEASIBLE
+        assert outcome.raw.message == "artificial variables remain positive"
+
     def test_degenerate_vertex_terminates(self):
         raw = solve_lp_simplex(lp_data([-1.0, -1.0],
                                        [[1, 0], [0, 1], [1, 1]],
@@ -588,6 +601,46 @@ class TestTruthfulStatus:
         if outcome.report.target is not TargetClass.LP or route != "auto":
             assert outcome.raw.message.startswith("certificate of")
             assert outcome.raw.iterations <= 100
+
+    # A descent ray of each objective passes the certificate, but no point
+    # meets the rows; the no-objective solve after the ray decides infeasible.
+    RAY_OVER_NO_POINT = {
+        "square": "var x; var y; minimize square(x) - y; subject to x >= 1; x <= 0;",
+        "norm2": "var x; var y; minimize norm2(x) - y; subject to x >= 1; x <= 0;",
+        "constant-row": "var x; var y; minimize square(x) + y; subject to 3 <= 1;",
+    }
+
+    @pytest.mark.parametrize("route", [*ROUTES, "qp"])
+    @pytest.mark.parametrize("name", RAY_OVER_NO_POINT)
+    def test_ray_over_infeasible_rows_is_infeasible(self, name, route):
+        config = ROUTES.get(route, RewriterConfig(forced_target=TargetClass.QP))
+        outcome = solve_problem(parse_problem(self.RAY_OVER_NO_POINT[name]), config)
+        if name == "norm2" and route == "qp":
+            assert outcome.report.target is None  # not a QP
+            return
+        assert outcome.solution.status is Status.INFEASIBLE
+        assert outcome.raw.message == "certificate of primal infeasibility"
+        assert outcome.raw.iterations <= 100
+
+    def test_ray_check_counts_both_solves(self):
+        # min ½x² - y  s.t.  x >= 1, x <= 0: y is a descent ray
+        data = program_data([[1.0, 0.0], [0.0, 0.0]], [0.0, -1.0],
+                            G=[[-1.0, 0.0], [1.0, 0.0]], h=[-1.0, 0.0])
+        first = solve_qp_admm(data)
+        assert first.status is Status.INFEASIBLE
+        check = solve_qp_admm(program_data(None, [0.0, 0.0], G=[[-1.0, 0.0], [1.0, 0.0]],
+                                           h=[-1.0, 0.0]))
+        assert check.status is Status.INFEASIBLE
+        assert first.iterations == 25 + check.iterations
+
+    def test_undecided_ray_reports_no_point(self):
+        data = program_data(None, [0.0, -1.0], G=[[-1.0, 0.0], [1.0, 0.0]], h=[-1.0, 0.0])
+        raw = solvers._decide_ray(data, SolverSettings(max_iterations=2), 25,
+                                  {"factor_s": 0.5})
+        assert raw.status is Status.ITERATION_LIMIT
+        assert raw.iterations == 27 and raw.factor_s > 0.5
+        assert raw.x.tolist() == [0.0, 0.0] and math.isnan(raw.value)
+        assert "feasibility was not decided" in raw.message
 
     @pytest.mark.parametrize("rho", [0.01, 1.0, 100.0])
     def test_redundant_rows_certify_nothing(self, rho, monkeypatch):

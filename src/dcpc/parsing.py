@@ -30,18 +30,19 @@ Parentheses, atom calls and unary minus nest at most 100 levels deep; sums
 and products of any length are fine.  A literal that overflows a float is
 an error at the literal; a value built from finite literals that overflows
 is an error that names the ``objective`` or ``constraint i`` it is in, as
-:func:`dcpc.analyzer.apply_chain` names an overflow in the chain.  A token
-is its text alone; the parser keeps token positions, and a span is found by
-scanning the text again only when an error is raised.
+:func:`dcpc.analyzer.apply_chain` names an overflow in the chain.  Tokens
+are lexed one at a time, as the parser reaches them, and spans come from
+their offsets; when parsing fails, the text's first stray character is the
+error, wherever the parser stopped.
 
-Affine subtrees become form leaves (see :mod:`dcpc.expressions`).  A
-``+``/``-`` run keeps its scalar terms (``c*x[i]``, ``x[i]``, ``-x[i]``,
-numbers) as Python scalars and builds the form of its all-affine prefix
-once, at the first term that cannot join it or at its end, with the bits
-that adding the terms one at a time gives.  A run whose head is not affine
-keeps one ``add``/``sub`` node per term, so no sum is regrouped.  The
-printer writes a form as a sum in variable-id and column order that parses
-back to the same form, bit for bit.
+Affine subtrees become form leaves (see :mod:`dcpc.expressions`).  At each
+term of a ``+``/``-`` run, one pattern reads the longest stretch of plain
+scalar terms (``c*x[i]``, ``x[i]``, ``-x[i]``, ``c*x`` and ``-x`` on a
+scalar ``x``, numbers); the first term that is not plainly valid is parsed
+as any other.  A run builds the form of its all-affine prefix once, with the
+bits that adding the terms one at a time gives; a run whose head is not
+affine keeps one ``add``/``sub`` node per term.  The printer writes a form
+as a sum that parses back to the same form, bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
+from operator import add, lt
 
 import numpy as np
 
@@ -97,6 +100,17 @@ _TOKEN_RE = re.compile(r"""
 _RELATIONS = {"<=": ex.Relation.LE, ">=": ex.Relation.GE, "==": ex.Relation.EQ}
 _FIXED_KINDS = {"": "EOF", **dict.fromkeys(_RELATIONS, "REL"),
                 **dict.fromkeys(";,()[]+-*", "PUNCT")}
+# A plain term of a run: a sign (none at a run's head), a unary minus or
+# none, then c*x[i], x[i], c*x, x or a number c, and no '*', '(', '[' or
+# comment after it.  Its tokens match whole, as in _TOKEN_RE, and possessively,
+# so a failed match never backtracks.  The groups are its text, sign, minus,
+# coefficient, name, index and number; a last match, setting none, takes the rest.
+_BLANK = r"[ \t\r\n]*+"
+_NUMBER = r"(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?\d++)?+"
+_TERM_RE = re.compile(
+    rf"({_BLANK}([+-]?){_BLANK}(-?){_BLANK}(?:(?:({_NUMBER}){_BLANK}\*{_BLANK})?"
+    rf"([A-Za-z_][A-Za-z0-9_]*+)(?:{_BLANK}\[{_BLANK}(\d++){_BLANK}\])?|({_NUMBER})))"
+    rf"(?!{_BLANK}[*(\[#])|(?s:.+)")
 
 
 def _kind(tok: str) -> str:
@@ -110,13 +124,17 @@ def _kind(tok: str) -> str:
     return _FIXED_KINDS.get(tok, "BAD")
 
 
+def _location(text: str, start: int, end: int) -> SourceSpan:
+    """The span of the text from offset ``start`` to ``end``."""
+    line_start = text.rfind("\n", 0, start) + 1
+    return SourceSpan(text.count("\n", 0, start) + 1, start - line_start + 1,
+                      max(1, end - start))
+
+
 def _span(text: str, start: int, end: int) -> SourceSpan:
     """The span of the tokens at positions ``start`` to ``end``, for an error."""
     spans = [m.span(1) for m in islice(_TOKEN_RE.finditer(text), max(start, end) + 1)]
-    offset = spans[start][0]
-    line_start = text.rfind("\n", 0, offset) + 1
-    length = max(1, spans[end][1] - offset)
-    return SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1, length)
+    return _location(text, spans[start][0], spans[end][1])
 
 
 def _tokenize(text: str) -> list[str]:
@@ -131,106 +149,101 @@ def _tokenize(text: str) -> list[str]:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        # Spare end tokens let parse_term look eight tokens ahead unchecked.
-        self.tokens = _tokenize(text) + [""] * 8
-        self.pos = 0
+        self.last = 0  # where the last token consumed ends
+        self.lex(0)
+        self.rest = None  # (end, terms after) of a term a stretch found not plain
         self.variables: list[ex.VariableDecl] = []
-        # One reference node per declaration, shared by every occurrence:
-        # nodes are immutable and every walk is a tree fold.
+        # One reference node per declaration, shared by every occurrence.
         self.refs: dict[str, ex.ExpressionNode] = {}
         self.depth = 0
 
     # --- token plumbing -------------------------------------------------
 
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def at(self, text: str) -> bool:
-        # Keywords, punctuation and relations are told apart by text alone.
-        return self.tokens[self.pos] == text
+    def lex(self, offset: int) -> None:
+        """Make the token after ``offset`` the current one, ``tok``."""
+        m = _TOKEN_RE.match(self.text, offset)
+        self.tok, (self.start, self.end) = m.group(1), m.span(1)
 
     def advance(self) -> str:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok:
-            self.pos += 1
+            self.last = self.end
+            self.lex(self.end)
         return tok
 
-    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> int:
-        """Consume a token of ``kind`` (and ``text``, if given); its position."""
-        pos, tok = self.pos, self.tokens[self.pos]
+    def expect(self, kind: str, text: str | None = None, what: str | None = None):
+        """Consume a token of ``kind`` (and ``text``, if given); its offsets."""
+        tok, at = self.tok, (self.start, self.end)
         if _kind(tok) != kind or (text is not None and tok != text):
             wanted = what or (text if text is not None else kind.lower())
-            raise ParseError(f"expected {wanted}, found {self.describe(tok)}", self.span(pos))
+            found = repr(tok) if tok else "end of input"
+            raise ParseError(f"expected {wanted}, found {found}", self.here())
         self.advance()
-        return pos
+        return at
 
-    def describe(self, tok: str) -> str:
-        return repr(tok) if tok else "end of input"
+    def span(self, start: int, end: int) -> SourceSpan:
+        return _location(self.text, start, end)
 
-    def span(self, start: int, end: int | None = None) -> SourceSpan:
-        return _span(self.text, start, start if end is None else end)
+    def here(self) -> SourceSpan:
+        return self.span(self.start, self.end)
 
-    def prev(self) -> int:
-        return max(0, self.pos - 1)
-
-    def nest(self, pos: int, parse):
-        """Run ``parse()`` one nesting level below the token at ``pos``."""
+    def nest(self, at, parse):
+        """Run ``parse()`` one nesting level below the token at ``at``."""
         if self.depth >= _MAX_NESTING:
-            raise ParseError("expression nested too deeply", self.span(pos))
+            raise ParseError("expression nested too deeply", self.span(*at))
         self.depth += 1
         node = parse()
         self.depth -= 1
         return node
 
-    def number(self, pos: int) -> float:
-        """The value of the NUMBER at ``pos``; a literal that overflows is an error."""
-        value = float(self.tokens[pos])
-        if math.isinf(value):
-            raise ParseError(f"number {self.tokens[pos]} is not finite", self.span(pos))
-        return value
+    def number(self, what: str = "a number"):
+        """Consume a NUMBER: its value and offsets; a literal that overflows is an error."""
+        at = self.expect("NUMBER", what=what)
+        text = self.text[at[0]:at[1]]
+        if math.isinf(value := float(text)):
+            raise ParseError(f"number {text} is not finite", self.span(*at))
+        return value, at
 
     # --- grammar --------------------------------------------------------
 
     def parse(self) -> ex.ProblemForm:
-        while self.at("var"):
+        while self.tok == "var":
             self.parse_vardecl()
-        if self.peek() not in ("minimize", "maximize"):
-            raise ParseError("expected 'minimize' or 'maximize'", self.span(self.pos))
+        if self.tok not in ("minimize", "maximize"):
+            raise ParseError("expected 'minimize' or 'maximize'", self.here())
         sense = ex.Sense.MINIMIZE if self.advance() == "minimize" else ex.Sense.MAXIMIZE
-        start = self.pos
+        start = self.start
         objective = self.parse_located("objective")
         if objective.dim != 1:
             raise ParseError(f"objective must be scalar, got dimension {objective.dim}",
-                             self.span(start, self.prev()))
+                             self.span(start, self.last))
         self.expect("PUNCT", ";")
         constraints = []
-        if self.at("subject"):
+        if self.tok == "subject":
             self.advance()
             self.expect("IDENT", "to", what="'to'")
-            constraints.append(self.parse_constraint(len(constraints)))
-            while self.peek():
+            while self.tok or not constraints:
                 constraints.append(self.parse_constraint(len(constraints)))
-        if self.peek():
-            raise ParseError(f"unexpected trailing input {self.peek()!r}", self.span(self.pos))
+        if self.tok:
+            raise ParseError(f"unexpected trailing input {self.tok!r}", self.here())
         # Dimensions and names are checked above and every identifier resolved
         # through a declaration, so the trees need no second walk.
         return ex.ProblemForm(sense, objective, constraints, self.variables)
 
     def parse_vardecl(self):
         self.expect("IDENT", "var")
-        name_pos = self.expect("IDENT", what="variable name")
-        name = self.tokens[name_pos]
+        at = self.expect("IDENT", what="variable name")
+        name = self.text[at[0]:at[1]]
         if name in RESERVED_WORDS:
-            raise ParseError(f"'{name}' is a reserved word", self.span(name_pos))
+            raise ParseError(f"'{name}' is a reserved word", self.span(*at))
         if name in self.refs:
-            raise ParseError(f"variable '{name}' is already declared", self.span(name_pos))
+            raise ParseError(f"variable '{name}' is already declared", self.span(*at))
         dim = 1
-        if self.at("["):
+        if self.tok == "[":
             self.advance()
-            dim_pos = self.expect("NUMBER", what="dimension")
-            dim_val = self.number(dim_pos)
+            dim_val, dim_at = self.number("dimension")
             if not dim_val.is_integer() or dim_val < 1:
-                raise ParseError("dimension must be a positive integer", self.span(dim_pos))
+                raise ParseError("dimension must be a positive integer", self.span(*dim_at))
             dim = int(dim_val)
             self.expect("PUNCT", "]")
         self.expect("PUNCT", ";")
@@ -239,20 +252,19 @@ class _Parser:
         self.refs[name] = ex.var_ref(decl)
 
     def parse_constraint(self, i: int):
-        lhs_start = self.pos
+        lhs_start = self.start
         lhs = self.parse_located(f"constraint {i}")
-        relation = _RELATIONS.get(self.peek())
+        relation = _RELATIONS.get(self.tok)
         if relation is None:
-            raise ParseError("expected a relation ('<=', '>=', or '==')", self.span(self.pos))
+            raise ParseError("expected a relation ('<=', '>=', or '==')", self.here())
         self.advance()
         rhs = self.parse_located(f"constraint {i}")
-        if self.peek() in _RELATIONS:
-            raise ParseError("chained relations are not allowed", self.span(self.pos))
+        if self.tok in _RELATIONS:
+            raise ParseError("chained relations are not allowed", self.here())
         self.expect("PUNCT", ";")
         if lhs.dim != rhs.dim and 1 not in (lhs.dim, rhs.dim):
-            raise ParseError(
-                f"constraint sides have dimensions {lhs.dim} and {rhs.dim}",
-                self.span(lhs_start, self.prev()))
+            raise ParseError(f"constraint sides have dimensions {lhs.dim} and {rhs.dim}",
+                             self.span(lhs_start, self.last))
         return (lhs, relation, rhs)
 
     def parse_located(self, where: str) -> ex.ExpressionNode:
@@ -267,259 +279,246 @@ class _Parser:
         try:
             return fn(*args)
         except ex.ExpressionError as err:
-            raise ParseError(str(err), self.span(start, self.prev())) from err
+            raise ParseError(str(err), self.span(start, self.last)) from err
 
     def parse_expr(self) -> ex.ExpressionNode:
-        start = self.pos
+        start = self.start
         run = _Run()
         node = None  # the run so far, once a term could not join the form
-        plus = True
+        plus, read = True, self.read_terms(run, True)
         while True:
-            term = self.parse_term()
-            if node is None and (type(term) is not ex.ExpressionNode or term.kind != "atom"):
-                try:
-                    run.join(plus, term)
-                except ex.ExpressionError as err:
-                    raise ParseError(str(err), self.span(start, self.prev())) from err
-            else:
-                if node is None and run.count:
-                    node = run.node()
-                term = _term_node(term)
-                node = term if node is None else \
-                    self._build(ex.add if plus else ex.sub, (node, term), start)
-            if self.peek() not in ("+", "-"):
+            if not read:  # the term here is not plain
+                term = self.parse_mult()
+                if node is None and term.kind != "atom":
+                    self._build(run.join, (plus, term), start)
+                    self.read_terms(run, False)
+                else:
+                    if node is None and run.count:
+                        node = run.node()
+                    node = term if node is None else \
+                        self._build(ex.add if plus else ex.sub, (node, term), start)
+            if self.tok not in ("+", "-"):
                 return run.node() if node is None else node
-            plus = self.advance() == "+"
+            plus, read = self.advance() == "+", False
 
-    def parse_term(self):
-        """One term of a sum.  A scalar ``c*x[i]``, ``x[i]``, ``-x[i]``,
-        ``c*x`` or ``-x`` comes back as ``(ref, col, coef, k)``, ``k`` being
-        the constant the term's form has, and a number as a float, both read
-        straight off the tokens; any other term is parsed to a node."""
-        toks, p = self.tokens, self.pos
-        neg = toks[p] == "-"
-        if neg:
-            if self.depth >= _MAX_NESTING:
-                return self.parse_mult()
-            p += 1
-        coef = None
-        if _kind(toks[p]) == "NUMBER":
-            coef = float(toks[p])
-            if math.isinf(coef):
-                return self.parse_mult()
-            if toks[p + 1] != "*":
-                self.pos = p + 1
-                return -coef if neg else coef
-            p += 2
-        ref = self.refs.get(toks[p])  # declared names are identifiers
-        if ref is None:
-            return self.parse_mult()
-        after = toks[p + 1]
-        if after == "[":
-            idx = toks[p + 2]  # a NUMBER that starts with "." is no integer
-            i = float(idx) if idx[:1].isdecimal() else math.nan
-            if not (toks[p + 3] == "]" and i.is_integer() and 0 <= i < ref.dim):
-                return self.parse_mult()
-            col, p = int(i), p + 4
-        elif ref.dim == 1 and after != "(" and (neg or coef is not None):
-            col, p = 0, p + 1
+    def read_terms(self, run: _Run, head: bool) -> bool:
+        """Join to ``run`` the longest stretch of plain terms here, from a run's
+        ``head`` or after a term; False when the first here is not plain."""
+        p = self.last
+        if not head and self.rest is not None and self.rest[0] == p:
+            terms = self.rest[1]
         else:
-            return self.parse_mult()
-        if toks[p] == "*":
-            return self.parse_mult()
-        self.pos = p
-        if coef is None:
-            return ref, col, -1.0 if neg else 1.0, 0.0
-        coef = -coef if neg else coef
-        if coef == 0.0:  # a product with a zero constant is the constant zero
-            return 0.0
-        return ref, col, coef, coef * 0.0
+            found = _TERM_RE.findall(self.text, p)
+            if found and not found[-1][0]:
+                found.pop()
+            if head and found:  # with no sign of its own, a minus is a unary one
+                text, sign, minus, *columns = found[0]
+                if sign == "+" or (sign and minus):
+                    return False
+                found[0] = (text, "+", sign or minus, *columns)
+            terms = iter(found)
+        refs, deep = self.refs, self.depth >= _MAX_NESTING
+        names, cols, vals, consts = [], [], [], []  # entries, and numbers
+        end, n = p, 0
+        for text, sign, minus, coef, name, idx, num in terms:
+            v = float(coef or num or "1")
+            if not sign or (minus and deep) or v == math.inf:
+                break
+            if (sign == "-") != (minus == "-"):
+                v = -v
+            if num:
+                consts.append(v)
+            else:
+                ref = refs.get(name)
+                if ref is None:
+                    break
+                # An index of ten digits or more, a vector with no index and
+                # an unsigned bare name are parsed as any other term.
+                col = (int(idx) if len(idx) < 10 else ref.dim) if idx else \
+                    0 if ref.dim == 1 and (minus or coef) else ref.dim
+                if col >= ref.dim:
+                    break
+                if v:  # a product with a zero constant is the constant zero
+                    names.append(name)
+                    cols.append(col)
+                    vals.append(v)
+            end += len(text)
+            n += 1
+        else:
+            terms = None
+        self.rest = None if terms is None else (end + len(text), terms)
+        if not n:
+            return False
+        # A lone c*x[i] at the head has the constant c*0.0 of its own form.
+        run.take(refs, names, cols, vals, consts, n,
+                 vals[0] * 0.0 if head and vals and found[0][3] else 0.0)
+        self.last = end
+        self.lex(end)
+        return True
 
     def parse_mult(self) -> ex.ExpressionNode:
-        start = self.pos
+        start = self.start
         node = self.parse_factor()
-        while self.at("*"):
+        while self.tok == "*":
             self.advance()
             rhs = self.parse_factor()
             node = self._build(ex.mul, (node, rhs), start)
         return node
 
     def parse_factor(self) -> ex.ExpressionNode:
-        pos = self.pos
-        if self.peek() == "-":
+        if self.tok == "-":
+            at = (self.start, self.end)
             self.advance()
-            operand = self.nest(pos, self.parse_factor)
-            return self._build(ex.neg, (operand,), pos)
+            operand = self.nest(at, self.parse_factor)
+            return self._build(ex.neg, (operand,), at[0])
         return self.parse_primary()
 
     def parse_vector_literal(self) -> np.ndarray:
         self.expect("PUNCT", "[")
-        values = [self.parse_signed_number()]
-        while self.at(","):
+        values = []
+        while True:
+            sign = -1.0 if self.tok == "-" and self.advance() else 1.0  # minus consumed
+            values.append(sign * self.number()[0])
+            if self.tok != ",":
+                break
             self.advance()
-            values.append(self.parse_signed_number())
         self.expect("PUNCT", "]")
         return np.array(values)
 
     def parse_primary(self) -> ex.ExpressionNode:
-        pos, name = self.pos, self.peek()
+        name, at = self.tok, (self.start, self.end)
         kind = _kind(name)
         if kind == "NUMBER":
-            self.advance()
-            return ex.constant(self.number(pos))
+            return ex.constant(self.number()[0])
         if name == "[":
             return ex.constant(self.parse_vector_literal())
         if name == "(":
             self.advance()
-            node = self.nest(pos, self.parse_expr)
+            node = self.nest(at, self.parse_expr)
             self.expect("PUNCT", ")")
             return node
         if kind == "IDENT":
             self.advance()
-            if self.at("("):
+            if self.tok == "(":
                 if name not in _ATOM_NAMES:
-                    raise ParseError(f"unknown atom '{name}'", self.span(pos))
+                    raise ParseError(f"unknown atom '{name}'", self.span(*at))
                 self.advance()
-                args = self.nest(pos, self.parse_arguments)
-                return self._build(ex.apply_atom, (name, tuple(args)), pos)
+                args = self.nest(at, self.parse_arguments)
+                return self._build(ex.apply_atom, (name, tuple(args)), at[0])
             if name in RESERVED_WORDS:
-                raise ParseError(f"'{name}' is a reserved word", self.span(pos))
+                raise ParseError(f"'{name}' is a reserved word", self.span(*at))
             if name not in self.refs:
-                raise ParseError(f"unknown identifier '{name}'", self.span(pos))
+                raise ParseError(f"unknown identifier '{name}'", self.span(*at))
             node = self.refs[name]
-            if self.at("["):
+            if self.tok == "[":
                 self.advance()
-                idx_pos = self.expect("NUMBER", what="index")
-                idx_val = self.number(idx_pos)
+                idx_val, idx_at = self.number("index")
                 if not idx_val.is_integer():
-                    raise ParseError("index must be an integer", self.span(idx_pos))
+                    raise ParseError("index must be an integer", self.span(*idx_at))
                 self.expect("PUNCT", "]")
-                node = self._build(ex.index, (node, int(idx_val)), pos)
+                node = self._build(ex.index, (node, int(idx_val)), at[0])
             return node
-        raise ParseError(f"expected an expression, found {self.describe(name)}", self.span(pos))
+        found = repr(name) if name else "end of input"
+        raise ParseError(f"expected an expression, found {found}", self.here())
 
     def parse_arguments(self) -> list[ex.ExpressionNode]:
         args = [self.parse_expr()]
-        while self.at(","):
+        while self.tok == ",":
             self.advance()
             args.append(self.parse_expr())
         self.expect("PUNCT", ")")
         return args
 
-    def parse_signed_number(self) -> float:
-        sign = 1.0
-        if self.at("-"):
-            self.advance()
-            sign = -1.0
-        return sign * self.number(self.expect("NUMBER", what="a number"))
-
-
-def _term_node(term) -> ex.ExpressionNode:
-    """The node of one term of a run, as ``parse_mult`` builds it."""
-    if type(term) is float:
-        return ex.constant(term)
-    if type(term) is tuple:
-        ref, col, coef, k = term
-        return ex.affine_form({ref.var_id: (np.zeros(1, dtype=np.intp), np.array([col]),
-                                            np.array([coef]))}, np.array([k]), (ref,))
-    return term
-
 
 class _Run:
     """The all-affine prefix of a ``+``/``-`` run, built into one node.
 
-    The entries of scalar terms are kept as Python scalars, those of
-    variables and forms as arrays, in term order.  :meth:`node` stacks them
-    once, each variable's rows apart, and coalesces them once, so the
-    entries at one place add in term order; the constant adds term by term
-    from 0.0 as the terms join.  Those are the bits of adding the terms one
-    at a time with ``add``/``sub``.  A run of one term is that term's node.
-    """
+    :meth:`node` stacks the entries of its terms once, each variable's rows
+    apart, and coalesces them once, so the entries at one place add in term
+    order; the constant adds term by term from 0.0 as the terms join.  Those
+    are the bits of adding the terms one at a time with ``add``/``sub``."""
 
     def __init__(self):
-        self.count, self.first = 0, None  # the terms joined, and the first
-        self.dim = 1
-        self.const = 0.0  # a float until a vector constant joins
-        self.slots: dict[int, int] = {}  # var_id -> slot, by first appearance
-        self.refs: list[ex.ExpressionNode] = []
-        self.slot, self.col, self.val = [], [], []  # scalar terms' entries
-        self.nodes: list = []  # (entries before it, plus, dim, blocks) of nodes
+        self.count, self.first = 0, None  # the terms joined, and a first node
+        self.k = 0.0  # the constant of a plain first term's own form
+        self.dim, self.const = 1, 0.0  # the constant is a float until a vector joins
+        self.refs: dict[int, ex.ExpressionNode] = {}  # by id, in order of appearance
+        # (names, cols, vals) of a stretch's entries, (plus, dim, blocks) of a node
+        self.parts: list = []
 
-    def slot_of(self, ref) -> int:
-        slot = self.slots.get(ref.var_id)
-        if slot is None:
-            slot = self.slots[ref.var_id] = len(self.refs)
-            self.refs.append(ref)
-        return slot
+    def take(self, refs, names, cols, vals, consts, count: int, k: float) -> None:
+        """Join ``count`` plain terms; ``k`` is the constant of the first one's form."""
+        self.k = k  # read only when the run has one term
+        self.count += count
+        if names:
+            for ref in map(refs.__getitem__, dict.fromkeys(names)):
+                self.refs.setdefault(ref.var_id, ref)
+            self.parts.append((names, cols, vals))
+        if consts:
+            self.const = reduce(add, consts, self.const)
 
-    def join(self, plus: bool, term) -> None:
+    def join(self, plus: bool, term: ex.ExpressionNode) -> None:
         self.count += 1
         if self.count == 1:
             self.first = term
-        if type(term) is tuple:
-            ref, col, coef, _ = term
-            self.slot.append(self.slot_of(ref))
-            self.col.append(col)
-            self.val.append(coef if plus else -coef)
-            return
-        if type(term) is float:
-            self.const = self.const + (term if plus else -term)
-            return
         if term.dim != 1:
             self.dim = ex.broadcast_dim((self.dim, term.dim))
         for ref in ex.leaf_refs(term):
-            self.slot_of(ref)
+            self.refs.setdefault(ref.var_id, ref)
         blocks, k = ex.leaf_piece(term, {})
-        if blocks:
-            self.nodes.append((len(self.val), plus, term.dim, blocks))
-        if k.shape[0] == 1:
-            self.const = self.const + (float(k[0]) if plus else -float(k[0]))
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.const = self.const + (k if plus else -k)
-
-    def _entries(self, lo, hi):
-        """Stacked rows, columns and values of the scalar terms lo..hi."""
-        d = self.dim
-        rows = np.array(self.slot[lo:hi], dtype=np.intp) * d
-        cols = np.array(self.col[lo:hi], dtype=np.intp)
-        vals = np.array(self.val[lo:hi])
-        if d > 1:  # each broadcasts over every row
-            rows = (rows + np.arange(d)[:, None]).ravel()
-            cols, vals = np.tile(cols, d), np.tile(vals, d)
-        return rows, cols, vals
-
-    def _node_entries(self, plus, dim, blocks):
-        d = self.dim
-        for v, ((rows, cols, vals),) in blocks.items():
-            if dim != d:  # one row, broadcast
-                rows, cols, vals = ex.tile_rows((rows, cols, vals), d)
-            yield self.slots[v] * d + rows, cols, vals if plus else -vals
+        self.parts.append((plus, term.dim, blocks))
+        k = float(k[0]) if k.shape[0] == 1 else k
+        self.const = self.const + (k if plus else -k)
 
     def node(self) -> ex.ExpressionNode:
-        """The run's node; raises ``ProblemError(OVERFLOW)`` when a value
-        is not finite."""
-        if self.count == 1:
-            return _term_node(self.first)
+        """The run's node; raises ``ProblemError(OVERFLOW)`` for a value not finite."""
+        if self.count == 1 and self.first is not None:
+            return self.first
+        if self.count == 1 and not self.refs:  # a number, or a product with zero
+            return ex.constant(self.const)
         d = self.dim
-        const = np.full(d, self.const) if type(self.const) is float else self.const
-        parts, lo = [], 0
-        for at, plus, dim, blocks in self.nodes:
-            parts.append(self._entries(lo, at))
-            parts.extend(self._node_entries(plus, dim, blocks))
-            lo = at
-        parts.append(self._entries(lo, len(self.val)))
-        rows, cols, vals = ex.sum_entries(*(np.concatenate(a) for a in zip(*parts)))
-        bounds = np.searchsorted(rows, np.arange(len(self.refs) + 1) * d)
+        const = self.k if self.count == 1 else self.const
+        const = np.full(d, const) if type(const) is float else const
+        if not self.refs:
+            return ex.affine_form({}, const, ())
+        refs = list(self.refs.values())
+        at = {r.var_name: i * d for i, r in enumerate(refs)}
+        chunks = []  # (rows, cols, vals, dim) in term order
+        for part in self.parts:
+            if type(part[0]) is list:
+                names, cols, vals = part
+                chunks.append((np.array(list(map(at.__getitem__, names)), dtype=np.intp),
+                               np.array(cols, dtype=np.intp), np.array(vals), 1))
+            else:
+                plus, dim, blocks = part
+                chunks += [(at[self.refs[v].var_name] + r, c, x if plus else -x, dim)
+                           for v, ((r, c, x),) in blocks.items()]
+        chunks = [(r, c, x) if dim == d else  # one row, broadcast over every row
+                  ((r + np.arange(d)[:, None]).ravel(), np.tile(c, d), np.tile(x, d))
+                  for r, c, x, dim in chunks]
+        cols = self.parts[0][1]  # one variable's stretch in order is its own sum
+        if len(self.parts) == len(refs) == 1 and type(cols) is list \
+                and all(map(lt, cols, cols[1:])):
+            rows, cols, vals = chunks[0]
+        else:
+            rows, cols, vals = ex.sum_entries(*(np.concatenate(a) for a in zip(*chunks)))
+        if len(refs) == 1:
+            return ex.affine_form({refs[0].var_id: (rows, cols, vals)}, const, refs)
+        bounds = np.searchsorted(rows, np.arange(len(refs) + 1) * d)
         return ex.affine_form(
             {r.var_id: (rows[a:b] - i * d, cols[a:b], vals[a:b])
-             for i, (r, a, b) in enumerate(zip(self.refs, bounds, bounds[1:]))},
-            const, self.refs)
+             for i, (r, a, b) in enumerate(zip(refs, bounds, bounds[1:]))},
+            const, refs)
 
 
 def parse_problem(text: str) -> ex.ProblemForm:
     """Parse source text into a validated :class:`ProblemForm`."""
-    return _Parser(text).parse()
+    try:  # a value that overflows is an error where it is built, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _Parser(text).parse()
+    except (ParseError, ex.ProblemError):
+        _tokenize(text)  # a stray character anywhere is the error
+        raise
 
 
 def format_number(v: float) -> str:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcpc import expressions as ex
-from dcpc.parsing import ParseError, parse_problem, print_problem
+from dcpc.parsing import ParseError, SourceSpan, parse_problem, print_problem
 from dcpc.reductions.cone import dense_rows
 
 from helpers import problems_structurally_equal, random_expression, toy_problem
@@ -306,6 +306,12 @@ def test_overflowing_literals_are_parse_errors(text, span):
     ("var x; minimize x; subject to x <= 1e308 + 1e308;", "constraint 0"),
     ("var x[2]; minimize sum(x); subject to x >= 0; [1e308, 1] + [1e308, 1] >= x;",
      "constraint 1"),
+    # A run's constant once a vector has joined it: pyproject makes numpy's
+    # overflow warning an error, and none may be printed.
+    ("var x[3]; minimize sum(x - 1e308 - 1e308);", "objective"),
+    ("var x; minimize sum([1, 2, 3] + 1e308 + 1e308);", "objective"),
+    ("var x[3]; var y; minimize y; subject to [1, -2, 3] - 1e308 - 1e308 - x[2] >= y;",
+     "constraint 0"),
 ])
 def test_overflowing_values_name_their_place(text, where):
     # Each literal is finite; the value built from them is not.
@@ -440,3 +446,18 @@ class TestRoundTripProperty:
         q = parse_problem(text)
         assert problems_structurally_equal(p, q)
         assert print_problem(q) == text
+
+
+@pytest.mark.parametrize("text,message", [
+    ("var x; minimize y;\n@", "2:1: unexpected character '@'"),
+    ("var x[2]; minimize x[5] + x[0]; é", "1:33: unexpected character 'é'"),
+    ("var x; minimize x; subject to x <= 1 <= 2; ²", "1:44: unexpected character '²'"),
+    ("var x; minimize 1e200*1e200*x;\n@", "2:1: unexpected character '@'"),
+    ("var x; minimize x - 1e308 - 1e308;\n$", "2:1: unexpected character '$'"),
+])
+def test_a_stray_character_wins_over_an_earlier_error(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert str(info.value) == message
+    line, column = message.split(":")[:2]
+    assert info.value.span == SourceSpan(int(line), int(column), 1)

@@ -85,31 +85,27 @@ _KEYWORDS = ("var", "minimize", "maximize", "subject", "to")
 # instead of a RecursionError.
 _MAX_NESTING = 100
 
+# The blanks, a number and an identifier, shared by both patterns below, so
+# a term matches whole tokens.  Quantifiers are possessive: no failed match
+# backtracks, so long blanks cost linear time.
+_BLANK = r"[ \t\r\n]*+"
+_NUMBER = r"(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?\d++)?+"
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*+"
 # A match is the blanks (whitespace, comments) before a token, then the token
 # as the one group: \Z is the empty EOF token and any other character a BAD
-# one, so no match fails after its blanks and long blanks cost linear time.
-_TOKEN_RE = re.compile(r"""
-    [ \t\r\n]* (?:\#[^\n]*[ \t\r\n]*)*
-    ( [;,()\[\]+\-*]
-    | [A-Za-z_][A-Za-z0-9_]*
-    | (?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?
-    | <=|>=|==
-    | .
-    | \Z )
-""", re.VERBOSE)
+# one, so no match fails after its blanks.
+_TOKEN_RE = re.compile(rf"{_BLANK}(?:#[^\n]*+{_BLANK})*+"
+                       rf"([;,()\[\]+\-*]|{_IDENT}|{_NUMBER}|<=|>=|==|.|\Z)")
 _RELATIONS = {"<=": ex.Relation.LE, ">=": ex.Relation.GE, "==": ex.Relation.EQ}
 _FIXED_KINDS = {"": "EOF", **dict.fromkeys(_RELATIONS, "REL"),
                 **dict.fromkeys(";,()[]+-*", "PUNCT")}
 # A plain term of a run: a sign (none at a run's head), a unary minus or
 # none, then c*x[i], x[i], c*x, x or a number c, and no '*', '(', '[' or
-# comment after it.  Its tokens match whole, as in _TOKEN_RE, and possessively,
-# so a failed match never backtracks.  The groups are its text, sign, minus,
-# coefficient, name, index and number; a last match, setting none, takes the rest.
-_BLANK = r"[ \t\r\n]*+"
-_NUMBER = r"(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?\d++)?+"
+# comment after it.  The groups are its text, sign, minus, coefficient, name,
+# index and number; a last match, setting none, takes the rest.
 _TERM_RE = re.compile(
     rf"({_BLANK}([+-]?){_BLANK}(-?){_BLANK}(?:(?:({_NUMBER}){_BLANK}\*{_BLANK})?"
-    rf"([A-Za-z_][A-Za-z0-9_]*+)(?:{_BLANK}\[{_BLANK}(\d++){_BLANK}\])?|({_NUMBER})))"
+    rf"({_IDENT})(?:{_BLANK}\[{_BLANK}(\d++){_BLANK}\])?|({_NUMBER})))"
     rf"(?!{_BLANK}[*(\[#])|(?s:.+)")
 
 
@@ -496,14 +492,14 @@ class _Run:
         chunks = [(r, c, x) if dim == d else  # one row, broadcast over every row
                   ((r + np.arange(d)[:, None]).ravel(), np.tile(c, d), np.tile(x, d))
                   for r, c, x, dim in chunks]
-        cols = self.parts[0][1]  # one variable's stretch in order is its own sum
+        # One stretch over one variable, in column order, is that variable's
+        # block as it stands: skipping the stacking, summing and split halves
+        # this method's cost on a short run.
+        cols = self.parts[0][1]
         if len(self.parts) == len(refs) == 1 and type(cols) is list \
                 and all(map(lt, cols, cols[1:])):
-            rows, cols, vals = chunks[0]
-        else:
-            rows, cols, vals = ex.sum_entries(*(np.concatenate(a) for a in zip(*chunks)))
-        if len(refs) == 1:
-            return ex.affine_form({refs[0].var_id: (rows, cols, vals)}, const, refs)
+            return ex.affine_form({refs[0].var_id: chunks[0]}, const, refs)
+        rows, cols, vals = ex.sum_entries(*(np.concatenate(a) for a in zip(*chunks)))
         bounds = np.searchsorted(rows, np.arange(len(refs) + 1) * d)
         return ex.affine_form(
             {r.var_id: (rows[a:b] - i * d, cols[a:b], vals[a:b])

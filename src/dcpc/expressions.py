@@ -7,12 +7,14 @@ built.  An atom over constant leaves folds into a constant leaf where it is
 built, so a constant carries the sign of its value.  An affine atom over
 variables, constants and forms folds into a form: a leaf that holds the
 subtree's sparse coefficient blocks and constant vector, as
-:func:`combine_affine` computes them.  A value that overflows is a
-:class:`ProblemError` where it is built, so every node of affine curvature
-is a leaf, every atom node is non-affine, and an affine subtree's
-coefficients are read off one node.  The data model is deliberately small:
-scalars and dense real vectors only, eleven atoms, and three constraint
-relations.
+:func:`combine_affine` computes them.  The form is built straight from the
+children, with no atom node and no sign rule on the way; every variable of
+one width shares one read-only identity block and zero constant.  A value
+that overflows is a :class:`ProblemError` where it is built, so every node
+of affine curvature is a leaf, every atom node is non-affine, and an affine
+subtree's coefficients are read off one node.  The data model is
+deliberately small: scalars and dense real vectors only, eleven atoms, and
+three constraint relations.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
@@ -92,9 +94,9 @@ class EvaluationError(ValueError):
 class NotAffineError(ValueError):
     """Raised when affine coefficients are requested for a nonlinear tree."""
 
-    def __init__(self, node: "ExpressionNode"):
-        self.node = node
-        super().__init__(f"expression is not affine: atom '{node.atom}' is nonlinear")
+    def __init__(self, atom: str):
+        self.atom = atom
+        super().__init__(f"expression is not affine: atom '{atom}' is nonlinear")
 
 
 class ProblemError(ValueError):
@@ -496,56 +498,76 @@ def affine_form(coeffs: Mapping[int, tuple], const: np.ndarray, refs) -> Express
     stored as +0.0, as a constant's is; no reader tells the two apart.
     Raises ``ProblemError(OVERFLOW)`` when a value is not finite.
     """
-    return _form(_owned_blocks(coeffs), const, refs)
+    return _form({v: _owned(block) for v, block in coeffs.items()}, const,
+                 tuple(sorted(refs, key=_VAR_ID)))
 
 
-def _owned_blocks(coeffs: Mapping[int, tuple]) -> dict:
-    """The blocks as a form holds them: finite, with +0.0 zeros, read-only
-    and owning their arrays, so a form keeps no larger array alive.  A
-    block with no writable array is held by a form already and is taken as
-    it is."""
-    blocks = {}
-    for v, block in coeffs.items():
-        rows, cols, vals = block
-        if rows.flags.writeable or cols.flags.writeable or vals.flags.writeable:
-            if not np.isfinite(vals).all():
-                raise ProblemError(OVERFLOW)
-            block = (rows if rows.base is None else rows.copy(),
-                     cols if cols.base is None else cols.copy(), vals + 0.0)
-            for a in block:
+def _owned(block: tuple) -> tuple:
+    """The block as a form holds it: finite, with +0.0 zeros, read-only and
+    owning its arrays, so a form keeps no larger array alive.  A block with
+    no writable array is held by a form already, or is a variable's shared
+    identity block, and is taken as it is."""
+    rows, cols, vals = block
+    if vals.flags.writeable or rows.flags.writeable or cols.flags.writeable:
+        if not _finite(vals):
+            raise ProblemError(OVERFLOW)
+        block = (rows if rows.base is None else rows.copy(),
+                 cols if cols.base is None else cols.copy(), vals + 0.0)
+        for a in block:  # a row or column array shared with a form is read-only
+            if a.flags.writeable:
                 a.setflags(write=False)
-        blocks[v] = block
-    return blocks
+    return block
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite; a short array is read as
+    floats, which costs a tenth of numpy's reduction."""
+    if a.shape[0] <= 8:
+        return all(map(math.isfinite, a.tolist()))
+    return bool(np.isfinite(a).all())
 
 
 def _form(blocks: dict, const: np.ndarray, refs) -> ExpressionNode:
-    """The form of owned ``blocks``, or the constant leaf when ``refs`` is
-    empty; raises ``ProblemError(OVERFLOW)`` when ``const`` is not finite."""
-    if not np.isfinite(const).all():
+    """The form of owned ``blocks`` over ``refs``, sorted by id, or the
+    constant leaf when ``refs`` is empty; raises ``ProblemError(OVERFLOW)``
+    when ``const`` is not finite."""
+    if not _finite(const):
         raise ProblemError(OVERFLOW)
     if not refs:
         return constant(const.item() if const.shape[0] == 1 else const)
     if const.base is not None:
         const = const.copy()
     const.setflags(write=False)
-    return ExpressionNode("form", const.shape[0], Curvature.AFFINE, Sign.UNKNOWN,
-                          payload=(blocks, const), refs=tuple(sorted(refs, key=_VAR_ID)))
+    return ExpressionNode("form", const.shape[0], _AFFINE, _UNKNOWN,
+                          payload=(blocks, const), refs=refs)
 
 
-def leaf_piece(node: ExpressionNode, widths: dict) -> tuple[dict, np.ndarray]:
-    """The piece of a constant leaf, variable or form, as
-    :func:`combine_affine` takes it; records the variables' widths in
-    ``widths``."""
+# Read on every form built: a member read through its enum class costs ten times as much.
+_AFFINE, _UNKNOWN = Curvature.AFFINE, Sign.UNKNOWN
+
+
+@lru_cache(maxsize=256)
+def _identity(d: int) -> tuple:
+    """The identity block and zero constant of every variable of width
+    ``d``: one read-only copy, shared by every reference.  The cache holds
+    the widths last used, so a process that meets many widths stays bounded."""
+    ids, ones, zeros = np.arange(d), np.ones(d), np.zeros(d)
+    for a in (ids, ones, zeros):
+        a.setflags(write=False)
+    return (ids, ids, ones), zeros
+
+
+def leaf_piece(node: ExpressionNode) -> tuple[dict, np.ndarray]:
+    """``({var_id: (rows, cols, vals)}, k)`` of a constant leaf, variable or
+    form: its read-only blocks and constant vector.  A form's piece is its
+    payload, and a variable's arrays are shared by every variable of its
+    width, so no caller may change them."""
     if node.kind == "const":
         return {}, node.payload
     if node.kind == "var":
-        widths[node.var_id] = d = node.dim
-        ids = np.arange(d)
-        return {node.var_id: [(ids, ids, np.ones(d))]}, np.zeros(d)
-    coeffs, const = node.payload
-    for ref in node.refs:
-        widths[ref.var_id] = ref.dim
-    return {v: [block] for v, block in coeffs.items()}, const
+        block, zeros = _identity(node.dim)
+        return {node.var_id: block}, zeros
+    return node.payload
 
 
 def leaf_refs(node: ExpressionNode) -> tuple:
@@ -554,29 +576,34 @@ def leaf_refs(node: ExpressionNode) -> tuple:
     return (node,) if node.kind == "var" else node.refs
 
 
-def _form_of(node: ExpressionNode) -> ExpressionNode:
-    """The form of an affine atom over variables, constant leaves and forms.
+def _form_of(name: str, dim: int, children, param) -> ExpressionNode:
+    """The form of affine atom ``name`` over variables, constant leaves and
+    forms, of dimension ``dim``; no atom node is built for it.
 
     ``add`` and ``sub`` keep their left operand's chunks, and one chunk
-    coalesces to itself, so a left form of the result's dimension keeps
+    coalesces to itself, so a left leaf of the result's dimension keeps
     every block that the right operand does not touch, and only the right
     operand's variables are combined: a sum built one term at a time costs
     its terms, not its terms times its variables.
     """
-    widths: dict[int, int] = {}
-    left, kept = node.children[0], {}
-    if node.atom in ("add", "sub") and left.kind == "form" and left.dim == node.dim:
-        right = leaf_piece(node.children[1], widths)
-        kept = dict(left.payload[0])
-        pieces = [({v: [kept.pop(v)] for v in right[0] if v in kept}, left.payload[1]), right]
-        refs = left.refs + tuple(r for r in leaf_refs(node.children[1])
-                                 if r.var_id not in left.payload[0])
+    left, right = children[0], children[-1]
+    (kept, lk), refs = leaf_piece(left), leaf_refs(left)
+    if right is not left:  # a variable of both keeps the left's reference
+        new = [r for r in leaf_refs(right) if r.var_id not in kept]
+        if new:
+            refs = tuple(sorted([*refs, *new], key=_VAR_ID) if refs else new)
+    if name in ("add", "sub") and left.dim == dim:
+        blocks, rk = leaf_piece(right)
+        if blocks:  # the new form's own dict; ``kept`` may be the left's
+            kept = dict(kept)
+        pieces = [({v: kept.pop(v) for v in blocks if v in kept}, lk), (blocks, rk)]
+        widths: dict[int, int] = {}  # add and sub read no width
     else:
-        pieces = [leaf_piece(c, widths) for c in node.children]
-        refs = {r.var_id: r for c in node.children for r in leaf_refs(c)}.values()
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs, const = combine_affine(node, pieces, widths)
-        kept.update(_owned_blocks({v: coalesce(chunks) for v, chunks in coeffs.items()}))
+        kept, pieces = {}, [leaf_piece(c) for c in children]
+        widths = {r.var_id: r.dim for r in refs} if name == "sum" else {}  # only sum reads it
+    coeffs, const = combine_affine(name, dim, children, param, pieces, widths)
+    for v, chunks in coeffs.items():
+        kept[v] = _owned(coalesce(chunks))
     return _form(kept, const, refs)
 
 
@@ -632,10 +659,10 @@ def apply_atom(name: str, children: Sequence[ExpressionNode], param: int | None 
         if not np.isfinite(value).all():
             raise ProblemError(OVERFLOW)
         return constant(value.item() if dim == 1 else value)  # a scalar takes the float path
-    node = ExpressionNode("atom", dim, curvature, desc.sign_rule(children), atom=name,
+    if curvature.is_affine:  # every child is a leaf, so the result is a form
+        return _form_of(name, dim, children, param)
+    return ExpressionNode("atom", dim, curvature, desc.sign_rule(children), atom=name,
                           children=children, param=param)
-    # Every child of an affine atom is a leaf, so it is a form: no atom node is affine.
-    return _form_of(node) if curvature.is_affine else node
 
 
 def add(a: ExpressionNode, b: ExpressionNode) -> ExpressionNode:
@@ -793,7 +820,10 @@ _ROW0 = np.zeros(1, dtype=np.intp)  # a shared row array, never written
 def coalesce(chunks):
     """One triplet block from a list of chunks, each row-major with distinct
     entries: repeated entries add in list order, as the dense sum of the
-    chunks would add them, and the result is row-major again."""
+    chunks would add them, and the result is row-major again.  One block,
+    as a leaf's piece holds it, is its own."""
+    if type(chunks) is tuple:
+        return chunks
     if len(chunks) == 1:
         return chunks[0]
     return sum_entries(*(np.concatenate(a) for a in zip(*chunks)))
@@ -818,62 +848,71 @@ def tile_rows(block, dim):
 
 
 def _combine_pieces(dim, pieces, scales):
-    """``sum_i scale_i * piece_i`` over ``dim`` rows.  The first piece keeps
-    its chunks and each later one joins as one coalesced chunk, so entries
-    add in the order of the dense left-to-right sum."""
+    """``sum_i scale_i * piece_i`` over ``dim`` rows, each scale ±1, so a
+    scaled value is a negated one.  The first piece keeps its chunks and
+    each later one joins as one coalesced chunk, so entries add in the
+    order of the dense left-to-right sum.  A scalar constant adds as Python
+    floats, which give numpy's bits with no ``errstate``; no block step can
+    overflow."""
     coeffs: dict = {}
-    const = np.zeros(dim)
+    const = 0.0 if dim == 1 else np.zeros(dim)
     for i, ((pc, pk), scale) in enumerate(zip(pieces, scales)):
         tiled = pk.shape[0] != dim  # one row, broadcast up by tiling
-        if tiled:
-            pk = np.repeat(pk, dim, axis=0)
-        const = const + (pk if scale == 1.0 else scale * pk)
+        if dim == 1:
+            const += pk.item() if scale == 1.0 else -pk.item()
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                const = const + (pk if scale == 1.0 else -pk)
         for v, chunks in pc.items():
-            if i:
+            if i or type(chunks) is tuple:  # a leaf's one block is one chunk
                 chunks = [coalesce(chunks)]
             if tiled:
                 chunks = [tile_rows(c, dim) for c in chunks]
             if scale != 1.0:
-                chunks = [(r, c, scale * x) for r, c, x in chunks]
+                chunks = [(r, c, -x) for r, c, x in chunks]
             if v in coeffs:
                 coeffs[v] += chunks  # the left operand's list, used once
             else:
                 coeffs[v] = chunks
-    return coeffs, const
+    return coeffs, np.array([const]) if dim == 1 else const
 
 
 _SCALES = {"add": (1.0, 1.0), "sub": (1.0, -1.0), "neg": (-1.0,)}
 
 
-def combine_affine(node: ExpressionNode, pieces, widths) -> tuple[dict, np.ndarray]:
-    """The piece of ``node``, an affine atom, from its children's pieces.
+def combine_affine(name: str, dim: int, children, param, pieces,
+                   widths) -> tuple[dict, np.ndarray]:
+    """The piece of atom ``name`` of dimension ``dim`` over ``children``
+    (and ``param``), an affine atom, from its children's pieces.
 
     A piece is ``({key: chunks}, k)``: for each column space ``key``, a list
     of row-major triplet chunks that add up to the (dim, widths[key]) block,
-    and the constant vector ``k`` of shape (dim,).  This holds the rules of
+    or that one block as a leaf's piece holds it, and the constant vector
+    ``k`` of shape (dim,).  This holds the rules of
     ``add``, ``sub``, ``neg``, constant ``mul``, ``index`` and ``sum``, each
     entry with the bits that dense block arithmetic gives it: the left
     operand of an ``add`` or ``sub`` stays a list of chunks, and a block is
-    coalesced before any other step.  Raises :class:`NotAffineError` for
-    any other atom.
+    coalesced before any other step.  A step that may overflow runs under
+    ``errstate``, and the caller checks what it built.  Raises
+    :class:`NotAffineError` for any other atom.
     """
-    name = node.atom
     if name in _SCALES:
-        return _combine_pieces(node.dim, pieces, _SCALES[name])
+        return _combine_pieces(dim, pieces, _SCALES[name])
     if name == "mul_const":
-        const_first = node.children[0].curvature.is_constant
+        const_first = children[0].curvature.is_constant
         cval = pieces[0 if const_first else 1][1]
         coeffs, const = pieces[1 if const_first else 0]
         vector = cval.shape[0] > 1
         out = {}
-        for v, chunks in coeffs.items():
-            r, c, x = block = coalesce(chunks)
-            if vector and const.shape[0] == 1:  # times a scalar expression
-                r, c, x = tile_rows(block, cval.size)
-            out[v] = [(r, c, (cval[r] if vector else cval) * x)]
-        return out, cval * const
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v, chunks in coeffs.items():
+                r, c, x = block = coalesce(chunks)
+                if vector and const.shape[0] == 1:  # times a scalar expression
+                    r, c, x = tile_rows(block, cval.size)
+                out[v] = [(r, c, (cval[r] if vector else cval) * x)]
+            return out, cval * const
     if name == "index":
-        k = node.param
+        k = param
         coeffs, const = pieces[0]
         out = {}
         for v, chunks in coeffs.items():
@@ -884,18 +923,19 @@ def combine_affine(node: ExpressionNode, pieces, widths) -> tuple[dict, np.ndarr
     if name == "sum":
         coeffs, const = pieces[0]
         out = {}
-        for v, chunks in coeffs.items():
-            r, c, x = coalesce(chunks)
-            if widths[v] == 1:  # numpy sums one column pairwise, zeros too
-                column = np.zeros(node.children[0].dim)
-                column[r] = x
-                out[v] = [(_ROW0, _ROW0, np.array([np.sum(column)]))]
-            else:  # and the rows of a wider block in sequence
-                cols, at = np.unique(c, return_inverse=True)
-                out[v] = [(np.zeros(cols.size, dtype=np.intp), cols,
-                           np.bincount(at, x, cols.size))]
-        return out, np.array([np.sum(const)])
-    raise NotAffineError(node)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v, chunks in coeffs.items():
+                r, c, x = coalesce(chunks)
+                if widths[v] == 1:  # numpy sums one column pairwise, zeros too
+                    column = np.zeros(children[0].dim)
+                    column[r] = x
+                    out[v] = [(_ROW0, _ROW0, np.array([np.sum(column)]))]
+                else:  # and the rows of a wider block in sequence
+                    cols, at = np.unique(c, return_inverse=True)
+                    out[v] = [(np.zeros(cols.size, dtype=np.intp), cols,
+                               np.bincount(at, x, cols.size))]
+            return out, np.array([np.sum(const)])
+    raise NotAffineError(name)
 
 
 def affine_coefficients(expr: ExpressionNode) -> tuple[dict, np.ndarray]:
@@ -905,15 +945,15 @@ def affine_coefficients(expr: ExpressionNode) -> tuple[dict, np.ndarray]:
     variable's (dim, var_dim) block ``M``, row-major with distinct entries
     (some may cancel to zero), and ``k`` of shape (dim,), such that the
     expression equals ``sum_i M_i x_i + k``.  An affine expression is a
-    leaf, which holds them.  Any other is an atom node, and this raises
+    leaf, which holds them, read-only, as :func:`leaf_piece` gives them;
+    no caller may change them.  Any other is an atom node, and this raises
     :class:`NotAffineError` naming its first atom in post-order, the first
     atom over leaves only, which is nonlinear.
     """
     if expr.kind == "atom":
-        raise NotAffineError(next(n for n in nodes(expr) if n.kind == "atom"
-                                  and all(c.kind != "atom" for c in n.children)))
-    coeffs, const = leaf_piece(expr, {})
-    return {v: block for v, (block,) in coeffs.items()}, const
+        raise NotAffineError(next(n for n in nodes(expr) if n.kind == "atom" and
+                                  all(c.kind != "atom" for c in n.children)).atom)
+    return leaf_piece(expr)
 
 
 @dataclass(frozen=True)
@@ -1061,7 +1101,6 @@ def _substitute_form(node: ExpressionNode, mapping) -> ExpressionNode:
     coeffs, const = node.payload
     if not any(r.var_id in mapping for r in node.refs):
         return node
-    widths: dict[int, int] = {}
     chunks: dict[int, list] = {}
     refs: dict[int, ExpressionNode] = {}
     moved = []  # (rows, products) of B k, per replaced variable
@@ -1072,12 +1111,12 @@ def _substitute_form(node: ExpressionNode, mapping) -> ExpressionNode:
             if new.kind == "atom" or new.dim != ref.dim:
                 raise ExpressionError(f"variable '{ref.var_name}' in an affine form can only "
                                       f"become a variable, constant or form of dim {ref.dim}")
-            pieces, k = leaf_piece(new, widths)
+            pieces, k = leaf_piece(new)
             if k.any():
                 moved.append((rows, vals * k[cols]))
             for r in leaf_refs(new):
                 refs[r.var_id] = r
-            for v, ((mr, mc, mx),) in pieces.items():  # entries (c, j) of M's row c
+            for v, (mr, mc, mx) in pieces.items():  # entries (c, j) of M's row c
                 start = np.searchsorted(mr, cols)
                 count = np.searchsorted(mr, cols, side="right") - start
                 left = np.repeat(np.arange(cols.size), count)

@@ -461,7 +461,7 @@ class _Run:
             self.dim = ex.broadcast_dim((self.dim, term.dim))
         for ref in ex.leaf_refs(term):
             self.refs.setdefault(ref.var_id, ref)
-        blocks, k = ex.leaf_piece(term, {})
+        blocks, k = ex.leaf_piece(term)
         self.parts.append((plus, term.dim, blocks))
         k = float(k[0]) if k.shape[0] == 1 else k
         self.const = self.const + (k if plus else -k)
@@ -488,7 +488,7 @@ class _Run:
             else:
                 plus, dim, blocks = part
                 chunks += [(at[self.refs[v].var_name] + r, c, x if plus else -x, dim)
-                           for v, ((r, c, x),) in blocks.items()]
+                           for v, (r, c, x) in blocks.items()]
         chunks = [(r, c, x) if dim == d else  # one row, broadcast over every row
                   ((r + np.arange(d)[:, None]).ravel(), np.tile(c, d), np.tile(x, d))
                   for r, c, x, dim in chunks]

@@ -276,23 +276,43 @@ def stack_rows(blocks, var_offsets, width) -> tuple[sp.csr_matrix, np.ndarray]:
     """``(A, b)`` from ``(exprs, sign)`` blocks, stacked in order.
 
     Each expression's rows ``M x + k`` are written as ``A = sign·M``,
-    ``b = -sign·k``; every stuffer stacks its rows here.  ``A`` is one CSR
-    matrix built from the rows' triplets, with no stored zero.
+    ``b = -sign·k``; every stuffer stacks its rows here.  The blocks of all
+    expressions are gathered as the forms hold them, keyed ``row * width +
+    col`` at their offsets; one stable sort, one zero filter and one
+    ``bincount`` give one CSR matrix with no stored zero.
     """
-    counts, cols, vals, b_rows = [], [], [], []
+    parts, shifts, signs, b_rows, top = [_NO_ENTRIES], [], [], [], 0
     for exprs, sign in blocks:
         for e in exprs:
-            (r, c, x), k = affine_row_data(e, var_offsets, width)
-            counts.append(np.bincount(r, minlength=e.dim))
-            cols.append(c)
-            vals.append(x if sign > 0 else -x)
+            coeffs, k = ex.affine_coefficients(e)
+            for v, block in coeffs.items():
+                parts.append(block)
+                shifts.append(top * width + var_offsets[v][0])
+                signs.append(sign)
             b_rows.append(-sign * k)  # k may be a constant's read-only payload
-    if not counts:
+            top += e.dim
+    if not b_rows:
         return sp.csr_matrix((0, width)), np.zeros(0)
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    A = sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr),
-                      shape=(indptr.size - 1, width))
-    return A, np.concatenate(b_rows)
+    # One array of the stack at a time, and in place where it can be.
+    keys = np.concatenate([r for r, _, _ in parts])
+    keys *= width
+    keys += np.concatenate([c for _, c, _ in parts])
+    keys += np.repeat(np.array(shifts, dtype=np.intp), [r.size for r, _, _ in parts[1:]])
+    vals = np.concatenate([x for _, _, x in parts[:1]] +
+                          [x if sign > 0 else -x for (_, _, x), sign in zip(parts[1:], signs)])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    vals = vals[order]
+    del order  # before the filter, so the peak stays near four arrays of the stack
+    keep = vals != 0.0
+    keys = keys[keep]
+    vals = vals[keep]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // width, minlength=top))])
+    return (sp.csr_matrix((vals, keys % width, indptr), shape=(top, width)),
+            np.concatenate(b_rows))
+
+
+_NO_ENTRIES = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
 
 
 class StuffCone(Reduction):

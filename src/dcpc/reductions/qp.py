@@ -175,7 +175,8 @@ def _quad_pieces(expr, var_offsets, width):
             return {"Q": [M]}, k
         if ex.ATOM_LABELS[node.atom] != {"Q"}:
             try:
-                return ex.combine_affine(node, pieces, widths)
+                return ex.combine_affine(node.atom, node.dim, node.children,
+                                         node.param, pieces, widths)
             except ex.NotAffineError:
                 raise ReductionError(
                     f"atom '{node.atom}' has no quadratic form") from None
@@ -183,7 +184,7 @@ def _quad_pieces(expr, var_offsets, width):
             M, c = affine_row_data(node.children[0], var_offsets, width)
         except ex.NotAffineError as err:
             raise ReductionError(
-                f"atom '{err.node.atom}' below a quadratic node has no "
+                f"atom '{err.atom}' below a quadratic node has no "
                 f"constant-Hessian form") from err
         if node.atom == "square":
             rows, cols, vals = M

@@ -127,7 +127,9 @@ def test_unicode_decimal_digits_are_numbers():
 
 
 @pytest.mark.parametrize("tail", [" " * 2**20, "\n" * 2**20, "# comment\n" * 2**17,
-                                  "#" + "c" * 2**20, "# comment\n" * 2**17 + "²"])
+                                  "#" + "c" * 2**20, "# comment\n" * 2**17 + "²"],
+                         ids=["spaces", "newlines", "comment-lines", "one-long-comment",
+                              "comment-lines-then-stray"])
 def test_long_blank_tails_tokenize_in_linear_time(tail):
     text = "var x; minimize x;" + tail
     start = time.perf_counter()

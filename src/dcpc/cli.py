@@ -48,16 +48,15 @@ def _format_float(x: float) -> str:
 
 
 def _matrix_rows(m) -> Iterator[str]:
-    """The rows of sparse ``m``'s dense array, formatting only the stored
-    entries; duplicates add in stored order from 0.0, as ``toarray`` adds them."""
-    m = sp.csr_matrix(m)
-    nrows, ncols = m.shape
-    keys, where = np.unique(np.repeat(np.arange(nrows), np.diff(m.indptr)) * ncols
-                            + m.indices, return_inverse=True)
-    values = np.bincount(where, weights=m.data, minlength=len(keys))
-    cells = [_format_float(v) for v in values.tolist()]
-    cols = (keys % max(ncols, 1)).tolist()
-    bounds = np.searchsorted(keys, np.arange(nrows + 1) * ncols).tolist()
+    """The rows of ``m``'s dense array, formatting only the stored entries of
+    its canonical CSR form; other input takes that form from its dense array,
+    where duplicates add in stored order from 0.0, as ``toarray`` adds them."""
+    if not (sp.issparse(m) and m.format == "csr" and m.has_canonical_format):
+        m = sp.csr_matrix(m.toarray() if sp.issparse(m) else m)
+    ncols = m.shape[1]
+    cells = [_format_float(v) for v in m.data.tolist()]
+    cols = m.indices.tolist()
+    bounds = m.indptr.tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         row = ["0"] * ncols
         for i in range(lo, hi):

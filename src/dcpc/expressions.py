@@ -45,7 +45,6 @@ __all__ = [
     "located_overflow",
     "AtomDescriptor",
     "ATOMS",
-    "ATOM_LABELS",
     "apply_atom",
     "broadcast_dim",
     "constant",
@@ -363,8 +362,6 @@ ATOMS: dict[str, AtomDescriptor] = {
                             _sign_nonneg_image, _mono_sign_dependent,
                             lambda a, p: np.linalg.norm(a[0]), cone=lambda t, a: (t, a)),
 }
-
-ATOM_LABELS: dict[str, frozenset[str]] = {name: d.labels for name, d in ATOMS.items()}
 
 
 class ExpressionNode:

@@ -32,8 +32,8 @@ an error at the literal; a value built from finite literals that overflows
 is an error that names the ``objective`` or ``constraint i`` it is in, as
 :func:`dcpc.analyzer.apply_chain` names an overflow in the chain.  Tokens
 are lexed one at a time, as the parser reaches them, and spans come from
-their offsets; when parsing fails, the text's first stray character is the
-error, wherever the parser stopped.
+their offsets; when parsing fails, the text's first stray character, which
+one match over its tokens finds, is the error, wherever the parser stopped.
 
 Affine subtrees become form leaves (see :mod:`dcpc.expressions`).  At each
 term of a ``+``/``-`` run, one pattern reads the longest stretch of plain
@@ -51,7 +51,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
 from operator import add, lt
 
 import numpy as np
@@ -91,11 +90,14 @@ _MAX_NESTING = 100
 _BLANK = r"[ \t\r\n]*+"
 _NUMBER = r"(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?\d++)?+"
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*+"
-# A match is the blanks (whitespace, comments) before a token, then the token
-# as the one group: \Z is the empty EOF token and any other character a BAD
-# one, so no match fails after its blanks.
-_TOKEN_RE = re.compile(rf"{_BLANK}(?:#[^\n]*+{_BLANK})*+"
-                       rf"([;,()\[\]+\-*]|{_IDENT}|{_NUMBER}|<=|>=|==|.|\Z)")
+_BLANKS = rf"{_BLANK}(?:#[^\n]*+{_BLANK})*+"  # whitespace and comments
+_VALID = rf"[;,()\[\]+\-*]|{_IDENT}|{_NUMBER}|<=|>=|=="
+# A match is the blanks before a token, then the token as the one group: \Z
+# is the empty EOF token and any other character a BAD one, so no match
+# fails after its blanks.
+_TOKEN_RE = re.compile(rf"{_BLANKS}({_VALID}|.|\Z)")
+# Matched at the text's start: the tokens up to the first BAD one, the group.
+_STRAY_RE = re.compile(rf"(?:{_BLANKS}(?:{_VALID}))*+{_BLANKS}(.)")
 _RELATIONS = {"<=": ex.Relation.LE, ">=": ex.Relation.GE, "==": ex.Relation.EQ}
 _FIXED_KINDS = {"": "EOF", **dict.fromkeys(_RELATIONS, "REL"),
                 **dict.fromkeys(";,()[]+-*", "PUNCT")}
@@ -125,21 +127,6 @@ def _location(text: str, start: int, end: int) -> SourceSpan:
     line_start = text.rfind("\n", 0, start) + 1
     return SourceSpan(text.count("\n", 0, start) + 1, start - line_start + 1,
                       max(1, end - start))
-
-
-def _span(text: str, start: int, end: int) -> SourceSpan:
-    """The span of the tokens at positions ``start`` to ``end``, for an error."""
-    spans = [m.span(1) for m in islice(_TOKEN_RE.finditer(text), max(start, end) + 1)]
-    return _location(text, spans[start][0], spans[end][1])
-
-
-def _tokenize(text: str) -> list[str]:
-    """The token texts, ending with the EOF token ``""`` (twice after blanks)."""
-    tokens = _TOKEN_RE.findall(text)
-    pos = min((tokens.index(tok) for tok in set(tokens) if _kind(tok) == "BAD"), default=None)
-    if pos is not None:
-        raise ParseError(f"unexpected character {tokens[pos]!r}", _span(text, pos, pos))
-    return tokens
 
 
 class _Parser:
@@ -513,7 +500,8 @@ def parse_problem(text: str) -> ex.ProblemForm:
         with np.errstate(over="ignore", invalid="ignore"):
             return _Parser(text).parse()
     except (ParseError, ex.ProblemError):
-        _tokenize(text)  # a stray character anywhere is the error
+        if m := _STRAY_RE.match(text):  # a stray character anywhere is the error
+            raise ParseError(f"unexpected character {m.group(1)!r}", _location(text, *m.span(1)))
         raise
 
 

@@ -3,7 +3,8 @@
 The pipeline lowers a DCP problem to ``minimize q'x + offset  s.t.  b - Ax in
 K`` where K stacks a zero cone, a nonnegative orthant, and second-order cones,
 in that fixed block order.  ``ProgramData`` holds that form, with a quadratic
-term ``P`` added, for every target: LP and QP stuffing write it too.
+term ``P`` added, for every target: LP and QP stuffing write it too.  One
+gather reads the affine rows of :func:`stack_rows` and :func:`affine_row_data`.
 """
 
 from __future__ import annotations
@@ -248,20 +249,8 @@ def affine_row_data(expr: ex.ExpressionNode,
     zero entry, so its entries are exactly the nonzeros of the dense rows.
     """
     coeffs, const = ex.affine_coefficients(expr)
-    blocks = [(r, c + var_offsets[v][0], x) for v, (r, c, x) in coeffs.items()]
-    if len(blocks) == 1:
-        (rows, cols, vals), = blocks
-    elif blocks:  # each block is row-major; merge their rows
-        rows, cols, vals = (np.concatenate(a) for a in zip(*blocks))
-        order = np.argsort(rows * width + cols)
-        rows, cols, vals = rows[order], cols[order], vals[order]
-    else:
-        rows = cols = np.zeros(0, dtype=np.intp)
-        vals = np.zeros(0)
-    if not vals.all():
-        keep = vals != 0.0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    return (rows, cols, vals), const
+    return _gather(list(coeffs.values()), [var_offsets[v][0] for v in coeffs],
+                   [1.0] * len(coeffs), width), const
 
 
 def dense_rows(M: tuple[np.ndarray, ...], dim: int, width: int) -> np.ndarray:
@@ -273,15 +262,10 @@ def dense_rows(M: tuple[np.ndarray, ...], dim: int, width: int) -> np.ndarray:
 
 
 def stack_rows(blocks, var_offsets, width) -> tuple[sp.csr_matrix, np.ndarray]:
-    """``(A, b)`` from ``(exprs, sign)`` blocks, stacked in order.
-
-    Each expression's rows ``M x + k`` are written as ``A = sign·M``,
-    ``b = -sign·k``; every stuffer stacks its rows here.  The blocks of all
-    expressions are gathered as the forms hold them, keyed ``row * width +
-    col`` at their offsets; one stable sort, one zero filter and one
-    ``bincount`` give one CSR matrix with no stored zero.
-    """
-    parts, shifts, signs, b_rows, top = [_NO_ENTRIES], [], [], [], 0
+    """``(A, b)`` from ``(exprs, sign)`` blocks, stacked in order, ``A`` as CSR
+    with no stored zero: each expression's rows ``M x + k`` are written as
+    ``A = sign·M``, ``b = -sign·k``.  Every stuffer stacks its rows here."""
+    parts, shifts, signs, b_rows, top = [], [], [], [np.zeros(0)], 0
     for exprs, sign in blocks:
         for e in exprs:
             coeffs, k = ex.affine_coefficients(e)
@@ -291,25 +275,39 @@ def stack_rows(blocks, var_offsets, width) -> tuple[sp.csr_matrix, np.ndarray]:
                 signs.append(sign)
             b_rows.append(-sign * k)  # k may be a constant's read-only payload
             top += e.dim
-    if not b_rows:
-        return sp.csr_matrix((0, width)), np.zeros(0)
-    # One array of the stack at a time, and in place where it can be.
-    keys = np.concatenate([r for r, _, _ in parts])
-    keys *= width
-    keys += np.concatenate([c for _, c, _ in parts])
-    keys += np.repeat(np.array(shifts, dtype=np.intp), [r.size for r, _, _ in parts[1:]])
-    vals = np.concatenate([x for _, _, x in parts[:1]] +
-                          [x if sign > 0 else -x for (_, _, x), sign in zip(parts[1:], signs)])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    vals = vals[order]
-    del order  # before the filter, so the peak stays near four arrays of the stack
-    keep = vals != 0.0
-    keys = keys[keep]
-    vals = vals[keep]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // width, minlength=top))])
-    return (sp.csr_matrix((vals, keys % width, indptr), shape=(top, width)),
-            np.concatenate(b_rows))
+    rows, cols, vals = _gather(parts, shifts, signs, width)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=top))])
+    return sp.csr_matrix((vals, cols, indptr), shape=(top, width)), np.concatenate(b_rows)
+
+
+def _gather(parts, shifts, signs, width) -> tuple[np.ndarray, ...]:
+    """Row-major triplets, with no zero entry, of the blocks ``parts``, each
+    times its sign and moved by its shift ``row * width + col``: a lone block
+    is in order (and read-only) as its form holds it, more are sorted."""
+    if not parts:
+        return _NO_ENTRIES
+    if len(parts) == 1:
+        ((r, c, x),), (shift,), (sign,) = parts, shifts, signs
+        row, col = divmod(shift, width)
+        rows, cols, vals = r + row if row else r, c + col, x if sign > 0 else -x
+    else:  # one array of the stack at a time, and in place where it can be
+        keys = np.concatenate([r for r, _, _ in parts])
+        keys *= width
+        keys += np.concatenate([c for _, c, _ in parts])
+        keys += np.repeat(np.array(shifts, dtype=np.intp), [r.size for r, _, _ in parts])
+        vals = np.concatenate([x if sign > 0 else -x for (_, _, x), sign in zip(parts, signs)])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        vals = vals[order]
+        del order
+        rows, cols = np.divmod(keys, width)
+        del keys  # before the filter, which keeps the peak at four arrays
+    if not vals.all():
+        keep = vals != 0.0
+        rows = rows[keep]
+        cols = cols[keep]
+        vals = vals[keep]
+    return rows, cols, vals
 
 
 _NO_ENTRIES = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)

@@ -17,8 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import expressions as ex
-from .cone import (ConeDims, ProgramData, affine_row_data, dense_rows, stack_rows,
-                   stack_variables)
+from .cone import (_NO_ENTRIES, ConeDims, ProgramData, affine_row_data, dense_rows,
+                   stack_rows, stack_variables)
 from .framework import Reduction, ReductionError
 from .standard import is_zero_constant
 
@@ -84,7 +84,7 @@ _PWL_LABELS = frozenset({"A", "P"})
 
 def uses_quadratic_atom(problem: ex.ProblemForm) -> bool:
     """True when a Q-labeled atom appears in the problem."""
-    return any("Q" in ex.ATOM_LABELS[n.atom]
+    return any("Q" in ex.ATOMS[n.atom].labels
                for _, e, _ in ex.walk_expressions(problem) for n in _live_atoms(e))
 
 
@@ -101,13 +101,13 @@ def qp_applicable(problem: ex.ProblemForm) -> bool:
     ok, _ = ex.is_dcp(problem)
     if not ok:
         return False
-    if not all(ex.ATOM_LABELS[n.atom] <= _PWL_LABELS for c in problem.constraints
+    if not all(ex.ATOMS[n.atom].labels <= _PWL_LABELS for c in problem.constraints
                for e in (c.lhs, c.rhs) for n in _live_atoms(e)):
         return False
     nfa = PathNfa()
 
     def down(node, i, states):
-        return nfa.step(states, ex.ATOM_LABELS[node.atom])
+        return nfa.step(states, ex.ATOMS[node.atom].labels)
 
     def leave(node, accepted, states):
         return all(accepted) if node.kind == "atom" else bool(states)
@@ -148,9 +148,6 @@ def _sum_squares_rows(M, c, width):
     return (J[i] * width + J[j], P[i, j]), (J, 2.0 * MJ.T @ c)
 
 
-_NO_ENTRIES = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-
-
 def _quad_pieces(expr, var_offsets, width):
     """The piece of ``expr`` as :func:`ex.combine_affine` takes it, over two
     column spaces: ``"H"``, the row Hessians at column j·width + l, and
@@ -167,13 +164,13 @@ def _quad_pieces(expr, var_offsets, width):
     widths = {"H": width * width, "Q": width}
 
     def enter(node, _):
-        return not node.curvature.is_affine and ex.ATOM_LABELS[node.atom] != {"Q"}
+        return not node.curvature.is_affine and ex.ATOMS[node.atom].labels != {"Q"}
 
     def leave(node, pieces, _):
         if node.curvature.is_affine:
             M, k = affine_row_data(node, var_offsets, width)
             return {"Q": [M]}, k
-        if ex.ATOM_LABELS[node.atom] != {"Q"}:
+        if ex.ATOMS[node.atom].labels != {"Q"}:
             try:
                 return ex.combine_affine(node.atom, node.dim, node.children,
                                          node.param, pieces, widths)
@@ -244,7 +241,7 @@ def _is_moved_form(problem) -> bool:
 def _quadratic_tree(expr) -> bool:
     """True when the tree is affine combinations of squares of affine terms."""
     for n in _live_atoms(expr):
-        if ex.ATOM_LABELS[n.atom] == {"Q"}:
+        if ex.ATOMS[n.atom].labels == {"Q"}:
             if not n.children[0].curvature.is_affine:
                 return False
         elif ex.ATOMS[n.atom].curvature_class is not ex.Curvature.AFFINE:

@@ -7,17 +7,23 @@ kept here: fresh pieces for every leaf, the six rules over numpy constants,
 then coalescing and the +0.0, finiteness checks of a form.  Every form the
 kernel builds must equal the reference's in its blocks and their order, its
 constant and its variables, and an overflow must be an error at the same
-call, with no numpy warning.
+call, with no numpy warning.  The one row gather of ``stack_rows`` and
+``affine_row_data`` is held the same way against the per-expression
+stacker, kept here with its ``affine_row_data``.
 """
 
 import dataclasses
 import warnings
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from dcpc import expressions as ex, randgen
+from dcpc.analyzer import TargetClass, build_chain
+from dcpc.parsing import parse_problem
+from dcpc.reductions import cone, qp
 from dcpc.reductions.cone import (GraphExpand, RelaxSmith, SmithTransform, affine_row_data,
                                   stack_rows, stack_variables)
 
@@ -223,21 +229,54 @@ def test_no_sign_rule_or_atom_node_for_an_affine_result(monkeypatch):
     assert ex.abs_(form).kind == "atom" and calls == ["abs"]
 
 
-# --- one pass of the row stacker against the per-expression stacker ---------
+# --- one gather of the row stacker against the per-expression stacker ------
+
+def affine_row_data_reference(expr, var_offsets, width):
+    """One expression's rows, block by block: the earlier per-expression gather."""
+    coeffs, const = ex.affine_coefficients(expr)
+    blocks = [(r, c + var_offsets[v][0], x) for v, (r, c, x) in coeffs.items()]
+    if len(blocks) == 1:
+        (rows, cols, vals), = blocks
+    elif blocks:  # each block is row-major; merge their rows
+        rows, cols, vals = (np.concatenate(a) for a in zip(*blocks))
+        order = np.argsort(rows * width + cols)
+        rows, cols, vals = rows[order], cols[order], vals[order]
+    else:
+        rows = cols = np.zeros(0, dtype=np.intp)
+        vals = np.zeros(0)
+    if not vals.all():
+        keep = vals != 0.0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return (rows, cols, vals), const
+
 
 def stack_rows_per_expression(blocks, var_offsets, width):
     counts, cols, vals, b_rows = [], [], [], []
     for exprs, sign in blocks:
         for e in exprs:
-            (r, c, x), k = affine_row_data(e, var_offsets, width)
+            (r, c, x), k = affine_row_data_reference(e, var_offsets, width)
             counts.append(np.bincount(r, minlength=e.dim))
             cols.append(c)
             vals.append(x if sign > 0 else -x)
             b_rows.append(-sign * k)
+    if not counts:
+        return sp.csr_matrix((0, width)), np.zeros(0)
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     A = sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr),
                       shape=(indptr.size - 1, width))
     return A, np.concatenate(b_rows)
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_stack(got, want):
+    assert got[0].shape == want[0].shape
+    assert_same_bits([got[0].indptr, got[0].indices, got[0].data, got[1]],
+                     [want[0].indptr, want[0].indices, want[0].data, want[1]])
 
 
 def test_stacked_rows_match_the_per_expression_stacker():
@@ -251,9 +290,54 @@ def test_stacked_rows_match_the_per_expression_stacker():
         exprs = [e for c in problem.constraints
                  for e in ((c.expr,) if c.kind != "soc" else (c.t, *c.x))]
         blocks = [(exprs[::2], +1.0), (exprs[1::2], -1.0)]
-        got, want = stack_rows(blocks, var_offsets, width), \
-            stack_rows_per_expression(blocks, var_offsets, width)
-        for k in ("indptr", "indices", "data"):
-            a, b = getattr(got[0], k), getattr(want[0], k)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert got[0].shape == want[0].shape and got[1].tobytes() == want[1].tobytes()
+        assert_same_stack(stack_rows(blocks, var_offsets, width),
+                          stack_rows_per_expression(blocks, var_offsets, width))
+        for e in exprs + [problem.objective]:
+            (M, k), (M_ref, k_ref) = (f(e, var_offsets, width) for f in
+                                      (affine_row_data, affine_row_data_reference))
+            assert_same_bits([*M, k], [*M_ref, k_ref])
+
+
+@pytest.mark.parametrize("text, target, check", [
+    ("var x; minimize square(x);", TargetClass.QP, lambda data: data.A.shape == (0, 1)),
+    ("var x; minimize x; subject to 3 <= 4; x >= 0;", TargetClass.LP,
+     lambda data: np.diff(data.A.indptr).tolist() == [0, 1]),
+    ("var x; var y[2]; minimize y[1] - x;\nsubject to 2*y[0] + x - y[1] <= 1; y - x >= 0;",
+     TargetClass.LP, lambda data: data.A.nnz == 7),  # forms over y, then x
+    ("var x[3]; minimize x[0]; subject to square(x) <= 4;", TargetClass.CONE,
+     lambda data: data.cones.soc == (3, 3, 3)),
+    ("var x; minimize x - x; subject to x - x <= 1;", TargetClass.LP,
+     lambda data: data.A.shape == (1, 1) and data.A.nnz == 0),  # lone blocks of a zero
+    ("var x[2]; minimize sum(x); subject to x >= 1;", TargetClass.CONE,
+     lambda data: data.A.toarray().tolist() == [[-1.0, 0.0], [0.0, -1.0]]),  # a lone block at -1
+], ids=["no-rows", "constant-row", "out-of-id-order", "vector-square", "cancelled-entry",
+        "negated-block"])
+def test_the_gather_matches_the_per_expression_stacker_at_its_edges(text, target, check,
+                                                                    monkeypatch):
+    calls = []
+    for module in (cone, qp):
+        for name, ref in (("stack_rows", stack_rows_per_expression),
+                          ("affine_row_data", affine_row_data_reference)):
+            def spy(*args, _f=getattr(module, name), _ref=ref, _name=name):
+                got, want = _f(*args), _ref(*args)
+                calls.append(_name)
+                if _name == "stack_rows":
+                    assert_same_stack(got, want)
+                else:
+                    assert_same_bits([*got[0], got[1]], [*want[0], want[1]])
+                return got
+            monkeypatch.setattr(module, name, spy)
+    problem = parse_problem(text)
+    data, _ = build_chain(problem, target).apply(problem)
+    assert "stack_rows" in calls and "affine_row_data" in calls and check(data)
+
+
+def test_a_form_over_variables_stacked_out_of_id_order():
+    x, y = ex.VariableDecl(0, "x", 2), ex.VariableDecl(1, "y", 2)
+    form = ex.add(ex.mul(ex.constant([2.0, 0.0]), ex.var_ref(y)), ex.var_ref(x))
+    var_offsets, width = stack_variables([y, x])  # y's columns come first
+    blocks = [([form, ex.sub(ex.var_ref(x), form)], +1.0), ([form], -1.0)]
+    assert_same_stack(stack_rows(blocks, var_offsets, width),
+                      stack_rows_per_expression(blocks, var_offsets, width))
+    assert_same_bits([*affine_row_data(form, var_offsets, width)[0]],
+                     [*affine_row_data_reference(form, var_offsets, width)[0]])

@@ -199,10 +199,10 @@ class TestConstruction:
         assert sorted(ex.ATOMS) == sorted([
             "add", "sub", "neg", "mul_const", "index", "sum",
             "max", "abs", "square", "sum_squares", "norm2"])
-        assert ex.ATOM_LABELS["add"] == frozenset("AP")
-        assert ex.ATOM_LABELS["abs"] == frozenset("P")
-        assert ex.ATOM_LABELS["sum_squares"] == frozenset("Q")
-        assert ex.ATOM_LABELS["norm2"] == frozenset("N")
+        assert ex.ATOMS["add"].labels == frozenset("AP")
+        assert ex.ATOMS["abs"].labels == frozenset("P")
+        assert ex.ATOMS["sum_squares"].labels == frozenset("Q")
+        assert ex.ATOMS["norm2"].labels == frozenset("N")
 
 
 class TestAffineCoefficients:

@@ -231,7 +231,7 @@ def _live_label_words(expr):
         return []
     if expr.kind in ("var", "form"):  # a form's paths hold affine labels only
         return [[]]
-    head = ex.ATOM_LABELS[expr.atom]
+    head = ex.ATOMS[expr.atom].labels
     return [[head] + word for child in expr.children
             for word in _live_label_words(child)]
 
@@ -245,7 +245,7 @@ def _qp_applicable_reference(problem):
     accepted by the machine; an atomless path is an affine objective."""
     if not ex.is_dcp(problem)[0]:
         return False
-    if any(_live(n) and not ex.ATOM_LABELS[n.atom] <= {"A", "P"}
+    if any(_live(n) and not ex.ATOMS[n.atom].labels <= {"A", "P"}
            for c in problem.constraints for e in (c.lhs, c.rhs)
            for n in _every_node(e)):
         return False
@@ -255,7 +255,7 @@ def _qp_applicable_reference(problem):
 
 
 def _uses_quadratic_atom_reference(problem):
-    return any(_live(n) and "Q" in ex.ATOM_LABELS[n.atom]
+    return any(_live(n) and "Q" in ex.ATOMS[n.atom].labels
                for _, e, _ in ex.walk_expressions(problem) for n in _every_node(e))
 
 

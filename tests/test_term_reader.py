@@ -165,10 +165,13 @@ def test_a_leading_minus_at_the_nesting_limit_is_too_deep():
 
 
 def test_a_valid_text_is_never_tokenized_whole(monkeypatch):
-    def refuse(text):
-        raise AssertionError("tokenized")
-    monkeypatch.setattr(parsing, "_tokenize", refuse)
+    class Refuse:
+        def match(self, text):
+            raise AssertionError("tokenized")
+    monkeypatch.setattr(parsing, "_STRAY_RE", Refuse())
     parse_problem(HEADER + "3*x[0] - x[1] + 2 - -y + abs(x[2]) <= 0;")
+    with pytest.raises(AssertionError, match="tokenized"):  # only a failed parse scans
+        parse_problem(HEADER + "3*x[0] - <= 0;")
 
 
 @pytest.mark.parametrize("gap", [" " * 2**20, "# comment\n" * 2**17],

@@ -1,11 +1,12 @@
-"""The tokenizer against a reference that keeps each token's kind and offset.
+"""The parser's lexer against a reference that keeps each token's kind and offset.
 
 ``reference_tokenize`` is the ``finditer`` tokenizer that held a
 ``(kind, text, offset)`` tuple per token.  On random texts over the
 grammar's alphabet, with comments, blanks and stray characters mixed in,
-``parsing._tokenize`` must give the same token texts, each of the same kind
-under ``parsing._kind``, the same spans, and the same error for a stray
-character.  Its EOF token is doubled when blanks end the text.
+the lexer that ``parsing._Parser`` runs, walked with ``advance()``, must
+give the same token texts, each of the same kind under ``parsing._kind``,
+with the same offsets and spans, and ``parse_problem`` the same error for
+a stray character.
 """
 
 import re
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcpc import parsing
+from dcpc.expressions import ProblemError
 from dcpc.parsing import ParseError, SourceSpan, parse_problem, print_problem
 
 _REFERENCE_RE = re.compile(r"""
@@ -34,13 +36,25 @@ def reference_span(text, start, end):
     return SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1, length)
 
 
+def reference_tokens(text):
+    """Every token, a stray character as a BAD one, then EOF."""
+    return [(m.lastgroup, m.group(), m.start())
+            for m in _REFERENCE_RE.finditer(text) if m.lastgroup] + [("EOF", "", len(text))]
+
+
 def reference_tokenize(text):
-    tokens = [(m.lastgroup, m.group(), m.start())
-              for m in _REFERENCE_RE.finditer(text) if m.lastgroup]
+    tokens = reference_tokens(text)
     for tok in tokens:
         if tok[0] == "BAD":
             raise ParseError(f"unexpected character {tok[1]!r}", reference_span(text, tok, tok))
-    tokens.append(("EOF", "", len(text)))
+    return tokens
+
+
+def lexed_tokens(parser):
+    """``(text, start, end)`` of each token the parser's lexer reads, to EOF."""
+    tokens = [(parser.tok, parser.start, parser.end)]
+    while parser.advance():
+        tokens.append((parser.tok, parser.start, parser.end))
     return tokens
 
 
@@ -57,23 +71,32 @@ TAILS = ["", " ", "\n", "  \t\n", "# trailing comment", "# closed comment\n",
 
 
 def check_against_reference(text):
-    try:
-        expected = reference_tokenize(text)
-    except ParseError as err:
-        with pytest.raises(ParseError) as got:
-            parsing._tokenize(text)
-        assert str(got.value) == str(err)
-        assert got.value.span == err.span
-        return
-    tokens = parsing._tokenize(text)
-    # Blanks at the end of the text match the pattern's \Z once more.
-    doubled = text.rstrip(" \t\r\n") != text or "#" in text.rsplit("\n", 1)[-1]
-    assert tokens == [tok[1] for tok in expected] + [""] * doubled
-    assert [parsing._kind(tok) for tok in tokens[:len(expected)]] == [tok[0] for tok in expected]
+    # The lexer reads stray characters as BAD tokens, and stops at EOF.
+    parser = parsing._Parser(text)
+    tokens = lexed_tokens(parser)
+    expected = reference_tokens(text)
+    assert [tok for tok, _, _ in tokens] == [tok[1] for tok in expected]
+    assert [parsing._kind(tok) for tok, _, _ in tokens] == [tok[0] for tok in expected]
+    assert [(start, end) for _, start, end in tokens] == \
+        [(tok[2], tok[2] + len(tok[1])) for tok in expected]
+    assert parser.advance() == "" and parser.tok == ""
     last = len(expected) - 1
     for i in range(len(expected)):
         for j in {i, last, min(i + 2, last)}:
-            assert parsing._span(text, i, j) == reference_span(text, expected[i], expected[j])
+            assert parser.span(tokens[i][1], tokens[j][2]) == \
+                reference_span(text, expected[i], expected[j])
+    try:
+        reference_tokenize(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            parse_problem(text)
+        assert str(got.value) == str(err)
+        assert got.value.span == err.span
+        return
+    try:  # with no stray character, a failed parse reports its own error
+        parse_problem(text)
+    except (ParseError, ProblemError) as err:
+        assert "unexpected character" not in str(err)
 
 
 @settings(max_examples=400, deadline=None)
@@ -133,8 +156,28 @@ def test_unicode_decimal_digits_are_numbers():
 def test_long_blank_tails_tokenize_in_linear_time(tail):
     text = "var x; minimize x;" + tail
     start = time.perf_counter()
-    try:
+    if tail.endswith("²"):
+        with pytest.raises(ParseError, match="unexpected character '²'$"):
+            parse_problem(text)
+    else:
         parse_problem(text)
-    except ParseError as err:
-        assert str(err).endswith("unexpected character '²'")
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("tail", ["", "²"], ids=["syntax-error", "stray-at-the-end"])
+def test_the_error_path_of_a_long_text_is_linear(tail):
+    # A syntax error at the start of about 1 MB of text, and a stray
+    # character at its end, which is the error wherever the parser stopped.
+    row = " + ".join(f"3*x[{i % 100}]" for i in range(100_000))
+    text = f"var x[100]\nminimize x[0];\nsubject to\n  {row} <= 1;\n{tail}"
+    assert len(text) > 900_000
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert time.perf_counter() - start < 1.0
+    if tail:
+        assert str(err.value) == "5:1: unexpected character '²'"
+        assert err.value.span == SourceSpan(5, 1, 1)
+    else:
+        assert str(err.value) == "2:1: expected ;, found 'minimize'"
+        assert err.value.span == SourceSpan(2, 1, 8)

@@ -4,16 +4,16 @@ The tableau simplex (slack start, Dantzig pricing with a Bland fallback, BLAS
 rank-1 pivots) gives vertex-exact LP answers, so canonicalization tests can
 assert tight tolerances.  One OSQP-style ADMM covers QP and cone programs: it
 equilibrates the data, factors a sparse quasi-definite KKT matrix (SuperLU),
-projects second-order cones in batches by size, adapts its penalty, and
+projects all second-order cones in one pass, adapts its penalty, and
 certifies infeasibility and unboundedness.  Everything is deterministic.
 
 A quasi-definite matrix factors stably in any symmetric order (Vanderbei
-1995), so a KKT matrix with no column over √N entries gets SuperLU's minimum
-degree order of ``Aᵀ + A`` with diagonal pivots, as OSQP factors it: on box
-rows one solve with its factor then takes a quarter to four fifths of the
-time.  Denser matrices keep SuperLU's unsymmetric COLAMD default, because
-there the MMD ordering itself costs more than the solves save: about 48 ms
-against 18 ms per factorization of a dense n = 160 QP's KKT matrix.
+1995), so the KKT matrix is assembled in a fixed block order and factored in
+that order, with diagonal pivots and no ordering step: the inequality and cone
+rows, then the variables, then the equality rows and any row of over √nnz
+entries.  Eliminating those early rows leaves ``P + σI + AᵀRA`` on the
+variables, which are then eliminated in their own order; rows that couple
+variables far apart in that order fill more than a minimum degree order would.
 """
 
 from __future__ import annotations
@@ -73,25 +73,20 @@ class RawSolution:
     factor_nnz: int = 0  # nonzeros of the last one's L plus U
 
 
-# SuperLU's symmetric mode: the minimum degree order of Aᵀ + A, kept by
-# preferring the diagonal pivot unless it is under 0.01 of its column's largest
-_SYMMETRIC = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
-                  options=dict(SymmetricMode=True))
-
-
-def _orders_symmetrically(matrix: sp.csc_matrix) -> bool:
-    """Whether ``_factor`` orders ``matrix`` symmetrically: when no column
-    holds more than √N entries, N its order (see the module docstring)."""
-    return int(np.diff(matrix.indptr).max(initial=0)) ** 2 <= matrix.shape[0]
+# SuperLU in the assembled order: no ordering is computed, and a diagonal
+# pivot is kept unless it is under 0.01 of its column's largest entry
+_NATURAL = dict(permc_spec="NATURAL", diag_pivot_thresh=0.01,
+                options=dict(SymmetricMode=True))
 
 
 def _factor(matrix: sp.csc_matrix, stats: dict):
-    """SuperLU factor of ``matrix``; adds its seconds to ``stats["factor_s"]``
-    and sets ``stats["factor_nnz"]``, the RawSolution fields."""
+    """SuperLU factor of ``matrix`` in its own order; adds its seconds to
+    ``stats["factor_s"]`` and sets ``stats["factor_nnz"]``, the RawSolution
+    fields."""
     if not np.isfinite(matrix.data).all():  # SuperLU takes NaN as a number
         raise RuntimeError("non-finite matrix entries")
     start = time.perf_counter()
-    factor = splu(matrix, **(_SYMMETRIC if _orders_symmetrically(matrix) else {}))
+    factor = splu(matrix, **_NATURAL)
     stats.update(factor_s=stats.get("factor_s", 0.0) + time.perf_counter() - start,
                  factor_nnz=factor.L.nnz + factor.U.nnz)
     return factor
@@ -214,35 +209,42 @@ def solve_lp_simplex(data: ProgramData,
     return RawSolution(Status.OPTIMAL, x, float(c @ x), used + used2)
 
 
-def _soc_plan(cones: ConeDims) -> list[np.ndarray]:
-    """Row indices of the SOC blocks, one ``(count, size)`` array per size."""
+def _soc_plan(cones: ConeDims):
+    """The SOC blocks' sizes and head rows, counted from the first SOC row,
+    and per size the blocks' indices and their ``x`` rows, ``(count, size - 1)``."""
     sizes = np.asarray(cones.soc, dtype=np.intp)
-    starts = cones.zero + cones.nonneg + np.cumsum(sizes) - sizes
-    return [starts[sizes == size, None] + np.arange(size)
-            for size in np.unique(sizes)]
+    starts = np.cumsum(sizes) - sizes
+    groups = [(blocks, starts[blocks, None] + np.arange(1, size))
+              for size in np.unique(sizes) for blocks in [np.flatnonzero(sizes == size)]]
+    return sizes, starts, groups
 
 
 def project_cone(v: np.ndarray, cones: ConeDims, plan=None) -> np.ndarray:
     """Euclidean projection onto Zero x NonNeg x SOC(...) blocks of ``v``.
 
-    SOC blocks go one size group of ``plan = _soc_plan(cones)`` at a time;
-    each ``|x|`` is a BLAS dot, as in ``np.linalg.norm``.
+    All SOC blocks are projected in one pass over ``plan = _soc_plan(cones)``;
+    only the norms go a size at a time, each ``|x|`` a BLAS dot, as in
+    ``np.linalg.norm``.
     """
     v = np.asarray(v, dtype=float)
+    sizes, starts, groups = _soc_plan(cones) if plan is None else plan
     out = np.empty_like(v)
     head = cones.zero + cones.nonneg
     out[:cones.zero] = 0.0
     np.maximum(v[cones.zero:head], 0.0, out=out[cones.zero:head])
-    for rows in _soc_plan(cones) if plan is None else plan:
-        block = v[rows]
-        t, x = block[:, 0], block[:, 1:]
-        nx = np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
-        inside, shell = nx <= t, nx > np.abs(t)
-        scale = inside.astype(float)
-        scale[shell] = 0.5 * (1.0 + t[shell] / nx[shell])
-        x *= scale[:, None]
-        block[:, 0] = np.where(inside, t, scale * nx)
-        out[rows] = block
+    if not groups:
+        return out
+    soc, nx = v[head:], np.empty(sizes.size)
+    for blocks, rows in groups:
+        x = soc[rows]
+        nx[blocks] = np.vecdot(x, x)
+    np.sqrt(nx, out=nx)
+    t = soc[starts]
+    inside, shell = nx <= t, nx > np.abs(t)
+    ratio = np.divide(t, nx, out=np.zeros_like(t), where=shell)
+    scale = np.where(shell, 0.5 * (1.0 + ratio), inside)
+    np.multiply(soc, np.repeat(scale, sizes), out=out[head:])
+    out[head + starts] = np.where(inside, t, scale * nx)
     return out
 
 
@@ -279,16 +281,37 @@ def _equilibrate(P: sp.csr_matrix, A: sp.csr_matrix, cones: ConeDims):
                    for M, s, r in ((P, d, P_row), (A, e, A_row)))
 
 
-def _kkt(P: sp.csr_matrix, A: sp.csr_matrix) -> sp.csc_matrix:
-    """``[[P + σI, Aᵀ], [A, -I]]`` as CSC, stacked from blocks: the first n
-    columns are ``P + σI`` over ``A``, and column ``n + i`` is row ``i`` of
-    ``A`` closed by the ``-1`` on the diagonal."""
+def _order(P: sp.csr_matrix, A: sp.csr_matrix, zero: int):
+    """Each row's position in the KKT factor order, and the variables' first
+    position.  The early rows lead, then the ``n`` variables, then the late
+    rows: the ``zero`` equality rows, whose ``-1/(1e3·ρ)`` pivots would be
+    taken off the diagonal early, and any row of ``k`` entries with ``k² >
+    nnz`` of the KKT matrix, which would fill a k×k block early."""
     m, n = A.shape
-    left = sp.vstack([P + _SIGMA * sp.eye(n), A], format="csr").tocsc()
-    right = sp.csc_matrix((np.insert(A.data, A.indptr[1:], -1.0),
-                           np.insert(A.indices, A.indptr[1:], n + np.arange(m)),
-                           A.indptr + np.arange(m + 1)), shape=(n + m, m))
-    return sp.hstack([left, right], format="csc")
+    counts = np.diff(A.indptr).astype(float)
+    late = counts * counts > P.nnz + n + 2 * A.nnz + m  # nnz, or a few more
+    late[:zero] = True
+    lead = m - int(np.count_nonzero(late))
+    rows = np.empty(m, dtype=np.intp)
+    rows[~late] = np.arange(lead)
+    rows[late] = np.arange(lead + n, m + n)
+    return rows, lead
+
+
+def _kkt(P: sp.csr_matrix, A: sp.csr_matrix, rows: np.ndarray, lead: int):
+    """``[[P + σI, Aᵀ], [A, -I]]`` as CSC in the order of ``_order``, built
+    once from triplets, with the position in ``data`` of each row's ``-1``:
+    first in an early row's column, last in a late row's."""
+    m, n = A.shape
+    P = P + _SIGMA * sp.eye(n, format="csr")
+    a_row = rows[np.repeat(np.arange(m), np.diff(A.indptr))]
+    a_col = A.indices + lead
+    i = np.concatenate([np.repeat(np.arange(lead, lead + n), np.diff(P.indptr)),
+                        a_row, a_col, rows])
+    j = np.concatenate([P.indices + lead, a_col, a_row, rows])
+    data = np.concatenate([P.data, A.data, A.data, np.full(m, -1.0)])
+    kkt = sp.csc_matrix((data, (i, j)), shape=(n + m, n + m))
+    return kkt, np.where(rows < lead, kkt.indptr[rows], kkt.indptr[rows + 1] - 1)
 
 
 def _inf_norm(v: np.ndarray) -> float:
@@ -308,20 +331,19 @@ def solve_admm(data: ProgramData,
     On Ruiz-equilibrated data (``_equilibrate``) each iteration is one solve
     with the sparse factor of the quasi-definite KKT matrix ``[[P + σI, Aᵀ],
     [A, -diag(1/ρ)]]``, one projection of ``z = Ax`` onto ``b - K`` and a
-    dual step, with over-relaxation ``_ALPHA``.  The factor takes a symmetric
-    minimum degree order when no KKT column holds more than √N entries (box
-    rows), and COLAMD on denser ones, where MMD ordering costs more than it
-    saves (``_orders_symmetrically``).  Equality rows take a ρ
-    ``_EQ_RHO_SCALE`` times stiffer.  Every 25 iterations it tests, on the
-    unscaled data, the residuals for optimality (the primal one row by row),
-    then the changes ``δy``, ``δx`` since the last test for a certificate
-    (Stellato et al., arXiv 1711.08013, §3.4; dual-cone tests of Banjac et
-    al. 2019): infeasible when ``Aᵀδy ≈ 0``, ``bᵀδy < 0`` and ``δy ∈ K*``,
-    and a descent ray when ``Pδx ≈ 0``, ``qᵀδx < 0`` and ``-Aδx ∈ K``, each
-    to ``_CERT_EPS`` and read on ``δ/‖δ‖∞``; ``_decide_ray`` then tells
-    unbounded from infeasible.  At iterations 25·2^j it sets ρ
-    to balance the scaled residuals (OSQP §5.2), refactoring when ρ moves
-    more than ``_RHO_REFACTOR`` times; a ρ that changed at every test kept some
+    dual step, with over-relaxation ``_ALPHA``.  The KKT matrix is built once
+    in the block order of ``_order`` and factored in that order, so neither
+    the first factorization nor a ρ refactor computes an ordering.  Equality
+    rows take a ρ ``_EQ_RHO_SCALE`` times stiffer.  Every 25 iterations it
+    tests, on the unscaled data, the residuals for optimality (the primal one
+    row by row), then the changes ``δy``, ``δx`` since the last test for a
+    certificate (Stellato et al., arXiv 1711.08013, §3.4; dual-cone tests of
+    Banjac et al. 2019): infeasible when ``Aᵀδy ≈ 0``, ``bᵀδy < 0`` and ``δy
+    ∈ K*``, and a descent ray when ``Pδx ≈ 0``, ``qᵀδx < 0`` and ``-Aδx ∈
+    K``, each to ``_CERT_EPS`` and read on ``δ/‖δ‖∞``; ``_decide_ray`` then
+    tells unbounded from infeasible.  At iterations 25·2^j it sets ρ to
+    balance the scaled residuals (OSQP §5.2), refactoring when ρ moves more
+    than ``_RHO_REFACTOR`` times; a ρ that changed at every test kept some
     degenerate problems from converging.  Iterates that overflow end the
     solve as an error at the next test, before any certificate or ρ reads
     them.  The setup reads the index arrays of the CSR ``A`` and ``P`` as they
@@ -331,9 +353,11 @@ def solve_admm(data: ProgramData,
     P = sp.csr_matrix((n, n)) if data.P is None else data.P
     d, e, P, A = _equilibrate(P, data.A, cones)
     AT, q, b, plan = A.T, d * data.q, e * data.b, _soc_plan(cones)
-    kkt = _kkt(P, A)
-    diagonal = kkt.indptr[n + 1:] - 1  # -1/ρ closes each of the last m columns
-    stats, eq = {}, np.arange(m) < cones.zero
+    rows, lead = _order(P, A, cones.zero)
+    kkt, diagonal = _kkt(P, A, rows, lead)
+    if lead == m:  # no late row: the rows come first, in order, read as a view
+        rows = slice(0, m)
+    stats, eq, xs = {}, np.arange(m) < cones.zero, slice(lead, lead + n)
 
     def refactor(rho_bar):
         rho = np.where(eq, _EQ_RHO_SCALE, 1.0) * rho_bar
@@ -352,11 +376,11 @@ def solve_admm(data: ProgramData,
                 return RawSolution(Status.ERROR, np.zeros(n), math.nan, k - 1,
                                    f"KKT factorization failed: {err}", **stats)
         y_rho = y / rho
-        np.subtract(_SIGMA * x, q, out=rhs[:n])
-        np.subtract(z, y_rho, out=rhs[n:])
+        np.subtract(_SIGMA * x, q, out=rhs[xs])
+        rhs[rows] = z - y_rho
         sol = factor.solve(rhs)
-        z_relax = alpha * (z + (sol[n:] - y) / rho) + (1.0 - alpha) * z
-        x = alpha * sol[:n] + (1.0 - alpha) * x
+        z_relax = alpha * (z + (sol[rows] - y) / rho) + (1.0 - alpha) * z
+        x = alpha * sol[xs] + (1.0 - alpha) * x
         z = b - project_cone(b - z_relax - y_rho, cones, plan)
         y = y + rho * (z_relax - z)
         if k % 25 and k < settings.max_iterations:

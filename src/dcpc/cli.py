@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -53,53 +54,54 @@ def _matrix_rows(m) -> Iterator[str]:
     where duplicates add in stored order from 0.0, as ``toarray`` adds them."""
     if not (sp.issparse(m) and m.format == "csr" and m.has_canonical_format):
         m = sp.csr_matrix(m.toarray() if sp.issparse(m) else m)
-    ncols = m.shape[1]
-    cells = [_format_float(v) for v in m.data.tolist()]
-    cols = m.indices.tolist()
-    bounds = m.indptr.tolist()
+    values, cols, bounds = m.data.tolist(), m.indices.tolist(), m.indptr.tolist()
     for lo, hi in zip(bounds, bounds[1:]):
-        row = ["0"] * ncols
+        row = ["0"] * m.shape[1]
         for i in range(lo, hi):
-            row[cols[i]] = cells[i]
+            row[cols[i]] = _format_float(values[i])
         yield ", ".join(row)
+
+
+def _block(brackets: str, items, indent: int) -> Iterator[str]:
+    """``(prefix, chunks)`` items one to a line in ``brackets``."""
+    sep = brackets[0] + "\n"
+    for prefix, chunks in items:
+        yield sep + "  " * (indent + 1) + prefix
+        yield from chunks
+        sep = ",\n"
+    yield brackets if sep != ",\n" else "\n" + "  " * indent + brackets[1]
+
+
+def _chunks(obj, indent=0) -> Iterator[str]:
+    """``render_json(obj, indent)`` in pieces, a matrix one row at a time."""
+    if obj is None or obj is True or obj is False or isinstance(obj, str):
+        yield json.dumps(obj)  # stdlib escaping covers control characters
+    elif isinstance(obj, (int, np.integer)):
+        yield str(int(obj))
+    elif isinstance(obj, (float, np.floating)):
+        yield _format_float(float(obj))
+    elif sp.issparse(obj) or (isinstance(obj, np.ndarray) and obj.dtype.kind == "f"
+                              and obj.ndim == 2):  # one writer for every float matrix
+        yield from _block("[]", ((f"[{row}]", ()) for row in _matrix_rows(obj)), indent)
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 1:
+        yield "[" + ", ".join([_format_float(v) for v in obj.tolist()]) + "]"
+    elif isinstance(obj, np.ndarray):
+        yield from _chunks(obj.tolist(), indent)
+    elif isinstance(obj, dict):
+        yield from _block("{}", ((json.dumps(str(k)) + ": ", _chunks(v, indent + 1))
+                                 for k, v in obj.items()), indent)
+    elif isinstance(obj, (list, tuple)) and any(
+            isinstance(v, (list, tuple, dict, np.ndarray)) for v in obj):
+        yield from _block("[]", (("", _chunks(v, indent + 1)) for v in obj), indent)
+    elif isinstance(obj, (list, tuple)):
+        yield "[" + ", ".join([render_json(v, indent + 1) for v in obj]) + "]"
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def render_json(obj, indent=0) -> str:
     """Serialize with 17-significant-digit floats (deterministic bytes)."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if obj is True or obj is False:
-        return "true" if obj else "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)  # stdlib escaping covers control characters
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if sp.issparse(obj) or (isinstance(obj, np.ndarray) and obj.dtype.kind == "f"
-                            and obj.ndim == 2):  # one writer for every float matrix
-        rows = [f"{inner}[{r}]" for r in _matrix_rows(obj)]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]" if rows else "[]"
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind != "f" or obj.ndim != 1:
-            return render_json(obj.tolist(), indent)
-        return "[" + ", ".join([_format_float(v) for v in obj.tolist()]) + "]"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [render_json(v, indent + 1) for v in obj]
-        if all(not isinstance(v, (list, tuple, dict, np.ndarray)) for v in obj):
-            return "[" + ", ".join(items) + "]"
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{render_json(str(k))}: {render_json(v, indent + 1)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return "".join(_chunks(obj, indent))
 
 
 def _data_payload(data, target: str) -> dict:
@@ -129,10 +131,14 @@ class EmitDocument:
 
     schema_version = "1"
 
+    def chunks(self) -> Iterator[str]:
+        """The document's text in pieces, for ``writelines``."""
+        yield from _chunks({"schema_version": self.schema_version, "target": self.target,
+                            "chain": list(self.chain), "data": self.data})
+        yield "\n"
+
     def render(self) -> str:
-        doc = {"schema_version": self.schema_version, "target": self.target,
-               "chain": list(self.chain), "data": self.data}
-        return render_json(doc) + "\n"
+        return "".join(self.chunks())
 
 
 def emit_document(data, chain_names) -> EmitDocument:
@@ -258,12 +264,19 @@ def _cmd_canonicalize(args, out, err) -> int:
         err.write(report.failure + "\n")
         return _no_target_exit(config)
     data, _ = apply_chain(report.chain, problem)
-    text = emit_document(data, report.chain_names).render()
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    chunks = emit_document(data, report.chain_names).chunks()
+    if not args.emit:
+        out.writelines(chunks)
+        return EXIT_OK
+    tmp = f"{args.emit}.{os.getpid()}.tmp"  # renamed over the target once whole
+    fh = open(tmp, "x", encoding="utf-8")  # fails on, and so keeps, a file of that name
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, args.emit)
+    except BaseException:
+        os.remove(tmp)
+        raise
     return EXIT_OK
 
 

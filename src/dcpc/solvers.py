@@ -140,39 +140,38 @@ def solve_lp_simplex(data: ProgramData,
 
     It takes ``min qᵀx  s.t.  b - Ax ∈ Zero × NonNeg``: no nonzero ``P`` and
     no SOC rows.  Free variables are split into nonnegative pairs and
-    inequality rows ``Gx <= h`` get slacks, giving the equality standard form
-    that the tableau iterates on.
-    Phase one starts from the slack basis on rows with ``h >= 0``; only rows
-    with ``h < 0`` and equality rows get artificial variables, and basic
-    artificials summing above 1e-9 after phase one certify infeasibility.  Both phases
-    price as ``_run_phase`` says, so the method terminates.
+    inequality rows ``Gx <= h`` get slacks; one ``(m+1) × (N+1)`` tableau of
+    that equality form, filled from the CSR ``A``, serves both phases.
+    Phase one starts from the slack basis on rows with ``h >= 0``; rows with
+    ``h < 0`` and equality rows start on artificials, basis labels ``>= N``
+    with no column, and basic ones summing above 1e-9 certify infeasibility.
+    A row whose artificial cannot then leave is redundant and is zeroed.
+    Both phases price as ``_run_phase`` says, so the method terminates.
     """
     if data.P is not None and data.P.count_nonzero():
         raise ValueError("simplex cannot solve a nonzero quadratic: it requires P == 0")
     if data.cones.soc:
         raise ValueError("simplex cannot solve second-order cone rows")
-    c, mA = data.q, data.cones.zero
-    h, b = data.b[mA:], data.b[:mA]
-    m, n = data.A.shape
+    c, mA, A = data.q, data.cones.zero, data.A
+    m, n = A.shape
     mG = m - mA
     N = 2 * n + mG  # columns [u (n), v (n), slack (mG)], x = u - v
-    rhs = np.concatenate([h, b]).astype(float)
-    art = np.flatnonzero(np.concatenate([h < 0, np.ones(mA, dtype=bool)]))
+    rhs = np.concatenate([data.b[mA:], data.b[:mA]]).astype(float)
+    art = np.flatnonzero(np.concatenate([rhs[:mG] < 0, np.ones(mA, dtype=bool)]))
 
-    # Tableau rows: the m constraints (G rows, then A rows), then the
-    # objective's reduced costs.  The stuffed A is densified once, here.
-    T = np.zeros((m + 1, N + art.size + 1))
-    dense = data.A.toarray()
-    T[:mG, :n], T[mG:m, :n] = dense[mA:], dense[:mA]
-    T[:m, n:2 * n] = -T[:m, :n]
+    # Tableau rows: the m constraints (G rows, then A rows, so A's row i lands
+    # on row i - mA of T[:m]), then the objective's reduced costs.
+    T = np.zeros((m + 1, N + 1))
+    rows = np.repeat(np.arange(-mA, mG, dtype=A.indices.dtype), np.diff(A.indptr))
+    T[:m][rows, A.indices] = A.data + 0.0  # canonical CSR; -0.0 reads 0.0, as in toarray
+    np.negative(T[:m, :n], out=T[:m, n:2 * n])
     T[np.arange(mG), 2 * n + np.arange(mG)] = 1.0
     T[:m, -1] = rhs
-    T[np.flatnonzero(rhs < 0)] *= -1.0
-    T[art, N + np.arange(art.size)] = 1.0
-    basis = 2 * n + np.arange(m)  # the slacks, then the artificials
+    T[:m] *= np.where(rhs < 0, -1.0, 1.0)[:, None]
+    basis = 2 * n + np.arange(m)  # the slacks, then the artificials' labels
     basis[art] = N + np.arange(art.size)
-    T[-1] = -T[art].sum(axis=0)  # phase one: minimize the artificials' sum
-    T[-1, N:-1] = 0.0
+    for i in art:  # phase one: minimize the artificials' sum
+        T[-1] -= T[i]
 
     outcome, used = _run_phase(T, basis, N, settings.max_iterations)
     if outcome == "limit":
@@ -184,17 +183,15 @@ def solve_lp_simplex(data: ProgramData,
                            "artificial variables remain positive")
 
     # Drive leftover (zero-valued) artificials out of the basis; a row where
-    # none can be is redundant and is dropped.
+    # none can be is redundant and is zeroed, so no ratio test picks it.
     for i in np.flatnonzero(basis >= N):
         cols = np.flatnonzero(np.abs(T[i, :N]) > _PIVOT_TOL)
         if cols.size:
             _pivot(T, basis, i, int(cols[0]))
-    keep = np.append(basis < N, True)
-    T = np.ascontiguousarray(T[keep][:, np.r_[:N, -1]])  # C order for dger
-    basis = basis[keep[:-1]]
+    T[:-1][basis >= N] = 0.0
 
-    cost = np.concatenate([c, -c, np.zeros(mG + 1)])
-    T[-1] = cost - cost[basis] @ T[:-1]
+    cost = np.concatenate([c, -c, np.zeros(mG + 1)])  # cost[N]: the rhs column
+    T[-1] = cost - cost.take(basis, mode="clip") @ T[:-1]  # labels >= N cost 0
 
     outcome, used2 = _run_phase(T, basis, N, settings.max_iterations - used)
     if outcome == "limit":
@@ -203,7 +200,7 @@ def solve_lp_simplex(data: ProgramData,
     if outcome == "unbounded":
         return RawSolution(Status.UNBOUNDED, np.zeros(n), -math.inf, used + used2,
                            "entering column admits no ratio bound")
-    z = np.zeros(N)
+    z = np.zeros(N + art.size)
     z[basis] = T[:-1, -1]
     x = z[:n] - z[n:2 * n]
     return RawSolution(Status.OPTIMAL, x, float(c @ x), used + used2)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,12 +15,12 @@ import pytest
 import scipy.sparse as sp
 
 from dcpc import cli
-from dcpc.analyzer import RewriterConfig, solve_problem
-from dcpc.cli import main, render_json
+from dcpc.analyzer import RewriterConfig, TargetClass, apply_chain, select_target, solve_problem
+from dcpc.cli import emit_document, main, render_json
 from dcpc.parsing import parse_problem
 from dcpc.reductions.framework import ReductionError, Status
 
-from helpers import PROBES
+from helpers import PROBES, bench_workloads
 
 TOY = """\
 var alice;
@@ -197,6 +198,98 @@ class TestCanonicalize:
         assert doc["chain"][0] == "presolve_fixed_point"
         # presolve fixes bob, so only alice and the epigraph variable remain
         assert set(doc["data"]["var_offsets"]) == {"alice", "_t1"}
+
+
+def rendered(text, target=None):
+    """``emit_document(...).render()`` of ``text``, as ``canonicalize`` builds it."""
+    problem = parse_problem(text)
+    forced = None if target is None else TargetClass[target.upper()]
+    report = select_target(problem, RewriterConfig(forced_target=forced))
+    data, _ = apply_chain(report.chain, problem)
+    return emit_document(data, report.chain_names).render()
+
+
+class TestStreamedDocument:
+    """``canonicalize`` writes the document in pieces, never whole in memory."""
+
+    @pytest.mark.parametrize("target", ["lp", "qp", "cone"])
+    def test_stdout_emit_and_render_agree(self, write, tmp_path, target):
+        path = write(TOY)
+        code, out, _ = run_cli("canonicalize", path, "--target", target)
+        emitted = tmp_path / "out.json"
+        assert run_cli("canonicalize", path, "--target", target,
+                       "--emit", str(emitted))[0] == code == 0
+        assert out == emitted.read_text(encoding="utf-8") == rendered(TOY, target)
+
+    def test_benchmark_document_agrees(self, write, tmp_path):
+        text = bench_workloads().dense_case(np.random.default_rng(7), "lp", 12, 12).text
+        code, out, _ = run_cli("canonicalize", write(text))
+        emitted = tmp_path / "out.json"
+        assert run_cli("canonicalize", write(text), "--emit", str(emitted))[0] == code == 0
+        assert out == emitted.read_text(encoding="utf-8") == rendered(text)
+
+    @pytest.fixture
+    def fail_after_first_row(self, monkeypatch):
+        rows = cli._matrix_rows
+
+        def first_row_then_fail(m):
+            yield next(rows(m))
+            raise MemoryError("injected")
+        monkeypatch.setattr(cli, "_matrix_rows", first_row_then_fail)
+
+    def test_failure_leaves_no_partial_file(self, write, tmp_path, fail_after_first_row):
+        path, target = write(TOY), tmp_path / "out.json"
+        code, out, err = run_cli("canonicalize", path, "--emit", str(target))
+        assert code == 7 and out == ""
+        assert err == "internal error: MemoryError: injected\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.cvx"]
+
+    def test_failure_keeps_the_file_already_there(self, write, tmp_path,
+                                                  fail_after_first_row):
+        path, target = write(TOY), tmp_path / "out.json"
+        target.write_text("earlier document\n")
+        assert run_cli("canonicalize", path, "--emit", str(target))[0] == 7
+        assert target.read_text() == "earlier document\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "problem.cvx"]
+
+    def test_failure_on_stdout_exits_7(self, write, fail_after_first_row):
+        code, out, err = run_cli("canonicalize", write(TOY))
+        assert code == 7
+        assert err == "internal error: MemoryError: injected\n"
+
+    def test_file_at_the_temporary_name_is_left_alone(self, write, tmp_path):
+        target = tmp_path / "out.json"
+        other = tmp_path / f"out.json.{os.getpid()}.tmp"
+        other.write_text("someone else's file\n")
+        code, _, err = run_cli("canonicalize", write(TOY), "--emit", str(target))
+        assert code == 7 and err.startswith("io error:")
+        assert other.read_text() == "someone else's file\n"
+        assert not target.exists()
+
+    def test_emit_replaces_the_file_already_there(self, write, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("earlier document\n")
+        assert run_cli("canonicalize", write(TOY), "--emit", str(target))[0] == 0
+        assert target.read_text(encoding="utf-8") == rendered(TOY)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "problem.cvx"]
+
+    def test_render_peak_memory_is_about_two_documents(self):
+        """``tracemalloc`` peak of ``render()`` on wide-cone at n = 1000 (a
+        36 MB document): the joined pieces and the text, with no nested
+        concatenation on top."""
+        text = bench_workloads().wide_case(np.random.default_rng(1000), "wide-cone", 1000).text
+        problem = parse_problem(text)
+        report = select_target(problem)
+        document = emit_document(apply_chain(report.chain, problem)[0], report.chain_names)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            size = len(document.render())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert size > 30 * 2**20
+        assert peak < 2.2 * size, f"peak {peak / size:.2f} documents"
 
 
 class TestSolve:

@@ -305,6 +305,47 @@ class TestSimplex:
                 np.testing.assert_allclose(A @ raw.x, b, atol=1e-9)
         assert seen == {Status.OPTIMAL, Status.INFEASIBLE}
 
+    @pytest.mark.parametrize("text", [
+        "var x; var y; minimize abs(x-2)+abs(y); subject to x + y == 1; 2*x + 2*y == 2;",
+        "var x; var y; minimize abs(x - 2) + abs(y + 1); subject to x == 1; x == 1; y >= -3;",
+    ], ids=["scaled-copy", "repeated"])
+    def test_redundant_equality_rows_match_highs(self, text):
+        # The equality rows are linearly dependent, so after phase one at
+        # least one artificial cannot be driven out: its row is zeroed and
+        # phase two pivots around it.
+        outcome = solve_problem(parse_problem(text))
+        assert outcome.report.target is TargetClass.LP
+        data, raw = outcome.data, outcome.raw
+        zero = data.cones.zero
+        dense = data.A.toarray()
+        assert np.linalg.matrix_rank(dense[:zero]) < zero
+        G, h, A, b = dense[zero:], data.b[zero:], dense[:zero], data.b[:zero]
+        ref = linprog(data.q, A_ub=G, b_ub=h, A_eq=A, b_eq=b, bounds=(None, None),
+                      method="highs")
+        assert raw.status is Status.OPTIMAL and ref.status == 0
+        assert raw.value == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+        assert np.all(G @ raw.x <= h + 1e-9)
+        np.testing.assert_allclose(A @ raw.x, b, atol=1e-9)
+
+    def test_peak_memory_is_one_tableau(self):
+        """``tracemalloc`` peak of the simplex on the benchmark's dense LP at
+        n = 80: one ``(m+1) × (N+1)`` tableau, with no artificial columns, no
+        dense copy of ``A`` and no copy between the phases."""
+        case = bench_workloads().dense_case(np.random.default_rng(80), "lp", 80, 80)
+        problem = parse_problem(case.text)
+        data = build_chain(problem, TargetClass.LP).apply(problem)[0]
+        m, n = data.A.shape
+        tableau = (m + 1) * (2 * n + m - data.cones.zero + 1) * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            raw = solve_lp_simplex(data)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert raw.status is Status.OPTIMAL
+        assert peak < 1.3 * tableau, f"peak {peak / tableau:.2f} tableaus"
+
 
 class TestQpAdmm:
     def test_unconstrained_scalar(self):

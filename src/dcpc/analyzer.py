@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .reductions.cone import (OVERFLOW, GraphExpand, ProgramData, RelaxSmith,
-                              SmithTransform, StuffCone)
+from .reductions.cone import OVERFLOW, GraphExpand, ProgramData, StuffCone
 from .reductions.framework import (ReductionChain, Solution, Status,
                                    infeasible_solution, unbounded_solution)
 from .reductions.qp import StuffLp, StuffQp, qp_applicable, uses_quadratic_atom
@@ -143,7 +142,7 @@ def build_chain(problem: ex.ProblemForm, target: TargetClass,
         members.extend([EliminatePwlAtoms(), MoveToLhs()])
         members.append(StuffLp() if target is TargetClass.LP else StuffQp())
     else:
-        members.extend([SmithTransform(), RelaxSmith(), GraphExpand()])
+        members.append(GraphExpand())
         if config.decompose_soc:
             members.append(DecomposeSoc())
         members.append(StuffCone())

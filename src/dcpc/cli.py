@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .analyzer import (AnalyzerError, RewriterConfig, TargetClass,
                        apply_chain, select_target, solve_problem)
-from .parsing import ParseError, parse_problem
+from .parsing import ParseError, SourceSpan, parse_problem
 from .reductions.framework import ReductionError, Status
 from .solvers import SolverSettings
 
@@ -235,8 +235,16 @@ def _config_from_args(args) -> RewriterConfig:
 
 
 def _load_problem(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:  # located at the text decoded before it
+        prefix = raw[:exc.start].decode("utf-8")
+        span = SourceSpan(prefix.count("\n") + 1, len(prefix) - prefix.rfind("\n"), 1)
+        raise ParseError(f"byte 0x{raw[exc.start]:02x} is not valid UTF-8 ({exc.reason})",
+                         span) from None
+    return parse_problem(text)
 
 
 def _no_target_exit(config) -> int:

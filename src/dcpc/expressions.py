@@ -78,7 +78,6 @@ __all__ = [
     "fold",
     "rebuild",
     "ROOT_SIGNS",
-    "child_sign",
 ]
 
 
@@ -765,8 +764,7 @@ def rebuild(node: ExpressionNode, children: Sequence[ExpressionNode]) -> Express
 
 
 # DCP scaling sign at the root of each tree of a problem: the objective's by
-# sense, a constraint's (lhs, rhs) pair by relation.  Children take their
-# sign from ``child_sign``.
+# sense, a constraint's (lhs, rhs) pair by relation.
 ROOT_SIGNS = {
     Sense.MINIMIZE: +1,
     Sense.MAXIMIZE: -1,
@@ -774,11 +772,6 @@ ROOT_SIGNS = {
     Relation.GE: (-1, +1),
     Relation.EQ: (0, 0),
 }
-
-
-def child_sign(node: ExpressionNode, i: int, sigma: int) -> int:
-    """Scaling sign of ``node``'s child ``i``: a ``down`` for :func:`fold`."""
-    return sigma * ATOMS[node.atom].monotonicity(node.children, i)
 
 
 def evaluate(expr: ExpressionNode, assignment: Mapping[int, object]) -> np.ndarray:

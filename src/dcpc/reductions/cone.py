@@ -1,15 +1,17 @@
-"""Conic canonicalization: Smith form, relaxation, graph expansion, stuffing.
+"""Conic canonicalization: graph expansion and stuffing.
 
 The pipeline lowers a DCP problem to ``minimize q'x + offset  s.t.  b - Ax in
 K`` where K stacks a zero cone, a nonnegative orthant, and second-order cones,
-in that fixed block order.  ``ProgramData`` holds that form, with a quadratic
-term ``P`` added, for every target: LP and QP stuffing write it too.  One
-gather reads the affine rows of :func:`stack_rows` and :func:`affine_row_data`.
+in that fixed block order.  :class:`GraphExpand` swaps each nonlinear atom
+for its graph in one walk, and :class:`StuffCone` stacks the rows.
+``ProgramData`` holds that form, with a quadratic term ``P`` added, for every
+target: LP and QP stuffing write it too.  One gather reads the affine rows of
+:func:`stack_rows` and :func:`affine_row_data`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,169 +22,75 @@ from .framework import Reduction
 from .standard import CanonConstraint, CanonStage, smart_sub
 
 __all__ = [
-    "SmithProblem", "SmithTransform", "RelaxSmith", "GraphExpand",
-    "ConeDims", "ProgramData", "StuffCone", "stack_variables", "stack_rows",
-    "affine_row_data", "dense_rows", "OVERFLOW",
+    "GraphExpand", "ConeDims", "ProgramData", "StuffCone", "stack_variables",
+    "stack_rows", "affine_row_data", "dense_rows", "OVERFLOW",
 ]
 
 
-@dataclass(frozen=True)
-class SmithProblem:
-    """A problem whose nonlinear atoms all sit in defining constraints t == f.
-
-    ``aux_sigma`` maps each fresh variable id to the scaling sign of the atom
-    occurrence it replaced, which :class:`RelaxSmith` checks before it
-    relaxes.
-    """
-
-    problem: ex.ProblemForm
-    aux_sigma: dict[int, int] = field(default_factory=dict)
-
-
-class SmithTransform(Reduction):
-    """Pull every nonlinear atom application into a ``t == atom(args)`` row.
-
-    Affine subtrees (constants included) are leaves and kept intact, so the
-    output is the pragmatic Smith form: every atom in the transformed problem
-    has affine arguments.  Defining constraints for the objective come
-    first, then each user constraint follows its own defining rows; within
-    one expression, inner atoms are defined before the atoms that use them.
-    """
-
-    name = "smith_transform"
-
-    def accepts(self, problem) -> bool:
-        return isinstance(problem, ex.ProblemForm)
-
-    def apply(self, problem):
-        self._check(problem)
-        pool = ex.VariablePool(problem.variables)
-        aux_sigma: dict[int, int] = {}
-        cons: list = []
-
-        def nonlinear(node):
-            return node.kind == "atom" and \
-                ex.ATOMS[node.atom].curvature_class is not ex.Curvature.AFFINE
-
-        def replace(expr, sigma):
-            # A nonlinear atom takes its aux id on the way down and appends
-            # its defining row on the way up, after its arguments' rows.
-            pending = []  # aux of each nonlinear atom entered, not yet left
-
-            def enter(node, _):
-                if nonlinear(node):
-                    pending.append(pool.fresh("_t", node.dim))
-                return True
-
-            def leave(node, children, s):
-                if node.kind != "atom":
-                    return node
-                body = ex.rebuild(node, children)
-                if not nonlinear(node):
-                    return body
-                aux = pending.pop()
-                cons.append((ex.var_ref(aux), ex.Relation.EQ, body))
-                aux_sigma[aux.id] = s
-                return ex.var_ref(aux)
-
-            return ex.fold(expr, leave, enter, ex.child_sign, sigma)
-
-        objective = replace(problem.objective, ex.ROOT_SIGNS[problem.sense])
-        for c in problem.constraints:
-            fl, fr = ex.ROOT_SIGNS[c.relation]
-            lhs = replace(c.lhs, fl)
-            rhs = replace(c.rhs, fr)
-            cons.append((lhs, c.relation, rhs))
-        out = ex.ProblemForm(problem.sense, objective, cons, pool.variables)
-        return SmithProblem(out, aux_sigma), self._record(aux=sorted(aux_sigma))
-
-
-class RelaxSmith(Reduction):
-    """Relax each defining equality ``t == f(args)`` to ``f(args) <= t``.
-
-    Every nonlinear atom in the set is convex, so the epigraph direction is
-    the only one needed; it is valid exactly when the replaced occurrence had
-    positive scaling.  That sigma check is the cone chain's DCP gate: with
-    only convex nonlinear atoms, a problem is DCP exactly when every one of
-    them sits at scaling sign +1.  At an optimum the relaxation is tight, so
-    dropping the epigraph variables retrieves a solution of the unrelaxed
-    problem.
-    """
-
-    name = "relax_smith"
-
-    def accepts(self, smith) -> bool:
-        return isinstance(smith, SmithProblem) and \
-            all(sigma == +1 for sigma in smith.aux_sigma.values())
-
-    def apply(self, smith):
-        self._check(smith)
-        inner = smith.problem
-        cons = []
-        for c in inner.constraints:
-            if c.relation is ex.Relation.EQ and c.lhs.kind == "var" \
-                    and c.lhs.var_id in smith.aux_sigma:
-                cons.append((c.rhs, ex.Relation.LE, c.lhs))
-            else:
-                cons.append((c.lhs, c.relation, c.rhs))
-        out = ex.ProblemForm(inner.sense, inner.objective, cons, inner.variables)
-        return out, self._record()
-
-
 class GraphExpand(Reduction):
-    """Swap each relaxed atom inequality for its cone-constraint graph.
+    """Lower a DCP problem to cone constraints over affine expressions.
 
-    Affine constraints map directly (EQ to a zero cone, LE/GE to the
-    nonnegative orthant).  An atom reads its graph from ``ex.ATOMS``: a
-    piecewise-linear atom gives one orthant row ``t - y`` per piece ``y``,
-    and any other one second-order cone, ``norm2`` its own and
-    ``square``/``sum_squares`` the embedding ``norm2((2y, 1-t)) <= 1+t``,
-    as one block of cones, one per row, for the elementwise ``square``.
+    Each nonlinear atom takes a fresh variable ``t`` on the way down and, on
+    the way up, writes its graph from ``ex.ATOMS`` over its rewritten
+    arguments: a piecewise-linear atom one orthant row ``t - y`` per piece
+    ``y``, any other one second-order cone, ``norm2`` its own and
+    ``square``/``sum_squares`` the embedding ``norm2((2y, 1-t)) <= 1+t``, as
+    one block of cones, one per row, for the elementwise ``square``.  Affine
+    subtrees (constants included) are leaves and kept intact.  The
+    objective's graphs come first; then each constraint's, inner atoms
+    before the atoms that use them, and then its own zero row (EQ) or
+    orthant row (LE/GE).  Every nonlinear atom is convex, and DCP admits it
+    only at scaling sign +1, where ``atom <= t`` is tight at an optimum; so
+    dropping the ``t`` retrieves a solution of the input.
     """
 
     name = "graph_expand"
 
     def accepts(self, problem) -> bool:
-        if not isinstance(problem, ex.ProblemForm):
-            return False
-        if not problem.objective.curvature.is_affine:
-            return False
-        for c in problem.constraints:
-            if c.lhs.curvature.is_affine and c.rhs.curvature.is_affine:
-                continue
-            if c.relation is ex.Relation.LE and c.lhs.kind == "atom" \
-                    and c.rhs.curvature.is_affine \
-                    and all(a.curvature.is_affine for a in c.lhs.children):
-                continue
-            return False
-        return True
+        return isinstance(problem, ex.ProblemForm) and ex.is_dcp(problem)[0]
 
     def apply(self, problem):
         self._check(problem)
+        pool = ex.VariablePool(problem.variables)
         cones: list[CanonConstraint] = []
 
         def emit(kind, *args):
             cones.append(getattr(CanonConstraint, kind)(len(cones), *args))
 
-        for c in problem.constraints:
-            if c.lhs.curvature.is_affine and c.rhs.curvature.is_affine:
-                if c.relation is ex.Relation.EQ:
-                    emit("zero", smart_sub(c.lhs, c.rhs))
-                elif c.relation is ex.Relation.LE:
-                    emit("nonneg", smart_sub(c.rhs, c.lhs))
-                else:
-                    emit("nonneg", smart_sub(c.lhs, c.rhs))
-                continue
-            t, f = c.rhs, c.lhs
-            desc = ex.ATOMS[f.atom]
+        pending = []  # the ``t`` of each nonlinear atom entered, not yet left
+
+        def enter(node, _):
+            if node.kind == "atom" and \
+                    ex.ATOMS[node.atom].curvature_class is not ex.Curvature.AFFINE:
+                pending.append(ex.var_ref(pool.fresh("_t", node.dim)))
+            return True
+
+        def leave(node, children, _):
+            if node.kind != "atom":
+                return node
+            desc = ex.ATOMS[node.atom]
+            if desc.curvature_class is ex.Curvature.AFFINE:
+                return ex.rebuild(node, children)
+            t = pending.pop()
             if desc.pieces is None:
-                emit("soc", *desc.cone(t, f.children))
+                emit("soc", *desc.cone(t, children))
             else:
-                for y in desc.pieces(f.children):
+                for y in desc.pieces(children):
                     emit("nonneg", smart_sub(t, y))
-        stage = CanonStage(problem.objective, tuple(cones),
-                           tuple(problem.variables))
-        return stage, self._record()
+            return t
+
+        objective = ex.fold(problem.objective, leave, enter)
+        for c in problem.constraints:
+            lhs, rhs = ex.fold(c.lhs, leave, enter), ex.fold(c.rhs, leave, enter)
+            if c.relation is ex.Relation.EQ:
+                emit("zero", smart_sub(lhs, rhs))
+            elif c.relation is ex.Relation.LE:
+                emit("nonneg", smart_sub(rhs, lhs))
+            else:
+                emit("nonneg", smart_sub(lhs, rhs))
+        aux = [v.id for v in pool.variables[len(problem.variables):]]
+        stage = CanonStage(objective, tuple(cones), tuple(pool.variables))
+        return stage, self._record(aux=aux)
 
 
 @dataclass(frozen=True)

@@ -194,15 +194,15 @@ def solve_lp_simplex(data: ProgramData,
     T[-1] = cost - cost.take(basis, mode="clip") @ T[:-1]  # labels >= N cost 0
 
     outcome, used2 = _run_phase(T, basis, N, settings.max_iterations - used)
-    if outcome == "limit":
-        return RawSolution(Status.ITERATION_LIMIT, np.zeros(n), math.nan,
-                           used + used2, "phase-2 iteration limit")
     if outcome == "unbounded":
         return RawSolution(Status.UNBOUNDED, np.zeros(n), -math.inf, used + used2,
                            "entering column admits no ratio bound")
     z = np.zeros(N + art.size)
     z[basis] = T[:-1, -1]
     x = z[:n] - z[n:2 * n]
+    if outcome == "limit":  # every phase-two basis is feasible: report its vertex
+        return RawSolution(Status.ITERATION_LIMIT, x, float(c @ x), used + used2,
+                           "phase-2 iteration limit")
     return RawSolution(Status.OPTIMAL, x, float(c @ x), used + used2)
 
 

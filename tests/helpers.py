@@ -15,7 +15,6 @@ import numpy as np
 
 from dcpc import expressions as ex
 from dcpc.analyzer import RewriterConfig, TargetClass, select_target
-from dcpc.reductions.cone import SmithProblem
 from dcpc.reductions.framework import Status
 from dcpc.reductions.standard import CanonStage
 
@@ -240,10 +239,8 @@ STAGE_CONFIGS = {
 
 
 def stage_trees(stage):
-    """The expression trees of a problem, a Smith problem or a cone stage;
-    none for stuffed data."""
-    if isinstance(stage, SmithProblem):
-        stage = stage.problem
+    """The expression trees of a problem or a cone stage; none for stuffed
+    data."""
     if isinstance(stage, ex.ProblemForm):
         return [e for _, e, _ in ex.walk_expressions(stage)]
     if isinstance(stage, CanonStage):

@@ -214,7 +214,7 @@ def test_a_long_run_matches_the_builder():
 
 # --- every node of affine curvature is a leaf -------------------------------
 
-ALL_STAGES = {"ProblemForm", "SmithProblem", "CanonStage", "ProgramData"}
+ALL_STAGES = {"ProblemForm", "CanonStage", "ProgramData"}
 
 
 def test_no_atom_node_is_affine_in_randgen_problems():

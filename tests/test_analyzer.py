@@ -129,12 +129,11 @@ class TestBuildChain:
     def test_cone_chain_members(self):
         chain = build_chain(norm_problem(), TargetClass.CONE)
         assert [m.name for m in chain.members] == [
-            "smith_transform", "relax_smith", "graph_expand", "stuff_cone"]
+            "graph_expand", "stuff_cone"]
         split = build_chain(norm_problem(), TargetClass.CONE,
                             RewriterConfig(decompose_soc=True))
         assert [m.name for m in split.members] == [
-            "smith_transform", "relax_smith", "graph_expand", "decompose_soc",
-            "stuff_cone"]
+            "graph_expand", "decompose_soc", "stuff_cone"]
 
     def test_decomposed_norm_gives_two_three_dim_cones(self):
         config = RewriterConfig(forced_target=TargetClass.CONE,

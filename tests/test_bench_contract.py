@@ -135,28 +135,28 @@ def test_traced_solve_certifies_probes(bench, name):
 DOCUMENT_SHA256 = {
     ("canon-scalar", 0): "e3b27d370bdfc152c0f52bfa75b69162eebb8a526ae52c5a6900e2a69fc67305",
     ("canon-scalar", 1): "fe3d45805898208815d425bf796e481fb8b1a27dee8cc105f0c5bb6fca022f6c",
-    ("canon-scalar", 2): "3580022c77f19e6917e9d7398e617f9c4c74c0767edc422dd1e47c1af348867d",
+    ("canon-scalar", 2): "8d2d8531c66ceb54cbda80828de3a14394c930476a47a853b2b49d97977679da",
     ("solve-dense", 0): "82ae4534eb045f9ea2414c1426ef219148d70915df2fa2a4b4d8d6d19e8e2fbc",
     ("solve-dense", 1): "2d11a6fd75c8a8512f18fd97e16d18a02c5165d161b0e7fc4d65e9ae010bd3e1",
     ("solve-dense", 2): "f00c4d5027a0489682bab6dc9f01772aa61c65abbc1d3dcecaa956cf9da6fe9e",
     ("solve-dense", 3): "447a11c422bf2c89f80c5c60b1627ea80aeecb17557256ca5ad38d2ec525b70d",
     ("solve-dense", 4): "ecac8d6d3567e4899b384ce7f942fb3019f90cb245a7f7689c2d0646b5a41a5f",
     ("solve-dense", 5): "ffdee1f165b4cb5429dcb074829377b1672557224da228f820556cf06de7b6bb",
-    ("solve-dense", 6): "c6fa71a9440c141785bd37707499ad59b499c2194a566e0903cc30b4fa2f62c3",
-    ("solve-dense", 7): "0fb01e4396541c324b398b8b637ae477a72d7a4f11c999acd627a1a860f906c7",
-    ("solve-dense", 8): "5681301806c3a58f913bc8a8063ab21fdc1286fcdd1fedf2e98a59160011af9f",
+    ("solve-dense", 6): "f25ddb81d737fc66d785e39dfbb24b7217d99166b89f99e0dc7f4ff4c9202694",
+    ("solve-dense", 7): "6c992d20f7b20c670136a811051952c9bd368d82f92ae1e332ef45fc05228f7b",
+    ("solve-dense", 8): "9b172d1c02052389690cbc02fe956fc7621ef9601447cba5f1cc2db37a9d0dac",
     ("solve-dense", 9): "f378132010da1ce055fc71c27a8edcb4fe63d5f70b63ef66c0b022a937716bb6",
     ("solve-dense", 10): "5137360ffa3e4ac340e0c7b17ef7c54a5194cc95f357cd4cf5ff80c2ffcce6be",
     ("solve-dense", 11): "4dd2eb47dc1c9789deb788b1db0f6d7672e39ede6175b531529f454ff2ebcc96",
     ("solve-dense", 12): "f307e62ad5bf7788929c2c338cd5004f6b35ab98a8604ae993a6d5a31e322643",
-    ("solve-dense", 13): "b9668b0e14d9d8711c64caf809a50a67784ccb022c8deb7d73cf021d5218b7bd",
-    ("solve-dense", 14): "680b683e4c7747adea1792a94e584244e8b75a03ad14d67676eb4590cc797e23",
+    ("solve-dense", 13): "f26944a7b7d2b1957a7ee74584632f7f6345ef317b12c95dc87df21c244215ee",
+    ("solve-dense", 14): "21208ee004fd35c4bd0b0b4247a634f4f09a97dfadea34c9d6b157d6d9745726",
     ("solve-wide", 0): "f96a55f4429fd296300bc9f5bf75855258dc235379d250b99bcf217758704893",
-    ("solve-wide", 1): "5bd5e802a6f951461c050d56eb9f037c1b5498d22030c50d878636820a452bdc",
+    ("solve-wide", 1): "6fec3d0f05487583eca5a78cb20f6c160f786b029bda4b7da8000a75fca2cfbf",
     ("solve-wide", 2): "b17f743b9db3d6dba9ddd16e80fc16e23f129ce349d80c9923d98397473edd7b",
-    ("solve-wide", 3): "4d00ea197c91729193dd8fd55a1df49ab4809c7c3473d5f16de74237cdd2bf84",
+    ("solve-wide", 3): "8d4094ad4161e03b5df46711054e9421a1cd4effb6fa890e094e548519dc25de",
     ("solve-wide", 4): "cbf5f25000af7175ded129be3d5ee7ce19fadada65a7661b2ed23ff52303738e",
-    ("solve-wide", 5): "82c40fb2fc2e4bb1b19d58f5c5cbe28d561457039c58f364edb1474fb6c83253",
+    ("solve-wide", 5): "d043ce746e65c16e2cc9d0f67b4597e0bb3268a285ad82b18d3541b0b5302d70",
 }
 
 

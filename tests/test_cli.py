@@ -122,6 +122,14 @@ class TestAnalyze:
         assert err.startswith("parse error:") and "nested too deeply" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["analyze", "canonicalize", "solve"])
+    def test_invalid_utf8_is_a_parse_error(self, tmp_path, command):
+        path = tmp_path / "problem.cvx"
+        path.write_bytes(b"var x;\nminimize x\xff;\n")
+        code, out, err = run_cli(command, str(path))
+        assert (code, out) == (1, "")
+        assert err == "parse error: 2:11: byte 0xff is not valid UTF-8 (invalid start byte)\n"
+
     def test_missing_file_is_io_error(self):
         code, _, err = run_cli("analyze", "/nonexistent/問題.cvx")
         assert code == 7

@@ -34,18 +34,18 @@ DIGESTS = {
     ("pwl", "auto"): "a7461ba6633eaed24f342a80b0f11e3a108690124a3caf152e1e468da1b9c7b6",
     ("pwl", "lp"): "a7461ba6633eaed24f342a80b0f11e3a108690124a3caf152e1e468da1b9c7b6",
     ("pwl", "qp"): "2a186351dba2d689c31daa542d6ce984ca9900e95e11eb658ffa91612da4cc42",
-    ("pwl", "cone"): "4c1edc615eb6d3e95f7cf4194c6bad8a0e964891df8ce8ad19f0359f0a86abda",
-    ("pwl", "cone-decomposed"): "da34f5ff57a2ee3fc083093dda045f6f4ffe219f783ceff4240636f66bb1a7f8",
+    ("pwl", "cone"): "2611c0bf0869fa0bf2e446ee9f26aec953a4d7b73d0239dc32d301f84258d832",
+    ("pwl", "cone-decomposed"): "e2f480a09a219917f5d7d98d187dab7afc53eaa4987e2d8766d164ba5828a55d",
     ("qp", "auto"): "0d38a79b3d7f485bb4c21f24199172c8efe017bbf27cf2ece390e8bd3ff77860",
     ("qp", "lp"): "b1bf1bacbedf111c627df6c1ecf6331e146a4b01b12758a947aea660b82b3b83",
     ("qp", "qp"): "0d38a79b3d7f485bb4c21f24199172c8efe017bbf27cf2ece390e8bd3ff77860",
-    ("qp", "cone"): "74e2bbae533491c847a24473c62095bef1f51c3d1bdaca8a0d0bbdf6693a4e52",
-    ("qp", "cone-decomposed"): "4f8744bcc76e900e8366eea77d2080659894a60916d77aa5c304f4e3c85724c5",
-    ("cone", "auto"): "04e90f7df798db4de841b96329c44a644f0c3465eb4b4bfb54eaad1344f13452",
+    ("qp", "cone"): "ebfe1b02b1a429d18fc59541facfc37756c8c6390bbfd2860d24cb14589cdf10",
+    ("qp", "cone-decomposed"): "130869a8d5ef3fb52f057099f5a46dbf983d1a9c0df9859091d2b3416390b7c5",
+    ("cone", "auto"): "dcd443d128090b5122224865add2c643c8800e2c3336f5750f8a2a86c9570989",
     ("cone", "lp"): "22a145e61a4318ee4c09a859c2b46b11a49afae2503a631c074844e5cf246291",
     ("cone", "qp"): "7cb8817503384ac5dd1701294f3852febbe83b057861dbf846a25dd9af99a3aa",
-    ("cone", "cone"): "04e90f7df798db4de841b96329c44a644f0c3465eb4b4bfb54eaad1344f13452",
-    ("cone", "cone-decomposed"): "ec7640ea43a0705caa7fa21f9aa1697600205c8848a97acb43194c2f16a4765c",
+    ("cone", "cone"): "dcd443d128090b5122224865add2c643c8800e2c3336f5750f8a2a86c9570989",
+    ("cone", "cone-decomposed"): "65db49020f410581a138449056582353ee2abaacf35b2180c9f243299de21e5b",
 }
 
 

@@ -6,10 +6,9 @@ against an equivalent regular expression and against brute-force refinement
 of label sets, cone projection against the defining properties of a
 Euclidean projection (idempotence, non-expansiveness, Jensen's inequality
 for the convex atoms it supports), and the DCP rules against the position
-invariant that piecewise-linear atom elimination relies on and against the
-sigma check that gates the cone chain.  The QP analysis, which stops at
-affine subtrees, is compared against references that read every node and
-every root-to-leaf label word.
+invariant that piecewise-linear atom elimination and graph expansion rely
+on.  The QP analysis, which stops at affine subtrees, is compared against
+references that read every node and every root-to-leaf label word.
 """
 
 import itertools
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 from dcpc import expressions as ex
 from dcpc import randgen
 from dcpc.cli import render_json
-from dcpc.reductions.cone import ConeDims, RelaxSmith, SmithTransform
+from dcpc.reductions.cone import ConeDims, GraphExpand
 from dcpc.reductions.qp import PathNfa, qp_applicable, uses_quadratic_atom
 from dcpc.solvers import project_cone
 
@@ -134,15 +133,20 @@ def test_convex_atoms_satisfy_jensen(x, y, theta, atom):
 
 # --- piecewise-linear atoms under DCP --------------------------------------
 
-def _pwl_occurrences(expr, sigma):
-    """(curvature, scaling sign) of each nonconstant abs or max in ``expr``."""
+def _occurrences(expr, sigma, atoms=("abs", "max")):
+    """(curvature, scaling sign) of each nonconstant atom of ``atoms`` in
+    ``expr``, the sign composed top-down from ``sigma``: a child's is its
+    parent's times the parent's monotonicity in it."""
     found = []
 
+    def down(node, i, s):
+        return s * ex.ATOMS[node.atom].monotonicity(node.children, i)
+
     def leave(node, _, s):
-        if node.atom in ("abs", "max") and not node.curvature.is_constant:
+        if node.atom in atoms and not node.curvature.is_constant:
             found.append((node.curvature, s))
 
-    ex.fold(expr, leave, None, ex.child_sign, sigma)
+    ex.fold(expr, leave, None, down, sigma)
     return found
 
 
@@ -193,19 +197,21 @@ def test_dcp_puts_every_nonconstant_pwl_atom_at_positive_sign(seed):
     problem = _random_problem(np.random.default_rng(seed))
     assume(ex.is_dcp(problem)[0])
     for _, expr, sigma in ex.walk_expressions(problem):
-        for curvature, sign in _pwl_occurrences(expr, sigma):
+        for curvature, sign in _occurrences(expr, sigma):
             assert curvature is ex.Curvature.CONVEX
             assert sign == +1
 
 
 @settings(max_examples=300)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_relax_smith_sigma_check_is_the_dcp_test(seed):
-    # RelaxSmith has no DCP test of its own: every nonlinear atom is convex,
-    # so a problem is DCP exactly when each one sits at scaling sign +1.
+def test_graph_expand_accepts_exactly_the_dcp_problems(seed):
+    # Every nonlinear atom is convex, so a problem is DCP exactly when each
+    # one sits at scaling sign +1, where its epigraph rows are exact.
     problem = _random_problem(np.random.default_rng(seed), dcp_only=False)
-    smith, _ = SmithTransform().apply(problem)
-    assert RelaxSmith().accepts(smith) == ex.is_dcp(problem)[0]
+    convex = [n for n, d in ex.ATOMS.items() if d.curvature_class is ex.Curvature.CONVEX]
+    at_plus_one = all(sign == +1 for _, expr, sigma in ex.walk_expressions(problem)
+                      for _, sign in _occurrences(expr, sigma, convex))
+    assert GraphExpand().accepts(problem) == ex.is_dcp(problem)[0] == at_plus_one
 
 
 def test_pwl_atoms_are_convex_atoms():

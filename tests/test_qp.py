@@ -11,9 +11,8 @@ from dcpc import expressions as ex
 from dcpc import randgen
 from dcpc.cli import main as cli_main
 from dcpc.parsing import parse_problem, print_problem
-from dcpc.reductions.cone import (GraphExpand, RelaxSmith, SmithTransform,
-                                  StuffCone, affine_row_data, dense_rows,
-                                  stack_variables)
+from dcpc.reductions.cone import (GraphExpand, StuffCone, affine_row_data,
+                                  dense_rows, stack_variables)
 from dcpc.reductions.framework import ReductionError, Solution, Status
 from dcpc.reductions.cone import ConeDims
 from dcpc.analyzer import TargetClass, build_chain, solve_problem
@@ -632,9 +631,7 @@ def wide_cone_stage():
     stage = parse_problem(
         f"var x[{n}];\nminimize norm2(x - [{center}]) + sum(square(x));\n"
         "subject to\n  x <= 10;\n  x >= -10;\n")
-    for member in (SmithTransform(), RelaxSmith(), GraphExpand()):
-        stage, _ = member.apply(stage)
-    return stage
+    return GraphExpand().apply(stage)[0]
 
 
 class TestStuffConeMemory:

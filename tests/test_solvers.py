@@ -229,6 +229,25 @@ class TestSimplex:
         raw = solve_lp_simplex(self.BEALE, SolverSettings(max_iterations=500))
         assert raw.status is Status.ITERATION_LIMIT
 
+    @pytest.mark.parametrize("limit", [150, 178])
+    def test_phase_two_limit_reports_its_vertex(self, limit):
+        # The n = 40 LP takes 179 pivots, and phase one fewer than 150, so
+        # each limit stops on a phase-two basis, whose vertex is feasible.
+        case = bench_workloads().dense_case(np.random.default_rng(40), "lp", 40, 40)
+        problem = parse_problem(case.text)
+        outcome = solve_problem(problem, RewriterConfig(
+            settings=SolverSettings(max_iterations=limit)))
+        raw, data, solution = outcome.raw, outcome.data, outcome.solution
+        assert raw.status is Status.ITERATION_LIMIT
+        assert raw.message == "phase-2 iteration limit"
+        slack = data.b - data.A @ raw.x
+        assert np.all(np.abs(slack[:data.cones.zero]) <= 1e-9)
+        assert np.all(slack[data.cones.zero:] >= -1e-9)
+        assert solution.status is Status.ITERATION_LIMIT
+        assert solution.value == pytest.approx(
+            ex.evaluate(problem.objective, solution.primal)[0], rel=1e-12)
+        assert solution.value > 17.104839  # not yet the optimum
+
     def test_long_degenerate_run_switches_to_bland_and_back(self, monkeypatch):
         # The origin is a vertex on all 60 cone rows; the objective descends
         # along d, which every row admits, so the pivots stall there first.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .reductions.cone import OVERFLOW, GraphExpand, ProgramData, StuffCone
+from .reductions.cone import GraphExpand, ProgramData, StuffCone
 from .reductions.framework import (ReductionChain, Solution, Status,
                                    infeasible_solution, unbounded_solution)
 from .reductions.qp import StuffLp, StuffQp, qp_applicable, uses_quadratic_atom
@@ -161,7 +161,7 @@ def apply_chain(chain: ReductionChain, problem: ex.ProblemForm):
     try:
         return chain.apply(problem)
     except ex.ProblemError as err:
-        if str(err) != OVERFLOW:
+        if str(err) != ex.OVERFLOW:
             raise
         trees = [("objective", problem.objective, [])] + [
             (f"constraint {c.id}", ex.constant(0.0), [(c.lhs, c.relation, c.rhs)])

@@ -17,53 +17,41 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import expressions as ex
-from ..expressions import OVERFLOW
 from .framework import Reduction
 from .standard import CanonConstraint, CanonStage, smart_sub
 
 __all__ = [
     "GraphExpand", "ConeDims", "ProgramData", "StuffCone", "stack_variables",
-    "stack_rows", "affine_row_data", "dense_rows", "OVERFLOW",
+    "stack_rows", "affine_row_data", "dense_rows",
 ]
 
 
 class GraphExpand(Reduction):
-    """Lower a DCP problem to cone constraints over affine expressions.
+    """Lower a DCP minimization to cone constraints over affine expressions.
 
-    Each nonlinear atom takes a fresh variable ``t`` on the way down and, on
-    the way up, writes its graph from ``ex.ATOMS`` over its rewritten
-    arguments: a piecewise-linear atom one orthant row ``t - y`` per piece
-    ``y``, any other one second-order cone, ``norm2`` its own and
+    Each nonlinear atom, inner atoms first as in ``EliminatePwlAtoms``, takes
+    a fresh variable ``t`` and writes its graph from ``ex.ATOMS`` over its
+    rewritten arguments: a piecewise-linear atom one orthant row ``t - y``
+    per piece ``y``, any other one second-order cone, ``norm2`` its own and
     ``square``/``sum_squares`` the embedding ``norm2((2y, 1-t)) <= 1+t``, as
     one block of cones, one per row, for the elementwise ``square``.  Affine
     subtrees (constants included) are leaves and kept intact.  The
-    objective's graphs come first; then each constraint's, inner atoms
-    before the atoms that use them, and then its own zero row (EQ) or
-    orthant row (LE/GE).  Every nonlinear atom is convex, and DCP admits it
-    only at scaling sign +1, where ``atom <= t`` is tight at an optimum; so
-    dropping the ``t`` retrieves a solution of the input.
+    objective's graphs come first; then each constraint's, and then its own
+    zero row (EQ) or orthant row (LE/GE).  Every nonlinear atom is convex,
+    and DCP admits it only at scaling sign +1, where ``atom <= t`` is tight
+    at a minimum; so dropping the ``t`` retrieves a solution of the input.
+    A maximization is refused: ``FlipObjective`` turns it into one first.
     """
 
     name = "graph_expand"
 
     def accepts(self, problem) -> bool:
-        return isinstance(problem, ex.ProblemForm) and ex.is_dcp(problem)[0]
+        return isinstance(problem, ex.ProblemForm) and \
+            problem.sense is ex.Sense.MINIMIZE and ex.is_dcp(problem)[0]
 
-    def apply(self, problem):
-        self._check(problem)
+    def rewrite(self, problem):
         pool = ex.VariablePool(problem.variables)
         cones: list[CanonConstraint] = []
-
-        def emit(kind, *args):
-            cones.append(getattr(CanonConstraint, kind)(len(cones), *args))
-
-        pending = []  # the ``t`` of each nonlinear atom entered, not yet left
-
-        def enter(node, _):
-            if node.kind == "atom" and \
-                    ex.ATOMS[node.atom].curvature_class is not ex.Curvature.AFFINE:
-                pending.append(ex.var_ref(pool.fresh("_t", node.dim)))
-            return True
 
         def leave(node, children, _):
             if node.kind != "atom":
@@ -71,23 +59,23 @@ class GraphExpand(Reduction):
             desc = ex.ATOMS[node.atom]
             if desc.curvature_class is ex.Curvature.AFFINE:
                 return ex.rebuild(node, children)
-            t = pending.pop()
+            t = ex.var_ref(pool.fresh("_t", node.dim))
             if desc.pieces is None:
-                emit("soc", *desc.cone(t, children))
+                cones.append(CanonConstraint.soc(*desc.cone(t, children)))
             else:
-                for y in desc.pieces(children):
-                    emit("nonneg", smart_sub(t, y))
+                cones.extend(CanonConstraint.nonneg(smart_sub(t, y))
+                             for y in desc.pieces(children))
             return t
 
-        objective = ex.fold(problem.objective, leave, enter)
+        objective = ex.fold(problem.objective, leave)
         for c in problem.constraints:
-            lhs, rhs = ex.fold(c.lhs, leave, enter), ex.fold(c.rhs, leave, enter)
+            lhs, rhs = ex.fold(c.lhs, leave), ex.fold(c.rhs, leave)
             if c.relation is ex.Relation.EQ:
-                emit("zero", smart_sub(lhs, rhs))
+                cones.append(CanonConstraint.zero(smart_sub(lhs, rhs)))
             elif c.relation is ex.Relation.LE:
-                emit("nonneg", smart_sub(rhs, lhs))
+                cones.append(CanonConstraint.nonneg(smart_sub(rhs, lhs)))
             else:
-                emit("nonneg", smart_sub(lhs, rhs))
+                cones.append(CanonConstraint.nonneg(smart_sub(lhs, rhs)))
         aux = [v.id for v in pool.variables[len(problem.variables):]]
         stage = CanonStage(objective, tuple(cones), tuple(pool.variables))
         return stage, self._record(aux=aux)
@@ -246,8 +234,7 @@ class StuffCone(Reduction):
                 return False
         return True
 
-    def apply(self, stage):
-        self._check(stage)
+    def rewrite(self, stage):
         var_offsets, width = stack_variables(stage.variables)
         zero = [c.expr for c in stage.constraints if c.kind == "zero"]
         nonneg = [c.expr for c in stage.constraints if c.kind == "nonneg"]

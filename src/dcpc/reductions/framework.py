@@ -1,9 +1,10 @@
 """The reduction contract: accepts / apply / retrieve, and chains thereof.
 
 A reduction rewrites a problem into an equivalent one and can map any
-solution of its output back to a solution of its input.  Chains compose
-reductions left to right for application and right to left for retrieval,
-and are themselves reductions.
+solution of its output back to a solution of its input; ``apply`` rewrites
+only a problem that ``accepts`` admits.  Chains compose reductions left to
+right for application and right to left for retrieval, and are themselves
+reductions.
 
 Two record keys have a meaning every reduction shares.  ``aux`` lists the
 ids of the variables a reduction introduced; retrieval drops them.
@@ -73,7 +74,8 @@ class InverseRecord:
 
 
 class Reduction:
-    """Base contract.  Subclasses set ``name`` and implement the three ops."""
+    """Base contract.  Subclasses set ``name`` and implement ``accepts``,
+    ``rewrite`` and, unless the shared conventions serve, ``retrieve``."""
 
     name = "reduction"
 
@@ -82,7 +84,13 @@ class Reduction:
         return True
 
     def apply(self, problem):
-        """Rewrite ``problem``; returns ``(problem2, InverseRecord)``."""
+        """``rewrite(problem)``, or ReductionError unless ``accepts(problem)``."""
+        if not self.accepts(problem):
+            raise ReductionError(f"reduction '{self.name}' does not accept this problem")
+        return self.rewrite(problem)
+
+    def rewrite(self, problem):
+        """Rewrite an accepted ``problem``; returns ``(problem2, InverseRecord)``."""
         raise NotImplementedError
 
     def retrieve(self, solution: Solution, record: InverseRecord) -> Solution:
@@ -104,13 +112,12 @@ class Reduction:
     def _record(self, **payload) -> InverseRecord:
         return InverseRecord(self.name, payload)
 
-    def _check(self, problem):
-        if not self.accepts(problem):
-            raise ReductionError(f"reduction '{self.name}' does not accept this problem")
-
 
 class ReductionChain(Reduction):
-    """Left-to-right composition of reductions; also a reduction itself."""
+    """Left-to-right composition of reductions; also a reduction itself.
+
+    Its ``accepts`` applies the whole chain, so it keeps its own ``apply``,
+    which lets each member check its own input."""
 
     def __init__(self, members: list[Reduction]):
         self.members = list(members)
@@ -127,7 +134,6 @@ class ReductionChain(Reduction):
         current = problem
         records = []
         for position, member in enumerate(self.members):
-            # Each member's apply checks its own input.
             try:
                 current, record = member.apply(current)
             except ReductionError as err:

@@ -260,8 +260,7 @@ class StuffQp(Reduction):
             return False
         return _quadratic_tree(problem.objective) and _is_moved_form(problem)
 
-    def apply(self, problem):
-        self._check(problem)
+    def rewrite(self, problem):
         return _stuff_moved(problem, quadratic=True), self._record()
 
 
@@ -276,6 +275,5 @@ class StuffLp(Reduction):
             return False
         return problem.objective.curvature.is_affine and _is_moved_form(problem)
 
-    def apply(self, problem):
-        self._check(problem)
+    def rewrite(self, problem):
         return _stuff_moved(problem, quadratic=False), self._record()

@@ -55,8 +55,7 @@ class FlipObjective(Reduction):
     def accepts(self, problem) -> bool:
         return isinstance(problem, ex.ProblemForm) and problem.sense is ex.Sense.MAXIMIZE
 
-    def apply(self, problem):
-        self._check(problem)
+    def rewrite(self, problem):
         flipped = ex.ProblemForm(ex.Sense.MINIMIZE, ex.neg(problem.objective),
                                  problem.constraints, problem.variables)
         return flipped, self._record()
@@ -73,8 +72,7 @@ class MoveToLhs(Reduction):
     def accepts(self, problem) -> bool:
         return isinstance(problem, ex.ProblemForm)
 
-    def apply(self, problem):
-        self._check(problem)
+    def rewrite(self, problem):
         cons = []
         for c in problem.constraints:
             if c.relation is ex.Relation.GE:
@@ -97,8 +95,7 @@ class EliminateLinearInequalities(Reduction):
                    for c in problem.constraints
                    if c.relation is not ex.Relation.EQ)
 
-    def apply(self, problem):
-        self._check(problem)
+    def rewrite(self, problem):
         pool = ex.VariablePool(problem.variables)
         cons = []
         for c in problem.constraints:
@@ -142,8 +139,7 @@ class EliminateFixedVariables(Reduction):
     def accepts(self, problem) -> bool:
         return isinstance(problem, ex.ProblemForm)
 
-    def apply(self, problem):
-        self._check(problem)
+    def rewrite(self, problem):
         fixed: dict[int, np.ndarray] = {}
         defining: set[int] = set()
         for c in problem.constraints:
@@ -195,8 +191,7 @@ class SplitFreeVariables(Reduction):
     def accepts(self, problem) -> bool:
         return isinstance(problem, ex.ProblemForm)
 
-    def apply(self, problem):
-        self._check(problem)
+    def rewrite(self, problem):
         marked = set()
         for c in problem.constraints:
             if c.relation is ex.Relation.GE and c.lhs.kind == "var" \
@@ -276,8 +271,7 @@ class DropRedundantConstraints(Reduction):
     def accepts(self, problem) -> bool:
         return isinstance(problem, ex.ProblemForm)
 
-    def apply(self, problem):
-        self._check(problem)
+    def rewrite(self, problem):
         best: dict[tuple[int, str], tuple[float, int]] = {}
         bounds: dict[int, tuple[int, str, float]] = {}
         dims = {v.id: v.dim for v in problem.variables}
@@ -334,8 +328,7 @@ class ScaleConstraints(Reduction):
         return all(c.lhs.curvature.is_affine and c.rhs.curvature.is_affine
                    for c in problem.constraints)
 
-    def apply(self, problem):
-        self._check(problem)
+    def rewrite(self, problem):
         cons = []
         for c in problem.constraints:
             diff = smart_sub(c.lhs, c.rhs)
@@ -371,8 +364,7 @@ class PresolveFixedPoint(Reduction):
     def accepts(self, problem) -> bool:
         return isinstance(problem, ex.ProblemForm)
 
-    def apply(self, problem):
-        self._check(problem)
+    def rewrite(self, problem):
         records = []
         current = problem
         for _ in range(self.MAX_ROUNDS):
@@ -405,12 +397,11 @@ class EliminatePwlAtoms(Reduction):
     def accepts(self, problem) -> bool:
         return isinstance(problem, ex.ProblemForm) and ex.is_dcp(problem)[0]
 
-    def apply(self, problem):
-        self._check(problem)
+    def rewrite(self, problem):
         pool = ex.VariablePool(problem.variables)
         cons: list = []
 
-        def rewrite(expr):
+        def expand(expr):
             # Aux variables are created in post-order: inner atoms first.
             def leave(node, children, _):
                 if node.kind != "atom":
@@ -424,10 +415,10 @@ class EliminatePwlAtoms(Reduction):
 
             return ex.fold(expr, leave)
 
-        objective = rewrite(problem.objective)
+        objective = expand(problem.objective)
         for c in problem.constraints:
-            lhs = rewrite(c.lhs)
-            rhs = rewrite(c.rhs)
+            lhs = expand(c.lhs)
+            rhs = expand(c.rhs)
             cons.append((lhs, c.relation, rhs))
         out = ex.ProblemForm(problem.sense, objective, cons, pool.variables)
         aux_ids = [v.id for v in pool.variables[len(problem.variables):]]
@@ -447,23 +438,22 @@ class CanonConstraint:
     ||(x_1[i], x_2[i], ...)||_2 <= t[i].
     """
 
-    id: int
     kind: str
     expr: ex.ExpressionNode | None = None
     t: ex.ExpressionNode | None = None
     x: tuple[ex.ExpressionNode, ...] = ()
 
     @staticmethod
-    def zero(cid, expr):
-        return CanonConstraint(cid, "zero", expr=expr)
+    def zero(expr):
+        return CanonConstraint("zero", expr=expr)
 
     @staticmethod
-    def nonneg(cid, expr):
-        return CanonConstraint(cid, "nonneg", expr=expr)
+    def nonneg(expr):
+        return CanonConstraint("nonneg", expr=expr)
 
     @staticmethod
-    def soc(cid, t, x):
-        return CanonConstraint(cid, "soc", t=t, x=tuple(x))
+    def soc(t, x):
+        return CanonConstraint("soc", t=t, x=tuple(x))
 
     @property
     def soc_x_dim(self) -> int:
@@ -501,14 +491,12 @@ class DecomposeSoc(Reduction):
     def accepts(self, problem) -> bool:
         return isinstance(problem, CanonStage)
 
-    def apply(self, stage: CanonStage):
-        self._check(stage)
+    def rewrite(self, stage: CanonStage):
         pool = ex.VariablePool(stage.variables)
         out: list[CanonConstraint] = []
         for cone in stage.constraints:
             if cone.kind != "soc" or cone.soc_x_dim <= 2:
-                out.append(CanonConstraint(len(out), cone.kind, cone.expr,
-                                           cone.t, cone.x))
+                out.append(cone)
                 continue
             comps = [c for e in cone.x for c in scalar_components(e)]
             # bounds[j] bounds ||comps[j:]||: the cone's t, then one fresh u
@@ -516,10 +504,9 @@ class DecomposeSoc(Reduction):
             bounds = [cone.t] + [ex.var_ref(pool.fresh("_u"))
                                  for _ in range(len(comps) - 2)]
             # The innermost cone comes first, the one bounded by t last.
-            out.append(CanonConstraint.soc(len(out), bounds[-1], comps[-2:]))
+            out.append(CanonConstraint.soc(bounds[-1], comps[-2:]))
             for j in range(len(comps) - 3, -1, -1):
-                out.append(CanonConstraint.soc(len(out), bounds[j],
-                                               (comps[j], bounds[j + 1])))
+                out.append(CanonConstraint.soc(bounds[j], (comps[j], bounds[j + 1])))
         aux_ids = [v.id for v in pool.variables[len(stage.variables):]]
         return (CanonStage(stage.objective, tuple(out), tuple(pool.variables)),
                 self._record(aux=aux_ids))

@@ -116,11 +116,13 @@ def _run_phase(T: np.ndarray, basis: np.ndarray, allowed: int,
         return "optimal", 0
     obj, rhs = T[-1, :allowed], T[:-1, -1]
     degenerate = 0
-    for used in range(budget):
+    for used in range(budget + 1):  # the last pass only tests optimality
         col = int(np.argmin(obj) if degenerate < _DEGENERATE_RUN
                   else np.argmax(obj < -_PIVOT_TOL))
         if obj[col] >= -_PIVOT_TOL:
             return "optimal", used
+        if used == budget:
+            break
         coef = T[:-1, col]
         ratio = np.divide(rhs, coef, out=np.full(coef.shape, math.inf),
                           where=coef > _PIVOT_TOL)

@@ -25,6 +25,7 @@ from dcpc.analyzer import TargetClass, build_chain
 from dcpc.parsing import parse_problem
 from dcpc.reductions import cone, qp
 from dcpc.reductions.cone import GraphExpand, affine_row_data, stack_rows, stack_variables
+from dcpc.reductions.standard import FlipObjective
 
 DECLS = [ex.VariableDecl(0, "a"), ex.VariableDecl(1, "b"),
          ex.VariableDecl(2, "u", 3), ex.VariableDecl(3, "w", 3)]
@@ -282,6 +283,8 @@ def test_stacked_rows_match_the_per_expression_stacker():
     for seed in range(12):
         rng = np.random.default_rng(seed)
         problem = randgen.random_cone_problem(rng, int(rng.integers(2, 6)), bool(rng.integers(2)))
+        if FlipObjective().accepts(problem):  # a maximization, flipped as build_chain does
+            problem, _ = FlipObjective().apply(problem)
         problem, _ = GraphExpand().apply(problem)
         var_offsets, width = stack_variables(problem.variables)
         exprs = [e for c in problem.constraints

@@ -10,7 +10,6 @@ from dcpc import expressions as ex
 from dcpc.analyzer import (AnalyzerError, RewriterConfig, TargetClass,
                            build_chain, select_target, solve_problem)
 from dcpc.parsing import parse_problem
-from dcpc.reductions.cone import OVERFLOW
 from dcpc.reductions.framework import Status
 
 from helpers import hinge_square_problem, random_expression, toy_problem, PWL_ATOMS
@@ -269,7 +268,7 @@ class TestCoefficientOverflow:
             report = select_target(problem, RewriterConfig(forced_target=target))
             with pytest.raises(ex.ProblemError) as err:
                 report.chain.apply(problem)
-            assert str(err.value) == OVERFLOW
+            assert str(err.value) == ex.OVERFLOW
 
 
 @pytest.mark.parametrize("config", [

@@ -9,6 +9,7 @@ from dcpc.parsing import parse_problem
 from dcpc.reductions.cone import ConeDims, GraphExpand, StuffCone
 from dcpc.reductions.framework import ReductionChain, ReductionError, Solution, Status
 from dcpc.reductions.standard import FlipObjective
+from dcpc.solvers import solve_admm
 
 from helpers import ALL_ATOMS, random_expression, stage_trees, toy_problem
 
@@ -24,8 +25,8 @@ def cone_chain():
 
 class TestSmithTransform:
     """The Smith form that GraphExpand writes on its way: a fresh ``_t`` per
-    nonlinear atom, taken on the way down, and the atom's graph rows over
-    its rewritten arguments, written on the way up."""
+    nonlinear atom, inner atoms first, and the atom's graph rows over its
+    rewritten arguments."""
 
     def test_single_nonlinear_node(self):
         p = parse_problem("var x; minimize square(x) + 1;")
@@ -48,11 +49,11 @@ class TestSmithTransform:
 
     def test_nested_atoms_inner_defined_first(self):
         stage, rec = GraphExpand().apply(parse_problem("var x; minimize square(abs(x));"))
-        x, outer, inner = stage.variables
-        # the outer atom claims the first fresh id; its graph comes after
-        # the rows of its argument's graph
-        assert (outer.name, inner.name) == ("_t1", "_t2")
-        assert rec.payload["aux"] == [outer.id, inner.id]
+        x, inner, outer = stage.variables
+        # the inner atom claims the first fresh id; its graph rows come
+        # before the outer atom's
+        assert (inner.name, outer.name) == ("_t1", "_t2")
+        assert rec.payload["aux"] == [inner.id, outer.id]
         assert stage.objective == ex.var_ref(outer)
         row1, row2, cone = stage.constraints
         assert [row1.kind, row2.kind, cone.kind] == ["nonneg", "nonneg", "soc"]
@@ -63,7 +64,6 @@ class TestSmithTransform:
 
     def test_defs_precede_their_constraint(self):
         stage = expand("var x; minimize x; subject to abs(x) <= 2;")
-        assert [c.id for c in stage.constraints] == [0, 1, 2]
         *graph, user = stage.constraints
         assert len(graph) == 2
         t = stage.variables[-1]
@@ -111,8 +111,10 @@ class TestSmithTransform:
 
     def test_maximize_sign_propagation(self):
         p = parse_problem("var x; maximize -square(x);")
-        assert GraphExpand().accepts(p)  # negation under Maximize flips back
-        stage, _ = GraphExpand().apply(FlipObjective().apply(p)[0])
+        assert not GraphExpand().accepts(p)  # minimizations only
+        flipped, _ = FlipObjective().apply(p)
+        assert GraphExpand().accepts(flipped)  # negation under Maximize flips back
+        stage, _ = GraphExpand().apply(flipped)
         assert [c.kind for c in stage.constraints] == ["soc"]
 
     def test_retrieve_drops_aux(self):
@@ -236,6 +238,24 @@ class TestGraphExpand:
         p = parse_problem("var x; minimize square(x);")
         assert GraphExpand().accepts(p)
         assert [c.kind for c in GraphExpand().apply(p)[0].constraints] == ["soc"]
+
+    def test_maximization_is_flipped_first(self):
+        # Under maximize, ``-t`` would reward a ``t`` far above square(x):
+        # the expansion is exact for minimizations only.
+        p = parse_problem("var x; maximize -square(x);")
+        assert not GraphExpand().accepts(p)
+        with pytest.raises(ReductionError):
+            cone_chain().apply(p)
+        chain = ReductionChain([FlipObjective(), GraphExpand(), StuffCone()])
+        data, rec = chain.apply(p)
+        np.testing.assert_array_equal(data.q, [0.0, 1.0])
+        raw = solve_admm(data)
+        assert raw.status is Status.OPTIMAL
+        solved = Solution(raw.status, raw.value + data.offset, {0: raw.x[:1], 1: raw.x[1:]})
+        back = chain.retrieve(solved, rec)
+        assert back.status is Status.OPTIMAL
+        assert back.value == pytest.approx(0.0, abs=1e-6)
+        np.testing.assert_allclose(back.primal[0], [0.0], atol=1e-3)
 
 
 class TestStuffCone:

@@ -80,6 +80,26 @@ class TestReductionBase:
         with pytest.raises(ReductionError):
             FlipObjective().apply(toy)  # toy minimizes
 
+    def test_apply_checks_accepts_before_rewrite(self):
+        rewritten = []
+
+        class Increment(Reduction):
+            name = "increment"
+
+            def accepts(self, problem):
+                return isinstance(problem, int)
+
+            def rewrite(self, problem):
+                rewritten.append(problem)
+                return problem + 1, self._record()
+
+        with pytest.raises(ReductionError,
+                           match="reduction 'increment' does not accept this problem"):
+            Increment().apply("text")
+        assert rewritten == []
+        assert Increment().apply(1)[0] == 2
+        assert rewritten == [1]
+
 
 class TestChain:
     def test_name_lists_members(self):

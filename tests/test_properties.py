@@ -21,12 +21,17 @@ from hypothesis import strategies as st
 
 from dcpc import expressions as ex
 from dcpc import randgen
+from dcpc.analyzer import select_target
 from dcpc.cli import render_json
-from dcpc.reductions.cone import ConeDims, GraphExpand
-from dcpc.reductions.qp import PathNfa, qp_applicable, uses_quadratic_atom
+from dcpc.reductions.cone import ConeDims, GraphExpand, StuffCone
+from dcpc.reductions.framework import ReductionError
+from dcpc.reductions.qp import (PathNfa, StuffLp, StuffQp, qp_applicable,
+                                uses_quadratic_atom)
+from dcpc.reductions.standard import (DecomposeSoc, EliminatePwlAtoms, FlipObjective,
+                                      MoveToLhs, PresolveFixedPoint)
 from dcpc.solvers import project_cone
 
-from helpers import ALL_ATOMS, random_expression
+from helpers import ALL_ATOMS, STAGE_CONFIGS, random_expression
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 BOUNDED = st.floats(min_value=-100.0, max_value=100.0,
@@ -206,12 +211,53 @@ def test_dcp_puts_every_nonconstant_pwl_atom_at_positive_sign(seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_graph_expand_accepts_exactly_the_dcp_problems(seed):
     # Every nonlinear atom is convex, so a problem is DCP exactly when each
-    # one sits at scaling sign +1, where its epigraph rows are exact.
+    # one sits at scaling sign +1, where its epigraph rows are exact; graph
+    # expansion takes the DCP minimizations, whose epigraphs are tight.
     problem = _random_problem(np.random.default_rng(seed), dcp_only=False)
     convex = [n for n, d in ex.ATOMS.items() if d.curvature_class is ex.Curvature.CONVEX]
     at_plus_one = all(sign == +1 for _, expr, sigma in ex.walk_expressions(problem)
                       for _, sign in _occurrences(expr, sigma, convex))
-    assert GraphExpand().accepts(problem) == ex.is_dcp(problem)[0] == at_plus_one
+    assert ex.is_dcp(problem)[0] == at_plus_one
+    assert GraphExpand().accepts(problem) == \
+        (at_plus_one and problem.sense is ex.Sense.MINIMIZE)
+
+
+# Every reduction that build_chain can place.
+CHAIN_MEMBERS = (FlipObjective, PresolveFixedPoint, EliminatePwlAtoms, MoveToLhs,
+                 StuffLp, StuffQp, GraphExpand, DecomposeSoc, StuffCone)
+
+
+def test_apply_rejects_exactly_what_accepts_refuses():
+    # Each chain member meets every stage that the STAGE_CONFIGS chains make
+    # from randgen problems of each family and sense, its own included.
+    stages, placed = [], set()
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        for gen in (randgen.random_pwl_problem, randgen.random_qp_problem,
+                    randgen.random_cone_problem):
+            for maximize in (False, True):
+                problem = gen(rng, int(rng.integers(1, 4)), maximize)
+                stages.append(problem)
+                for config in STAGE_CONFIGS.values():
+                    chain = select_target(problem, config).chain
+                    current = problem
+                    for member in chain.members if chain is not None else ():
+                        placed.add(type(member))
+                        current, _ = member.apply(current)
+                        stages.append(current)
+    assert placed == set(CHAIN_MEMBERS)
+    verdicts = set()
+    for stage in stages:
+        for cls in CHAIN_MEMBERS:
+            reduction = cls()
+            try:
+                reduction.apply(stage)
+                applied = True
+            except ReductionError:
+                applied = False
+            assert reduction.accepts(stage) == applied, (cls.__name__, stage)
+            verdicts.add((cls, applied))
+    assert verdicts == {(cls, ok) for cls in CHAIN_MEMBERS for ok in (False, True)}
 
 
 def test_pwl_atoms_are_convex_atoms():

@@ -531,7 +531,7 @@ class TestEliminatePwlAtoms:
 def soc_stage(n, extra=()):
     decls = [ex.VariableDecl(0, "t", 1), ex.VariableDecl(1, "x", n)]
     t, x = ex.var_ref(decls[0]), ex.var_ref(decls[1])
-    cones = list(extra) + [CanonConstraint.soc(len(extra), t, (x,))]
+    cones = list(extra) + [CanonConstraint.soc(t, (x,))]
     return CanonStage(t, tuple(cones), tuple(decls))
 
 
@@ -566,20 +566,20 @@ class TestDecomposeSoc:
     def test_non_soc_constraints_pass_through(self):
         decls = [ex.VariableDecl(0, "t", 1), ex.VariableDecl(1, "x", 3)]
         t, x = ex.var_ref(decls[0]), ex.var_ref(decls[1])
-        cones = (CanonConstraint.zero(0, t),
-                 CanonConstraint.soc(1, t, (x,)),
-                 CanonConstraint.nonneg(2, t))
+        cones = (CanonConstraint.zero(t),
+                 CanonConstraint.soc(t, (x,)),
+                 CanonConstraint.nonneg(t))
         out, _ = DecomposeSoc().apply(CanonStage(t, cones, tuple(decls)))
         assert [c.kind for c in out.constraints] == \
             ["zero", "soc", "soc", "nonneg"]
-        assert [c.id for c in out.constraints] == [0, 1, 2, 3]
+        assert out.constraints[0] is cones[0] and out.constraints[3] is cones[2]
 
     def test_multi_piece_x_exploded(self):
         decls = [ex.VariableDecl(0, "t", 1), ex.VariableDecl(1, "a", 1),
                  ex.VariableDecl(2, "b", 2)]
         t = ex.var_ref(decls[0])
-        cone = CanonConstraint.soc(0, t, (ex.var_ref(decls[1]),
-                                          ex.var_ref(decls[2])))
+        cone = CanonConstraint.soc(t, (ex.var_ref(decls[1]),
+                                       ex.var_ref(decls[2])))
         out, _ = DecomposeSoc().apply(CanonStage(t, (cone,), tuple(decls)))
         assert len(out.constraints) == 2
 

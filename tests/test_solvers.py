@@ -248,6 +248,22 @@ class TestSimplex:
             ex.evaluate(problem.objective, solution.primal)[0], rel=1e-12)
         assert solution.value > 17.104839  # not yet the optimum
 
+    def test_a_budget_of_exactly_the_pivots_needed_is_optimal(self):
+        # The n = 40 LP reaches its optimal basis on pivot 179: a budget of
+        # 179 still tests that basis, and one of 178 stops a pivot short.
+        case = bench_workloads().dense_case(np.random.default_rng(40), "lp", 40, 40)
+        problem = parse_problem(case.text)
+
+        def solve(limit=SolverSettings().max_iterations):
+            return solve_problem(problem, RewriterConfig(
+                settings=SolverSettings(max_iterations=limit))).raw
+
+        unlimited, exact, short = solve(), solve(179), solve(178)
+        assert (exact.status, exact.iterations, exact.message) == (Status.OPTIMAL, 179, "")
+        assert exact.value == unlimited.value == 17.104839496497362
+        assert (short.status, short.iterations) == (Status.ITERATION_LIMIT, 178)
+        assert short.value == 17.119615092744226
+
     def test_long_degenerate_run_switches_to_bland_and_back(self, monkeypatch):
         # The origin is a vertex on all 60 cone rows; the objective descends
         # along d, which every row admits, so the pivots stall there first.

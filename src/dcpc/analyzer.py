@@ -20,8 +20,7 @@ from .reductions.cone import GraphExpand, ProgramData, StuffCone
 from .reductions.framework import (ReductionChain, Solution, Status,
                                    infeasible_solution, unbounded_solution)
 from .reductions.qp import StuffLp, StuffQp, qp_applicable, uses_quadratic_atom
-from .reductions.standard import (DecomposeSoc, EliminatePwlAtoms,
-                                  FlipObjective, MoveToLhs, PresolveFixedPoint)
+from .reductions.standard import DecomposeSoc, FlipObjective, PresolveFixedPoint
 from .solvers import RawSolution, SolverSettings, solve_admm, solve_lp_simplex
 
 __all__ = ["TargetClass", "RewriterConfig", "AnalysisReport", "AnalyzerError",
@@ -130,22 +129,22 @@ def select_target(problem: ex.ProblemForm,
                           tuple(reasons))
 
 
+_STUFFERS = {TargetClass.LP: StuffLp, TargetClass.QP: StuffQp, TargetClass.CONE: StuffCone}
+
+
 def build_chain(problem: ex.ProblemForm, target: TargetClass,
                 config: RewriterConfig = RewriterConfig()) -> ReductionChain:
-    """Assemble [flip?] + [presolve?] + back-end reductions for ``target``."""
+    """``[flip?] [presolve?] graph_expand [decompose_soc?] stuff_<target>``;
+    only the QP target's ``GraphExpand`` keeps the objective's squares."""
     members = []
     if problem.sense is ex.Sense.MAXIMIZE:
         members.append(FlipObjective())
     if config.presolve:
         members.append(PresolveFixedPoint())
-    if target in (TargetClass.LP, TargetClass.QP):
-        members.extend([EliminatePwlAtoms(), MoveToLhs()])
-        members.append(StuffLp() if target is TargetClass.LP else StuffQp())
-    else:
-        members.append(GraphExpand())
-        if config.decompose_soc:
-            members.append(DecomposeSoc())
-        members.append(StuffCone())
+    members.append(GraphExpand(quadratic_objective=target is TargetClass.QP))
+    if config.decompose_soc:
+        members.append(DecomposeSoc())
+    members.append(_STUFFERS[target]())
     return ReductionChain(members)
 
 

@@ -207,9 +207,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="split wide second-order cones into 3-dim cones")
         p.add_argument("--solver", choices=["simplex", "admm"], default=None,
                        help="solver for `solve` (default: per-target)")
-        p.add_argument("--max-iters", type=int, default=20000)
-        p.add_argument("--eps-abs", type=float, default=1e-6)
-        p.add_argument("--eps-rel", type=float, default=1e-6)
+        p.add_argument("--max-iters", type=int, default=SolverSettings.max_iterations)
+        p.add_argument("--eps-abs", type=float, default=SolverSettings.eps_abs)
+        p.add_argument("--eps-rel", type=float, default=SolverSettings.eps_rel)
         p.add_argument("--json", action="store_true",
                        help="JSON report from `analyze`; `canonicalize` and "
                             "`solve` always print JSON")

@@ -1,12 +1,13 @@
-"""Conic canonicalization: graph expansion and stuffing.
+"""Conic canonicalization: graph expansion and stuffing, for every target.
 
-The pipeline lowers a DCP problem to ``minimize q'x + offset  s.t.  b - Ax in
-K`` where K stacks a zero cone, a nonnegative orthant, and second-order cones,
-in that fixed block order.  :class:`GraphExpand` swaps each nonlinear atom
-for its graph in one walk, and :class:`StuffCone` stacks the rows.
-``ProgramData`` holds that form, with a quadratic term ``P`` added, for every
-target: LP and QP stuffing write it too.  One gather reads the affine rows of
-:func:`stack_rows` and :func:`affine_row_data`.
+Every chain lowers a DCP problem with :class:`GraphExpand`, which swaps each
+nonlinear atom for its graph in one walk, and stacks the rows with
+:class:`StuffCone`'s ``rewrite``, which ``StuffLp`` and ``StuffQp`` share.
+The result is ``minimize ½xᵀPx + qᵀx + offset  s.t.  b - Ax in K``, where K
+stacks a zero cone, a nonnegative orthant, and second-order cones, in that
+fixed block order, and ``P`` is a QP's only.  ``ProgramData`` holds that
+form.  One gather reads the affine rows of :func:`stack_rows` and
+:func:`affine_row_data`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import scipy.sparse as sp
 
 from .. import expressions as ex
 from .framework import Reduction
-from .standard import CanonConstraint, CanonStage, smart_sub
+from .standard import CanonConstraint, CanonStage, lhs_row
 
 __all__ = [
     "GraphExpand", "ConeDims", "ProgramData", "StuffCone", "stack_variables",
@@ -31,19 +32,28 @@ class GraphExpand(Reduction):
 
     Each nonlinear atom, inner atoms first as in ``EliminatePwlAtoms``, takes
     a fresh variable ``t`` and writes its graph from ``ex.ATOMS`` over its
-    rewritten arguments: a piecewise-linear atom one orthant row ``t - y``
-    per piece ``y``, any other one second-order cone, ``norm2`` its own and
-    ``square``/``sum_squares`` the embedding ``norm2((2y, 1-t)) <= 1+t``, as
-    one block of cones, one per row, for the elementwise ``square``.  Affine
-    subtrees (constants included) are leaves and kept intact.  The
+    rewritten arguments: a piecewise-linear atom one orthant row ``y - t <=
+    0`` per piece ``y``, any other one second-order cone, ``norm2`` its own
+    and ``square``/``sum_squares`` the embedding ``norm2((2y, 1-t)) <= 1+t``,
+    as one block of cones, one per row, for the elementwise ``square``.
+    Affine subtrees (constants included) are leaves and kept intact.  The
     objective's graphs come first; then each constraint's, and then its own
-    zero row (EQ) or orthant row (LE/GE).  Every nonlinear atom is convex,
-    and DCP admits it only at scaling sign +1, where ``atom <= t`` is tight
-    at a minimum; so dropping the ``t`` retrieves a solution of the input.
-    A maximization is refused: ``FlipObjective`` turns it into one first.
+    zero row (EQ) or orthant row (LE/GE).  Every row is :func:`lhs_row`'s.
+    Every nonlinear atom is convex, and DCP admits it only at scaling sign
+    +1, where ``atom <= t`` is tight at a minimum; so dropping the ``t``
+    retrieves a solution of the input.  A maximization is refused:
+    ``FlipObjective`` turns it into one first.
+
+    With ``quadratic_objective``, a ``square`` or ``sum_squares`` reached
+    from the objective's root through affine atoms only stays, over its
+    rewritten argument, for ``StuffQp`` to read; in a QP-reducible objective
+    that is every square.  Any other square still takes its cone.
     """
 
     name = "graph_expand"
+
+    def __init__(self, quadratic_objective: bool = False):
+        self.quadratic_objective = quadratic_objective
 
     def accepts(self, problem) -> bool:
         return isinstance(problem, ex.ProblemForm) and \
@@ -53,29 +63,28 @@ class GraphExpand(Reduction):
         pool = ex.VariablePool(problem.variables)
         cones: list[CanonConstraint] = []
 
-        def leave(node, children, _):
+        def down(node, i, keep):  # through affine atoms only
+            return keep and ex.ATOMS[node.atom].curvature_class is ex.Curvature.AFFINE
+
+        def leave(node, children, keep):
             if node.kind != "atom":
                 return node
             desc = ex.ATOMS[node.atom]
-            if desc.curvature_class is ex.Curvature.AFFINE:
+            if desc.curvature_class is ex.Curvature.AFFINE or (keep and "Q" in desc.labels):
                 return ex.rebuild(node, children)
             t = ex.var_ref(pool.fresh("_t", node.dim))
             if desc.pieces is None:
                 cones.append(CanonConstraint.soc(*desc.cone(t, children)))
             else:
-                cones.extend(CanonConstraint.nonneg(smart_sub(t, y))
+                cones.extend(CanonConstraint.nonpos(lhs_row(y, ex.Relation.LE, t))
                              for y in desc.pieces(children))
             return t
 
-        objective = ex.fold(problem.objective, leave)
+        objective = ex.fold(problem.objective, leave, None, down, self.quadratic_objective)
         for c in problem.constraints:
-            lhs, rhs = ex.fold(c.lhs, leave), ex.fold(c.rhs, leave)
-            if c.relation is ex.Relation.EQ:
-                cones.append(CanonConstraint.zero(smart_sub(lhs, rhs)))
-            elif c.relation is ex.Relation.LE:
-                cones.append(CanonConstraint.nonneg(smart_sub(rhs, lhs)))
-            else:
-                cones.append(CanonConstraint.nonneg(smart_sub(lhs, rhs)))
+            row = lhs_row(ex.fold(c.lhs, leave), c.relation, ex.fold(c.rhs, leave))
+            cones.append(CanonConstraint.zero(row) if c.relation is ex.Relation.EQ
+                         else CanonConstraint.nonpos(row))
         aux = [v.id for v in pool.variables[len(problem.variables):]]
         stage = CanonStage(objective, tuple(cones), tuple(pool.variables))
         return stage, self._record(aux=aux)
@@ -213,37 +222,42 @@ class StuffCone(Reduction):
     """Stuff a canon stage into a cone program with a sparse ``A``.
 
     Variables stack in declaration-then-creation order; rows stack the zero
-    block, then nonneg, then the SOCs (each ``(t, x...)``), every block
+    block, then the orthant, then the SOCs (each ``(t, x...)``), every block
     preserving constraint order.  A block of cones is stacked expression by
     expression and then put in cone order by one row permutation.  The
-    slack identity is ``s == b - Ax`` with ``s`` the constraint expression
-    itself, so zero rows carry ``A = M, b = -k`` and the orthant/SOC rows
-    ``A = -M, b = k``.
+    slack is ``s == b - Ax``: zero and orthant rows ``e`` (``e == 0``, ``e
+    <= 0``) carry ``A = M, b = -k``, so ``s = -e``, and SOC rows ``A = -M,
+    b = k``, so ``s = e``.  ``StuffLp`` and ``StuffQp`` stuff through this
+    ``rewrite`` too; they differ only in the objective they read.
     """
 
     name = "stuff_cone"
 
     def accepts(self, stage) -> bool:
-        if not isinstance(stage, CanonStage):
-            return False
-        if not stage.objective.curvature.is_affine:
-            return False
-        for cone in stage.constraints:
-            exprs = (cone.expr,) if cone.kind != "soc" else (cone.t,) + cone.x
-            if not all(e.curvature.is_affine for e in exprs):
-                return False
-        return True
+        return isinstance(stage, CanonStage) and self._objective_fits(stage.objective) \
+            and all(e.curvature.is_affine for cone in stage.constraints
+                    for e in ((cone.t, *cone.x) if cone.kind == "soc" else (cone.expr,)))
+
+    @staticmethod
+    def _objective_fits(objective) -> bool:
+        return objective.curvature.is_affine
+
+    @staticmethod
+    def _objective(objective, var_offsets, width):
+        """``(P, q, r)`` with ``objective == ½xᵀPx + qᵀx + r``; no ``P`` here."""
+        q, r = affine_row_data(objective, var_offsets, width)
+        return None, dense_rows(q, 1, width)[0], float(r[0])
 
     def rewrite(self, stage):
         var_offsets, width = stack_variables(stage.variables)
         zero = [c.expr for c in stage.constraints if c.kind == "zero"]
-        nonneg = [c.expr for c in stage.constraints if c.kind == "nonneg"]
+        nonpos = [c.expr for c in stage.constraints if c.kind == "nonpos"]
         soc = [c for c in stage.constraints if c.kind == "soc"]
-        A, b = stack_rows([(zero, +1.0), (nonneg, -1.0),
+        A, b = stack_rows([(zero + nonpos, +1.0),
                            ([e for c in soc for e in (c.t, *c.x)], -1.0)],
                           var_offsets, width)
-        c_row, offset = affine_row_data(stage.objective, var_offsets, width)
-        dims = ConeDims(sum(e.dim for e in zero), sum(e.dim for e in nonneg),
+        P, q, r = self._objective(stage.objective, var_offsets, width)
+        dims = ConeDims(sum(e.dim for e in zero), sum(e.dim for e in nonpos),
                         tuple(1 + c.soc_x_dim for c in soc for _ in range(c.t.dim)))
         if any(c.t.dim > 1 for c in soc):
             start = dims.zero + dims.nonneg
@@ -254,6 +268,5 @@ class StuffCone(Reduction):
                 start += k * m
             order = np.concatenate(order)
             A, b = A[order], b[order]
-        data = ProgramData(None, dense_rows(c_row, 1, width)[0], float(offset[0]),
-                           A, b, dims, var_offsets, tuple(stage.variables))
+        data = ProgramData(P, q, r, A, b, dims, var_offsets, tuple(stage.variables))
         return data, self._record()

@@ -3,9 +3,12 @@
 A problem reduces to a QP when its objective's root-to-leaf label paths land
 in the accepting states of a small finite-state machine, run down the tree
 one state set per node, and its constraints are piecewise-linear
-inequalities plus affine equalities.  Accepted problems are lowered by
-eliminating the piecewise-linear atoms, moving constraints to the left-hand
-side, and extracting the quadratic form of the objective.  That extraction
+inequalities plus affine equalities.  Accepted problems take the cone
+route's chain: ``GraphExpand(quadratic_objective=True)`` writes each
+piecewise-linear atom's graph as orthant rows and keeps the objective's
+squares, and ``StuffLp`` or ``StuffQp`` stacks the rows through
+``StuffCone``'s one ``rewrite``, refusing any SOC row.  ``StuffQp`` reads
+``P`` from :func:`quadratic_form`, the quadratic form of the objective, which
 carries each node's row Hessians and linear rows as triplet blocks through
 ``expressions.combine_affine``, the arithmetic of affine rows, so stuffing
 costs about the size of the data it emits, not rows times width squared.
@@ -17,10 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import expressions as ex
-from .cone import (_NO_ENTRIES, ConeDims, ProgramData, affine_row_data, dense_rows,
-                   stack_rows, stack_variables)
-from .framework import Reduction, ReductionError
-from .standard import is_zero_constant
+from .cone import _NO_ENTRIES, StuffCone, affine_row_data, dense_rows
+from .framework import ReductionError
 
 __all__ = [
     "PathNfa", "qp_applicable", "uses_quadratic_atom",
@@ -214,30 +215,6 @@ def quadratic_form(expr: ex.ExpressionNode,
     return P, dense_rows(Q, 1, width)[0], float(k[0])
 
 
-def _stuff_moved(problem, quadratic: bool) -> ProgramData:
-    """``ProgramData`` of a moved-to-LHS problem, with ``P`` only if ``quadratic``.
-
-    Rows ``Mx + k == 0`` come first, then rows ``Mx + k <= 0``, each as
-    ``A = M, b = -k``.
-    """
-    var_offsets, width = stack_variables(problem.variables)
-    eq = [c.lhs for c in problem.constraints if c.relation is ex.Relation.EQ]
-    le = [c.lhs for c in problem.constraints if c.relation is not ex.Relation.EQ]
-    A, b = stack_rows([(eq, +1.0), (le, +1.0)], var_offsets, width)
-    P, q, r = quadratic_form(problem.objective, var_offsets, width)
-    cones = ConeDims(sum(e.dim for e in eq), sum(e.dim for e in le), ())
-    return ProgramData(P if quadratic else None, q, r, A, b, cones, var_offsets,
-                       problem.variables)
-
-
-def _is_moved_form(problem) -> bool:
-    """Every constraint is ``lhs <= 0`` or ``lhs == 0`` with an affine ``lhs``
-    that has all of the constraint's rows, as :class:`MoveToLhs` leaves it."""
-    return all(c.relation is not ex.Relation.GE and is_zero_constant(c.rhs)
-               and c.lhs.dim == c.dim and c.lhs.curvature.is_affine
-               for c in problem.constraints)
-
-
 def _quadratic_tree(expr) -> bool:
     """True when the tree is affine combinations of squares of affine terms."""
     for n in _live_atoms(expr):
@@ -249,31 +226,20 @@ def _quadratic_tree(expr) -> bool:
     return True
 
 
-class StuffQp(Reduction):
-    """Stuff a PWL-free, moved-to-LHS problem into QP matrices."""
-
-    name = "stuff_qp"
-
-    def accepts(self, problem) -> bool:
-        if not isinstance(problem, ex.ProblemForm) \
-                or problem.sense is not ex.Sense.MINIMIZE:
-            return False
-        return _quadratic_tree(problem.objective) and _is_moved_form(problem)
-
-    def rewrite(self, problem):
-        return _stuff_moved(problem, quadratic=True), self._record()
-
-
-class StuffLp(Reduction):
-    """Stuff an affine-objective, moved-to-LHS problem into LP matrices."""
+class StuffLp(StuffCone):
+    """Stuff a canon stage with an affine objective and no SOC into LP data."""
 
     name = "stuff_lp"
 
-    def accepts(self, problem) -> bool:
-        if not isinstance(problem, ex.ProblemForm) \
-                or problem.sense is not ex.Sense.MINIMIZE:
-            return False
-        return problem.objective.curvature.is_affine and _is_moved_form(problem)
+    def accepts(self, stage) -> bool:
+        return super().accepts(stage) and all(c.kind != "soc" for c in stage.constraints)
 
-    def rewrite(self, problem):
-        return _stuff_moved(problem, quadratic=False), self._record()
+
+class StuffQp(StuffLp):
+    """Stuff a canon stage with no SOC into QP data; ``P`` is the objective's
+    :func:`quadratic_form`, which ``GraphExpand(quadratic_objective=True)``
+    leaves as affine combinations of squares of affine terms."""
+
+    name = "stuff_qp"
+    _objective_fits = staticmethod(_quadratic_tree)
+    _objective = staticmethod(quadratic_form)

@@ -20,7 +20,7 @@ __all__ = [
     "EliminateFixedVariables", "SplitFreeVariables",
     "DropRedundantConstraints", "ScaleConstraints", "PresolveFixedPoint",
     "EliminatePwlAtoms", "DecomposeSoc", "CanonConstraint", "CanonStage",
-    "trivially_infeasible_problem", "is_zero_constant", "smart_sub",
+    "trivially_infeasible_problem", "is_zero_constant", "smart_sub", "lhs_row",
     "scalar_components",
 ]
 
@@ -35,6 +35,16 @@ def is_zero_constant(e: ex.ExpressionNode) -> bool:
 def smart_sub(a: ex.ExpressionNode, b: ex.ExpressionNode) -> ex.ExpressionNode:
     """``a - b``, or ``a`` itself when ``b`` is the zero constant."""
     return a if is_zero_constant(b) else ex.sub(a, b)
+
+
+def lhs_row(lhs: ex.ExpressionNode, relation: ex.Relation,
+            rhs: ex.ExpressionNode) -> ex.ExpressionNode:
+    """The row ``e`` with ``lhs relation rhs`` iff ``e == 0`` (EQ) or ``e <= 0``:
+    ``lhs - rhs``, or ``rhs - lhs`` for GE.  A form built by subtraction keeps
+    its left operand's blocks, so the row holds that operand's own arrays."""
+    if relation is ex.Relation.GE:
+        return smart_sub(rhs, lhs)
+    return smart_sub(lhs, rhs)
 
 
 def trivially_infeasible_problem() -> ex.ProblemForm:
@@ -65,7 +75,9 @@ class FlipObjective(Reduction):
 
 
 class MoveToLhs(Reduction):
-    """Rewrite every constraint as ``expr <= 0`` or ``expr == 0``."""
+    """Rewrite every constraint as ``expr <= 0`` or ``expr == 0``, ``expr``
+    its :func:`lhs_row`.  No chain places it: ``GraphExpand`` writes the same
+    rows."""
 
     name = "move_to_lhs"
 
@@ -73,12 +85,9 @@ class MoveToLhs(Reduction):
         return isinstance(problem, ex.ProblemForm)
 
     def rewrite(self, problem):
-        cons = []
-        for c in problem.constraints:
-            if c.relation is ex.Relation.GE:
-                cons.append((smart_sub(c.rhs, c.lhs), ex.Relation.LE, _ZERO))
-            else:
-                cons.append((smart_sub(c.lhs, c.rhs), c.relation, _ZERO))
+        cons = [(lhs_row(c.lhs, c.relation, c.rhs),
+                 ex.Relation.EQ if c.relation is ex.Relation.EQ else ex.Relation.LE, _ZERO)
+                for c in problem.constraints]
         out = ex.ProblemForm(problem.sense, problem.objective, cons, problem.variables)
         return out, self._record()
 
@@ -389,7 +398,8 @@ class EliminatePwlAtoms(Reduction):
     walk keeps affine subtrees, which are leaves, as written, so no
     piecewise-linear atom remains.  Every DCP problem is accepted: an abs or
     max node is convex, so DCP admits it only at scaling sign +1, where its
-    epigraph is exact.
+    epigraph is exact.  No chain places it: ``GraphExpand`` writes the same
+    rows, as ``y - t <= 0``.
     """
 
     name = "eliminate_pwl_atoms"
@@ -432,7 +442,7 @@ class EliminatePwlAtoms(Reduction):
 class CanonConstraint:
     """A cone-stage constraint over affine expressions.
 
-    kind "zero": expr == 0 elementwise; kind "nonneg": expr >= 0 elementwise;
+    kind "zero": expr == 0 elementwise; kind "nonpos": expr <= 0 elementwise;
     kind "soc": ||stack(x)||_2 <= t with scalar affine t and affine pieces x,
     or, when t has dim k > 1 and every piece dim k, the block of k cones
     ||(x_1[i], x_2[i], ...)||_2 <= t[i].
@@ -448,8 +458,8 @@ class CanonConstraint:
         return CanonConstraint("zero", expr=expr)
 
     @staticmethod
-    def nonneg(expr):
-        return CanonConstraint("nonneg", expr=expr)
+    def nonpos(expr):
+        return CanonConstraint("nonpos", expr=expr)
 
     @staticmethod
     def soc(t, x):
@@ -463,7 +473,9 @@ class CanonConstraint:
 
 @dataclass(frozen=True)
 class CanonStage:
-    """Affine objective plus cone-stage constraints, between expand and stuff."""
+    """``GraphExpand``'s output, which every stuffer reads: an objective, affine
+    or, on the QP route, affine in squares of affine terms, plus cone-stage
+    constraints."""
 
     objective: ex.ExpressionNode
     constraints: tuple[CanonConstraint, ...]

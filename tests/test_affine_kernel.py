@@ -315,18 +315,18 @@ def test_stacked_rows_match_the_per_expression_stacker():
 def test_the_gather_matches_the_per_expression_stacker_at_its_edges(text, target, check,
                                                                     monkeypatch):
     calls = []
-    for module in (cone, qp):
-        for name, ref in (("stack_rows", stack_rows_per_expression),
-                          ("affine_row_data", affine_row_data_reference)):
-            def spy(*args, _f=getattr(module, name), _ref=ref, _name=name):
-                got, want = _f(*args), _ref(*args)
-                calls.append(_name)
-                if _name == "stack_rows":
-                    assert_same_stack(got, want)
-                else:
-                    assert_same_bits([*got[0], got[1]], [*want[0], want[1]])
-                return got
-            monkeypatch.setattr(module, name, spy)
+    for module, name, ref in ((cone, "stack_rows", stack_rows_per_expression),
+                              (cone, "affine_row_data", affine_row_data_reference),
+                              (qp, "affine_row_data", affine_row_data_reference)):
+        def spy(*args, _f=getattr(module, name), _ref=ref, _name=name):
+            got, want = _f(*args), _ref(*args)
+            calls.append(_name)
+            if _name == "stack_rows":
+                assert_same_stack(got, want)
+            else:
+                assert_same_bits([*got[0], got[1]], [*want[0], want[1]])
+            return got
+        monkeypatch.setattr(module, name, spy)
     problem = parse_problem(text)
     data, _ = build_chain(problem, target).apply(problem)
     assert "stack_rows" in calls and "affine_row_data" in calls and check(data)

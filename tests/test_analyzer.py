@@ -36,8 +36,7 @@ class TestSelectTarget:
         report = select_target(toy_problem())
         assert report.target is TargetClass.LP
         assert report.dcp_ok
-        assert report.chain_names == ("eliminate_pwl_atoms", "move_to_lhs",
-                                      "stuff_lp")
+        assert report.chain_names == ("graph_expand", "stuff_lp")
 
     def test_hinge_selects_qp(self):
         report = select_target(hinge_square_problem())
@@ -122,8 +121,7 @@ class TestBuildChain:
         chain = build_chain(toy_problem(), TargetClass.LP,
                             RewriterConfig(presolve=True))
         assert [m.name for m in chain.members] == [
-            "presolve_fixed_point", "eliminate_pwl_atoms", "move_to_lhs",
-            "stuff_lp"]
+            "presolve_fixed_point", "graph_expand", "stuff_lp"]
 
     def test_cone_chain_members(self):
         chain = build_chain(norm_problem(), TargetClass.CONE)

@@ -133,29 +133,29 @@ def test_traced_solve_certifies_probes(bench, name):
 # sha256 of the canonicalize document of each benchmark problem at seed 1,
 # keyed by (workload, position in make_cases).
 DOCUMENT_SHA256 = {
-    ("canon-scalar", 0): "e3b27d370bdfc152c0f52bfa75b69162eebb8a526ae52c5a6900e2a69fc67305",
-    ("canon-scalar", 1): "fe3d45805898208815d425bf796e481fb8b1a27dee8cc105f0c5bb6fca022f6c",
+    ("canon-scalar", 0): "2387840729b66880ea0a7fff2c7e1da482a57151cf6b3fea96329f2b73530ba1",
+    ("canon-scalar", 1): "f963398064c532e4fdff058e9735867efecbc295253c7be305f7321b2550e0c4",
     ("canon-scalar", 2): "8d2d8531c66ceb54cbda80828de3a14394c930476a47a853b2b49d97977679da",
-    ("solve-dense", 0): "82ae4534eb045f9ea2414c1426ef219148d70915df2fa2a4b4d8d6d19e8e2fbc",
-    ("solve-dense", 1): "2d11a6fd75c8a8512f18fd97e16d18a02c5165d161b0e7fc4d65e9ae010bd3e1",
-    ("solve-dense", 2): "f00c4d5027a0489682bab6dc9f01772aa61c65abbc1d3dcecaa956cf9da6fe9e",
-    ("solve-dense", 3): "447a11c422bf2c89f80c5c60b1627ea80aeecb17557256ca5ad38d2ec525b70d",
-    ("solve-dense", 4): "ecac8d6d3567e4899b384ce7f942fb3019f90cb245a7f7689c2d0646b5a41a5f",
-    ("solve-dense", 5): "ffdee1f165b4cb5429dcb074829377b1672557224da228f820556cf06de7b6bb",
+    ("solve-dense", 0): "66336276cca6c5b3c16ef2964aee4c0d989b448aad78253266cd28d2ce6622d9",
+    ("solve-dense", 1): "370dd1ac233c2116892291e681b056615261ae1c954e94f0d880aae2ef94f76c",
+    ("solve-dense", 2): "e13de383985dfd5c5f1cb0da1e278095222fee9ee109d40b07ffb86d7f74d06a",
+    ("solve-dense", 3): "75e758248738d582ae854c77f25a08789872974bdf961813bace2369f87c3aa2",
+    ("solve-dense", 4): "e9f23ed25284523ad21ed3b343bf75d7b60cd407b5920898e63b60e1dda3c3c2",
+    ("solve-dense", 5): "d893b7998ec21f206f0e4f923729bbe13d741147e076338d373c413ebb3353e3",
     ("solve-dense", 6): "f25ddb81d737fc66d785e39dfbb24b7217d99166b89f99e0dc7f4ff4c9202694",
     ("solve-dense", 7): "6c992d20f7b20c670136a811051952c9bd368d82f92ae1e332ef45fc05228f7b",
     ("solve-dense", 8): "9b172d1c02052389690cbc02fe956fc7621ef9601447cba5f1cc2db37a9d0dac",
-    ("solve-dense", 9): "f378132010da1ce055fc71c27a8edcb4fe63d5f70b63ef66c0b022a937716bb6",
-    ("solve-dense", 10): "5137360ffa3e4ac340e0c7b17ef7c54a5194cc95f357cd4cf5ff80c2ffcce6be",
-    ("solve-dense", 11): "4dd2eb47dc1c9789deb788b1db0f6d7672e39ede6175b531529f454ff2ebcc96",
-    ("solve-dense", 12): "f307e62ad5bf7788929c2c338cd5004f6b35ab98a8604ae993a6d5a31e322643",
+    ("solve-dense", 9): "7d5d200397bc5348d6890e2bd16b82c04450129477c737ec66cbb961ea5124dc",
+    ("solve-dense", 10): "a64d11034889c1005662a95d971cd4ae0d174beaab49f11190730bdf99cb59c0",
+    ("solve-dense", 11): "ea311ff50f20709ed348df6562cc46c4926655ebb2e7754fd0ee5bfde6f62e2f",
+    ("solve-dense", 12): "98035e6817536bbe99b2cafa25baeedb1906f4853baf14d827eb0cc86ab969a9",
     ("solve-dense", 13): "f26944a7b7d2b1957a7ee74584632f7f6345ef317b12c95dc87df21c244215ee",
     ("solve-dense", 14): "21208ee004fd35c4bd0b0b4247a634f4f09a97dfadea34c9d6b157d6d9745726",
-    ("solve-wide", 0): "f96a55f4429fd296300bc9f5bf75855258dc235379d250b99bcf217758704893",
+    ("solve-wide", 0): "68fd31082dd0eabdbed7117bb2aca3153428ae1fd2316d99bb240ef00b414b14",
     ("solve-wide", 1): "6fec3d0f05487583eca5a78cb20f6c160f786b029bda4b7da8000a75fca2cfbf",
-    ("solve-wide", 2): "b17f743b9db3d6dba9ddd16e80fc16e23f129ce349d80c9923d98397473edd7b",
+    ("solve-wide", 2): "6305c737874e9ece9c392ef049459b850167be74d8ededf7d80bd55109745fcd",
     ("solve-wide", 3): "8d4094ad4161e03b5df46711054e9421a1cd4effb6fa890e094e548519dc25de",
-    ("solve-wide", 4): "cbf5f25000af7175ded129be3d5ee7ce19fadada65a7661b2ed23ff52303738e",
+    ("solve-wide", 4): "75e7e1d4a664ac1772bab3440085b0c19c7546a6941fdcfe6a4e7bb6c75b0348",
     ("solve-wide", 5): "d043ce746e65c16e2cc9d0f67b4597e0bb3268a285ad82b18d3541b0b5302d70",
 }
 
@@ -201,29 +201,29 @@ def test_benchmark_documents_keep_their_bytes(seed_one_cases):
 # seed 1: its exit code, stdout and stderr, since the QP target rejects the
 # cone problems; keyed as above.
 QP_DOCUMENT_SHA256 = {
-    ("canon-scalar", 0): "8e8cd8d2eb9ed33015b5546fcb2165f3eed033044b43bd1af7c1825e4d7c2451",
-    ("canon-scalar", 1): "7dc70f1448085528a5c493567a85f3a53df8b56967864e78272e693188d29773",
+    ("canon-scalar", 0): "0469e465a37b2562881233485389605b994acf604c5534bb3041f179709830ea",
+    ("canon-scalar", 1): "910e7914f0666475443d291115ffc991f089a82e0449e7093e422dd5cd395168",
     ("canon-scalar", 2): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
-    ("solve-dense", 0): "839a52ffb49d030d97b551647027159fe74cc646ed7a91bcef04f19003a023e2",
-    ("solve-dense", 1): "7234db0b8da04eae1b7a056c84a00ca9ecc0aa6f1d9d97dcea0c10bcf8ccd823",
-    ("solve-dense", 2): "567628234f8d862fd5623354383ef214720f41e4cbed94b33750ba4dda6e8302",
-    ("solve-dense", 3): "14166ae06c6594fe9e511678bf8138452454596493544fa78a6a62f8b307e9be",
-    ("solve-dense", 4): "eba7b530d26b285e043b100d88f481f65da6cbd8d4da7a08ff71f3d88348136e",
-    ("solve-dense", 5): "db2b90223c7c847bd091b80e9937464bfd8512e2891810568dca4dd561d00080",
+    ("solve-dense", 0): "79fa35b7da1522a414e2d0ebe111555afd96f79baf2cd011e079da94bf4cad61",
+    ("solve-dense", 1): "a210f835381af673a8663889e37f9de76636d8f6d7b4d7631de254322261bc9d",
+    ("solve-dense", 2): "fab3c5cb2c6cddd0c440ac6acaa1a11bd110c6ad0ee82cd95bebcf085f7ea4ef",
+    ("solve-dense", 3): "786ac9832da309326b71303412a84c69174ae1d12348003a764b490505b850a6",
+    ("solve-dense", 4): "adb321e9cecad15ea0911d9c90fc1ce282be8115849d935c0df7036f4b4e0c3b",
+    ("solve-dense", 5): "621f42e99cd189082b48d8db9dda0160f63fea6d572d7714fffe2ae026dab864",
     ("solve-dense", 6): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
     ("solve-dense", 7): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
     ("solve-dense", 8): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
-    ("solve-dense", 9): "843cd643b476e74e8115d1d29c229d758c486daf1b9c35b54262f5e62d7f8025",
-    ("solve-dense", 10): "9cd731750d297b738bf755ccfa5d1e820a5955bccfcf3d0058d2d8d97103bd61",
-    ("solve-dense", 11): "bde3d826d6400b5d2fd449c5077f29757f0ff55ec27d8ebc7e22c1899e2e860b",
-    ("solve-dense", 12): "3f523392519afb6c02c42ffc04b5ceb4d0577879229163099e0d27b971acedcf",
+    ("solve-dense", 9): "bf1240535451cdd5aa6ef402b767f864799ab483c6af9107fa774e6a61b3b07f",
+    ("solve-dense", 10): "5e7983cdf95773de03d2e2ed6a74caaee85462e62252d6af34723aba1a1ee5eb",
+    ("solve-dense", 11): "9aa7133530c6632a4f9684ed3fe3de73271f278bd764d9c1e4d4103ab8e721b8",
+    ("solve-dense", 12): "db7bf5f6719d24b2df19225f9cd3f224c1e9a61c36398e26cddc67377eb635cb",
     ("solve-dense", 13): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
     ("solve-dense", 14): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
-    ("solve-wide", 0): "810c3ef1dc8c8fb9dea3901888b55e0cedfaf2099cb88baef099d3477179ccd1",
+    ("solve-wide", 0): "c8561d99781b75d6b24e0a972e137f8c713d9fd29a6d2c796334ddf9c9923b83",
     ("solve-wide", 1): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
-    ("solve-wide", 2): "baa3095c628a58df562d01916b11f961322f67c980dd1aec70f53d55325e6dc2",
+    ("solve-wide", 2): "c2c847f5c0dcd31fed9e6565c458088ccf22e72312b63fe67602045c5befc6a0",
     ("solve-wide", 3): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
-    ("solve-wide", 4): "719574892713421f635a6ec93283756cd04623655a47e737c92128ba60513237",
+    ("solve-wide", 4): "7cd3df5497055dc90a20ea09d7b5e15fef210542b518d3cc99e52dbfb0c13032",
     ("solve-wide", 5): "f0ec01944dd22fa79b51e038ff38766eb68029f862bef61d9e88ba5882262231",
 }
 

@@ -19,6 +19,7 @@ from dcpc.analyzer import RewriterConfig, TargetClass, apply_chain, select_targe
 from dcpc.cli import emit_document, main, render_json
 from dcpc.parsing import parse_problem
 from dcpc.reductions.framework import ReductionError, Status
+from dcpc.solvers import SolverSettings
 
 from helpers import PROBES, bench_workloads
 
@@ -143,7 +144,7 @@ class TestCanonicalize:
         doc = json.loads(out)
         assert doc["schema_version"] == "1"
         assert doc["target"] == "lp"
-        assert doc["chain"] == ["eliminate_pwl_atoms", "move_to_lhs", "stuff_lp"]
+        assert doc["chain"] == ["graph_expand", "stuff_lp"]
         data = doc["data"]
         assert data["G"] == [[1, 1, -1], [-1, -1, -1], [1, 0, 0]]
         assert data["A"] == [[0, 1, 0]]
@@ -309,6 +310,18 @@ class TestSolve:
         assert doc["value"] == pytest.approx(1.0, abs=1e-9)
         assert doc["variables"]["alice"][0] == pytest.approx(-0.5, abs=1e-9)
         assert doc["variables"]["bob"][0] == pytest.approx(-0.5, abs=1e-9)
+
+    def test_no_flags_build_the_default_settings(self, write, monkeypatch):
+        configs = []
+
+        def spy(problem, config):
+            configs.append(config)
+            return solve_problem(problem, config)
+
+        monkeypatch.setattr(cli, "solve_problem", spy)
+        assert run_cli("solve", write(TOY))[0] == 0
+        assert configs == [RewriterConfig()]
+        assert configs[0].settings == SolverSettings()
 
     @pytest.mark.parametrize("extra", [
         ("--solver", "admm"),

@@ -8,7 +8,7 @@ from dcpc import expressions as ex
 from dcpc.parsing import parse_problem
 from dcpc.reductions.cone import ConeDims, GraphExpand, StuffCone
 from dcpc.reductions.framework import ReductionChain, ReductionError, Solution, Status
-from dcpc.reductions.standard import FlipObjective
+from dcpc.reductions.standard import CanonConstraint, CanonStage, FlipObjective
 from dcpc.solvers import solve_admm
 
 from helpers import ALL_ATOMS, random_expression, stage_trees, toy_problem
@@ -56,9 +56,9 @@ class TestSmithTransform:
         assert rec.payload["aux"] == [inner.id, outer.id]
         assert stage.objective == ex.var_ref(outer)
         row1, row2, cone = stage.constraints
-        assert [row1.kind, row2.kind, cone.kind] == ["nonneg", "nonneg", "soc"]
+        assert [row1.kind, row2.kind, cone.kind] == ["nonpos", "nonpos", "soc"]
         env = {x.id: np.array([-2.0]), inner.id: np.array([5.0])}
-        assert [ex.evaluate(row1.expr, env)[0], ex.evaluate(row2.expr, env)[0]] == [7.0, 3.0]
+        assert [ex.evaluate(row1.expr, env)[0], ex.evaluate(row2.expr, env)[0]] == [-7.0, -3.0]
         assert cone.t == ex.add(ex.constant(1.0), ex.var_ref(outer))
         assert cone.x[0] == ex.mul(ex.constant(2.0), ex.var_ref(inner))
 
@@ -67,15 +67,15 @@ class TestSmithTransform:
         *graph, user = stage.constraints
         assert len(graph) == 2
         t = stage.variables[-1]
-        assert ex.evaluate(user.expr, {t.id: np.array([0.5])})[0] == 1.5  # 2 - t
+        assert ex.evaluate(user.expr, {t.id: np.array([0.5])})[0] == -1.5  # t - 2
 
     def test_affine_problem_untouched(self):
-        p = parse_problem("var x; minimize 2 * x + 1; subject to x >= 0;")
+        p = parse_problem("var x; minimize 2 * x + 1; subject to x <= 0;")
         stage, rec = GraphExpand().apply(p)
         assert stage.objective is p.objective
         assert stage.variables == p.variables
         (row,) = stage.constraints
-        assert row.kind == "nonneg" and row.expr is p.constraints[0].lhs
+        assert row.kind == "nonpos" and row.expr is p.constraints[0].lhs
         assert rec.payload["aux"] == []
 
     def test_constant_subtree_kept_symbolic(self):
@@ -145,9 +145,9 @@ class TestRelaxSmith:
     def test_user_constraints_untouched(self):
         stage = expand("var x; minimize x; subject to abs(x) <= 2;")
         epi1, epi2, user = stage.constraints
-        assert epi1.kind == epi2.kind == user.kind == "nonneg"
+        assert epi1.kind == epi2.kind == user.kind == "nonpos"
         t = ex.var_ref(stage.variables[-1])
-        assert user.expr == ex.sub(ex.constant(2.0), t)
+        assert user.expr == ex.sub(t, ex.constant(2.0))
 
     def test_rejects_non_dcp_source(self):
         p = parse_problem("var x; minimize x; subject to square(x) >= 1;")
@@ -214,25 +214,38 @@ class TestGraphExpand:
     def test_abs_rows(self):
         stage = expand("var x; minimize abs(x);")
         rows = stage.constraints
-        assert [c.kind for c in rows] == ["nonneg", "nonneg"]
+        assert [c.kind for c in rows] == ["nonpos", "nonpos"]
         env = {0: np.array([-2.0]), 1: np.array([5.0])}
         vals = [ex.evaluate(c.expr, env)[0] for c in rows]
-        assert vals == [pytest.approx(7.0), pytest.approx(3.0)]  # t-y, t+y
+        assert vals == [pytest.approx(-7.0), pytest.approx(-3.0)]  # y-t, -y-t
 
     def test_max_rows_in_argument_order(self):
         stage = expand("var x; minimize max(x, 2 * x, 3);")
-        assert [c.kind for c in stage.constraints] == ["nonneg"] * 3
+        assert [c.kind for c in stage.constraints] == ["nonpos"] * 3
 
     def test_affine_constraint_mapping(self):
         stage = expand(
             "var x; minimize x; subject to x == 1; x <= 2; x >= -1;")
         kinds = [c.kind for c in stage.constraints]
-        assert kinds == ["zero", "nonneg", "nonneg"]
+        assert kinds == ["zero", "nonpos", "nonpos"]
         env = {0: np.array([0.5])}
         z, le, ge = stage.constraints
         assert ex.evaluate(z.expr, env)[0] == pytest.approx(-0.5)   # x - 1
-        assert ex.evaluate(le.expr, env)[0] == pytest.approx(1.5)   # 2 - x
-        assert ex.evaluate(ge.expr, env)[0] == pytest.approx(1.5)   # x + 1
+        assert ex.evaluate(le.expr, env)[0] == pytest.approx(-1.5)  # x - 2
+        assert ex.evaluate(ge.expr, env)[0] == pytest.approx(-1.5)  # -1 - x
+
+    def test_rows_hold_the_left_operands_arrays(self):
+        # ``f - c`` and each piece's ``y - t`` keep the left operand's blocks,
+        # so the rows hold f's and y's coefficient arrays, not negated copies.
+        p = parse_problem("var x[2]; var y;\nminimize max(2*x[0] + y, 3*x[1] - y);\n"
+                          "subject to\n  2*x[0] + 3*y <= 4;\n")
+        first, second, row = GraphExpand().apply(p)[0].constraints
+        pairs = [(row.expr, p.constraints[0].lhs)] + [
+            (piece.expr, y) for piece, y in zip((first, second), p.objective.children)]
+        for expr, source in pairs:
+            assert expr.kind == source.kind == "form"
+            for vid, block in source.payload[0].items():
+                assert all(a is b for a, b in zip(expr.payload[0][vid], block))
 
     def test_takes_the_unexpanded_dcp_problem(self):
         p = parse_problem("var x; minimize square(x);")
@@ -308,6 +321,21 @@ class TestStuffCone:
             assert getattr(a.A, part).tobytes() == getattr(b.A, part).tobytes()
         assert a.b.tobytes() == b.b.tobytes()
         assert a.q.tobytes() == b.q.tobytes()
+
+    def test_refuses_a_nonaffine_objective_or_row(self):
+        decl = ex.VariableDecl(0, "x")
+        x = ex.var_ref(decl)
+        square = ex.square(x)
+        stages = [CanonStage(square, (), (decl,)),
+                  CanonStage(x, (CanonConstraint.zero(square),), (decl,)),
+                  CanonStage(x, (CanonConstraint.nonpos(square),), (decl,)),
+                  CanonStage(x, (CanonConstraint.soc(square, (x,)),), (decl,)),
+                  CanonStage(x, (CanonConstraint.soc(x, (x, square)),), (decl,))]
+        for stage in stages:
+            assert not StuffCone().accepts(stage)
+            with pytest.raises(ReductionError):
+                StuffCone().apply(stage)
+        assert StuffCone().accepts(CanonStage(x, (CanonConstraint.soc(x, (x,)),), (decl,)))
 
     def test_soc_slack_identity(self):
         # b - Ax must reproduce (t, x...) for the norm2 cone

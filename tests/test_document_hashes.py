@@ -31,14 +31,14 @@ CONFIGS = {
 }
 
 DIGESTS = {
-    ("pwl", "auto"): "a7461ba6633eaed24f342a80b0f11e3a108690124a3caf152e1e468da1b9c7b6",
-    ("pwl", "lp"): "a7461ba6633eaed24f342a80b0f11e3a108690124a3caf152e1e468da1b9c7b6",
-    ("pwl", "qp"): "2a186351dba2d689c31daa542d6ce984ca9900e95e11eb658ffa91612da4cc42",
+    ("pwl", "auto"): "9c848d37608c8899579be3835095a603866beb97aedf570a81f35ef656f30b14",
+    ("pwl", "lp"): "9c848d37608c8899579be3835095a603866beb97aedf570a81f35ef656f30b14",
+    ("pwl", "qp"): "839402892b847dcb14a27b25503d203f7fa3c37723d19d7b4e27ec5a87148a50",
     ("pwl", "cone"): "2611c0bf0869fa0bf2e446ee9f26aec953a4d7b73d0239dc32d301f84258d832",
     ("pwl", "cone-decomposed"): "e2f480a09a219917f5d7d98d187dab7afc53eaa4987e2d8766d164ba5828a55d",
-    ("qp", "auto"): "0d38a79b3d7f485bb4c21f24199172c8efe017bbf27cf2ece390e8bd3ff77860",
+    ("qp", "auto"): "2bee4679cff2927755d93d1546b0e7e5d1a0f0419dd22174c68b86e3cc222ec5",
     ("qp", "lp"): "b1bf1bacbedf111c627df6c1ecf6331e146a4b01b12758a947aea660b82b3b83",
-    ("qp", "qp"): "0d38a79b3d7f485bb4c21f24199172c8efe017bbf27cf2ece390e8bd3ff77860",
+    ("qp", "qp"): "2bee4679cff2927755d93d1546b0e7e5d1a0f0419dd22174c68b86e3cc222ec5",
     ("qp", "cone"): "ebfe1b02b1a429d18fc59541facfc37756c8c6390bbfd2860d24cb14589cdf10",
     ("qp", "cone-decomposed"): "130869a8d5ef3fb52f057099f5a46dbf983d1a9c0df9859091d2b3416390b7c5",
     ("cone", "auto"): "dcd443d128090b5122224865add2c643c8800e2c3336f5750f8a2a86c9570989",

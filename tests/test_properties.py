@@ -27,8 +27,7 @@ from dcpc.reductions.cone import ConeDims, GraphExpand, StuffCone
 from dcpc.reductions.framework import ReductionError
 from dcpc.reductions.qp import (PathNfa, StuffLp, StuffQp, qp_applicable,
                                 uses_quadratic_atom)
-from dcpc.reductions.standard import (DecomposeSoc, EliminatePwlAtoms, FlipObjective,
-                                      MoveToLhs, PresolveFixedPoint)
+from dcpc.reductions.standard import DecomposeSoc, FlipObjective, PresolveFixedPoint
 from dcpc.solvers import project_cone
 
 from helpers import ALL_ATOMS, STAGE_CONFIGS, random_expression
@@ -223,8 +222,8 @@ def test_graph_expand_accepts_exactly_the_dcp_problems(seed):
 
 
 # Every reduction that build_chain can place.
-CHAIN_MEMBERS = (FlipObjective, PresolveFixedPoint, EliminatePwlAtoms, MoveToLhs,
-                 StuffLp, StuffQp, GraphExpand, DecomposeSoc, StuffCone)
+CHAIN_MEMBERS = (FlipObjective, PresolveFixedPoint, GraphExpand, DecomposeSoc,
+                 StuffLp, StuffQp, StuffCone)
 
 
 def test_apply_rejects_exactly_what_accepts_refuses():

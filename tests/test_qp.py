@@ -1,6 +1,7 @@
 """QP applicability machine, quadratic extraction, and QP/LP stuffing."""
 
 import io
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from dcpc.analyzer import TargetClass, build_chain, solve_problem
 from dcpc.reductions.qp import (PathNfa, StuffLp, StuffQp, qp_applicable, quadratic_form,
                                 uses_quadratic_atom)
 from dcpc.reductions.framework import ReductionChain
-from dcpc.reductions.standard import EliminatePwlAtoms, MoveToLhs
+from dcpc.reductions.standard import CanonConstraint, CanonStage
 from dcpc.solvers import solve_admm
 
 from helpers import batch_eval, hinge_square_problem, toy_problem
@@ -388,9 +389,8 @@ class TestQuadraticForm:
         cases.append(([dy], ex.sum_(ex.square(ex.sub(ex.mul(a1, y), c1)))))
         for seed in range(40):
             problem = randgen.random_qp_problem(np.random.default_rng(seed), 4)
-            for member in (EliminatePwlAtoms(), MoveToLhs()):
-                problem, _ = member.apply(problem)
-            cases.append((problem.variables, problem.objective))
+            stage, _ = GraphExpand(quadratic_objective=True).apply(problem)
+            cases.append((stage.variables, stage.objective))
         for variables, expr in cases:
             offsets, width = stack_variables(variables)
             P, q, r = quadratic_form(expr, offsets, width)
@@ -531,7 +531,7 @@ class TestHessianProbe:
 
 class TestStuffLp:
     def lp_chain(self):
-        return ReductionChain([EliminatePwlAtoms(), MoveToLhs(), StuffLp()])
+        return ReductionChain([GraphExpand(), StuffLp()])
 
     def test_toy_problem_lp_data(self):
         data, _ = self.lp_chain().apply(toy_problem())
@@ -557,20 +557,45 @@ class TestStuffLp:
     def test_rejects_quadratic_objective(self):
         decl, x = scalar_var()
         p = ex.make_problem(ex.Sense.MINIMIZE, ex.square(x), [], [decl])
-        assert not StuffLp().accepts(p)
+        stage, _ = GraphExpand(quadratic_objective=True).apply(p)
+        assert not StuffLp().accepts(stage) and StuffQp().accepts(stage)
         with pytest.raises(ReductionError):
-            self.lp_chain().apply(p)
+            StuffLp().apply(stage)
+
+    def test_lp_and_qp_refuse_soc_rows(self):
+        stage = GraphExpand(quadratic_objective=True).apply(
+            parse_problem("var x[2]; minimize x[0]; subject to norm2(x) <= 1;"))[0]
+        assert [c.kind for c in stage.constraints] == ["soc", "nonpos"]
+        assert StuffCone().accepts(stage)
+        for stuffer in (StuffLp(), StuffQp()):
+            assert not stuffer.accepts(stage)
+            with pytest.raises(ReductionError):
+                stuffer.apply(stage)
+
+    def test_stuff_qp_refuses_what_has_no_constant_hessian(self):
+        decl, x = scalar_var()
+        for objective in (ex.square(ex.abs_(x)),  # a square of a nonaffine term
+                          ex.add(ex.square(x), ex.abs_(x)),  # a piecewise-linear atom
+                          ex.norm2(x)):
+            stage = CanonStage(objective, (), (decl,))
+            assert not StuffQp().accepts(stage) and not StuffLp().accepts(stage)
+            with pytest.raises(ReductionError):
+                StuffQp().apply(stage)
+        nonaffine_row = CanonStage(ex.square(x), (CanonConstraint.nonpos(ex.abs_(x)),), (decl,))
+        assert not StuffQp().accepts(nonaffine_row)
+        assert StuffQp().accepts(CanonStage(ex.square(x), (CanonConstraint.nonpos(x),), (decl,)))
 
     def test_stuff_qp_accepts_only_moved_problems(self):
-        assert not StuffQp().accepts(toy_problem())  # PWL objective, GE-free but unmoved
+        # the moved form is GraphExpand's canon stage: a problem is refused
+        assert not StuffQp().accepts(toy_problem())
         decl, x = scalar_var()
         cons = [(x, ex.Relation.GE, ex.constant(0.0))]
         p = ex.make_problem(ex.Sense.MINIMIZE, ex.square(x), cons, [decl])
         assert not StuffQp().accepts(p)
+        assert StuffQp().accepts(GraphExpand(quadratic_objective=True).apply(p)[0])
 
     def test_rejects_a_scalar_side_broadcast_over_zero_rows(self):
-        # MoveToLhs leaves lhs with every row of its constraint; a hand-built
-        # sum(x) <= [0, 0, 0] does not, so stuffing refuses it.
+        # A problem is not a canon stage, so stuffing refuses it.
         decl = ex.VariableDecl(0, "x", 3)
         x = ex.var_ref(decl)
         cons = [(ex.sum_(x), ex.Relation.LE, ex.constant([0.0, 0.0, 0.0]))]
@@ -578,7 +603,7 @@ class TestStuffLp:
         assert not StuffLp().accepts(p) and not StuffQp().accepts(p)
         with pytest.raises(ReductionError):
             StuffLp().apply(p)
-        # The full chain moves it to sum(x) <= 0 first and solves it.
+        # The full chain writes its row as sum(x) <= 0 first and solves it.
         out = solve_problem(ex.make_problem(ex.Sense.MAXIMIZE, ex.sum_(x), cons, [decl]))
         assert out.report.target is TargetClass.LP
         assert out.solution.status is Status.OPTIMAL and out.solution.value == 0.0
@@ -586,17 +611,16 @@ class TestStuffLp:
 
 def stuff_qp_peak(objective, n):
     """``StuffQp``'s data and tracemalloc peak on ``objective`` over ``var
-    x[n]`` with box rows, where ``{c}`` is a center vector, after
-    elimination and the move to the left-hand side."""
+    x[n]`` with box rows, where ``{c}`` is a center vector, after the QP
+    route's ``GraphExpand``."""
     center = ", ".join(f"{v:.2f}" for v in np.linspace(-3.0, 3.0, n))
     problem = parse_problem(
         f"var x[{n}];\nminimize {objective.format(c=f'[{center}]')};\n"
         "subject to\n  x <= 10;\n  x >= -10;\n")
-    for member in (EliminatePwlAtoms(), MoveToLhs()):
-        problem, _ = member.apply(problem)
+    stage, _ = GraphExpand(quadratic_objective=True).apply(problem)
     tracemalloc.start()
     try:
-        data, _ = StuffQp().apply(problem)
+        data, _ = StuffQp().apply(stage)
         return data, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -755,6 +779,19 @@ DOCUMENTS = [
     ("qp_right_nested", lambda: RIGHT_NESTED, ["--target", "qp"]),
     ("lp_cancelling", lambda: CANCELLING, ["--target", "lp"]),
 ]
+
+
+@pytest.mark.parametrize("name,source", [(name, source) for name, source, _ in DOCUMENTS],
+                         ids=[name for name, _, _ in DOCUMENTS])
+@pytest.mark.parametrize("target", [[], ["--target", "qp"]], ids=["auto", "qp"])
+def test_analyze_names_the_documents_chain(tmp_path, name, source, target):
+    path = tmp_path / f"{name}.cvx"
+    path.write_text(source())
+    report, doc = io.StringIO(), io.StringIO()
+    code = cli_main(["analyze", str(path), "--json", *target], report, io.StringIO())
+    assert cli_main(["canonicalize", str(path), *target], doc, io.StringIO()) == code
+    chain = json.loads(report.getvalue())["chain"]
+    assert chain == (json.loads(doc.getvalue())["chain"] if code == 0 else [])
 
 
 @pytest.mark.parametrize("target", [TargetClass.LP, TargetClass.QP,

@@ -489,7 +489,7 @@ class TestEliminatePwlAtoms:
         data, _ = report.chain.apply(problem)
         assert emit_document(data, report.chain_names).render() == (
             '{\n  "schema_version": "1",\n  "target": "lp",\n'
-            '  "chain": ["eliminate_pwl_atoms", "move_to_lhs", "stuff_lp"],\n'
+            '  "chain": ["graph_expand", "stuff_lp"],\n'
             '  "data": {\n    "c": [0, 1],\n'
             '    "G": [\n      [1, -1],\n      [0, -1]\n    ],\n'
             '    "h": [0, -3],\n    "A": [],\n    "b": [],\n    "offset": 0,\n'
@@ -568,10 +568,10 @@ class TestDecomposeSoc:
         t, x = ex.var_ref(decls[0]), ex.var_ref(decls[1])
         cones = (CanonConstraint.zero(t),
                  CanonConstraint.soc(t, (x,)),
-                 CanonConstraint.nonneg(t))
+                 CanonConstraint.nonpos(t))
         out, _ = DecomposeSoc().apply(CanonStage(t, cones, tuple(decls)))
         assert [c.kind for c in out.constraints] == \
-            ["zero", "soc", "soc", "nonneg"]
+            ["zero", "soc", "soc", "nonpos"]
         assert out.constraints[0] is cones[0] and out.constraints[3] is cones[2]
 
     def test_multi_piece_x_exploded(self):

@@ -248,6 +248,44 @@ class TestSimplex:
             ex.evaluate(problem.objective, solution.primal)[0], rel=1e-12)
         assert solution.value > 17.104839  # not yet the optimum
 
+    def test_refuses_second_order_cone_rows(self):
+        problem = parse_problem("var x[2]; minimize norm2(x);")
+        data, _ = build_chain(problem, TargetClass.CONE).apply(problem)
+        assert data.cones.soc == (3,)
+        with pytest.raises(ValueError, match="second-order cone rows"):
+            solve_lp_simplex(data)
+
+    def test_phase_one_stops_at_its_budget(self):
+        # Two equality rows start on two artificials: one pivot is not enough.
+        data = program_data(None, [1.0, 1.0], A=[[1, 1], [1, -1]], b=[1.0, 0.0])
+        raw = solve_lp_simplex(data, SolverSettings(max_iterations=1))
+        assert (raw.status, raw.iterations, raw.message) == (
+            Status.ITERATION_LIMIT, 1, "phase-1 iteration limit")
+        assert math.isnan(raw.value)
+        assert solve_lp_simplex(data).status is Status.OPTIMAL
+
+    def test_zero_artificial_left_basic_is_pivoted_out(self, monkeypatch):
+        # x - y == 0 and y - x == 0: the artificials' rows cancel, so phase one
+        # is optimal at once with both basic at zero.  The first is pivoted out
+        # on x's column, which leaves the second row zero and redundant.
+        data = program_data(None, [1.0, 0.0], G=[[-1, 0]], h=[1.0],
+                            A=[[1, -1], [-1, 1]], b=[0.0, 0.0])
+        pivots = []
+        real_pivot = solvers._pivot
+
+        def pivot(T, basis, row, col):
+            pivots.append((row, col, int(basis[row])))
+            real_pivot(T, basis, row, col)
+
+        monkeypatch.setattr(solvers, "_pivot", pivot)
+        raw = solve_lp_simplex(data)
+        assert raw.status is Status.OPTIMAL
+        np.testing.assert_array_equal(raw.x, [-1.0, -1.0])
+        assert raw.value == -1.0
+        # no phase-one pivot; then artificial 0 (label N = 5) of tableau row 1
+        # leaves for column 0, the positive part of x
+        assert pivots[0] == (1, 0, 5)
+
     def test_a_budget_of_exactly_the_pivots_needed_is_optimal(self):
         # The n = 40 LP reaches its optimal basis on pivot 179: a budget of
         # 179 still tests that basis, and one of 178 stops a pivot short.

@@ -14,6 +14,9 @@ rows, then the variables, then the equality rows and any row of over √nnz
 entries.  Eliminating those early rows leaves ``P + σI + AᵀRA`` on the
 variables, which are then eliminated in their own order; rows that couple
 variables far apart in that order fill more than a minimum degree order would.
+
+``splu`` and ``dger`` are imported where they are called, so that parsing,
+analysis and canonicalization, which never solve, load no scipy linear algebra.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dger
-from scipy.sparse.linalg import splu
 
 from .reductions.cone import ConeDims, ProgramData
 from .reductions.framework import Status
@@ -81,21 +82,31 @@ _NATURAL = dict(permc_spec="NATURAL", diag_pivot_thresh=0.01,
 
 def _factor(matrix: sp.csc_matrix, stats: dict):
     """SuperLU factor of ``matrix`` in its own order; adds its seconds to
-    ``stats["factor_s"]`` and sets ``stats["factor_nnz"]``, the RawSolution
-    fields."""
+    ``stats["factor_s"]`` and keeps it as ``stats["factor"]`` until the next
+    one succeeds, for ``_stats``."""
+    from scipy.sparse.linalg import splu
     if not np.isfinite(matrix.data).all():  # SuperLU takes NaN as a number
         raise RuntimeError("non-finite matrix entries")
     start = time.perf_counter()
     factor = splu(matrix, **_NATURAL)
     stats.update(factor_s=stats.get("factor_s", 0.0) + time.perf_counter() - start,
-                 factor_nnz=factor.L.nnz + factor.U.nnz)
+                 factor=factor)
     return factor
+
+
+def _stats(stats: dict) -> dict:
+    """The RawSolution fields of ``_factor``'s ``stats``: the seconds, and the
+    nonzeros of the last factor's L plus U, exported once as the solve returns."""
+    factor = stats.get("factor")
+    return dict(factor_s=stats.get("factor_s", 0.0),
+                factor_nnz=0 if factor is None else factor.L.nnz + factor.U.nnz)
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     """Pivot the C-ordered tableau ``T`` on ``(row, col)`` in place: one BLAS
     rank-1 update (``dger`` on ``Tᵀ``) of every row but the pivot row, the
     objective in the last row included."""
+    from scipy.linalg.blas import dger  # loaded at the first pivot, then found in sys.modules
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
@@ -373,7 +384,7 @@ def solve_admm(data: ProgramData,
                 rho, factor = refactor(rho_bar)
             except RuntimeError as err:
                 return RawSolution(Status.ERROR, np.zeros(n), math.nan, k - 1,
-                                   f"KKT factorization failed: {err}", **stats)
+                                   f"KKT factorization failed: {err}", **_stats(stats))
         y_rho = y / rho
         np.subtract(_SIGMA * x, q, out=rhs[xs])
         rhs[rows] = z - y_rho
@@ -386,7 +397,7 @@ def solve_admm(data: ProgramData,
             continue
         if not all(np.isfinite(v).all() for v in (x, z, y)):
             return RawSolution(Status.ERROR, np.zeros(n), math.nan, k,
-                               "iterates are not finite", **stats)
+                               "iterates are not finite", **_stats(stats))
         Ax, Px, ATy = A @ x, P @ x, AT @ y
         r_prim, r_dual = Ax - z, Px + q + ATy
         if (np.all(np.abs(r_prim) <= settings.eps_abs * e + settings.eps_rel
@@ -404,7 +415,7 @@ def solve_admm(data: ProgramData,
         if (b @ dy < -eps and _inf_norm(AT @ dy / d) <= eps
                 and _cone_gap(np.where(eq, 0.0, e * dy), cones, plan) <= eps):
             return RawSolution(Status.INFEASIBLE, np.zeros(n), math.inf, k,
-                               "certificate of primal infeasibility", **stats)
+                               "certificate of primal infeasibility", **_stats(stats))
         if (q @ dx < -eps and _inf_norm(P @ dx / d) <= eps
                 and _cone_gap(-(A @ dx) / e, cones, plan) <= eps):
             return _decide_ray(data, settings, k, stats)
@@ -417,7 +428,7 @@ def solve_admm(data: ProgramData,
             if not rho_bar / _RHO_REFACTOR <= rho_new <= rho_bar * _RHO_REFACTOR:
                 rho_bar, factor = rho_new, None
     value = float(0.5 * x @ (P @ x) + q @ x)
-    return RawSolution(status, d * x, value, k, message, **stats)
+    return RawSolution(status, d * x, value, k, message, **_stats(stats))
 
 
 def _decide_ray(data: ProgramData, settings: SolverSettings, k: int,

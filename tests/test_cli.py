@@ -626,14 +626,53 @@ class TestMatrixWriter:
         assert render_json(m) == "[\n  [0, 0, 0]\n]"
 
 
+def child_env():
+    """The environment of a child process that imports the same dcpc as this
+    suite, installed or not."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_module_entrypoint_runs(tmp_path):
     path = tmp_path / "toy.cvx"
     path.write_text(TOY)
-    # The child imports the same dcpc as this suite, installed or not.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "dcpc.cli", "analyze",
-                           str(path)], capture_output=True, text=True, env=env)
+                           str(path)], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "target: LP" in proc.stdout
+
+
+# Runs each "command path" of argv[1:] through cli.main in turn and prints,
+# for each, its exit code, a solve's status and which of scipy's linear
+# algebra packages are loaded by then.
+LOADS_CHILD = """\
+import io, json, sys
+import dcpc.cli, dcpc.analyzer, dcpc.solvers
+for command in sys.argv[1:]:
+    out = io.StringIO()
+    code = dcpc.cli.main(command.split(" ", 1), out, io.StringIO())
+    status = json.loads(out.getvalue())["status"] if command.startswith("solve") else None
+    print(json.dumps([code, status, [m for m in ("scipy.linalg", "scipy.sparse.linalg")
+                                     if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("commands, expected", [
+    ([("analyze", TOY), ("canonicalize", TOY), ("canonicalize", HINGE)],
+     [[0, None, []]] * 3),
+    ([("solve", TOY)], [[0, "optimal", ["scipy.linalg"]]]),  # the simplex's dger
+    ([("solve", HINGE)],  # the splitting solver's splu
+     [[0, "optimal", ["scipy.linalg", "scipy.sparse.linalg"]]]),
+])
+def test_only_a_solve_loads_scipy_linear_algebra(tmp_path, commands, expected):
+    # A fresh process, since this suite's own loaded scipy.linalg long ago.
+    argv = []
+    for i, (command, text) in enumerate(commands):
+        path = tmp_path / f"problem{i}.cvx"
+        path.write_text(text)
+        argv.append(f"{command} {path}")
+    proc = subprocess.run([sys.executable, "-c", LOADS_CHILD, *argv],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == expected

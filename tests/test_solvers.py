@@ -585,6 +585,26 @@ class TestConeAdmm:
         assert raw.status is Status.OPTIMAL and raw.x[0] == pytest.approx(2.0, abs=1e-4)
         assert raw.factor_s > 0.0 and raw.factor_nnz >= 1
 
+    @pytest.mark.parametrize("text, status, fills", [
+        ("var x; minimize abs(x) + square(x); subject to x >= 1;", Status.OPTIMAL, 1),
+        # a ρ refactor, whose factor holds one entry more than the first
+        ("var x; minimize square(x); subject to x >= 1; x <= 0;", Status.INFEASIBLE, 2),
+        # a descent ray: _decide_ray's solve, with no P, fills less and factors last
+        ("var x; var z; var y; minimize square(x + z) - y;", Status.UNBOUNDED, 2),
+    ])
+    def test_factor_nnz_is_the_last_factors_l_plus_u(self, text, status, fills, monkeypatch):
+        seen, real = [], solvers._factor
+
+        def spy(matrix, stats):
+            factor = real(matrix, stats)
+            seen.append(factor.L.nnz + factor.U.nnz)
+            return factor
+
+        monkeypatch.setattr(solvers, "_factor", spy)
+        raw = solve_problem(parse_problem(text)).raw
+        assert raw.status is status and len(set(seen)) == len(seen) == fills
+        assert raw.factor_nnz == seen[-1]
+
     def test_infeasible_row_certified_within_100_iterations(self):
         raw = solve_cone_admm(self.INFEASIBLE_ROW, SolverSettings(max_iterations=100))
         assert raw.status is Status.INFEASIBLE and raw.iterations <= 100

@@ -10,15 +10,13 @@ yields a report carrying the DCP violations.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expressions as ex
 from .reductions.cone import GraphExpand, ProgramData, StuffCone
-from .reductions.framework import (ReductionChain, Solution, Status,
-                                   infeasible_solution, unbounded_solution)
+from .reductions.framework import ReductionChain, Solution, Status
 from .reductions.qp import StuffLp, StuffQp, qp_applicable, uses_quadratic_atom
 from .reductions.standard import DecomposeSoc, FlipObjective, PresolveFixedPoint
 from .solvers import RawSolution, SolverSettings, solve_admm, solve_lp_simplex
@@ -195,12 +193,8 @@ def _dispatch_solver(data: ProgramData, target: TargetClass,
 
 
 def _raw_to_solution(raw: RawSolution, data: ProgramData) -> Solution:
-    if raw.status is Status.INFEASIBLE:
-        return infeasible_solution(raw.message)
-    if raw.status is Status.UNBOUNDED:
-        return unbounded_solution(raw.message)
-    if raw.status is Status.ERROR:
-        return Solution(Status.ERROR, math.nan, {}, raw.message)
+    if raw.status in (Status.INFEASIBLE, Status.UNBOUNDED, Status.ERROR):
+        return Solution(raw.status, raw.value, {}, raw.message)  # +inf, -inf or nan
     primal = {}
     for decl in data.variables:
         start, length = data.var_offsets[decl.id]

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 parse error, 2 no target class accepts (analysis
 failure), 3 a forced target rejected the problem, 4 infeasible, 5 unbounded,
-6 iteration limit, 7 solver, configuration or internal error.
+6 iteration limit, 7 solver, configuration (a usage error too) or internal
+error.  Only ``solve`` takes the solver options, ``--solver``, ``--max-iters``,
+``--eps-abs`` and ``--eps-rel``.
 """
 
 from __future__ import annotations
@@ -190,30 +192,17 @@ def _solution_json(outcome, names: dict[int, str]) -> dict:
     }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # reported by ``main`` as "error: ...", exit 7
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dcpc",
         description="Rewrite disciplined convex problems into solver standard "
                     "forms, and solve them with embedded solvers.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("file", help="path to a .cvx problem file")
-        p.add_argument("--target", choices=["auto", "lp", "qp", "cone"],
-                       default="auto", help="target class (default: auto)")
-        p.add_argument("--presolve", action="store_true",
-                       help="run fixed-point presolve before the back end")
-        p.add_argument("--decompose-soc", action="store_true",
-                       help="split wide second-order cones into 3-dim cones")
-        p.add_argument("--solver", choices=["simplex", "admm"], default=None,
-                       help="solver for `solve` (default: per-target)")
-        p.add_argument("--max-iters", type=int, default=SolverSettings.max_iterations)
-        p.add_argument("--eps-abs", type=float, default=SolverSettings.eps_abs)
-        p.add_argument("--eps-rel", type=float, default=SolverSettings.eps_rel)
-        p.add_argument("--json", action="store_true",
-                       help="JSON report from `analyze`; `canonicalize` and "
-                            "`solve` always print JSON")
-
     analyze = sub.add_parser("analyze", help="report DCP verdict and target class")
     canonicalize = sub.add_parser("canonicalize",
                                   help="emit the canonicalized standard form")
@@ -221,17 +210,29 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="write the document here instead of stdout")
     solve = sub.add_parser("solve", help="canonicalize, solve, and retrieve")
     for p in (analyze, canonicalize, solve):
-        common(p)
+        p.add_argument("file", help="path to a .cvx problem file")
+        p.add_argument("--target", choices=["auto", "lp", "qp", "cone"],
+                       default="auto", help="target class (default: auto)")
+        p.add_argument("--presolve", action="store_true",
+                       help="run fixed-point presolve before the back end")
+        p.add_argument("--decompose-soc", action="store_true",
+                       help="split wide second-order cones into 3-dim cones")
+        if p is solve:
+            p.add_argument("--solver", choices=["simplex", "admm"], default=None,
+                           help="solver for `solve` (default: per-target)")
+            p.add_argument("--max-iters", type=int, default=SolverSettings.max_iterations)
+            p.add_argument("--eps-abs", type=float, default=SolverSettings.eps_abs)
+            p.add_argument("--eps-rel", type=float, default=SolverSettings.eps_rel)
+        p.add_argument("--json", action="store_true",
+                       help="JSON report from `analyze`; `canonicalize` and "
+                            "`solve` always print JSON")
     return parser
 
 
-def _config_from_args(args) -> RewriterConfig:
+def _config_from_args(args, **solving) -> RewriterConfig:
     forced = None if args.target == "auto" else TargetClass[args.target.upper()]
-    settings = SolverSettings(max_iterations=args.max_iters,
-                              eps_abs=args.eps_abs, eps_rel=args.eps_rel)
     return RewriterConfig(forced_target=forced, presolve=args.presolve,
-                          decompose_soc=args.decompose_soc,
-                          solver=args.solver or "auto", settings=settings)
+                          decompose_soc=args.decompose_soc, **solving)
 
 
 def _load_problem(path: str):
@@ -241,9 +242,8 @@ def _load_problem(path: str):
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:  # located at the text decoded before it
         prefix = raw[:exc.start].decode("utf-8")
-        span = SourceSpan(prefix.count("\n") + 1, len(prefix) - prefix.rfind("\n"), 1)
         raise ParseError(f"byte 0x{raw[exc.start]:02x} is not valid UTF-8 ({exc.reason})",
-                         span) from None
+                         SourceSpan.of(prefix, len(prefix), len(prefix))) from None
     return parse_problem(text)
 
 
@@ -290,7 +290,9 @@ def _cmd_canonicalize(args, out, err) -> int:
 
 def _cmd_solve(args, out, err) -> int:
     problem = _load_problem(args.file)
-    config = _config_from_args(args)
+    settings = SolverSettings(max_iterations=args.max_iters,
+                              eps_abs=args.eps_abs, eps_rel=args.eps_rel)
+    config = _config_from_args(args, solver=args.solver or "auto", settings=settings)
     outcome = solve_problem(problem, config)
     if outcome.solution is None:
         err.write(outcome.report.failure + "\n")
@@ -303,10 +305,10 @@ def _cmd_solve(args, out, err) -> int:
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    args = _build_parser().parse_args(argv)
     handlers = {"analyze": _cmd_analyze, "canonicalize": _cmd_canonicalize,
                 "solve": _cmd_solve}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args, out, err)
     except ParseError as exc:
         err.write(f"parse error: {exc}\n")

@@ -69,6 +69,7 @@ __all__ = [
     "leaf_piece",
     "leaf_refs",
     "tile_rows",
+    "row_pairs",
     "is_dcp",
     "make_problem",
     "VariablePool",
@@ -837,6 +838,16 @@ def tile_rows(block, dim):
             np.tile(vals, dim))
 
 
+def row_pairs(keys, rows):
+    """The index pairs ``(i, j)`` with ``rows[j] == keys[i]``, for sorted ``rows``,
+    by ``i`` and then by ``j``: each key meets its row's entries in order."""
+    start = np.searchsorted(rows, keys)  # each key's run: start and length
+    count = np.searchsorted(rows, keys, side="right") - start
+    left = np.repeat(np.arange(keys.size), count)
+    right = np.repeat(start - np.cumsum(count) + count, count) + np.arange(left.size)
+    return left, right
+
+
 def _combine_pieces(dim, pieces, scales):
     """``sum_i scale_i * piece_i`` over ``dim`` rows, each scale ±1, so a
     scaled value is a negated one.  The first piece keeps its chunks and
@@ -1107,10 +1118,7 @@ def _substitute_form(node: ExpressionNode, mapping) -> ExpressionNode:
             for r in leaf_refs(new):
                 refs[r.var_id] = r
             for v, (mr, mc, mx) in pieces.items():  # entries (c, j) of M's row c
-                start = np.searchsorted(mr, cols)
-                count = np.searchsorted(mr, cols, side="right") - start
-                left = np.repeat(np.arange(cols.size), count)
-                at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(left.size)
+                left, at = row_pairs(cols, mr)
                 chunks.setdefault(v, []).append(
                     sum_entries(rows[left], mc[at], vals[left] * mx[at]))
         if moved:

@@ -69,6 +69,13 @@ class SourceSpan:
     column: int
     length: int
 
+    @classmethod
+    def of(cls, text: str, start: int, end: int) -> SourceSpan:
+        """The span of the text from offset ``start`` to ``end``."""
+        line_start = text.rfind("\n", 0, start) + 1
+        return cls(text.count("\n", 0, start) + 1, start - line_start + 1,
+                   max(1, end - start))
+
 
 class ParseError(ValueError):
     """A rejection of the input text, carrying the offending span."""
@@ -122,13 +129,6 @@ def _kind(tok: str) -> str:
     return _FIXED_KINDS.get(tok, "BAD")
 
 
-def _location(text: str, start: int, end: int) -> SourceSpan:
-    """The span of the text from offset ``start`` to ``end``."""
-    line_start = text.rfind("\n", 0, start) + 1
-    return SourceSpan(text.count("\n", 0, start) + 1, start - line_start + 1,
-                      max(1, end - start))
-
-
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -165,7 +165,7 @@ class _Parser:
         return at
 
     def span(self, start: int, end: int) -> SourceSpan:
-        return _location(self.text, start, end)
+        return SourceSpan.of(self.text, start, end)
 
     def here(self) -> SourceSpan:
         return self.span(self.start, self.end)
@@ -501,7 +501,7 @@ def parse_problem(text: str) -> ex.ProblemForm:
             return _Parser(text).parse()
     except (ParseError, ex.ProblemError):
         if m := _STRAY_RE.match(text):  # a stray character anywhere is the error
-            raise ParseError(f"unexpected character {m.group(1)!r}", _location(text, *m.span(1)))
+            raise ParseError(f"unexpected character {m.group(1)!r}", SourceSpan.of(text, *m.span(1)))
         raise
 
 

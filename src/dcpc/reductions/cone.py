@@ -51,12 +51,13 @@ class GraphExpand(Reduction):
     """
 
     name = "graph_expand"
+    category = ex.ProblemForm
 
     def __init__(self, quadratic_objective: bool = False):
         self.quadratic_objective = quadratic_objective
 
     def accepts(self, problem) -> bool:
-        return isinstance(problem, ex.ProblemForm) and \
+        return super().accepts(problem) and \
             problem.sense is ex.Sense.MINIMIZE and ex.is_dcp(problem)[0]
 
     def rewrite(self, problem):
@@ -232,9 +233,10 @@ class StuffCone(Reduction):
     """
 
     name = "stuff_cone"
+    category = CanonStage
 
     def accepts(self, stage) -> bool:
-        return isinstance(stage, CanonStage) and self._objective_fits(stage.objective) \
+        return super().accepts(stage) and self._objective_fits(stage.objective) \
             and all(e.curvature.is_affine for cone in stage.constraints
                     for e in ((cone.t, *cone.x) if cone.kind == "soc" else (cone.expr,)))
 

@@ -2,9 +2,10 @@
 
 A reduction rewrites a problem into an equivalent one and can map any
 solution of its output back to a solution of its input; ``apply`` rewrites
-only a problem that ``accepts`` admits.  Chains compose reductions left to
-right for application and right to left for retrieval, and are themselves
-reductions.
+only a problem that ``accepts`` admits.  As in the paper, a reduction names
+the category of problems it takes, its ``category`` type, and ``accepts``
+admits no problem outside it.  Chains compose reductions left to right for
+application and right to left for retrieval, and are themselves reductions.
 
 Two record keys have a meaning every reduction shares.  ``aux`` lists the
 ids of the variables a reduction introduced; retrieval drops them.
@@ -61,10 +62,6 @@ def infeasible_solution(message: str = "") -> Solution:
     return Solution(Status.INFEASIBLE, math.inf, {}, message)
 
 
-def unbounded_solution(message: str = "") -> Solution:
-    return Solution(Status.UNBOUNDED, -math.inf, {}, message)
-
-
 @dataclass(frozen=True)
 class InverseRecord:
     """Retrieval data captured by one application of a reduction."""
@@ -74,14 +71,16 @@ class InverseRecord:
 
 
 class Reduction:
-    """Base contract.  Subclasses set ``name`` and implement ``accepts``,
-    ``rewrite`` and, unless the shared conventions serve, ``retrieve``."""
+    """Base contract.  Subclasses set ``name`` and ``category``, implement
+    ``rewrite`` and, unless the shared conventions serve, ``retrieve``, and
+    narrow ``accepts`` where the category alone does not decide it."""
 
     name = "reduction"
+    category: type = object
 
     def accepts(self, problem) -> bool:
         """True iff :meth:`apply` is guaranteed to succeed on ``problem``."""
-        return True
+        return isinstance(problem, self.category)
 
     def apply(self, problem):
         """``rewrite(problem)``, or ReductionError unless ``accepts(problem)``."""

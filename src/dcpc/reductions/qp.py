@@ -120,11 +120,7 @@ def _square_rows(M, width):
     """Hessian rows ``2.0*(M_ij*M_il)`` of square(M x + c), at column
     ``j·width + l``, from the row-major triplets ``M`` of the argument."""
     rows, cols, vals = M
-    start = np.searchsorted(rows, rows)  # each entry's row: start and length
-    count = np.searchsorted(rows, rows, side="right") - start
-    left = np.repeat(np.arange(rows.size), count)  # entry j of each pair ...
-    first = np.repeat(np.cumsum(count) - count, count)
-    right = np.repeat(start, count) + np.arange(left.size) - first  # ... and l
+    left, right = ex.row_pairs(rows, rows)  # entries j and l of each pair
     return (rows[left], cols[left] * width + cols[right],
             2.0 * (vals[left] * vals[right]))
 

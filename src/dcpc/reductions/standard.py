@@ -61,9 +61,10 @@ class FlipObjective(Reduction):
     """Turn a maximization into a minimization of the negated objective."""
 
     name = "flip_objective"
+    category = ex.ProblemForm
 
     def accepts(self, problem) -> bool:
-        return isinstance(problem, ex.ProblemForm) and problem.sense is ex.Sense.MAXIMIZE
+        return super().accepts(problem) and problem.sense is ex.Sense.MAXIMIZE
 
     def rewrite(self, problem):
         flipped = ex.ProblemForm(ex.Sense.MINIMIZE, ex.neg(problem.objective),
@@ -80,9 +81,7 @@ class MoveToLhs(Reduction):
     rows."""
 
     name = "move_to_lhs"
-
-    def accepts(self, problem) -> bool:
-        return isinstance(problem, ex.ProblemForm)
+    category = ex.ProblemForm
 
     def rewrite(self, problem):
         cons = [(lhs_row(c.lhs, c.relation, c.rhs),
@@ -96,13 +95,13 @@ class EliminateLinearInequalities(Reduction):
     """Replace each affine inequality with an equality plus a slack >= 0."""
 
     name = "eliminate_linear_inequalities"
+    category = ex.ProblemForm
 
     def accepts(self, problem) -> bool:
-        if not isinstance(problem, ex.ProblemForm):
-            return False
-        return all(c.lhs.curvature.is_affine and c.rhs.curvature.is_affine
-                   for c in problem.constraints
-                   if c.relation is not ex.Relation.EQ)
+        return super().accepts(problem) and all(
+            c.lhs.curvature.is_affine and c.rhs.curvature.is_affine
+            for c in problem.constraints
+            if c.relation is not ex.Relation.EQ)
 
     def rewrite(self, problem):
         pool = ex.VariablePool(problem.variables)
@@ -144,9 +143,7 @@ class EliminateFixedVariables(Reduction):
     """
 
     name = "eliminate_fixed_variables"
-
-    def accepts(self, problem) -> bool:
-        return isinstance(problem, ex.ProblemForm)
+    category = ex.ProblemForm
 
     def rewrite(self, problem):
         fixed: dict[int, np.ndarray] = {}
@@ -196,9 +193,7 @@ class SplitFreeVariables(Reduction):
     """
 
     name = "split_free_variables"
-
-    def accepts(self, problem) -> bool:
-        return isinstance(problem, ex.ProblemForm)
+    category = ex.ProblemForm
 
     def rewrite(self, problem):
         marked = set()
@@ -276,9 +271,7 @@ class DropRedundantConstraints(Reduction):
     """
 
     name = "drop_redundant_constraints"
-
-    def accepts(self, problem) -> bool:
-        return isinstance(problem, ex.ProblemForm)
+    category = ex.ProblemForm
 
     def rewrite(self, problem):
         best: dict[tuple[int, str], tuple[float, int]] = {}
@@ -330,12 +323,12 @@ class ScaleConstraints(Reduction):
     """
 
     name = "scale_constraints"
+    category = ex.ProblemForm
 
     def accepts(self, problem) -> bool:
-        if not isinstance(problem, ex.ProblemForm):
-            return False
-        return all(c.lhs.curvature.is_affine and c.rhs.curvature.is_affine
-                   for c in problem.constraints)
+        return super().accepts(problem) and all(
+            c.lhs.curvature.is_affine and c.rhs.curvature.is_affine
+            for c in problem.constraints)
 
     def rewrite(self, problem):
         cons = []
@@ -364,14 +357,12 @@ class PresolveFixedPoint(Reduction):
     """Cycle the syntactic presolves until a fixed point, capped at 20 rounds."""
 
     name = "presolve_fixed_point"
+    category = ex.ProblemForm
     MAX_ROUNDS = 20
 
     def __init__(self):
         self.round = ReductionChain([EliminateFixedVariables(),
                                      DropRedundantConstraints()])
-
-    def accepts(self, problem) -> bool:
-        return isinstance(problem, ex.ProblemForm)
 
     def rewrite(self, problem):
         records = []
@@ -403,9 +394,10 @@ class EliminatePwlAtoms(Reduction):
     """
 
     name = "eliminate_pwl_atoms"
+    category = ex.ProblemForm
 
     def accepts(self, problem) -> bool:
-        return isinstance(problem, ex.ProblemForm) and ex.is_dcp(problem)[0]
+        return super().accepts(problem) and ex.is_dcp(problem)[0]
 
     def rewrite(self, problem):
         pool = ex.VariablePool(problem.variables)
@@ -499,9 +491,7 @@ class DecomposeSoc(Reduction):
     """
 
     name = "decompose_soc"
-
-    def accepts(self, problem) -> bool:
-        return isinstance(problem, CanonStage)
+    category = CanonStage
 
     def rewrite(self, stage: CanonStage):
         pool = ex.VariablePool(stage.variables)

@@ -63,7 +63,9 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class RawSolution:
-    """A standard-form answer: stacked primal and pre-offset objective value."""
+    """A standard-form answer: stacked primal and pre-offset objective value.
+    An answer with no point has the value +inf (infeasible), -inf (unbounded)
+    or nan (error), and retrieval passes it on as it is."""
 
     status: Status
     x: np.ndarray

@@ -12,7 +12,7 @@ from dcpc.analyzer import (AnalyzerError, RewriterConfig, TargetClass,
 from dcpc.parsing import parse_problem
 from dcpc.reductions.framework import Status
 
-from helpers import hinge_square_problem, random_expression, toy_problem, PWL_ATOMS
+from helpers import PROBES, hinge_square_problem, random_expression, toy_problem, PWL_ATOMS
 
 
 def norm_problem(dim=3):
@@ -197,20 +197,23 @@ class TestSolveProblem:
         assert out.solution.primal[0][0] == pytest.approx(2.0, abs=1e-9)
 
     def test_infeasible_and_unbounded_pass_through(self):
-        dx = ex.VariableDecl(0, "x")
-        x = ex.var_ref(dx)
-        infeasible = ex.make_problem(
-            ex.Sense.MINIMIZE, x,
-            [(x, ex.Relation.LE, ex.constant(0.0)),
-             (x, ex.Relation.GE, ex.constant(1.0))], [dx])
-        out = solve_problem(infeasible)
-        assert out.solution.status is Status.INFEASIBLE
-        assert out.solution.value == math.inf
-        assert out.solution.primal == {}
-        unbounded = ex.make_problem(ex.Sense.MINIMIZE, x, [], [dx])
-        out2 = solve_problem(unbounded)
-        assert out2.solution.status is Status.UNBOUNDED
-        assert out2.solution.value == -math.inf
+        # Auto, the splitting solver and the cone route: each unbounded probe
+        # off the simplex is certified by _decide_ray.
+        for config in (RewriterConfig(), RewriterConfig(solver="admm"),
+                       RewriterConfig(forced_target=TargetClass.CONE)):
+            for name, (text, expected) in PROBES.items():
+                out = solve_problem(parse_problem(text), config)
+                assert out.solution.status is expected is out.raw.status, (name, config)
+                assert out.solution.value == {Status.INFEASIBLE: math.inf,
+                                              Status.UNBOUNDED: -math.inf}[expected]
+                assert out.solution.primal == {}
+
+    def test_error_answer_value_is_nan(self):
+        # The splitting solver's iterates overflow: an answer with no point.
+        out = solve_problem(parse_problem("var x; minimize norm2(x); subject to x == 1e200;"))
+        assert out.solution.status is Status.ERROR
+        assert math.isnan(out.solution.value) and out.solution.primal == {}
+        assert out.solution.message == "iterates are not finite"
 
     def test_cross_target_agreement_spot_check(self):
         p = toy_problem()

@@ -510,6 +510,47 @@ class TestNumericOverflow:
         assert err == "error: constraint 0: a coefficient overflows to a non-finite value\n"
 
 
+SOLVER_OPTIONS = ("--solver", "--max-iters", "--eps-abs", "--eps-rel")
+
+
+class TestUsageErrors:
+    """A command line argparse refuses is a configuration error, exit 7; exit
+    2 means that no back end accepts the problem."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "{}", "--max-iters", "abc"],
+         "argument --max-iters: invalid int value: 'abc'"),
+        (["canonicalize", "{}", "--target", "foo"],
+         "argument --target: invalid choice: 'foo' (choose from 'auto', 'lp', 'qp', 'cone')"),
+        (["solve", "{}", "--no-such-option"], "unrecognized arguments: --no-such-option"),
+        (["analyze", "{}", "--eps-abs", "nan"], "unrecognized arguments: --eps-abs nan"),
+        (["canonicalize", "{}", "--solver", "admm"], "unrecognized arguments: --solver admm"),
+        (["frobnicate", "{}"], "argument command: invalid choice: 'frobnicate' "
+                               "(choose from 'analyze', 'canonicalize', 'solve')"),
+        (["solve"], "the following arguments are required: file"),
+    ], ids=["bad-value", "bad-choice", "unknown-option", "solver-option-on-analyze",
+            "solver-option-on-canonicalize", "unknown-command", "missing-file"])
+    def test_usage_error_exits_7(self, write, argv, message):
+        path = write(TOY)
+        code, out, err = run_cli(*[a.format(path) for a in argv])
+        assert (code, out) == (7, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "canonicalize", "solve"])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        text = capsys.readouterr().out
+        for option in SOLVER_OPTIONS:
+            assert (option in text) == (command == "solve"), option
+
+    def test_solve_keeps_the_solver_defaults(self):
+        args = cli._build_parser().parse_args(["solve", "problem.cvx"])
+        assert args.solver is None
+        assert SolverSettings(args.max_iters, args.eps_abs, args.eps_rel) == SolverSettings()
+
+
 class TestInternalErrors:
     @pytest.mark.parametrize("error", [
         ReductionError("stuff_qp: atom 'abs' has no quadratic form"),

@@ -7,8 +7,7 @@ from dcpc import expressions as ex
 from dcpc.reductions.framework import (InverseRecord, Reduction,
                                        ReductionChain, ReductionError,
                                        Solution, Status,
-                                       infeasible_solution,
-                                       unbounded_solution)
+                                       infeasible_solution)
 from dcpc.reductions.standard import (EliminateLinearInequalities,
                                       FlipObjective, MoveToLhs)
 
@@ -40,9 +39,6 @@ class TestSolution:
         inf = infeasible_solution("why")
         assert inf.status is Status.INFEASIBLE
         assert inf.value == np.inf and inf.primal == {}
-        unb = unbounded_solution("why")
-        assert unb.status is Status.UNBOUNDED
-        assert unb.value == -np.inf and unb.primal == {}
 
 
 class TestReductionBase:

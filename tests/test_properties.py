@@ -27,7 +27,11 @@ from dcpc.reductions.cone import ConeDims, GraphExpand, StuffCone
 from dcpc.reductions.framework import ReductionError
 from dcpc.reductions.qp import (PathNfa, StuffLp, StuffQp, qp_applicable,
                                 uses_quadratic_atom)
-from dcpc.reductions.standard import DecomposeSoc, FlipObjective, PresolveFixedPoint
+from dcpc.reductions.standard import (DecomposeSoc, DropRedundantConstraints,
+                                      EliminateFixedVariables,
+                                      EliminateLinearInequalities, EliminatePwlAtoms,
+                                      FlipObjective, MoveToLhs, PresolveFixedPoint,
+                                      ScaleConstraints, SplitFreeVariables)
 from dcpc.solvers import project_cone
 
 from helpers import ALL_ATOMS, STAGE_CONFIGS, random_expression
@@ -224,11 +228,16 @@ def test_graph_expand_accepts_exactly_the_dcp_problems(seed):
 # Every reduction that build_chain can place.
 CHAIN_MEMBERS = (FlipObjective, PresolveFixedPoint, GraphExpand, DecomposeSoc,
                  StuffLp, StuffQp, StuffCone)
+# The library's other reductions, which no chain places.
+UNPLACED = (MoveToLhs, EliminateLinearInequalities, EliminateFixedVariables,
+            SplitFreeVariables, DropRedundantConstraints, ScaleConstraints,
+            EliminatePwlAtoms)
 
 
 def test_apply_rejects_exactly_what_accepts_refuses():
-    # Each chain member meets every stage that the STAGE_CONFIGS chains make
-    # from randgen problems of each family and sense, its own included.
+    # Each reduction meets every stage that the STAGE_CONFIGS chains make
+    # from randgen problems of each family and sense, a chain member its own
+    # included.
     stages, placed = [], set()
     for seed in range(8):
         rng = np.random.default_rng(seed)
@@ -247,7 +256,7 @@ def test_apply_rejects_exactly_what_accepts_refuses():
     assert placed == set(CHAIN_MEMBERS)
     verdicts = set()
     for stage in stages:
-        for cls in CHAIN_MEMBERS:
+        for cls in CHAIN_MEMBERS + UNPLACED:
             reduction = cls()
             try:
                 reduction.apply(stage)
@@ -256,7 +265,21 @@ def test_apply_rejects_exactly_what_accepts_refuses():
                 applied = False
             assert reduction.accepts(stage) == applied, (cls.__name__, stage)
             verdicts.add((cls, applied))
-    assert verdicts == {(cls, ok) for cls in CHAIN_MEMBERS for ok in (False, True)}
+    assert verdicts == {(cls, ok) for cls in CHAIN_MEMBERS + UNPLACED
+                        for ok in (False, True)}
+
+
+@given(keys=st.lists(st.integers(0, 6), max_size=12),
+       rows=st.lists(st.integers(0, 6), max_size=12).map(sorted))
+def test_row_pairs_enumerate_each_match_in_order(keys, rows):
+    # _substitute_form's keys are unsorted columns, _square_rows' the rows
+    # themselves; both read the pairs key by key, each row in order.
+    for keys in (keys, rows):
+        left, right = ex.row_pairs(np.array(keys, dtype=np.intp),
+                                   np.array(rows, dtype=np.intp))
+        expected = [(i, j) for i, key in enumerate(keys)
+                    for j, row in enumerate(rows) if row == key]
+        assert list(zip(left.tolist(), right.tolist())) == expected
 
 
 def test_pwl_atoms_are_convex_atoms():

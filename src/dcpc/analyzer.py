@@ -12,14 +12,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import expressions as ex
 from .reductions.cone import GraphExpand, ProgramData, StuffCone
-from .reductions.framework import ReductionChain, Solution, Status
+from .reductions.framework import ReductionChain, Solution
 from .reductions.qp import StuffLp, StuffQp, qp_applicable, uses_quadratic_atom
 from .reductions.standard import DecomposeSoc, FlipObjective, PresolveFixedPoint
-from .solvers import RawSolution, SolverSettings, solve_admm, solve_lp_simplex
+from .solvers import SOLVERS, RawSolution, SolverSettings
 
 __all__ = ["TargetClass", "RewriterConfig", "AnalysisReport", "AnalyzerError",
            "select_target", "build_chain", "apply_chain", "solve_problem",
@@ -50,11 +48,11 @@ class RewriterConfig:
     forced_target: TargetClass | None = None
     presolve: bool = False
     decompose_soc: bool = False
-    solver: str = "auto"  # auto | simplex | admm
+    solver: str = "auto"  # "auto" or a name in SOLVERS
     settings: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
-        if self.solver not in ("auto", "simplex", "admm"):
+        if self.solver != "auto" and self.solver not in SOLVERS:
             raise ValueError(f"unknown solver '{self.solver}'")
 
 
@@ -182,34 +180,18 @@ class SolveOutcome:
     solution: Solution | None = None
 
 
-def _dispatch_solver(data: ProgramData, target: TargetClass,
-                     config: RewriterConfig) -> RawSolution:
-    choice = config.solver
-    if target is TargetClass.CONE and choice == "simplex":
-        raise AnalyzerError("simplex cannot solve cone targets")
-    if choice == "simplex" or (choice == "auto" and target is TargetClass.LP):
-        return solve_lp_simplex(data, config.settings)
-    return solve_admm(data, config.settings)
-
-
-def _raw_to_solution(raw: RawSolution, data: ProgramData) -> Solution:
-    if raw.status in (Status.INFEASIBLE, Status.UNBOUNDED, Status.ERROR):
-        return Solution(raw.status, raw.value, {}, raw.message)  # +inf, -inf or nan
-    primal = {}
-    for decl in data.variables:
-        start, length = data.var_offsets[decl.id]
-        primal[decl.id] = np.array(raw.x[start:start + length], dtype=float)
-    value = raw.value + data.offset
-    return Solution(raw.status, float(value), primal, raw.message)
-
-
 def solve_problem(problem: ex.ProblemForm,
                   config: RewriterConfig = RewriterConfig()) -> SolveOutcome:
-    """analyze -> canonicalize -> solve -> retrieve, as one call."""
+    """analyze -> canonicalize -> solve -> retrieve, as one call: the chain, the
+    ``SOLVERS`` entry named or picked by ``auto`` for its stuffer, both inverses."""
     report = select_target(problem, config)
     if report.target is None:
         return SolveOutcome(report)
     data, record = apply_chain(report.chain, problem)
-    raw = _dispatch_solver(data, report.target, config)
-    solution = report.chain.retrieve(_raw_to_solution(raw, data), record)
+    stuffer = report.chain_names[-1]
+    solver = SOLVERS.get(config.solver) or next(s for s in SOLVERS.values() if stuffer in s.auto)
+    if stuffer not in solver.takes:
+        raise AnalyzerError(f"{solver.name} cannot solve {report.target.name.lower()} targets")
+    raw = solver.solve(data, config.settings)
+    solution = report.chain.retrieve(solver.retrieve(raw, data), record)
     return SolveOutcome(report, data, raw, solution)

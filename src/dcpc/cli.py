@@ -24,7 +24,7 @@ from .analyzer import (AnalyzerError, RewriterConfig, TargetClass,
                        apply_chain, select_target, solve_problem)
 from .parsing import ParseError, SourceSpan, parse_problem
 from .reductions.framework import ReductionError, Status
-from .solvers import SolverSettings
+from .solvers import SOLVERS, SolverSettings
 
 __all__ = ["EmitDocument", "main", "entrypoint", "render_json"]
 
@@ -218,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--decompose-soc", action="store_true",
                        help="split wide second-order cones into 3-dim cones")
         if p is solve:
-            p.add_argument("--solver", choices=["simplex", "admm"], default=None,
+            p.add_argument("--solver", choices=list(SOLVERS), default=None,
                            help="solver for `solve` (default: per-target)")
             p.add_argument("--max-iters", type=int, default=SolverSettings.max_iterations)
             p.add_argument("--eps-abs", type=float, default=SolverSettings.eps_abs)

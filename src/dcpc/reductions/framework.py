@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["Status", "Solution", "InverseRecord", "Reduction",
+__all__ = ["Status", "Solution", "has_point", "InverseRecord", "Reduction",
            "ReductionChain", "ReductionError"]
 
 
@@ -56,6 +56,11 @@ class Solution:
     def __post_init__(self):
         if self.status in (Status.INFEASIBLE, Status.UNBOUNDED) and self.primal:
             raise ValueError(f"{self.status.value} solutions carry no primal point")
+
+
+def has_point(answer) -> bool:
+    """A solver or retrieval answer carries a point iff its value is finite."""
+    return math.isfinite(answer.value)
 
 
 def infeasible_solution(message: str = "") -> Solution:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .. import expressions as ex
-from .framework import Reduction, ReductionChain, Status
+from .framework import Reduction, ReductionChain, has_point
 
 __all__ = [
     "FlipObjective", "MoveToLhs", "EliminateLinearInequalities",
@@ -177,7 +177,7 @@ class EliminateFixedVariables(Reduction):
 
     def retrieve(self, solution, record):
         solution = super().retrieve(solution, record)
-        if solution.status not in (Status.OPTIMAL, Status.ITERATION_LIMIT):
+        if not has_point(solution):
             return solution
         primal = dict(solution.primal)
         for vid, val in record.payload["fixed"].items():
@@ -228,8 +228,7 @@ class SplitFreeVariables(Reduction):
 
     def retrieve(self, solution, record):
         splits = record.payload["splits"]
-        if not splits or solution.status not in (Status.OPTIMAL,
-                                                 Status.ITERATION_LIMIT):
+        if not splits or not has_point(solution):
             return solution
         primal = dict(solution.primal)
         for vid, (pid, nid) in splits.items():

@@ -23,16 +23,17 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .reductions.cone import ConeDims, ProgramData
-from .reductions.framework import Status
+from .reductions.framework import Solution, Status, has_point
 
-__all__ = ["SolverSettings", "RawSolution", "solve_lp_simplex", "solve_admm",
-           "solve_qp_admm", "solve_cone_admm", "project_cone"]
+__all__ = ["SolverSettings", "RawSolution", "Solver", "SOLVERS", "solve_lp_simplex",
+           "solve_admm", "solve_qp_admm", "solve_cone_admm", "project_cone"]
 
 _PIVOT_TOL = 1e-9
 _DEGENERATE_RUN = 50  # degenerate Dantzig pivots before Bland's rule
@@ -64,8 +65,8 @@ class SolverSettings:
 @dataclass(frozen=True)
 class RawSolution:
     """A standard-form answer: stacked primal and pre-offset objective value.
-    An answer with no point has the value +inf (infeasible), -inf (unbounded)
-    or nan (error), and retrieval passes it on as it is."""
+    An answer with no point (``has_point``) has the value +inf (infeasible),
+    -inf (unbounded) or nan, and retrieval passes it on as it is."""
 
     status: Status
     x: np.ndarray
@@ -452,3 +453,29 @@ def _decide_ray(data: ProgramData, settings: SolverSettings, k: int,
 
 
 solve_qp_admm = solve_cone_admm = solve_admm  # the names the benchmark keys on
+
+
+@dataclass(frozen=True)
+class Solver:
+    """The step after the reduction chain: ``solve`` takes the data of the
+    stuffers named in ``takes``, and ``auto`` picks it after those in ``auto``."""
+
+    name: str
+    takes: tuple[str, ...]
+    auto: tuple[str, ...]
+    solve: Callable[[ProgramData, SolverSettings], RawSolution]
+
+    def retrieve(self, raw: RawSolution, data: ProgramData) -> Solution:
+        """``raw`` on the variables of ``data``, its value with ``data.offset``."""
+        if not has_point(raw):
+            return Solution(raw.status, raw.value, {}, raw.message)
+        primal = {}
+        for decl in data.variables:
+            start, length = data.var_offsets[decl.id]
+            primal[decl.id] = np.array(raw.x[start:start + length], dtype=float)
+        return Solution(raw.status, float(raw.value + data.offset), primal, raw.message)
+
+
+SOLVERS = {s.name: s for s in (  # a new solver is one more entry
+    Solver("simplex", ("stuff_lp", "stuff_qp"), ("stuff_lp",), solve_lp_simplex),
+    Solver("admm", ("stuff_lp", "stuff_qp", "stuff_cone"), ("stuff_qp", "stuff_cone"), solve_admm))}

@@ -11,6 +11,7 @@ from dcpc.analyzer import (AnalyzerError, RewriterConfig, TargetClass,
                            build_chain, select_target, solve_problem)
 from dcpc.parsing import parse_problem
 from dcpc.reductions.framework import Status
+from dcpc.solvers import SOLVERS
 
 from helpers import PROBES, hinge_square_problem, random_expression, toy_problem, PWL_ATOMS
 
@@ -29,6 +30,13 @@ class TestTargetClass:
     def test_config_rejects_unknown_solver(self):
         with pytest.raises(ValueError, match="unknown solver"):
             RewriterConfig(solver="interior-point")
+
+    def test_config_accepts_auto_and_the_registry_only(self):
+        for name in ("auto", *SOLVERS):
+            assert RewriterConfig(solver=name).solver == name
+        for name in ("", "Simplex", "qp_admm", "cone_admm", "solve_admm"):
+            with pytest.raises(ValueError, match="unknown solver"):
+                RewriterConfig(solver=name)
 
 
 class TestSelectTarget:

@@ -19,7 +19,7 @@ from dcpc.analyzer import RewriterConfig, TargetClass, apply_chain, select_targe
 from dcpc.cli import emit_document, main, render_json
 from dcpc.parsing import parse_problem
 from dcpc.reductions.framework import ReductionError, Status
-from dcpc.solvers import SolverSettings
+from dcpc.solvers import SOLVERS, SolverSettings
 
 from helpers import PROBES, bench_workloads
 
@@ -334,7 +334,7 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["value"] == pytest.approx(1.0, abs=1e-4)
 
-    @pytest.mark.parametrize("solver", ["simplex", "admm"])
+    @pytest.mark.parametrize("solver", list(SOLVERS))
     def test_iterations_reported(self, write, solver):
         code, out, _ = run_cli("solve", write(TOY), "--solver", solver)
         assert code == 0
@@ -375,11 +375,31 @@ class TestSolve:
         assert code == 6
         assert json.loads(out)["status"] == "iteration_limit"
 
-    def test_solver_mismatch_exits_7(self, write):
-        code, _, err = run_cli("solve", write(NORM), "--target", "cone",
-                               "--solver", "simplex")
-        assert code == 7
-        assert "error" in err
+    @pytest.mark.parametrize("text,route,line", [
+        (NORM, ("--target", "cone"), "simplex cannot solve cone targets"),
+        # no SOC rows: the cone target's stuffer alone is refused
+        (TOY, ("--target", "cone"), "simplex cannot solve cone targets"),
+        (HINGE, (), "simplex cannot solve a nonzero quadratic: it requires P == 0"),
+    ], ids=["norm-cone", "toy-cone", "hinge-qp"])
+    def test_solver_mismatch_exits_7(self, write, text, route, line):
+        code, out, err = run_cli("solve", write(text), "--solver", "simplex", *route)
+        assert (code, out, err) == (7, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("text,flags", [
+        # the simplex's phase-one limit knows no feasible point
+        ("var x[2]; minimize sum(abs(x)); subject to x >= 1;", ("--max-iters", "1")),
+        # a certified ray whose feasibility check runs out of iterations
+        ("var x; var y; minimize square(x) - y; subject to x + y >= 1e4;",
+         ("--max-iters", "25")),
+        # presolve's pinned y alone would be a partial point
+        ("var x[2]; var y; minimize sum(abs(x)) + y; subject to x >= 1; y == 2;",
+         ("--presolve", "--max-iters", "1")),
+    ], ids=["phase-one", "undecided-ray", "presolve"])
+    def test_iteration_limit_with_no_point_prints_no_variables(self, write, text, flags):
+        code, out, err = run_cli("solve", write(text), *flags)
+        doc = json.loads(out)
+        assert (code, err) == (6, "")
+        assert (doc["status"], doc["value"], doc["variables"]) == ("iteration_limit", None, {})
 
     def test_forced_reject_exits_3(self, write):
         code, _, _ = run_cli("solve", write(NORM), "--target", "qp")
@@ -544,6 +564,12 @@ class TestUsageErrors:
         text = capsys.readouterr().out
         for option in SOLVER_OPTIONS:
             assert (option in text) == (command == "solve"), option
+
+    def test_solver_choices_are_the_registry(self, write):
+        code, _, err = run_cli("solve", write(TOY), "--solver", "bogus")
+        choices = ", ".join(repr(name) for name in SOLVERS)
+        assert code == 7
+        assert err == f"error: argument --solver: invalid choice: 'bogus' (choose from {choices})\n"
 
     def test_solve_keeps_the_solver_defaults(self):
         args = cli._build_parser().parse_args(["solve", "problem.cvx"])

@@ -206,6 +206,15 @@ class TestEliminateFixedVariables:
         assert back.status is Status.INFEASIBLE
         assert back.value == np.inf and back.primal == {}
 
+    def test_answer_with_no_point_gains_no_pins(self):
+        # A nan value carries no point, whatever the status: the pinned
+        # values alone would be a partial, invented point.
+        p = parse_problem("var x; var y; minimize x + y; subject to y == 2; x >= 0;")
+        _, rec = EliminateFixedVariables().apply(p)
+        for status in (Status.ITERATION_LIMIT, Status.ERROR):
+            answer = Solution(status, np.nan, {}, "no point")
+            assert EliminateFixedVariables().retrieve(answer, rec) is answer
+
     def test_duplicate_consistent_fixings_ok(self):
         p = parse_problem("var x; minimize x; subject to x == 1; x == 1;")
         q, rec = EliminateFixedVariables().apply(p)
@@ -245,6 +254,13 @@ class TestSplitFreeVariables:
         back = SplitFreeVariables().retrieve(sol, rec)
         assert back.primal[var_ids(p)["x"]][0] == pytest.approx(1.5)
         assert names["_p2"] not in back.primal
+
+    def test_answer_with_no_point_passes_through(self):
+        p = parse_problem("var x; minimize x; subject to x >= -1;")
+        staged, _ = EliminateLinearInequalities().apply(p)
+        _, rec = SplitFreeVariables().apply(staged)
+        answer = Solution(Status.ITERATION_LIMIT, np.nan, {}, "no point")
+        assert SplitFreeVariables().retrieve(answer, rec) is answer
 
     def test_objective_value_preserved_under_split(self):
         p = parse_problem("var x[2]; minimize sum(x); subject to x >= 0;")

@@ -15,7 +15,7 @@ from dcpc.analyzer import RewriterConfig, TargetClass, build_chain, solve_proble
 from dcpc.parsing import parse_problem
 from dcpc.reductions.cone import ConeDims, ProgramData
 from dcpc.reductions.framework import Status
-from dcpc.solvers import (RawSolution, SolverSettings, project_cone,
+from dcpc.solvers import (SOLVERS, RawSolution, SolverSettings, project_cone,
                           solve_cone_admm, solve_lp_simplex, solve_qp_admm)
 
 from helpers import PROBES, bench_workloads, hinge_square_problem, toy_problem
@@ -95,6 +95,29 @@ class TestProgramData:
         assert data.A.has_canonical_format and data.A.indices.tolist() == [0, 1, 0]
         assert data.A.data.tolist() == [2.0, 5.0, 0.0]
         assert A.indices.tolist() == [1, 0, 1, 0]
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("stuffer", ["stuff_lp", "stuff_qp", "stuff_cone"])
+    def test_auto_gives_each_stuffer_one_solver_that_takes_it(self, stuffer):
+        chosen = [s for s in SOLVERS.values() if stuffer in s.auto]
+        assert len(chosen) == 1 and stuffer in chosen[0].takes
+
+    def test_retrieve_splits_the_point_and_adds_the_offset(self):
+        data = lp_data([1.0, 2.0], G=[[-1.0, 0.0]], h=[0.0], offset=0.5)
+        raw = RawSolution(Status.ITERATION_LIMIT, np.array([3.0, 4.0]), 11.0, 7, "limit")
+        got = SOLVERS["admm"].retrieve(raw, data)
+        assert (got.status, got.value, got.message) == (Status.ITERATION_LIMIT, 11.5, "limit")
+        assert {k: v.tolist() for k, v in got.primal.items()} == {0: [3.0], 1: [4.0]}
+
+    @pytest.mark.parametrize("status,value", [
+        (Status.INFEASIBLE, math.inf), (Status.UNBOUNDED, -math.inf),
+        (Status.ERROR, math.nan), (Status.ITERATION_LIMIT, math.nan)])
+    def test_retrieve_keeps_no_point_of_a_value_that_is_not_finite(self, status, value):
+        data = lp_data([1.0], G=[[-1.0]], h=[0.0], offset=0.5)
+        got = SOLVERS["simplex"].retrieve(RawSolution(status, np.zeros(1), value), data)
+        assert got.status is status and got.primal == {}
+        assert got.value == value or math.isnan(value) and math.isnan(got.value)
 
 
 class TestSolverSettings:

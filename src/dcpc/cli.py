@@ -18,11 +18,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .analyzer import (AnalyzerError, RewriterConfig, TargetClass,
                        apply_chain, select_target, solve_problem)
 from .parsing import ParseError, SourceSpan, parse_problem
+from .reductions.cone import CsrMatrix
 from .reductions.framework import ReductionError, Status
 from .solvers import SOLVERS, SolverSettings
 
@@ -52,10 +52,8 @@ def _format_float(x: float) -> str:
 
 def _matrix_rows(m) -> Iterator[str]:
     """The rows of ``m``'s dense array, formatting only the stored entries of
-    its canonical CSR form; other input takes that form from its dense array,
-    where duplicates add in stored order from 0.0, as ``toarray`` adds them."""
-    if not (sp.issparse(m) and m.format == "csr" and m.has_canonical_format):
-        m = sp.csr_matrix(m.toarray() if sp.issparse(m) else m)
+    its record, ``CsrMatrix.of(m)``, where repeats add in stored order."""
+    m = CsrMatrix.of(m)
     values, cols, bounds = m.data.tolist(), m.indices.tolist(), m.indptr.tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         row = ["0"] * m.shape[1]
@@ -82,8 +80,9 @@ def _chunks(obj, indent=0) -> Iterator[str]:
         yield str(int(obj))
     elif isinstance(obj, (float, np.floating)):
         yield _format_float(float(obj))
-    elif sp.issparse(obj) or (isinstance(obj, np.ndarray) and obj.dtype.kind == "f"
-                              and obj.ndim == 2):  # one writer for every float matrix
+    elif isinstance(obj, CsrMatrix) or hasattr(obj, "tocoo") or (
+            isinstance(obj, np.ndarray) and obj.dtype.kind == "f"
+            and obj.ndim == 2):  # one writer for every float matrix, scipy's too
         yield from _block("[]", ((f"[{row}]", ()) for row in _matrix_rows(obj)), indent)
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 1:
         yield "[" + ", ".join([_format_float(v) for v in obj.tolist()]) + "]"

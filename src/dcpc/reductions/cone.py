@@ -6,7 +6,8 @@ nonlinear atom for its graph in one walk, and stacks the rows with
 The result is ``minimize ½xᵀPx + qᵀx + offset  s.t.  b - Ax in K``, where K
 stacks a zero cone, a nonnegative orthant, and second-order cones, in that
 fixed block order, and ``P`` is a QP's only.  ``ProgramData`` holds that
-form.  One gather reads the affine rows of :func:`stack_rows` and
+form, its matrices as numpy :class:`CsrMatrix` records, so only a solve loads
+scipy.  One gather reads the affine rows of :func:`stack_rows` and
 :func:`affine_row_data`.
 """
 
@@ -15,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .. import expressions as ex
 from .framework import Reduction
 from .standard import CanonConstraint, CanonStage, lhs_row
 
 __all__ = [
-    "GraphExpand", "ConeDims", "ProgramData", "StuffCone", "stack_variables",
+    "GraphExpand", "ConeDims", "CsrMatrix", "ProgramData", "StuffCone", "stack_variables",
     "stack_rows", "affine_row_data", "dense_rows",
 ]
 
@@ -105,20 +105,74 @@ class ConeDims:
 
 
 @dataclass(frozen=True)
+class CsrMatrix:
+    """Canonical CSR (Saad, §3.4): row ``i`` stores ``data[indptr[i]:indptr[i+1]]``
+    at the sorted, distinct columns ``indices[indptr[i]:indptr[i+1]]``; a solve
+    wraps the arrays as scipy's ``csr_matrix``."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    @np.errstate(over="ignore", invalid="ignore")  # repeats may add to inf or nan
+    def of(cls, M) -> CsrMatrix:
+        """The record of a dense array's nonzeros, or of the stored entries of
+        ``M.tocoo()`` (scipy's), zeros kept and repeats added in stored order."""
+        if isinstance(M, cls):
+            return M
+        if not hasattr(M, "tocoo"):
+            M = np.atleast_2d(np.asarray(M, dtype=float))  # a vector is one row, as in scipy
+            return cls.from_triplets(*np.nonzero(M), M[M != 0], M.shape)
+        M = M.tocoo()
+        keys = M.row.astype(np.intp) * M.shape[1] + M.col
+        order = np.argsort(keys, kind="stable")
+        keys, vals = keys[order], M.data.astype(float)[order]
+        first = np.diff(keys, prepend=-1) != 0
+        sums = vals[first]
+        np.add.at(sums, np.cumsum(first)[~first] - 1, vals[~first])
+        return cls.from_triplets(*np.divmod(keys[first], M.shape[1]), sums, M.shape)
+
+    @classmethod
+    def from_triplets(cls, rows, cols, vals, shape) -> CsrMatrix:
+        """The record of row-major triplets with distinct places, its index
+        arrays int32 where the shape and entries fit, as scipy's are."""
+        index = np.int32 if max(*shape, rows.size) < 2**31 else np.intp
+        indptr = np.zeros(shape[0] + 1, dtype=index)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return cls(vals, cols.astype(index, copy=False), indptr, tuple(shape))
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)  # added to, so a stored -0.0 reads 0.0
+        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] += self.data
+        return out
+
+    def __getitem__(self, rows) -> CsrMatrix:
+        """The rows ``rows``, an index array or a slice, in that order."""
+        rows = np.arange(self.shape[0])[rows]
+        i, j = ex.row_pairs(rows, np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)))
+        return CsrMatrix.from_triplets(i, self.indices[j], self.data[j], (rows.size, self.shape[1]))
+
+
+@dataclass(frozen=True)
 class ProgramData:
     """minimize ½xᵀPx + qᵀx + offset  subject to  b - Ax in K.
 
     K is ``cones``: equality rows, then inequality rows, then SOC blocks.  An
     LP has no ``P`` (None) and no SOC, a QP no SOC, a cone program no ``P``.
-    ``A`` and ``P`` are canonical ``scipy.sparse`` CSR matrices (sorted
-    column indices, no duplicate entry); other input is converted once, here,
-    so every reader sees one form.
+    ``A`` and ``P`` are :class:`CsrMatrix` records; other input, dense or scipy
+    sparse, is converted once, here, so every reader sees one form.
     """
 
-    P: sp.csr_matrix | None
+    P: CsrMatrix | None
     q: np.ndarray
     offset: float
-    A: sp.csr_matrix
+    A: CsrMatrix
     b: np.ndarray
     cones: ConeDims
     var_offsets: dict[int, tuple[int, int]]
@@ -127,11 +181,8 @@ class ProgramData:
     def __post_init__(self):
         for name in ("A", "P"):
             M = getattr(self, name)
-            if M is not None and not (isinstance(M, sp.csr_matrix)
-                                      and M.has_canonical_format):
-                M = sp.csr_matrix(M, dtype=float, copy=True)
-                M.sum_duplicates()
-                object.__setattr__(self, name, M)
+            if M is not None:
+                object.__setattr__(self, name, CsrMatrix.of(M))
         m, n = self.cones.total, self.q.size
         if self.A.shape != (m, n) or self.b.shape != (m,):
             raise ValueError(f"A {self.A.shape} and b {self.b.shape} do not "
@@ -167,7 +218,7 @@ def dense_rows(M: tuple[np.ndarray, ...], dim: int, width: int) -> np.ndarray:
     return out
 
 
-def stack_rows(blocks, var_offsets, width) -> tuple[sp.csr_matrix, np.ndarray]:
+def stack_rows(blocks, var_offsets, width) -> tuple[CsrMatrix, np.ndarray]:
     """``(A, b)`` from ``(exprs, sign)`` blocks, stacked in order, ``A`` as CSR
     with no stored zero: each expression's rows ``M x + k`` are written as
     ``A = sign·M``, ``b = -sign·k``.  Every stuffer stacks its rows here."""
@@ -181,9 +232,8 @@ def stack_rows(blocks, var_offsets, width) -> tuple[sp.csr_matrix, np.ndarray]:
                 signs.append(sign)
             b_rows.append(-sign * k)  # k may be a constant's read-only payload
             top += e.dim
-    rows, cols, vals = _gather(parts, shifts, signs, width)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=top))])
-    return sp.csr_matrix((vals, cols, indptr), shape=(top, width)), np.concatenate(b_rows)
+    return (CsrMatrix.from_triplets(*_gather(parts, shifts, signs, width), (top, width)),
+            np.concatenate(b_rows))
 
 
 def _gather(parts, shifts, signs, width) -> tuple[np.ndarray, ...]:

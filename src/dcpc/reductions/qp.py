@@ -17,10 +17,9 @@ costs about the size of the data it emits, not rows times width squared.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .. import expressions as ex
-from .cone import _NO_ENTRIES, StuffCone, affine_row_data, dense_rows
+from .cone import _NO_ENTRIES, CsrMatrix, StuffCone, affine_row_data, dense_rows
 from .framework import ReductionError
 
 __all__ = [
@@ -194,9 +193,9 @@ def _quad_pieces(expr, var_offsets, width):
 
 def quadratic_form(expr: ex.ExpressionNode,
                    var_offsets: dict[int, tuple[int, int]],
-                   width: int) -> tuple[sp.csr_matrix, np.ndarray, float]:
+                   width: int) -> tuple[CsrMatrix, np.ndarray, float]:
     """(P, q, r) with ``expr == ½xᵀPx + qᵀx + r`` for a scalar expression;
-    ``P`` is CSR, built from the Hessian's nonzeros with no dense square."""
+    ``P`` is the CSR record of ``½(H + Hᵀ)``'s nonzeros, with no dense square."""
     if expr.dim != 1:
         raise ReductionError("quadratic extraction needs a scalar expression")
     with np.errstate(over="ignore", invalid="ignore"):  # a Hessian product may overflow
@@ -205,9 +204,11 @@ def quadratic_form(expr: ex.ExpressionNode,
     Q = ex.coalesce(blocks["Q"])
     if not all(np.isfinite(a).all() for a in (vals, Q[2], k)):
         raise ex.ProblemError(ex.OVERFLOW)
-    P = sp.csr_matrix((vals, (keys // width, keys % width)), shape=(width, width))
-    P = 0.5 * (P + P.T)
-    P.eliminate_zeros()  # a half that underflows
+    rows, cols = np.divmod(keys, width)
+    rows, cols, vals = ex.sum_entries(np.r_[rows, cols], np.r_[cols, rows], np.r_[vals, vals])
+    vals = 0.5 * vals
+    keep = vals != 0.0  # a pair that cancels, or a half that underflows
+    P = CsrMatrix.from_triplets(rows[keep], cols[keep], vals[keep], (width, width))
     return P, dense_rows(Q, 1, width)[0], float(k[0])
 
 

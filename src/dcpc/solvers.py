@@ -15,8 +15,9 @@ entries.  Eliminating those early rows leaves ``P + σI + AᵀRA`` on the
 variables, which are then eliminated in their own order; rows that couple
 variables far apart in that order fill more than a minimum degree order would.
 
-``splu`` and ``dger`` are imported where they are called, so that parsing,
-analysis and canonicalization, which never solve, load no scipy linear algebra.
+``ProgramData`` holds its matrices as numpy CSR records.  ``scipy.sparse``,
+``splu`` and ``dger`` are imported where a solve calls them, so that parsing,
+analysis and canonicalization, which never solve, load no scipy at all.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from .reductions.cone import ConeDims, ProgramData
+from .reductions.cone import ConeDims, CsrMatrix, ProgramData
 from .reductions.framework import Solution, Status, has_point
 
 __all__ = ["SolverSettings", "RawSolution", "Solver", "SOLVERS", "solve_lp_simplex",
@@ -83,8 +83,8 @@ _NATURAL = dict(permc_spec="NATURAL", diag_pivot_thresh=0.01,
                 options=dict(SymmetricMode=True))
 
 
-def _factor(matrix: sp.csc_matrix, stats: dict):
-    """SuperLU factor of ``matrix`` in its own order; adds its seconds to
+def _factor(matrix, stats: dict):
+    """SuperLU factor of the CSC ``matrix`` in its own order; adds its seconds to
     ``stats["factor_s"]`` and keeps it as ``stats["factor"]`` until the next
     one succeeds, for ``_stats``."""
     from scipy.sparse.linalg import splu
@@ -164,7 +164,7 @@ def solve_lp_simplex(data: ProgramData,
     A row whose artificial cannot then leave is redundant and is zeroed.
     Both phases price as ``_run_phase`` says, so the method terminates.
     """
-    if data.P is not None and data.P.count_nonzero():
+    if data.P is not None and np.count_nonzero(data.P.data):
         raise ValueError("simplex cannot solve a nonzero quadratic: it requires P == 0")
     if data.cones.soc:
         raise ValueError("simplex cannot solve second-order cone rows")
@@ -261,10 +261,10 @@ def project_cone(v: np.ndarray, cones: ConeDims, plan=None) -> np.ndarray:
     return out
 
 
-def _equilibrate(P: sp.csr_matrix, A: sp.csr_matrix, cones: ConeDims):
+def _equilibrate(P: CsrMatrix, A: CsrMatrix, cones: ConeDims):
     """Ruiz scalings ``d`` of the columns and ``e`` of the rows of ``A``, and
-    the scaled ``diag(d) P diag(d)`` and ``diag(e) A diag(d)`` as CSR on the
-    index arrays of ``P`` and ``A``, which are canonical CSR.
+    the scaled ``diag(d) P diag(d)`` and ``diag(e) A diag(d)`` as scipy CSR
+    matrices on the index arrays of the records ``P`` and ``A``.
 
     Each of ``_RUIZ_PASSES`` passes divides every row and column of the KKT
     matrix ``[[P, Aᵀ], [A, 0]]`` by the square root of its ∞-norm; norms
@@ -273,6 +273,7 @@ def _equilibrate(P: sp.csr_matrix, A: sp.csr_matrix, cones: ConeDims):
     scale and the scaled slack stays in K.  ``fmax`` skips NaN entries,
     which the factorization then reports.
     """
+    import scipy.sparse as sp
     m, n = A.shape
     d, e = np.ones(n), np.ones(m)
     head = cones.zero + cones.nonneg
@@ -294,7 +295,7 @@ def _equilibrate(P: sp.csr_matrix, A: sp.csr_matrix, cones: ConeDims):
                    for M, s, r in ((P, d, P_row), (A, e, A_row)))
 
 
-def _order(P: sp.csr_matrix, A: sp.csr_matrix, zero: int):
+def _order(P, A, zero: int):
     """Each row's position in the KKT factor order, and the variables' first
     position.  The early rows lead, then the ``n`` variables, then the late
     rows: the ``zero`` equality rows, whose ``-1/(1e3·ρ)`` pivots would be
@@ -311,10 +312,11 @@ def _order(P: sp.csr_matrix, A: sp.csr_matrix, zero: int):
     return rows, lead
 
 
-def _kkt(P: sp.csr_matrix, A: sp.csr_matrix, rows: np.ndarray, lead: int):
+def _kkt(P, A, rows: np.ndarray, lead: int):
     """``[[P + σI, Aᵀ], [A, -I]]`` as CSC in the order of ``_order``, built
     once from triplets, with the position in ``data`` of each row's ``-1``:
     first in an early row's column, last in a late row's."""
+    import scipy.sparse as sp
     m, n = A.shape
     P = P + _SIGMA * sp.eye(n, format="csr")
     a_row = rows[np.repeat(np.arange(m), np.diff(A.indptr))]
@@ -363,7 +365,7 @@ def solve_admm(data: ProgramData,
     come in, and ``Aᵀ`` is the scaled ``A``'s CSC view, with no copy.
     """
     cones, (m, n) = data.cones, data.A.shape
-    P = sp.csr_matrix((n, n)) if data.P is None else data.P
+    P = data.P or CsrMatrix(np.zeros(0), np.zeros(0, np.intp), np.zeros(n + 1, np.intp), (n, n))
     d, e, P, A = _equilibrate(P, data.A, cones)
     AT, q, b, plan = A.T, d * data.q, e * data.b, _soc_plan(cones)
     rows, lead = _order(P, A, cones.zero)

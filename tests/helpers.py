@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from dcpc import expressions as ex
 from dcpc.analyzer import RewriterConfig, TargetClass, select_target
@@ -32,6 +33,12 @@ PROBES = {
                         "  x[0] >= 1;\n  x[0] <= 0;\n", Status.INFEASIBLE),
     "cone-unbounded": ("var x[2];\nvar y;\nminimize norm2(x) - y;\n", Status.UNBOUNDED),
 }
+
+
+def scipy_csr(M):
+    """scipy's ``csr_matrix`` over the arrays of the CSR record ``M``, for the
+    checks that read it with scipy's sparse API."""
+    return sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
 
 
 def bench_workloads():

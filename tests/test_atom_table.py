@@ -213,7 +213,8 @@ class TestAtomTable:
         P, q, r = quadratic_form(expr, *stack_variables([x]))
         for v in (-1.5, 0.0, 2.0):
             z = np.array([v])
-            assert 0.5 * z @ P @ z + q @ z + r == pytest.approx(ex.evaluate(expr, {0: z})[0])
+            assert 0.5 * z @ P.toarray() @ z + q @ z + r == pytest.approx(
+                ex.evaluate(expr, {0: z})[0])
 
     @pytest.mark.parametrize("name", [n for n, d in ex.ATOMS.items()
                                       if d.curvature_class is ex.Curvature.CONVEX])

@@ -711,8 +711,9 @@ def test_module_entrypoint_runs(tmp_path):
 
 
 # Runs each "command path" of argv[1:] through cli.main in turn and prints,
-# for each, its exit code, a solve's status and which of scipy's linear
-# algebra packages are loaded by then.
+# for each, its exit code, a solve's status and which of scipy and its
+# linear algebra and sparse packages are loaded by then.  Any scipy module
+# loads the package "scipy" itself, so a list without it means none is.
 LOADS_CHILD = """\
 import io, json, sys
 import dcpc.cli, dcpc.analyzer, dcpc.solvers
@@ -720,17 +721,18 @@ for command in sys.argv[1:]:
     out = io.StringIO()
     code = dcpc.cli.main(command.split(" ", 1), out, io.StringIO())
     status = json.loads(out.getvalue())["status"] if command.startswith("solve") else None
-    print(json.dumps([code, status, [m for m in ("scipy.linalg", "scipy.sparse.linalg")
-                                     if m in sys.modules]]))
+    print(json.dumps([code, status, [m for m in ("scipy", "scipy.linalg", "scipy.sparse",
+                                                 "scipy.sparse.linalg") if m in sys.modules]]))
 """
 
 
 @pytest.mark.parametrize("commands, expected", [
-    ([("analyze", TOY), ("canonicalize", TOY), ("canonicalize", HINGE)],
-     [[0, None, []]] * 3),
-    ([("solve", TOY)], [[0, "optimal", ["scipy.linalg"]]]),  # the simplex's dger
-    ([("solve", HINGE)],  # the splitting solver's splu
-     [[0, "optimal", ["scipy.linalg", "scipy.sparse.linalg"]]]),
+    ([("analyze", TOY), ("canonicalize", TOY), ("canonicalize", HINGE),
+      ("canonicalize", NORM)],
+     [[0, None, []]] * 4),
+    ([("solve", TOY)], [[0, "optimal", ["scipy", "scipy.linalg"]]]),  # the simplex's dger
+    ([("solve", HINGE)],  # the splitting solver's CSR algebra and splu
+     [[0, "optimal", ["scipy", "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"]]]),
 ])
 def test_only_a_solve_loads_scipy_linear_algebra(tmp_path, commands, expected):
     # A fresh process, since this suite's own loaded scipy.linalg long ago.

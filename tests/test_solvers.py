@@ -13,12 +13,12 @@ from scipy.optimize import linprog, minimize
 from dcpc import expressions as ex, solvers
 from dcpc.analyzer import RewriterConfig, TargetClass, build_chain, solve_problem
 from dcpc.parsing import parse_problem
-from dcpc.reductions.cone import ConeDims, ProgramData
+from dcpc.reductions.cone import ConeDims, CsrMatrix, ProgramData
 from dcpc.reductions.framework import Status
 from dcpc.solvers import (SOLVERS, RawSolution, SolverSettings, project_cone,
                           solve_cone_admm, solve_lp_simplex, solve_qp_admm)
 
-from helpers import PROBES, bench_workloads, hinge_square_problem, toy_problem
+from helpers import PROBES, bench_workloads, hinge_square_problem, scipy_csr, toy_problem
 
 
 def _rows(x, n):
@@ -81,7 +81,7 @@ class TestProgramData:
         data = ProgramData(P, np.zeros(2), 0.0, A, np.zeros(2),
                            ConeDims(0, 2, ()), {}, ())
         for got, want in ((data.P, P), (data.A, A)):
-            assert isinstance(got, sp.csr_matrix) and got.dtype == float
+            assert isinstance(got, CsrMatrix) and got.data.dtype == float
             np.testing.assert_array_equal(got.toarray(), want)
             assert got.nnz == np.count_nonzero(want)
 
@@ -92,7 +92,7 @@ class TestProgramData:
                            np.array([0, 3, 4])), shape=(2, 2))
         data = ProgramData(None, np.zeros(2), 0.0, A, np.zeros(2),
                            ConeDims(0, 2, ()), {}, ())
-        assert data.A.has_canonical_format and data.A.indices.tolist() == [0, 1, 0]
+        assert scipy_csr(data.A).has_canonical_format and data.A.indices.tolist() == [0, 1, 0]
         assert data.A.data.tolist() == [2.0, 5.0, 0.0]
         assert A.indices.tolist() == [1, 0, 1, 0]
 
@@ -263,7 +263,7 @@ class TestSimplex:
         raw, data, solution = outcome.raw, outcome.data, outcome.solution
         assert raw.status is Status.ITERATION_LIMIT
         assert raw.message == "phase-2 iteration limit"
-        slack = data.b - data.A @ raw.x
+        slack = data.b - scipy_csr(data.A) @ raw.x
         assert np.all(np.abs(slack[:data.cones.zero]) <= 1e-9)
         assert np.all(slack[data.cones.zero:] >= -1e-9)
         assert solution.status is Status.ITERATION_LIMIT
@@ -638,7 +638,7 @@ class TestConeAdmm:
 def equilibrate_coo(P, A, cones):
     """The COO form of ``solvers._equilibrate``: ``ufunc.at`` maxima over the
     triplets and a COO-built CSR of the scaled entries."""
-    P, A = P.tocoo(), A.tocoo()
+    P, A = scipy_csr(P).tocoo(), scipy_csr(A).tocoo()
     m, n = A.shape
     d, e = np.ones(n), np.ones(m)
     head = cones.zero + cones.nonneg
